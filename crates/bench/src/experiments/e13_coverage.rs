@@ -7,19 +7,24 @@
 //!    place/transition percentages look like once `etpn-lint`'s
 //!    statically-dead fixpoint is folded out of the denominators?
 //! 2. *Overhead*: what does `with_coverage` cost per step, measured the
-//!    E11 way (repeated long GCD runs, instrumented vs. baseline,
-//!    interleaved)? The acceptance bound is ≤ 5%: per step, collection is
-//!    one word-parallel arc-set OR, one value check per not-yet-toggled
-//!    output port, and one guard record per enabled guarded transition —
-//!    the per-place/-transition counters are absorbed from the engine's
-//!    existing counts at run end.
+//!    E11 way (repeated runs, instrumented vs. baseline, interleaved) on
+//!    long GCD runs under the interpreter and on the 1024-place cyclic
+//!    net under the compiled backend? The acceptance bound is ≤ 5%. After
+//!    a full evaluation walk (every interpreter step) collection is one
+//!    word-parallel arc-set OR plus one value check per not-yet-toggled
+//!    output port; on the compiled backend's incremental steps it reads
+//!    only the ports whose value changed and the arcs that opened. Either
+//!    way guard outcomes cost one mask test per enabled guarded
+//!    transition, and the per-place/-transition counters are absorbed
+//!    from the engine's existing counts at run end.
 
+use super::e9_throughput::cyclic_net;
 use crate::table::Table;
 use crate::Scale;
 use etpn_cov::{report, StaticDead};
 use etpn_sim::{FiringPolicy, Fleet, SaturationConfig, SimJob, Simulator};
 use etpn_workloads::by_name;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The seed → policy mapping `etpnc cov` uses: seed 0 is the
 /// deterministic reference, then the randomized policies alternate.
@@ -35,7 +40,7 @@ fn policy_of(seed: u64) -> FiringPolicy {
 pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         "E13",
-        "coverage saturation per workload + collection overhead (gcd)",
+        "coverage saturation per workload + collection overhead (gcd, random1024)",
         &[
             "workload",
             "seeds",
@@ -94,7 +99,7 @@ pub fn run(scale: Scale) -> Table {
     let w = by_name("gcd").expect("gcd workload exists");
     let d = etpn_synth::compile_source(&w.source).expect("gcd compiles");
     let reps = scale.n(3, 25) as u64;
-    let one_run = |coverage: bool| -> (u64, std::time::Duration) {
+    let gcd_run = |coverage: bool| -> (u64, Duration) {
         let env = etpn_sim::ScriptedEnv::new()
             .with_stream("a", [99_991])
             .with_stream("b", [7]);
@@ -109,12 +114,45 @@ pub fn run(scale: Scale) -> Table {
         let steps = sim.run(1_000_000).expect("gcd runs").steps;
         (steps, t0.elapsed())
     };
+    table.row(overhead_row("gcd overhead", reps, gcd_run));
+
+    // The same on a large net under the compiled backend, where a step
+    // touches a handful of ports out of thousands: the E9c 1024-place
+    // cyclic net, where event-driven collection matters most.
+    let net = cyclic_net(23, 1024);
+    let budget = scale.n(8_192, 65_536) as u64;
+    let net_run = |coverage: bool| -> (u64, Duration) {
+        let mut sim = Simulator::new(&net, etpn_sim::ScriptedEnv::new()).compiled();
+        if coverage {
+            sim = sim.with_coverage();
+        }
+        let t0 = Instant::now();
+        let steps = sim.run(budget).expect("random1024 runs").steps;
+        (steps, t0.elapsed())
+    };
+    table.row(overhead_row(
+        "random1024 overhead (compiled)",
+        reps,
+        net_run,
+    ));
+    table.interpret(
+        "every workload saturates place/transition/arc/guard coverage from \
+         a handful of policy seeds once statically-dead items leave the \
+         denominator; run-attached collection stays within the 5% bound",
+    );
+    table
+}
+
+/// Collection overhead of one subject as a table row: `one_run(coverage)`
+/// runs the subject once and returns `(steps, wall time)`. Runs with and
+/// without coverage alternate after a warm-up of both, and the reported
+/// overhead is the median of the per-pair ratios, so a scheduler spike
+/// that lands on one run distorts that pair only.
+fn overhead_row(label: &str, reps: u64, one_run: impl Fn(bool) -> (u64, Duration)) -> [String; 7] {
     for _ in 0..2 {
         let _ = one_run(false);
-        let _ = one_run(true); // warm-up both paths
+        let _ = one_run(true);
     }
-    // Median-of-pairs estimator: a scheduler spike that lands on one run
-    // distorts that pair's ratio only, not the reported number.
     let mut base_rates = Vec::new();
     let mut cov_rates = Vec::new();
     let mut ratios = Vec::new();
@@ -134,21 +172,15 @@ pub fn run(scale: Scale) -> Table {
     let base = median(&mut base_rates);
     let with_cov = median(&mut cov_rates);
     let overhead = (median(&mut ratios) - 1.0) * 100.0;
-    table.row([
-        "gcd overhead".to_string(),
+    [
+        label.to_string(),
         format!("{reps} pairs"),
         "-".to_string(),
         format!("{base:.0}/s"),
         format!("{with_cov:.0}/s"),
         format!("{overhead:+.1}%"),
         "≤5% bound".to_string(),
-    ]);
-    table.interpret(
-        "every workload saturates place/transition/arc/guard coverage from \
-         a handful of policy seeds once statically-dead items leave the \
-         denominator; run-attached collection stays within the 5% bound",
-    );
-    table
+    ]
 }
 
 #[cfg(test)]
@@ -158,7 +190,7 @@ mod tests {
     #[test]
     fn e13_saturates_every_workload() {
         let t = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 4, "{t:?}");
+        assert_eq!(t.rows.len(), 5, "{t:?}");
         for row in &t.rows[..3] {
             assert_eq!(row[2], "yes", "{row:?} should saturate");
             let place: f64 = row[3].parse().unwrap();

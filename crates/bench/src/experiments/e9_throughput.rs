@@ -14,7 +14,7 @@ use etpn_workloads::{catalog, random_net};
 use std::time::Instant;
 
 /// Make a random net cyclic: loop the terminal transition back to start.
-fn cyclic_net(seed: u64, n: usize) -> Etpn {
+pub(crate) fn cyclic_net(seed: u64, n: usize) -> Etpn {
     let mut g = random_net(seed, n);
     // `random_net` ends with a token-consuming `t_end`; wire it back to the
     // first place to keep the net running forever.

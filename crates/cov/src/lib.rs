@@ -122,6 +122,14 @@ impl CovDb {
         self.arc_open.union_words(open.words());
     }
 
+    /// Record one arc observed open, by raw id — the event-driven
+    /// counterpart of [`CovDb::record_open_arcs`] for a step that only
+    /// knows which arcs opened since the previous one.
+    #[inline]
+    pub fn record_arc(&mut self, arc_idx: usize) {
+        self.arc_open.insert(arc_idx);
+    }
+
     /// Record one observed value of the output port with raw id
     /// `port_idx`. Only defined values toggle; `⊥` is no observation.
     #[inline]

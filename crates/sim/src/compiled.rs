@@ -88,6 +88,20 @@ impl Csr {
         Self { off, dat }
     }
 
+    /// Build with `n` rows, `fill(i, row)` appending row `i`'s payload.
+    /// Unlike [`Csr::build`] this holds no per-row vectors, so compiling
+    /// a large design never keeps thousands of small allocations alive.
+    fn from_fn(n: usize, mut fill: impl FnMut(usize, &mut Vec<u32>)) -> Self {
+        let mut off = Vec::with_capacity(n + 1);
+        let mut dat = Vec::new();
+        off.push(0);
+        for i in 0..n {
+            fill(i, &mut dat);
+            off.push(dat.len() as u32);
+        }
+        Self { off, dat }
+    }
+
     #[inline]
     fn row(&self, i: usize) -> &[u32] {
         &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
@@ -171,42 +185,46 @@ impl CompiledDesign {
         let tb = g.ctl.transitions().capacity_bound();
 
         let mut task = vec![PortTask::Hole; pb];
-        let mut in_rows: Vec<Vec<u32>> = vec![Vec::new(); pb];
-        let mut out_rows: Vec<Vec<u32>> = vec![Vec::new(); pb];
-        let mut reader_rows: Vec<Vec<u32>> = vec![Vec::new(); pb];
-        let mut arg_rows: Vec<Vec<u32>> = vec![Vec::new(); pb];
         let mut live_ports = 0usize;
         for (p, port) in g.dp.ports().iter() {
             live_ports += 1;
             task[p.idx()] = match port.dir {
-                Dir::In => {
-                    in_rows[p.idx()] = g.dp.incoming_arcs(p).iter().map(|a| a.0).collect();
-                    PortTask::In
-                }
-                Dir::Out => {
-                    out_rows[p.idx()] = g.dp.outgoing_arcs(p).iter().map(|a| a.0).collect();
-                    match port.operation() {
-                        Op::Input => PortTask::OutInput(port.vertex),
-                        op if op.is_sequential() => PortTask::OutSeq,
-                        op => PortTask::OutComb(op),
-                    }
-                }
+                Dir::In => PortTask::In,
+                Dir::Out => match port.operation() {
+                    Op::Input => PortTask::OutInput(port.vertex),
+                    op if op.is_sequential() => PortTask::OutSeq,
+                    op => PortTask::OutComb(op),
+                },
             };
         }
+        let port = |p: usize| PortId::new(p as u32);
+        let in_arcs = Csr::from_fn(pb, |p, row| {
+            if task[p] == PortTask::In {
+                row.extend(g.dp.incoming_arcs(port(p)).iter().map(|a| a.0));
+            }
+        });
+        let out_arcs = Csr::from_fn(pb, |p, row| {
+            if !matches!(task[p], PortTask::Hole | PortTask::In) {
+                row.extend(g.dp.outgoing_arcs(port(p)).iter().map(|a| a.0));
+            }
+        });
         // Reader / argument lists, exactly as the interpreter's
         // `Evaluator::new` resolves them (arity-truncated input lists).
+        let comb_args = Csr::from_fn(pb, |p, row| {
+            if let PortTask::OutComb(op) = task[p] {
+                let vx = g.dp.vertex(g.dp.port(port(p)).vertex);
+                row.extend(vx.inputs.iter().take(op.arity()).map(|ip| ip.0));
+            }
+        });
+        let mut reader_rows: Vec<Vec<u32>> = vec![Vec::new(); pb];
         for (_, vx) in g.dp.vertices().iter() {
             for &op_port in &vx.outputs {
-                let op = g.dp.port(op_port).operation();
-                if op.is_combinatorial() {
-                    let args: Vec<u32> = vx.inputs.iter().take(op.arity()).map(|p| p.0).collect();
-                    for &ip in &args {
-                        reader_rows[ip as usize].push(op_port.0);
-                    }
-                    arg_rows[op_port.idx()] = args;
+                for &ip in comb_args.row(op_port.idx()) {
+                    reader_rows[ip as usize].push(op_port.0);
                 }
             }
         }
+        let readers = Csr::build(reader_rows);
 
         let mut arc_from = vec![u32::MAX; ab];
         let mut arc_to = vec![u32::MAX; ab];
@@ -224,8 +242,8 @@ impl CompiledDesign {
         let mut indeg = vec![0u32; pb];
         for (p, _) in g.dp.ports().iter() {
             indeg[p.idx()] = match task[p.idx()] {
-                PortTask::In => in_rows[p.idx()].len() as u32,
-                PortTask::OutComb(_) => arg_rows[p.idx()].len() as u32,
+                PortTask::In => in_arcs.row(p.idx()).len() as u32,
+                PortTask::OutComb(_) => comb_args.row(p.idx()).len() as u32,
                 _ => 0,
             };
         }
@@ -239,8 +257,8 @@ impl CompiledDesign {
         while let Some(p) = stack.pop() {
             topo_order.push(p);
             let succs: &[u32] = match task[p as usize] {
-                PortTask::In => &reader_rows[p as usize],
-                _ => &out_rows[p as usize],
+                PortTask::In => readers.row(p as usize),
+                _ => out_arcs.row(p as usize),
             };
             for &s in succs {
                 let to = match task[p as usize] {
@@ -261,29 +279,35 @@ impl CompiledDesign {
         }
 
         // Control-side tables.
-        let mut ctrl_rows: Vec<Vec<u32>> = vec![Vec::new(); sb];
-        let mut post_rows: Vec<Vec<u32>> = vec![Vec::new(); sb];
-        let mut latch_rows: Vec<Vec<u32>> = vec![Vec::new(); sb];
-        let mut input_rows: Vec<Vec<u32>> = vec![Vec::new(); sb];
-        for (s, place) in g.ctl.places().iter() {
-            ctrl_rows[s.idx()] = place.ctrl.iter().map(|a| a.0).collect();
-            post_rows[s.idx()] = place.post.iter().map(|t| t.0).collect();
-            for &a in &place.ctrl {
-                let arc = g.dp.arc(a);
-                let ip = arc.to;
+        let place = |s: usize| g.ctl.places().get(PlaceId::new(s as u32));
+        let ctrl = |s: usize| place(s).map_or(&[][..], |pl| &pl.ctrl[..]);
+        let place_ctrl = Csr::from_fn(sb, |s, row| row.extend(ctrl(s).iter().map(|a| a.0)));
+        let place_post = Csr::from_fn(sb, |s, row| {
+            if let Some(pl) = place(s) {
+                row.extend(pl.post.iter().map(|t| t.0));
+            }
+        });
+        let place_latch = Csr::from_fn(sb, |s, row| {
+            for &a in ctrl(s) {
+                let ip = g.dp.arc(a).to;
                 let vx = g.dp.vertex(g.dp.port(ip).vertex);
                 if vx.inputs.first() == Some(&ip) {
-                    for &op_port in &vx.outputs {
-                        if g.dp.port(op_port).operation() == Op::Reg {
-                            latch_rows[s.idx()].push(op_port.0);
-                        }
-                    }
-                }
-                if g.dp.vertex(g.dp.port(arc.from).vertex).kind == VertexKind::Input {
-                    input_rows[s.idx()].push(arc.from.0);
+                    let regs = vx
+                        .outputs
+                        .iter()
+                        .filter(|&&q| g.dp.port(q).operation() == Op::Reg);
+                    row.extend(regs.map(|q| q.0));
                 }
             }
-        }
+        });
+        let place_input_outs = Csr::from_fn(sb, |s, row| {
+            for &a in ctrl(s) {
+                let from = g.dp.arc(a).from;
+                if g.dp.vertex(g.dp.port(from).vertex).kind == VertexKind::Input {
+                    row.push(from.0);
+                }
+            }
+        });
 
         let spec = Self::build_spec(g);
         let cd = Self {
@@ -297,16 +321,16 @@ impl CompiledDesign {
             task,
             topo_pos,
             topo_order,
-            in_arcs: Csr::build(in_rows),
-            out_arcs: Csr::build(out_rows),
-            readers: Csr::build(reader_rows),
-            comb_args: Csr::build(arg_rows),
+            in_arcs,
+            out_arcs,
+            readers,
+            comb_args,
             arc_from,
             arc_to,
-            place_ctrl: Csr::build(ctrl_rows),
-            place_post: Csr::build(post_rows),
-            place_latch: Csr::build(latch_rows),
-            place_input_outs: Csr::build(input_rows),
+            place_ctrl,
+            place_post,
+            place_latch,
+            place_input_outs,
             spec,
         };
         etpn_obs::global()
@@ -547,6 +571,12 @@ pub(crate) struct CompiledState {
     /// Places touched by firing this step (pre ∪ post of fired
     /// transitions), consumed by [`Self::sync_after_commit`].
     pub(crate) touched: Vec<u32>,
+    /// Ports whose value the last [`Self::propagate`] changed: the
+    /// step-to-step value delta that coverage observes.
+    changed: Vec<u32>,
+    /// Arcs the last [`Self::sync_after_commit`] opened: the open-arc
+    /// delta the *next* step's evaluation will see.
+    opened: Vec<u32>,
 }
 
 impl CompiledState {
@@ -570,6 +600,8 @@ impl CompiledState {
             verify: false,
             args_scratch: Vec::with_capacity(4),
             touched: Vec::new(),
+            changed: Vec::new(),
+            opened: Vec::new(),
         }
     }
 
@@ -584,6 +616,7 @@ impl CompiledState {
         self.vals = Arc::new(vals);
         self.dirty.clear();
         self.touched.clear();
+        self.opened.clear();
         self.marked.clear();
         self.arc_ctl.fill(0);
         for s in marking.marked_places() {
@@ -635,8 +668,9 @@ impl CompiledState {
 
     /// Drain the dirty queue in topological order, re-evaluating each
     /// queued port and propagating onward only where the value actually
-    /// changed. Returns the number of ports re-evaluated (the step's
-    /// "events fired").
+    /// changed, and listing those ports in [`Self::changed_ports`].
+    /// Returns the number of ports re-evaluated (the step's "events
+    /// fired").
     pub(crate) fn propagate(
         &mut self,
         state: &DpState,
@@ -644,6 +678,7 @@ impl CompiledState {
     ) -> u64 {
         let cd = &self.cd;
         let vals = Arc::make_mut(&mut self.vals);
+        self.changed.clear();
         let mut fired = 0u64;
         while let Some(pos) = self.dirty.pop() {
             let p = cd.topo_order[pos as usize] as usize;
@@ -675,6 +710,7 @@ impl CompiledState {
                 continue;
             }
             vals.port_values[p] = new;
+            self.changed.push(p as u32);
             match cd.task[p] {
                 PortTask::In => {
                     for &out in cd.readers.row(p) {
@@ -737,24 +773,40 @@ impl CompiledState {
         cd.topo_order.len() as u64
     }
 
-    /// The current step values (shared; cheap to clone).
+    /// The current step values (shared; cheap to clone). The caller must
+    /// drop its handle before the next [`Self::sync_after_commit`] or
+    /// [`Self::propagate`], or those copy the whole value array instead
+    /// of updating it in place.
     pub(crate) fn values(&self) -> Arc<StepValues> {
         Arc::clone(&self.vals)
     }
 
+    /// Ports whose value the last [`Self::propagate`] changed (valid
+    /// until the next evaluation).
+    pub(crate) fn changed_ports(&self) -> &[u32] {
+        &self.changed
+    }
+
+    /// Arcs opened by the last [`Self::sync_after_commit`]. An arc listed
+    /// here may have closed again since (a marking mutated outside the
+    /// firing relation); check it against the open-arc set before use.
+    pub(crate) fn opened_arcs(&self) -> &[u32] {
+        &self.opened
+    }
+
     /// Token-enabled transitions in increasing id order — identical to
-    /// `Marking::enabled_transitions`, read off the incremental bitset.
-    pub(crate) fn enabled_vec(&self) -> Vec<TransId> {
-        self.enabled
-            .iter()
-            .map(|t| TransId::new(t as u32))
-            .collect()
+    /// `Marking::enabled_transitions`, read off the incremental bitset
+    /// into the caller's buffer (cleared first).
+    pub(crate) fn enabled_into(&self, out: &mut Vec<TransId>) {
+        out.clear();
+        out.extend(self.enabled.iter().map(|t| TransId::new(t as u32)));
     }
 
     /// Post-commit resynchronisation: fold the step's marking changes
     /// (places in `touched`) and data-path effects (registers latched and
     /// input cursors advanced on `exited` places) into the mirrors, and
-    /// seed the dirty queue for the next step.
+    /// seed the dirty queue for the next step. Arcs that open are listed
+    /// in [`Self::opened_arcs`].
     pub(crate) fn sync_after_commit(
         &mut self,
         g: &Etpn,
@@ -763,6 +815,7 @@ impl CompiledState {
         exited: &[PlaceId],
     ) {
         let cd = Arc::clone(&self.cd);
+        self.opened.clear();
         let mut touched = std::mem::take(&mut self.touched);
         for &s in &touched {
             let s = s as usize;
@@ -785,6 +838,7 @@ impl CompiledState {
                     self.arc_ctl[a] += 1;
                     if self.arc_ctl[a] == 1 {
                         vals.open_arcs.insert(a);
+                        self.opened.push(a as u32);
                         self.in_open[to] += 1;
                         if self.in_open[to] == 2 {
                             self.conflicted.insert(to);

@@ -77,6 +77,35 @@ impl SimMetrics {
             dirty_frac: reg.histogram("sim.dirty.frac"),
         }
     }
+
+    /// Record one step's dirty fraction (per mille of live ports
+    /// re-evaluated), at stats level and up.
+    fn record_dirty_frac(&self, frac: u64) {
+        if obs::stats_enabled() || obs::trace_enabled() {
+            self.dirty_frac.record(frac);
+            if obs::trace_enabled() {
+                obs::sample("sim.dirty.frac", frac as i64);
+            }
+        }
+    }
+}
+
+/// Fold one observed value of port `p` into toggle coverage. The seen-mask
+/// (bit 0 = zero seen, bit 1 = non-zero seen) makes a repeat polarity a
+/// byte test, so the CovDb is touched only on a first observation.
+/// Returns the port's updated mask (3 = fully toggled).
+#[inline]
+fn observe_toggle(db: &mut CovDb, seen: &mut [u8], p: usize, v: Value) -> u8 {
+    let side: u8 = match v {
+        Value::Def(0) => 1,
+        Value::Def(_) => 2,
+        Value::Undef => 0,
+    };
+    if side & !seen[p] != 0 {
+        db.record_toggle(p, v);
+        seen[p] |= side;
+    }
+    seen[p]
 }
 
 /// A replay in progress: the journal whose firing decisions are
@@ -112,10 +141,13 @@ pub struct Simulator<'g, E: Environment> {
     marking_rows: Vec<BitSet>,
     guard_rows: Vec<BitSet>,
     cov: Option<CovDb>,
-    /// Output ports not yet observed at both polarities, with a local
-    /// seen-mask (bit 0 = zero seen, bit 1 = non-zero seen). Fully-toggled
-    /// ports retire from the scan.
-    toggle_pending: Vec<(PortId, u8)>,
+    /// Output ports a full coverage scan still reads; fully-toggled ports
+    /// retire from it.
+    toggle_pending: Vec<PortId>,
+    /// Per-port toggle seen-mask, raw-port-id indexed (bit 0 = zero seen,
+    /// bit 1 = non-zero seen). Ports that are not vertex outputs start
+    /// fully seen, so an event-driven observation skips them in one test.
+    toggle_seen: Vec<u8>,
     /// Per-transition guard-outcome mask (bit 0 = held back, bit 1 =
     /// taken), so repeat outcomes skip the CovDb entirely.
     guard_seen: Vec<u8>,
@@ -130,6 +162,14 @@ pub struct Simulator<'g, E: Environment> {
     script: Option<ReplayScript>,
     /// Scratch: latches committed this step (fed to recorder/replay check).
     rec_latched: Vec<(PortId, Value)>,
+    // --- per-step scratch, reused so a steady-state step allocates nothing ---
+    /// Token-enabled transitions, filtered in place to the ready ones and
+    /// then ordered by the policy.
+    ready: Vec<TransId>,
+    /// Places whose tokens this step consumed (activation intervals ended).
+    exited: Vec<PlaceId>,
+    /// Input vertices whose stream cursors this step advanced.
+    advanced: Vec<VertexId>,
 }
 
 impl<'g, E: Environment> Simulator<'g, E> {
@@ -162,6 +202,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
             guard_rows: Vec::new(),
             cov: None,
             toggle_pending: Vec::new(),
+            toggle_seen: Vec::new(),
             guard_seen: Vec::new(),
             fire_counts: vec![0; g.ctl.transitions().capacity_bound()],
             exit_counts: vec![0; g.ctl.places().capacity_bound()],
@@ -171,6 +212,9 @@ impl<'g, E: Environment> Simulator<'g, E> {
             design_fp: None,
             script: None,
             rec_latched: Vec::new(),
+            ready: Vec::new(),
+            exited: Vec::new(),
+            advanced: Vec::new(),
         }
     }
 
@@ -248,15 +292,26 @@ impl<'g, E: Environment> Simulator<'g, E> {
 
     /// Collect functional coverage (places, transitions, arc activations,
     /// guard outcomes, port toggles) into a [`CovDb`] attached to the
-    /// resulting [`Trace`]. Off by default; the per-step cost when enabled
-    /// is a word-parallel arc union plus one value check per output port
-    /// not yet observed at both polarities.
+    /// resulting [`Trace`]. Off by default. When enabled, a step observes
+    /// what changed: on the compiled backend's incremental path, only the
+    /// ports whose value changed and the arcs that opened since the
+    /// previous step. After a full evaluation walk — every interpreter
+    /// step, and on the compiled backend the first step, resyncs, forced
+    /// and fallback steps, and the no-dirty ablation — it scans the whole
+    /// open-arc set and every output port not yet observed at both
+    /// polarities. Guard outcomes cost a byte-mask test per enabled
+    /// guarded transition.
     pub fn with_coverage(mut self) -> Self {
         let mut ports = Vec::new();
+        let mut seen = vec![3u8; self.g.dp.ports().capacity_bound()];
         for (_, vx) in self.g.dp.vertices().iter() {
-            ports.extend_from_slice(&vx.outputs);
+            for &p in &vx.outputs {
+                seen[p.idx()] = 0;
+                ports.push(p);
+            }
         }
-        self.toggle_pending = ports.into_iter().map(|p| (p, 0u8)).collect();
+        self.toggle_pending = ports;
+        self.toggle_seen = seen;
         self.guard_seen = vec![0; self.g.ctl.transitions().capacity_bound()];
         self.cov = Some(CovDb::new(self.g));
         self
@@ -384,7 +439,44 @@ impl<'g, E: Environment> Simulator<'g, E> {
         // and the histogram is statistical anyway.
         let t0 = (obs::trace_enabled() || (obs::stats_enabled() && self.step & 0xF == 0))
             .then(std::time::Instant::now);
-        let g = self.g;
+        // A step is a fixed phase sequence: perturb → evaluate → observe →
+        // fire → commit → sync. The step's read handle on the values is
+        // dropped before sync, so the compiled backend mutates its
+        // persistent values in place instead of copying them.
+        let Some((fault_flags, forced)) = self.perturb()? else {
+            return Ok(None);
+        };
+        let (vals, walked) = self.evaluate(forced)?;
+        self.observe(&vals, walked);
+        let fired = {
+            let _fire_span = obs::span("sim.fire");
+            let fired = self.fire(&vals)?;
+            let events_before = self.events.len();
+            self.commit_exits(&vals)?;
+            drop(vals);
+            self.sync();
+            if self.rec.is_some() || self.script.is_some() {
+                self.finish_step_journal(events_before, fault_flags)?;
+            }
+            fired
+        };
+
+        self.step += 1;
+        self.metrics.steps.inc();
+        self.metrics.firings.add(fired as u64);
+        if let Some(t0) = t0 {
+            self.metrics.step_ns.record(t0.elapsed().as_nanos() as u64);
+        }
+        if fired == 0 {
+            return Ok(None); // fixpoint: nothing can ever change
+        }
+        Ok(Some(fired))
+    }
+
+    /// Step phase 1: checkpoint for the recorder, then apply this step's
+    /// control faults. Returns `None` when a fault emptied the marking,
+    /// else the step's fault flags and whether a data fault is active.
+    fn perturb(&mut self) -> Result<Option<(u8, bool)>, SimError> {
         if let Some(rec) = &mut self.rec {
             // Snapshot *before* fault perturbation, so restoring the
             // checkpoint re-derives this step — faults included — exactly.
@@ -426,151 +518,131 @@ impl<'g, E: Environment> Simulator<'g, E> {
         if forced {
             fault_flags |= FLAG_DATA_FAULT;
         }
-        let vals: Arc<StepValues> = {
-            let _eval_span = obs::span("sim.eval");
-            let env = &self.env;
-            let cursors = &self.cursors;
-            // Steps with an active data fault bypass the cache entirely:
-            // forced values are not a pure function of the configuration.
-            // The compiled backend bypasses it too: its persistent values
-            // make a memo lookup pure overhead.
-            let key = match (&self.cache, forced, &self.compiled) {
-                (Some(h), false, None) => Some(StepKey {
-                    design: h.design_fp,
-                    env: h.env_fp,
-                    marking: self.marking.stable_hash64(),
-                    state: self.state.stable_hash64(),
-                    cursors: cursors.stable_hash64(),
-                }),
-                _ => None,
-            };
-            let cached = match (&self.cache, &key) {
-                (Some(h), Some(k)) => h.cache.lookup(k, &self.marking, &self.state, cursors),
-                _ => None,
-            };
-            if key.is_some() {
-                match cached {
-                    Some(_) => self.metrics.cache_hits.inc(),
-                    None => self.metrics.cache_misses.inc(),
-                }
-            }
-            match cached {
-                Some(v) => v,
-                None => {
-                    self.metrics.evals.inc();
-                    let step_no = self.step;
-                    let input = |v| env.value_at(v, &g.dp.vertex(v).name, cursors.position(v));
-                    let fresh: Arc<StepValues> = if let Some(cs) = &mut self.compiled {
-                        if cs.needs_full(forced) {
-                            // Conservative path: first step, fault-mutated
-                            // marking, forced values, or a statically cyclic
-                            // port graph — delegate to the interpreter walk
-                            // and rebuild every incremental mirror from it.
-                            let walked = match self.faults.as_ref().filter(|_| forced) {
-                                Some(plan) => {
-                                    let mut force =
-                                        |p: PortId, v: Value| plan.force_value(p, v, step_no);
-                                    self.evaluator.step_forced(
-                                        g,
-                                        &self.marking,
-                                        &self.state,
-                                        step_no,
-                                        input,
-                                        Some(&mut force),
-                                    )?
-                                }
-                                None => self.evaluator.step(
-                                    g,
-                                    &self.marking,
-                                    &self.state,
-                                    step_no,
-                                    input,
-                                )?,
-                            };
-                            cs.resync_full(g, &self.marking, walked);
-                            // A forced walk leaves forced values behind: the
-                            // next step must walk again to restore the pure
-                            // values before incremental stepping resumes.
-                            cs.resync = forced;
-                            let n = cs.cd.port_count() as u64;
-                            self.metrics.events_fired.add(n);
-                            if obs::stats_enabled() || obs::trace_enabled() {
-                                self.metrics.dirty_frac.record(1000);
-                                if obs::trace_enabled() {
-                                    obs::sample("sim.dirty.frac", 1000);
-                                }
-                            }
-                            cs.values()
-                        } else {
-                            cs.check_conflict(step_no)?;
-                            let fired = if cs.no_dirty {
-                                cs.recompute_all(&self.state, input)
-                            } else {
-                                cs.propagate(&self.state, input)
-                            };
-                            self.metrics.events_fired.add(fired);
-                            if obs::stats_enabled() || obs::trace_enabled() {
-                                let n = cs.cd.port_count() as u64;
-                                if let Some(frac) = (fired * 1000).checked_div(n) {
-                                    self.metrics.dirty_frac.record(frac);
-                                    if obs::trace_enabled() {
-                                        obs::sample("sim.dirty.frac", frac as i64);
-                                    }
-                                }
-                            }
-                            if cs.verify {
-                                let walked = self.evaluator.step(
-                                    g,
-                                    &self.marking,
-                                    &self.state,
-                                    step_no,
-                                    input,
-                                )?;
-                                let vals = cs.values();
-                                assert_eq!(
-                                    walked.open_arcs, vals.open_arcs,
-                                    "compiled backend: open-arc mirror diverged at step {step_no}"
-                                );
-                                assert_eq!(
-                                    walked.port_values, vals.port_values,
-                                    "dirty-set soundness violated at step {step_no}: a skipped \
-                                     port's value differs from a full evaluation"
-                                );
-                            }
-                            cs.values()
-                        }
-                    } else {
-                        Arc::new(match self.faults.as_ref().filter(|_| forced) {
-                            Some(plan) => {
-                                let mut force =
-                                    |p: PortId, v: Value| plan.force_value(p, v, step_no);
-                                self.evaluator.step_forced(
-                                    g,
-                                    &self.marking,
-                                    &self.state,
-                                    step_no,
-                                    input,
-                                    Some(&mut force),
-                                )?
-                            }
-                            None => self.evaluator.step(
-                                g,
-                                &self.marking,
-                                &self.state,
-                                step_no,
-                                input,
-                            )?,
-                        })
-                    };
-                    if let (Some(h), Some(k)) = (&self.cache, key) {
-                        h.cache
-                            .insert(k, &self.marking, &self.state, cursors, Arc::clone(&fresh));
-                    }
-                    fresh
-                }
-            }
-        };
+        Ok(Some((fault_flags, forced)))
+    }
 
+    /// Step phase 2: evaluate the data path under the current marking.
+    /// Returns the step's values, and `true` when they came from a full
+    /// walk, a cache hit or the no-dirty ablation rather than from
+    /// incremental propagation — which decides how [`Self::observe`]
+    /// reads them.
+    fn evaluate(&mut self, forced: bool) -> Result<(Arc<StepValues>, bool), SimError> {
+        let _eval_span = obs::span("sim.eval");
+        let g = self.g;
+        let step_no = self.step;
+        let (env, cursors) = (&self.env, &self.cursors);
+        let input = |v| env.value_at(v, &g.dp.vertex(v).name, cursors.position(v));
+        if let Some(cs) = self.compiled.as_mut().filter(|cs| !cs.needs_full(forced)) {
+            self.metrics.evals.inc();
+            cs.check_conflict(step_no)?;
+            let fired = if cs.no_dirty {
+                cs.recompute_all(&self.state, input)
+            } else {
+                cs.propagate(&self.state, input)
+            };
+            self.metrics.events_fired.add(fired);
+            if let Some(frac) = (fired * 1000).checked_div(cs.cd.port_count() as u64) {
+                self.metrics.record_dirty_frac(frac);
+            }
+            if cs.verify {
+                let walked = self
+                    .evaluator
+                    .step(g, &self.marking, &self.state, step_no, input)?;
+                let vals = cs.values();
+                assert_eq!(
+                    walked.open_arcs, vals.open_arcs,
+                    "compiled backend: open-arc mirror diverged at step {step_no}"
+                );
+                assert_eq!(
+                    walked.port_values, vals.port_values,
+                    "dirty-set soundness violated at step {step_no}: a skipped \
+                     port's value differs from a full evaluation"
+                );
+            }
+            return Ok((cs.values(), cs.no_dirty));
+        }
+        // Steps with an active data fault bypass the cache entirely:
+        // forced values are not a pure function of the configuration. The
+        // compiled backend bypasses it too: its persistent values make a
+        // memo lookup pure overhead.
+        let key = match (&self.cache, forced, &self.compiled) {
+            (Some(h), false, None) => Some(StepKey {
+                design: h.design_fp,
+                env: h.env_fp,
+                marking: self.marking.stable_hash64(),
+                state: self.state.stable_hash64(),
+                cursors: self.cursors.stable_hash64(),
+            }),
+            _ => None,
+        };
+        if let (Some(h), Some(k)) = (&self.cache, &key) {
+            if let Some(v) = h.cache.lookup(k, &self.marking, &self.state, &self.cursors) {
+                self.metrics.cache_hits.inc();
+                return Ok((v, true));
+            }
+            self.metrics.cache_misses.inc();
+        }
+        self.metrics.evals.inc();
+        let walked = self.walk(forced)?;
+        let Some(cs) = &mut self.compiled else {
+            let fresh = Arc::new(walked);
+            if let (Some(h), Some(k)) = (&self.cache, key) {
+                h.cache.insert(
+                    k,
+                    &self.marking,
+                    &self.state,
+                    &self.cursors,
+                    Arc::clone(&fresh),
+                );
+            }
+            return Ok((fresh, true));
+        };
+        // Conservative path: first step, fault-mutated marking, forced
+        // values, or a statically cyclic port graph — rebuild every
+        // incremental mirror from the interpreter walk.
+        cs.resync_full(g, &self.marking, walked);
+        // A forced walk leaves forced values behind: the next step must
+        // walk again to restore the pure values before incremental
+        // stepping resumes.
+        cs.resync = forced;
+        self.metrics.events_fired.add(cs.cd.port_count() as u64);
+        self.metrics.record_dirty_frac(1000);
+        Ok((cs.values(), true))
+    }
+
+    /// The interpreter's full data-path walk for this step, with the
+    /// active data faults forced in when `forced`.
+    fn walk(&mut self, forced: bool) -> Result<StepValues, SimError> {
+        let g = self.g;
+        let step_no = self.step;
+        let (env, cursors) = (&self.env, &self.cursors);
+        let input = |v| env.value_at(v, &g.dp.vertex(v).name, cursors.position(v));
+        match self.faults.as_ref().filter(|_| forced) {
+            Some(plan) => {
+                let mut force = |p: PortId, v: Value| plan.force_value(p, v, step_no);
+                self.evaluator.step_forced(
+                    g,
+                    &self.marking,
+                    &self.state,
+                    step_no,
+                    input,
+                    Some(&mut force),
+                )
+            }
+            None => self
+                .evaluator
+                .step(g, &self.marking, &self.state, step_no, input),
+        }
+    }
+
+    /// Step phase 3: observe the evaluated step — waveforms and coverage.
+    /// After a full walk (`walked`) coverage scans everything. After
+    /// incremental propagation it reads only the ports whose value
+    /// changed and the arcs that opened since the previous step: the
+    /// previous step's observation already saw everything else, and every
+    /// run starts with a full walk.
+    fn observe(&mut self, vals: &StepValues, walked: bool) {
+        let g = self.g;
         if !self.watch.is_empty() {
             self.watched
                 .push(self.watch.iter().map(|&p| vals.value(p)).collect());
@@ -589,65 +661,46 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
             self.guard_rows.push(grow);
         }
-        if let Some(db) = &mut self.cov {
-            db.record_open_arcs(&vals.open_arcs);
-            // Steady-state fast path: a step that reveals nothing new
-            // costs one value load and a mask test per pending port — the
-            // CovDb is only touched on the first observation of each
-            // polarity, and fully-toggled ports retire from the scan.
-            let mut i = 0;
-            while i < self.toggle_pending.len() {
-                let (p, seen) = self.toggle_pending[i];
-                let v = vals.value(p);
-                let side: u8 = match v {
-                    Value::Def(0) => 1,
-                    Value::Def(_) => 2,
-                    Value::Undef => 0,
-                };
-                if side & !seen != 0 {
-                    db.record_toggle(p.idx(), v);
-                    if seen | side == 3 {
-                        self.toggle_pending.swap_remove(i);
-                        continue;
-                    }
-                    self.toggle_pending[i].1 = seen | side;
-                }
-                i += 1;
-            }
-        }
-        let fired = {
-            let _fire_span = obs::span("sim.fire");
-            let (fired, exited) = self.fire(&vals)?;
-            for &s in &exited {
-                self.exit_counts[s.idx()] += 1;
-            }
-            let events_before = self.events.len();
-            let advanced = self.commit_exits(&exited, &vals)?;
-            if let Some(cs) = &mut self.compiled {
-                if cs.resync || cs.cd.is_fallback() {
-                    // The next step rebuilds everything from a full walk
-                    // anyway; pending incremental bookkeeping is moot.
-                    cs.touched.clear();
-                } else {
-                    cs.sync_after_commit(g, &self.marking, &self.state, &exited);
-                }
-            }
-            if self.rec.is_some() || self.script.is_some() {
-                self.finish_step_journal(events_before, &advanced, fault_flags)?;
-            }
-            fired
+        let Some(db) = &mut self.cov else {
+            return;
         };
-
-        self.step += 1;
-        self.metrics.steps.inc();
-        self.metrics.firings.add(fired as u64);
-        if let Some(t0) = t0 {
-            self.metrics.step_ns.record(t0.elapsed().as_nanos() as u64);
+        let seen = &mut self.toggle_seen;
+        match &self.compiled {
+            Some(cs) if !walked => {
+                let full_scan = cs.verify.then(|| db.clone());
+                // An arc opened by the previous commit counts only if it
+                // is still open now, at the step that actually sees it.
+                for &a in cs.opened_arcs() {
+                    if vals.open_arcs.contains(a as usize) {
+                        db.record_arc(a as usize);
+                    }
+                }
+                for &p in cs.changed_ports() {
+                    observe_toggle(db, seen, p as usize, vals.port_values[p as usize]);
+                }
+                if let Some(mut full) = full_scan {
+                    full.record_open_arcs(&vals.open_arcs);
+                    for (_, vx) in g.dp.vertices().iter() {
+                        for &p in &vx.outputs {
+                            full.record_toggle(p.idx(), vals.value(p));
+                        }
+                    }
+                    assert_eq!(
+                        &full, db,
+                        "event-driven coverage diverged from a full scan at step {}",
+                        self.step
+                    );
+                }
+            }
+            _ => {
+                db.record_open_arcs(&vals.open_arcs);
+                // A step that reveals nothing new costs one value load and
+                // a mask test per pending port; fully-toggled ports retire
+                // from the scan.
+                self.toggle_pending
+                    .retain(|&p| observe_toggle(db, seen, p.idx(), vals.value(p)) != 3);
+            }
         }
-        if fired == 0 {
-            return Ok(None); // fixpoint: nothing can ever change
-        }
-        Ok(Some(fired))
     }
 
     /// Run to completion or `max_steps`, whichever comes first.
@@ -823,13 +876,14 @@ impl<'g, E: Environment> Simulator<'g, E> {
     /// Verify this step's committed effects against the replay journal
     /// (if replaying) and feed them to the recorder (if recording).
     /// `events_before` marks where this step's events start in
-    /// `self.events`; `self.rec_latched` holds this step's latches.
+    /// `self.events`; `self.rec_latched` holds this step's latches and
+    /// `self.advanced` its consumed inputs.
     fn finish_step_journal(
         &mut self,
         events_before: usize,
-        advanced: &[VertexId],
         fault_flags: u8,
     ) -> Result<(), SimError> {
+        let advanced = self.advanced.as_slice();
         if let Some(script) = &self.script {
             if let Some(r) = script.rec.record(self.step) {
                 if r.latched != self.rec_latched {
@@ -884,9 +938,10 @@ impl<'g, E: Environment> Simulator<'g, E> {
         Ok(())
     }
 
-    /// Fire transitions; returns the count and the control states whose
-    /// tokens were consumed (whose activation intervals ended).
-    fn fire(&mut self, vals: &StepValues) -> Result<(usize, Vec<PlaceId>), SimError> {
+    /// Step phase 4: fire transitions. Returns the count; the control
+    /// states whose tokens were consumed (whose activation intervals
+    /// ended) are left in `self.exited`.
+    fn fire(&mut self, vals: &StepValues) -> Result<usize, SimError> {
         let g = self.g;
         let guard_true = |t: TransId| {
             let guards = &g.ctl.transition(t).guards;
@@ -896,36 +951,35 @@ impl<'g, E: Environment> Simulator<'g, E> {
         // the mirror was rebuilt or resynchronised no later than this
         // step's evaluation, so it matches `enabled_transitions` exactly
         // (both in increasing id order).
-        let enabled = match &self.compiled {
-            Some(cs) => cs.enabled_vec(),
-            None => self.marking.enabled_transitions(&g.ctl),
-        };
-        let mut ready: Vec<TransId> = Vec::with_capacity(enabled.len());
-        for t in enabled {
+        let mut ready = std::mem::take(&mut self.ready);
+        match &self.compiled {
+            Some(cs) => cs.enabled_into(&mut ready),
+            None => ready = self.marking.enabled_transitions(&g.ctl),
+        }
+        let (cov, guard_seen) = (&mut self.cov, &mut self.guard_seen);
+        ready.retain(|&t| {
             let ok = guard_true(t);
-            if let Some(db) = &mut self.cov {
+            if let Some(db) = cov.as_mut() {
                 // Guard-outcome coverage: a token-enabled guarded
                 // transition observed with its guard disjunction true
                 // ("taken") or false ("held back") this step. The
                 // seen-mask makes repeat outcomes a byte test.
                 if !g.ctl.transition(t).guards.is_empty() {
                     let bit: u8 = if ok { 2 } else { 1 };
-                    if self.guard_seen[t.idx()] & bit == 0 {
-                        self.guard_seen[t.idx()] |= bit;
+                    if guard_seen[t.idx()] & bit == 0 {
+                        guard_seen[t.idx()] |= bit;
                         db.record_guard(t.idx(), ok);
                     }
                 }
             }
-            if ok {
-                ready.push(t);
-            }
-        }
+            ok
+        });
         // Replaying: the journal's fired list IS the order — the policy is
         // never re-consulted, so the replay is exact even for random
         // policies. Each journaled transition must still be ready here, or
         // the replay has diverged from the recorded trajectory.
         let scripted = self.script.is_some();
-        let order = match self
+        match self
             .script
             .as_ref()
             .and_then(|script| script.rec.record(self.step))
@@ -940,13 +994,14 @@ impl<'g, E: Environment> Simulator<'g, E> {
                         ),
                     });
                 }
-                r.fired.to_vec()
+                ready.clear();
+                ready.extend_from_slice(r.fired);
             }
-            None => self.policy.order(&ready, self.rng.as_mut()),
-        };
+            None => self.policy.order(&mut ready, self.rng.as_mut()),
+        }
         let mut fired = 0usize;
-        let mut exited: Vec<PlaceId> = Vec::new();
-        for t in order {
+        self.exited.clear();
+        for &t in &ready {
             if self.marking.enabled(&g.ctl, t) {
                 self.marking.fire(&g.ctl, t);
                 self.fire_counts[t.idx()] += 1;
@@ -960,7 +1015,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
                     cs.touched.extend(tr.pre.iter().map(|s| s.0));
                     cs.touched.extend(tr.post.iter().map(|s| s.0));
                 }
-                exited.extend_from_slice(&tr.pre);
+                self.exited.extend_from_slice(&tr.pre);
                 fired += 1;
             } else if scripted {
                 // The journal only ever contains transitions that actually
@@ -972,15 +1027,16 @@ impl<'g, E: Environment> Simulator<'g, E> {
                 });
             }
         }
-        exited.sort_unstable();
-        exited.dedup();
+        self.ready = ready;
+        self.exited.sort_unstable();
+        self.exited.dedup();
         if self.enforce_safe {
             if let Some(err) = self.over_full() {
                 return Err(err);
             }
         }
         self.firings += fired as u64;
-        Ok((fired, exited))
+        Ok(fired)
     }
 
     /// The safeness violation of the current marking, if any (Def. 3.2(2)).
@@ -1000,15 +1056,16 @@ impl<'g, E: Environment> Simulator<'g, E> {
         })
     }
 
-    /// Commit the effects of the control states whose activation ended.
-    /// Returns the input vertices whose cursors advanced; the latches
-    /// performed land in `self.rec_latched` when recording or replaying.
-    fn commit_exits(
-        &mut self,
-        exited: &[PlaceId],
-        vals: &StepValues,
-    ) -> Result<Vec<VertexId>, SimError> {
+    /// Step phase 5: commit the effects of the control states whose
+    /// activation ended (`self.exited`). The input vertices whose cursors
+    /// advanced land in `self.advanced`; the latches performed land in
+    /// `self.rec_latched` when recording or replaying.
+    fn commit_exits(&mut self, vals: &StepValues) -> Result<(), SimError> {
         let g = self.g;
+        let exited = self.exited.as_slice();
+        for &s in exited {
+            self.exit_counts[s.idx()] += 1;
+        }
         // External events (Def. 3.4), labelled with the exiting state.
         for &s in exited {
             for &a in g.ctl.ctrl(s) {
@@ -1028,7 +1085,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self.evaluator
             .latch_for_places_logged(g, exited, vals, &mut self.state, log);
         // Input stream consumption: one value per completed read interval.
-        let mut advanced: Vec<VertexId> = Vec::new();
+        let advanced = &mut self.advanced;
+        advanced.clear();
         for &s in exited {
             for &a in g.ctl.ctrl(s) {
                 let from_v = g.dp.port(g.dp.arc(a).from).vertex;
@@ -1039,7 +1097,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
                 }
             }
         }
-        for &v in &advanced {
+        for &v in &self.advanced {
             let position = self.cursors.position(v);
             if self.strict && self.env.ran_dry(v, &g.dp.vertex(v).name, position) {
                 return Err(SimError::InputExhausted {
@@ -1051,7 +1109,23 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
             self.cursors.advance(v);
         }
-        Ok(advanced)
+        Ok(())
+    }
+
+    /// Step phase 6: fold the step's marking and data-path changes into
+    /// the compiled backend's incremental mirrors. Runs after the step's
+    /// read handle on the values is gone, so they update in place.
+    fn sync(&mut self) {
+        let Some(cs) = &mut self.compiled else {
+            return;
+        };
+        if cs.resync || cs.cd.is_fallback() {
+            // The next step rebuilds everything from a full walk anyway;
+            // pending incremental bookkeeping is moot.
+            cs.touched.clear();
+        } else {
+            cs.sync_after_commit(self.g, &self.marking, &self.state, &self.exited);
+        }
     }
 }
 
@@ -1403,6 +1477,65 @@ mod tests {
         // in C(s0) unconditionally), so the final latch runs once more after
         // the guard flips: 5 loop latches + 1 exit latch = 6.
         assert_eq!(trace.values_on_named_output(&g, "y"), vec![6]);
+    }
+
+    /// A cyclic ring of `n` places, each loading its own register from a
+    /// shared constant (the shape of a cyclic `random_net`), plus a lap
+    /// counter latched when the first place exits: some ports change
+    /// value every step, some once per lap.
+    fn ring(n: usize) -> Etpn {
+        let mut b = EtpnBuilder::new();
+        let k = b.constant(1, "k");
+        let laps = b.register("laps");
+        let add = b.operator(Op::Add, 2, "add");
+        let a0 = b.connect(b.out_port(laps, 0), b.in_port(add, 0));
+        let a1 = b.connect(b.out_port(k, 0), b.in_port(add, 1));
+        let a2 = b.connect(b.out_port(add, 0), b.in_port(laps, 0));
+        let places: Vec<PlaceId> = (0..n)
+            .map(|i| {
+                let r = b.register(&format!("r{i}"));
+                let a = b.connect(b.out_port(k, 0), b.in_port(r, 0));
+                let s = b.place(&format!("s{i}"));
+                if i == 0 {
+                    b.control(s, [a, a0, a1, a2]);
+                } else {
+                    b.control(s, [a]);
+                }
+                s
+            })
+            .collect();
+        for i in 0..n {
+            b.seq(places[i], places[(i + 1) % n], &format!("t{i}"));
+        }
+        b.mark(places[0]);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn steady_state_compiled_steps_update_values_in_place() {
+        let g = ring(16);
+        let mut sim = Simulator::new(&g, ScriptedEnv::new())
+            .compiled()
+            .with_coverage()
+            .init_register("laps", 0);
+        // Where the persistent step values live; the probe's handle is
+        // dropped at once, as the step loop drops its own before sync.
+        let home = |sim: &Simulator<'_, ScriptedEnv>| {
+            let vals = sim.compiled.as_ref().unwrap().values();
+            (Arc::as_ptr(&vals), vals.port_values.as_ptr())
+        };
+        for _ in 0..3 * 16 {
+            assert!(sim.step_once().unwrap().is_some());
+        }
+        let before = home(&sim);
+        for step in 0..100 {
+            assert!(sim.step_once().unwrap().is_some());
+            assert_eq!(
+                home(&sim),
+                before,
+                "steady-state step {step} copied StepValues"
+            );
+        }
     }
 
     #[test]

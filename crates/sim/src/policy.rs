@@ -64,22 +64,20 @@ impl FiringPolicy {
         }
     }
 
-    /// Produce the ordered list of transitions to *attempt* this step from
-    /// the set of ready (enabled and guard-true) transitions.
-    pub(crate) fn order(&self, ready: &[TransId], rng: Option<&mut SmallRng>) -> Vec<TransId> {
+    /// Turn the ready (enabled and guard-true) transitions, in place, into
+    /// the ordered list of transitions to *attempt* this step.
+    pub(crate) fn order(&self, ready: &mut Vec<TransId>, rng: Option<&mut SmallRng>) {
         match self {
-            FiringPolicy::MaximalStep => ready.to_vec(),
+            FiringPolicy::MaximalStep => {}
             FiringPolicy::RandomMaximal { .. } => {
-                let mut v = ready.to_vec();
-                v.shuffle(rng.expect("random policy carries an RNG"));
-                v
+                ready.shuffle(rng.expect("random policy carries an RNG"));
             }
             FiringPolicy::SingleRandom { .. } => {
-                if ready.is_empty() {
-                    Vec::new()
-                } else {
+                if !ready.is_empty() {
                     let rng = rng.expect("random policy carries an RNG");
-                    vec![ready[rng.gen_range(0..ready.len())]]
+                    let pick = ready[rng.gen_range(0..ready.len())];
+                    ready.clear();
+                    ready.push(pick);
                 }
             }
         }
@@ -110,8 +108,9 @@ mod tests {
     #[test]
     fn maximal_step_keeps_id_order() {
         let ready = ts(&[2, 0, 5]);
-        let p = FiringPolicy::MaximalStep;
-        assert_eq!(p.order(&ready, None), ready);
+        let mut order = ready.clone();
+        FiringPolicy::MaximalStep.order(&mut order, None);
+        assert_eq!(order, ready);
     }
 
     #[test]
@@ -120,8 +119,9 @@ mod tests {
         let p = FiringPolicy::RandomMaximal { seed: 42 };
         let mut rng1 = p.rng().unwrap();
         let mut rng2 = p.rng().unwrap();
-        let o1 = p.order(&ready, Some(&mut rng1));
-        let o2 = p.order(&ready, Some(&mut rng2));
+        let (mut o1, mut o2) = (ready.clone(), ready.clone());
+        p.order(&mut o1, Some(&mut rng1));
+        p.order(&mut o2, Some(&mut rng2));
         assert_eq!(o1, o2, "same seed, same order");
         let mut sorted = o1.clone();
         sorted.sort();
@@ -133,9 +133,12 @@ mod tests {
         let ready = ts(&[3, 9]);
         let p = FiringPolicy::SingleRandom { seed: 7 };
         let mut rng = p.rng().unwrap();
-        let picked = p.order(&ready, Some(&mut rng));
+        let mut picked = ready.clone();
+        p.order(&mut picked, Some(&mut rng));
         assert_eq!(picked.len(), 1);
         assert!(ready.contains(&picked[0]));
-        assert!(p.order(&[], Some(&mut rng)).is_empty());
+        let mut none = Vec::new();
+        p.order(&mut none, Some(&mut rng));
+        assert!(none.is_empty());
     }
 }

@@ -226,6 +226,78 @@ fn fault_plans_are_byte_identical() {
     }
 }
 
+/// The compiled engine observes coverage event-driven between full walks
+/// and by full scan after each one. CovDb bytes must equal the
+/// interpreter's around every switch between the two: a control fault
+/// (a resync), a transient forced data fault (a forced walk, then a
+/// resync), and a run cut right after a step whose commit opened arcs
+/// that no evaluation ever saw.
+#[test]
+fn coverage_bytes_agree_across_full_walks_and_cut_runs() {
+    let cov_bytes = |r: &Result<Trace, etpn_sim::SimError>| {
+        r.as_ref()
+            .ok()
+            .and_then(|t| t.cov.as_ref())
+            .map(|db| db.to_bytes())
+    };
+    for name in ["gcd", "diffeq"] {
+        let w = by_name(name).unwrap();
+        let d = etpn_synth::compile_source(&w.source).unwrap();
+        let run = |backend, plan: Option<&FaultPlan>, steps| {
+            let mut s = Simulator::new(&d.etpn, w.env())
+                .with_backend(backend)
+                .with_coverage();
+            if let Some(plan) = plan {
+                s = s.with_faults(plan.clone());
+            }
+            for (n, v) in &d.reg_inits {
+                s = s.init_register(n, *v);
+            }
+            s.run(steps)
+        };
+
+        let mut faults = FaultPlan::sweep_control_places(&d.etpn, 5);
+        faults.extend(FaultPlan::sweep_data_ports(
+            &d.etpn,
+            &[FaultKind::BitFlip(0)],
+            5,
+        ));
+        for fault in faults {
+            let plan = FaultPlan::single(fault);
+            let interp = run(Backend::Interp, Some(&plan), w.max_steps);
+            let compiled = run(Backend::Compiled, Some(&plan), w.max_steps);
+            assert_eq!(
+                cov_bytes(&interp),
+                cov_bytes(&compiled),
+                "{name}: {}",
+                fault.describe(&d.etpn)
+            );
+        }
+
+        let steps = run(Backend::Interp, None, w.max_steps).unwrap().steps;
+        let mut unseen_arcs_cut = false;
+        let mut prev_arcs = None;
+        for cut in 1..=steps.min(64) {
+            let interp = run(Backend::Interp, None, cut);
+            let compiled = run(Backend::Compiled, None, cut);
+            assert_eq!(
+                cov_bytes(&interp),
+                cov_bytes(&compiled),
+                "{name}: run cut after {cut} steps"
+            );
+            // A step that sees arcs no earlier step saw means the cut one
+            // step shorter ended on a commit that opened them.
+            let arcs = interp.unwrap().cov.unwrap().arc_open;
+            unseen_arcs_cut |= prev_arcs.is_some_and(|p| p != arcs);
+            prev_arcs = Some(arcs);
+        }
+        assert!(
+            unseen_arcs_cut,
+            "{name}: no cut ended on a commit that opened unseen arcs"
+        );
+    }
+}
+
 /// External event structures (Def. 3.4/3.5) extracted from both engines'
 /// traces are equal for every workload — the headline claim of the PR,
 /// stated on the paper's own observability notion.

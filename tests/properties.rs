@@ -257,8 +257,9 @@ proptest! {
     }
 
     /// Dirty-set soundness: in verified mode the compiled engine
-    /// cross-checks every incremental step against a fresh full
-    /// re-evaluation and panics on any divergence — so completing the run
+    /// cross-checks every incremental step — its values against a fresh
+    /// full re-evaluation, its event-driven coverage observation against a
+    /// full scan — and panics on any divergence, so completing the run
     /// *is* the property.
     #[test]
     fn dirty_set_is_sound(
@@ -269,9 +270,9 @@ proptest! {
     ) {
         let g = etpn_workloads::random_design(seed, n_places, n_regs);
         let env = ScriptedEnv::new().with_stream("x", xs.clone());
-        let verified = Simulator::new(&g, env).compiled_verified().run(300);
+        let verified = Simulator::new(&g, env).compiled_verified().with_coverage().run(300);
         let env = ScriptedEnv::new().with_stream("x", xs);
-        let interp = Simulator::new(&g, env).run(300);
+        let interp = Simulator::new(&g, env).with_coverage().run(300);
         prop_assert_eq!(format!("{verified:?}"), format!("{interp:?}"));
     }
 

@@ -1,0 +1,99 @@
+//! A steady-state step of the compiled engine allocates nothing: its
+//! scratch lists are reused across steps and the persistent step values
+//! are updated in place, so step cost follows the step's activity rather
+//! than the heap.
+//!
+//! The test binary installs a counting global allocator. Counts are kept
+//! per thread, so tests running in parallel do not disturb each other.
+
+use etpn_core::Etpn;
+use etpn_sim::{FiringPolicy, ScriptedEnv, Simulator};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread is being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Forwards to the system allocator, counting every allocation made.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a const-
+// initialised thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// A seeded `random_net` made cyclic, as the E9c benchmarks do: the
+/// terminal transition loops back to the initial place.
+fn cyclic_net(seed: u64, places: usize) -> Etpn {
+    let mut g = etpn_workloads::random_net(seed, places);
+    let t_end = g
+        .ctl
+        .transitions()
+        .iter()
+        .find(|(_, tr)| tr.post.is_empty())
+        .map(|(t, _)| t)
+        .unwrap();
+    let first = g.ctl.initial_places()[0];
+    g.ctl.flow_ts(t_end, first).unwrap();
+    g
+}
+
+#[test]
+fn steady_state_compiled_steps_do_not_allocate() {
+    let g = cyclic_net(7, 256);
+    for policy in [
+        FiringPolicy::MaximalStep,
+        FiringPolicy::RandomMaximal { seed: 3 },
+        FiringPolicy::SingleRandom { seed: 3 },
+    ] {
+        let mut sim = Simulator::new(&g, ScriptedEnv::new())
+            .compiled()
+            .with_policy(policy)
+            .with_coverage();
+        // Several laps, so every scratch list has reached its working size.
+        for _ in 0..4096 {
+            assert!(matches!(sim.step_once(), Ok(Some(_))));
+        }
+        let before = allocations();
+        for _ in 0..1024 {
+            assert!(matches!(sim.step_once(), Ok(Some(_))));
+        }
+        let made = allocations() - before;
+        assert_eq!(
+            made, 0,
+            "{policy:?}: 1024 steady-state steps allocated {made} times"
+        );
+    }
+}
