@@ -1,9 +1,9 @@
 //! Criterion benches for the batch-simulation fleet (E9b table): the
-//! policy-battery batch through the fleet (shared memo cache, 1 and 8
-//! workers) against the plain sequential loop over the same jobs.
+//! policy-battery batch through the fleet (1 and 8 workers) against the
+//! plain sequential loop over the same jobs, on the default backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use etpn_sim::{Backend, FiringPolicy, Fleet, SimJob};
+use etpn_sim::{FiringPolicy, Fleet, SimJob};
 use etpn_synth::CompiledDesign;
 use etpn_workloads::{catalog, Workload};
 
@@ -18,10 +18,7 @@ fn battery(designs: &[(Workload, CompiledDesign)]) -> Vec<SimJob<'_>> {
             policies.push(FiringPolicy::SingleRandom { seed });
         }
         for policy in policies {
-            // Interpreter jobs: this bench measures the shared memo cache
-            // (the compiled engines are compared in benches/backends.rs).
             let mut job = SimJob::new(&d.etpn, w.env())
-                .backend(Backend::Interp)
                 .with_policy(policy)
                 .max_steps(w.max_steps);
             for (n, v) in &d.reg_inits {
@@ -49,15 +46,13 @@ fn bench_fleet_vs_sequential(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("sequential", n_jobs), |b| {
         b.iter(|| {
             for job in battery(&designs) {
-                job.run_uncached().unwrap();
+                job.run().unwrap();
             }
         })
     });
     for workers in [1usize, 8] {
         group.bench_function(BenchmarkId::new(format!("fleet_{workers}w"), n_jobs), |b| {
             b.iter(|| {
-                // A fresh cache per batch: measures one cold batch, the
-                // fleet's worst case.
                 let batch = Fleet::new(workers).run_batch(battery(&designs));
                 for r in &batch.results {
                     r.as_ref().unwrap();

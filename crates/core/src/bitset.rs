@@ -334,6 +334,47 @@ mod tests {
         assert_eq!(small.count(), 2);
     }
 
+    /// Adversarial patterns: shifted, rotated, prefix-sharing and
+    /// padding-only-different sets must all hash distinctly (coverage
+    /// signatures depend on it). The probes target classic weak-hash
+    /// failure modes — XOR-cancelling bit pairs, equal popcount, trailing
+    /// empty words.
+    #[test]
+    fn adversarial_bitset_patterns_hash_distinctly() {
+        let patterns: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0],
+            vec![1],
+            vec![63],
+            vec![64],
+            vec![0, 63],
+            vec![0, 64],
+            vec![63, 64],
+            vec![0, 1],
+            vec![1, 2],
+            vec![0, 65],
+            vec![1, 64], // same popcount, shifted pair
+            vec![0, 1, 2, 3],
+            vec![4, 5, 6, 7],    // same popcount, disjoint run
+            (0..64).collect(),   // full first word
+            (64..128).collect(), // full second word
+            (0..128).collect(),
+        ];
+        let mut seen = std::collections::HashMap::new();
+        for (i, pat) in patterns.iter().enumerate() {
+            let mut s = BitSet::new(128);
+            for &b in pat {
+                s.insert(b);
+            }
+            if let Some(j) = seen.insert(s.stable_hash64(), i) {
+                panic!(
+                    "patterns {j:?} and {i:?} collide: {:?} vs {pat:?}",
+                    patterns[j]
+                );
+            }
+        }
+    }
+
     #[test]
     fn closure_of_chain() {
         // 0 -> 1 -> 2 -> 3

@@ -25,9 +25,9 @@ impl Etpn {
     /// system: every arena slot (dead slots included, so ids bind), the
     /// operation mapping, the flow relation, control sets, guards, and the
     /// initial marking. Two systems with equal fingerprints evaluate
-    /// identically step for step; the batch-simulation memo cache keys on
-    /// it. Cost is one pass over the design — compute it once per batch,
-    /// not per step.
+    /// identically step for step; the compile cache, the flight recorder
+    /// and `etpnd`'s registry key on it. Cost is one pass over the
+    /// design — compute it once per batch, not per step.
     pub fn fingerprint(&self) -> u64 {
         use crate::hash::StableHasher;
         let mut h = StableHasher::new();

@@ -1,11 +1,11 @@
 //! Stable 64-bit structural hashing.
 //!
-//! The batch-simulation fleet memoises data-path evaluations under a key
-//! built from hashes of the design, the marking, the register state, and the
-//! input cursors. `std::hash::Hasher` implementations may vary between
-//! runs (SipHash keys) or releases, so the memo layer uses this fixed,
-//! process-independent mixer instead: same inputs → same 64-bit hash, on
-//! every run, platform, and compiler version.
+//! Design and environment fingerprints, coverage signatures and flight
+//! recordings all carry hashes that must agree across processes.
+//! `std::hash::Hasher` implementations may vary between runs (SipHash
+//! keys) or releases, so they use this fixed, process-independent mixer
+//! instead: same inputs → same 64-bit hash, on every run, platform, and
+//! compiler version.
 
 /// A deterministic 64-bit streaming hasher (xorshift-multiply mixing with a
 /// SplitMix64 finaliser).
@@ -87,18 +87,17 @@ impl StableHasher {
     }
 }
 
-/// Hash one `u64` sequence in a single call.
-pub fn stable_hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = StableHasher::new();
-    for w in words {
-        h.write_u64(w);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stable_hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = StableHasher::new();
+        for w in words {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
 
     #[test]
     fn deterministic_across_instances() {

@@ -47,17 +47,6 @@ impl Marking {
         Self { tokens }
     }
 
-    /// A process-independent 64-bit hash of the token assignment (see
-    /// [`crate::hash::StableHasher`]). Memo-cache keys depend on it.
-    pub fn stable_hash64(&self) -> u64 {
-        let mut h = crate::hash::StableHasher::new();
-        h.write_usize(self.tokens.len());
-        for &t in &self.tokens {
-            h.write_u32(t);
-        }
-        h.finish()
-    }
-
     /// `M(s)` — the token count of a place.
     #[inline]
     pub fn count(&self, s: PlaceId) -> u32 {

@@ -132,10 +132,6 @@ pub fn chrome_trace(reg: &Registry) -> String {
 }
 
 /// Render every metric as an aligned, human-readable text block.
-///
-/// For each counter pair `<prefix>.hits` / `<prefix>.misses` a derived
-/// `<prefix>.hit_rate` line is appended, so cache effectiveness reads off
-/// directly.
 pub fn stats_text(reg: &Registry) -> String {
     let counters: Vec<(String, u64)> = reg
         .counter_values()
@@ -159,25 +155,6 @@ pub fn stats_text(reg: &Registry) -> String {
         let width = counters.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
         for (k, v) in &counters {
             let _ = writeln!(out, "  {k:<width$}  {v}");
-        }
-        for (k, hits) in &counters {
-            let Some(prefix) = k.strip_suffix(".hits") else {
-                continue;
-            };
-            let misses = counters
-                .iter()
-                .find(|(n, _)| n == &format!("{prefix}.misses"))
-                .map(|(_, m)| *m);
-            if let Some(misses) = misses {
-                let lookups = hits + misses;
-                let rate = if lookups == 0 {
-                    0.0
-                } else {
-                    *hits as f64 / lookups as f64 * 100.0
-                };
-                let name = format!("{prefix}.hit_rate");
-                let _ = writeln!(out, "  {name:<width$}  {rate:.1}%");
-            }
         }
     }
     if !gauges.is_empty() {
@@ -400,8 +377,7 @@ mod tests {
 
     fn seeded_registry() -> Registry {
         let r = Registry::new();
-        r.counter("sim.cache.hits").add(9);
-        r.counter("sim.cache.misses").add(1);
+        r.counter("sim.steps").add(9);
         r.gauge("fleet.workers").set(4);
         r.histogram("sim.step.ns").record(1500);
         r.record_spans([SpanEvent {
@@ -432,11 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_text_derives_hit_rate() {
+    fn stats_text_lists_every_metric_kind() {
         let s = stats_text(&seeded_registry());
-        assert!(s.contains("sim.cache.hits"), "{s}");
-        assert!(s.contains("sim.cache.hit_rate"), "{s}");
-        assert!(s.contains("90.0%"), "{s}");
+        assert!(s.contains("sim.steps"), "{s}");
         assert!(s.contains("fleet.workers"), "{s}");
         assert!(s.contains("count 1"), "{s}");
     }
@@ -444,7 +418,7 @@ mod tests {
     #[test]
     fn stats_json_is_integer_only() {
         let s = stats_json(&seeded_registry());
-        assert!(s.contains("\"sim.cache.hits\": 9"), "{s}");
+        assert!(s.contains("\"sim.steps\": 9"), "{s}");
         assert!(s.contains("\"p95\""), "{s}");
         assert!(!s.contains('.') || !s.contains("e-"), "{s}");
     }
@@ -460,8 +434,8 @@ mod tests {
     #[test]
     fn prometheus_exposition_has_all_metric_families() {
         let p = prometheus_text(&seeded_registry());
-        assert!(p.contains("# TYPE etpn_sim_cache_hits counter"), "{p}");
-        assert!(p.contains("etpn_sim_cache_hits 9"), "{p}");
+        assert!(p.contains("# TYPE etpn_sim_steps counter"), "{p}");
+        assert!(p.contains("etpn_sim_steps 9"), "{p}");
         assert!(p.contains("# TYPE etpn_fleet_workers gauge"), "{p}");
         assert!(p.contains("etpn_fleet_workers 4"), "{p}");
         assert!(p.contains("# TYPE etpn_sim_step_ns histogram"), "{p}");

@@ -7,8 +7,8 @@
 //!
 //! Designs register once by source (`POST /v1/designs`) and are addressed
 //! by structural fingerprint; run/check/cov/lint/fault verbs then share
-//! the compiled artifacts, the sharded [`etpn_sim::EvalCache`], and a
-//! per-design [`etpn_cov::CovDb`] across requests *and across restarts*.
+//! the compiled artifacts across requests, and a per-design
+//! [`etpn_cov::CovDb`] across requests *and across restarts*.
 //!
 //! The headline is the robustness envelope around every request:
 //!
@@ -22,8 +22,8 @@
 //! * **circuit breaking** — per-design breakers ([`breaker`]) degrade a
 //!   failing design to diagnose-only (`/v1/lint`, `/v1/cov`) with `503`
 //!   until a half-open probe succeeds;
-//! * **crash-safe persistence** — coverage deltas and cache snapshots are
-//!   journaled in length-prefixed checksummed frames with truncated-tail
+//! * **crash-safe persistence** — coverage deltas are journaled in
+//!   length-prefixed checksummed frames with truncated-tail
 //!   recovery ([`persist`]), and `SIGTERM` triggers a drain-then-exit
 //!   graceful shutdown ([`signal`]).
 

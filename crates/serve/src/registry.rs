@@ -4,9 +4,8 @@
 //! This is the paper's compile-once/simulate-many split hoisted to service
 //! scope: `POST /v1/designs` pays compilation once, every later verb
 //! addresses the design by fingerprint (or name) and reuses the compiled
-//! artifacts, the shared [`etpn_sim::EvalCache`], and the per-design
-//! [`CovDb`] that keeps accumulating across requests — and, via the
-//! coverage journal, across restarts.
+//! artifacts and the per-design [`CovDb`] that keeps accumulating across
+//! requests — and, via the coverage journal, across restarts.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};

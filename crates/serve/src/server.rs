@@ -25,15 +25,14 @@
 //!    faults abstain, panics unwinding through a verb count as failures —
 //!    so no path (and no probe) can leave the breaker waiting.
 //! 5. Coverage from successful runs merges into the design's [`CovDb`]
-//!    and is appended to the **coverage journal** as a delta frame;
-//!    the shared [`EvalCache`] is snapshotted to the **cache journal**
-//!    periodically and on drain. Both journals recover a checksum-valid
-//!    prefix on restart ([`crate::persist`]).
+//!    and is appended to the **coverage journal** as a delta frame,
+//!    which recovers a checksum-valid prefix on restart
+//!    ([`crate::persist`]).
 //!
 //! ## Shutdown sequence
 //!
 //! `SIGTERM` (or [`ServerHandle::shutdown`]) → stop accepting → workers
-//! drain the admitted queue → final cache snapshot + journal sync → exit.
+//! drain the admitted queue → journal sync → exit.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,8 +47,7 @@ use etpn_core::json::{self, Json};
 use etpn_cov::CovDb;
 use etpn_obs as obs;
 use etpn_sim::{
-    Backend, EvalCache, FiringPolicy, Fleet, RetryPolicy, ScriptedEnv, SimError, SimJob,
-    Termination,
+    Backend, FiringPolicy, Fleet, RetryPolicy, ScriptedEnv, SimError, SimJob, Termination,
 };
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
@@ -86,8 +84,6 @@ pub struct ServerConfig {
     /// Queue depth at which coverage recording is shed (graceful
     /// degradation under pressure).
     pub cov_shed_depth: usize,
-    /// Snapshot the shared cache to its journal every N covered runs.
-    pub snapshot_every: u64,
     /// Honour `"chaos"` request fields (tests only).
     pub allow_chaos: bool,
     /// Poll [`signal::term_requested`] in the accept loop (`etpnd` sets
@@ -126,7 +122,6 @@ impl Default for ServerConfig {
                 0xE7D0_5EED,
             ),
             cov_shed_depth: 32,
-            snapshot_every: 16,
             allow_chaos: false,
             watch_term_signal: false,
             tracing: true,
@@ -138,24 +133,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// Crash-safe journal set (when persistence is enabled).
-struct Journals {
-    cov: Journal,
-    cache: Journal,
-}
-
 /// State shared by the acceptor, the workers and the handle.
 struct Shared {
     cfg: ServerConfig,
     registry: Registry,
-    cache: Arc<EvalCache>,
     stats: obs::Registry,
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     available: Condvar,
     draining: AtomicBool,
     request_seq: AtomicU64,
-    covered_runs: AtomicU64,
-    journals: Mutex<Option<Journals>>,
+    /// The coverage journal (when persistence is enabled).
+    cov_journal: Mutex<Option<Journal>>,
     debug: DebugRing,
     traces: TraceStore,
 }
@@ -179,23 +167,20 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
 
     let registry = Registry::new(cfg.breaker);
-    let cache = Arc::new(EvalCache::new());
     let stats = obs::Registry::new();
-    let journals = match &cfg.data_dir {
-        Some(dir) => Some(open_journals(dir, &registry, &cache, &stats)?),
+    let cov_journal = match &cfg.data_dir {
+        Some(dir) => Some(open_cov_journal(dir, &registry, &stats)?),
         None => None,
     };
 
     let shared = Arc::new(Shared {
         registry,
-        cache,
         stats,
         queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
         draining: AtomicBool::new(false),
         request_seq: AtomicU64::new(0),
-        covered_runs: AtomicU64::new(0),
-        journals: Mutex::new(journals),
+        cov_journal: Mutex::new(cov_journal),
         debug: DebugRing::new(cfg.debug_ring),
         traces: TraceStore::new(cfg.trace_store),
         cfg,
@@ -229,7 +214,7 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
 
 impl ServerHandle {
     /// Graceful drain: stop accepting, serve everything already admitted,
-    /// persist the final cache snapshot, sync journals, join all threads.
+    /// sync the coverage journal, join all threads.
     /// Returns the final stats-JSON export (the complete life of the
     /// process, including the drain).
     pub fn shutdown(mut self) -> String {
@@ -259,18 +244,15 @@ impl ServerHandle {
     }
 }
 
-/// Open both journals under `dir` and replay their recovered frames:
-/// coverage frames merge into the registry (parked per-fingerprint until
-/// the design re-registers), the newest cache snapshot repopulates the
-/// shared memo cache.
-fn open_journals(
+/// Open the coverage journal under `dir` and replay its recovered frames
+/// into the registry (parked per-fingerprint until the design
+/// re-registers).
+fn open_cov_journal(
     dir: &std::path::Path,
     registry: &Registry,
-    cache: &Arc<EvalCache>,
     stats: &obs::Registry,
-) -> std::io::Result<Journals> {
+) -> std::io::Result<Journal> {
     let (cov, cov_rec) = Journal::open(&dir.join("cov.journal"))?;
-    let (cache_j, cache_rec) = Journal::open(&dir.join("cache.journal"))?;
     let mut cov_frames = 0u64;
     let mut bad = 0u64;
     for frame in &cov_rec.frames {
@@ -286,27 +268,14 @@ fn open_journals(
             Err(_) => bad += 1,
         }
     }
-    let mut cache_entries = 0u64;
-    if let Some(snapshot) = cache_rec.frames.last() {
-        match cache.restore_bytes(snapshot) {
-            Ok(n) => cache_entries = n,
-            Err(_) => bad += 1,
-        }
-    }
     stats
         .gauge("serve.recovered.cov_frames")
         .set(cov_frames as i64);
     stats
-        .gauge("serve.recovered.cache_entries")
-        .set(cache_entries as i64);
-    stats
         .gauge("serve.recovered.truncated_bytes")
-        .set((cov_rec.truncated + cache_rec.truncated) as i64);
+        .set(cov_rec.truncated as i64);
     stats.gauge("serve.recovered.bad_frames").set(bad as i64);
-    Ok(Journals {
-        cov,
-        cache: cache_j,
-    })
+    Ok(cov)
 }
 
 /// Accept until drain: full queue → inline `429` shed; otherwise enqueue
@@ -991,8 +960,7 @@ fn sim_params(shared: &Shared, body: &Json) -> Result<SimParams, Response> {
         .and_then(|c| c.as_str().ok())
         .map(str::to_string)
         .filter(|_| shared.cfg.allow_chaos);
-    // `interp` opts into the shared evaluation memo cache (the compiled
-    // engine's persistent incremental values bypass it by design).
+    // `interp` selects the reference interpreter.
     let backend = match body.get("backend").and_then(|b| b.as_str().ok()) {
         None | Some("compiled") => Backend::Compiled,
         Some("interp") => Backend::Interp,
@@ -1009,7 +977,6 @@ fn sim_params(shared: &Shared, body: &Json) -> Result<SimParams, Response> {
 
 /// Run one job attempt (panics propagate to the caller's `catch_unwind`).
 fn run_once(
-    shared: &Shared,
     entry: &DesignEntry,
     p: &SimParams,
     backend: Backend,
@@ -1034,7 +1001,7 @@ fn run_once(
     if want_cov {
         job = job.with_coverage();
     }
-    job.run(&shared.cache)
+    job.run()
 }
 
 /// `POST /v1/run` — simulate under the full robustness envelope.
@@ -1087,7 +1054,7 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
                 let left = deadline_at
                     .checked_duration_since(Instant::now())
                     .unwrap_or(Duration::from_millis(1));
-                run_once(shared, &entry, &params, backend, left, want_cov)
+                run_once(&entry, &params, backend, left, want_cov)
             }))
         };
         attempt_no += 1;
@@ -1256,7 +1223,7 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     // One *absolute* deadline for the whole battery: each job's budget is
     // the time left when it starts, so queueing the battery on the fleet
     // workers cannot multiply the request deadline job-by-job.
-    let fleet = Fleet::with_cache(workers, Arc::clone(&shared.cache))
+    let fleet = Fleet::new(workers)
         .with_retry_policy(shared.cfg.retry)
         .with_deadline_at(Instant::now() + remaining);
     let batch = fleet.run_batch(jobs);
@@ -1327,7 +1294,6 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
             ("failed", Json::Num(failed)),
             ("panicked", Json::Num(panicked)),
             ("agree", Json::Bool(divergent == 0 && failed == 0)),
-            ("cache_hits", Json::Num(batch.stats.cache.hits as i64)),
         ]),
     )
 }
@@ -1479,33 +1445,22 @@ fn absorb_coverage(shared: &Shared, entry: &DesignEntry, delta: &CovDb, trace_id
         let mut cov = entry.cov.lock().unwrap_or_else(|e| e.into_inner());
         let _ = cov.merge(delta);
     }
-    let mut journals = shared.journals.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(j) = journals.as_mut() {
-        if j.cov
-            .append(&stamp_trace_frame(trace_id.0, &delta.to_bytes()))
+    let mut journal = shared.cov_journal.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(j) = journal.as_mut() {
+        if j.append(&stamp_trace_frame(trace_id.0, &delta.to_bytes()))
             .is_err()
         {
             shared.stats.counter("serve.journal_errors").inc();
         }
-        let n = shared.covered_runs.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(shared.cfg.snapshot_every.max(1)) {
-            let snapshot = shared.cache.snapshot_bytes();
-            if j.cache.append(&snapshot).is_err() {
-                shared.stats.counter("serve.journal_errors").inc();
-            }
-        }
     }
 }
 
-/// Final persistence on drain: one last cache snapshot, then sync both
-/// journals to stable storage.
+/// Final persistence on drain: sync the coverage journal to stable
+/// storage.
 fn persist_final(shared: &Shared) {
-    let mut journals = shared.journals.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(j) = journals.as_mut() {
-        let snapshot = shared.cache.snapshot_bytes();
-        let _ = j.cache.append(&snapshot);
-        let _ = j.cache.sync();
-        let _ = j.cov.sync();
+    let mut journal = shared.cov_journal.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(j) = journal.as_mut() {
+        let _ = j.sync();
     }
 }
 
@@ -1558,7 +1513,7 @@ fn forensics(
         for (name, v) in &entry.design.reg_inits {
             job = job.init_register(name, *v);
         }
-        job.run_uncached().map_err(|_| ())
+        job.run().map_err(|_| ())
     })) {
         if let Some(rec) = &trace.recording {
             let _ = std::fs::write(dir.join(format!("{stem}.etpnrec")), rec.to_bytes());
@@ -1600,27 +1555,6 @@ fn refresh_gauges_shared(shared: &Shared) {
         .stats
         .gauge("serve.draining")
         .set(i64::from(shared.draining.load(Ordering::SeqCst)));
-    let cache = shared.cache.stats();
-    shared
-        .stats
-        .gauge("serve.cache.entries")
-        .set(cache.entries as i64);
-    shared
-        .stats
-        .gauge("serve.cache.hits")
-        .set(cache.hits as i64);
-    shared
-        .stats
-        .gauge("serve.cache.misses")
-        .set(cache.misses as i64);
-    shared
-        .stats
-        .gauge("serve.cache.quarantined")
-        .set(cache.quarantined as i64);
-    shared
-        .stats
-        .gauge("serve.cache.readmitted")
-        .set(cache.readmitted as i64);
     let mut open = 0i64;
     for entry in shared.registry.entries() {
         if entry.breaker.state_gauge() != 0 {

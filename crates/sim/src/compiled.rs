@@ -427,8 +427,7 @@ impl CompiledDesign {
     }
 
     /// True when this compilation's shape matches `g` (guards the global
-    /// cache against fingerprint collisions; same spirit as the eval
-    /// cache's snapshot verification).
+    /// cache against fingerprint collisions).
     pub fn matches(&self, g: &Etpn) -> bool {
         self.fingerprint == g.fingerprint()
             && self.n_ports == g.dp.ports().capacity_bound()

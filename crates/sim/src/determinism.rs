@@ -6,10 +6,8 @@
 //! battery of policies over one design/environment and reports the first
 //! divergence, if any — experiment E10's engine.
 //!
-//! The battery executes as one [`Fleet`] batch: all runs share a memo
-//! cache, and since the policies only reshuffle firing order over the same
-//! design/environment, most of their data-path evaluations coincide and
-//! are computed once.
+//! The battery executes as one [`Fleet`] batch: the runs spread over the
+//! fleet's workers and share the design's one compilation.
 
 use crate::env::Environment;
 use crate::equiv::compare_structures;

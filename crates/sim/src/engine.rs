@@ -30,7 +30,6 @@ use crate::env::{Environment, InputCursors};
 use crate::error::SimError;
 use crate::eval::{DpState, Evaluator, StepValues};
 use crate::fault::FaultPlan;
-use crate::fleet::{EvalCache, StepKey};
 use crate::policy::FiringPolicy;
 use crate::trace::{Termination, Trace};
 use etpn_core::bitset::BitSet;
@@ -42,22 +41,12 @@ use rand::rngs::SmallRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Binding of a simulator to a shared memo cache: the per-run-constant
-/// key components, computed once.
-struct CacheHandle {
-    cache: Arc<EvalCache>,
-    design_fp: u64,
-    env_fp: u64,
-}
-
 /// Pre-resolved registry handles for the engine's hot-path metrics: one
 /// lock per name at construction, one relaxed atomic op per update after.
 struct SimMetrics {
     steps: obs::Counter,
     firings: obs::Counter,
     evals: obs::Counter,
-    cache_hits: obs::Counter,
-    cache_misses: obs::Counter,
     step_ns: obs::Histogram,
     events_fired: obs::Counter,
     dirty_frac: obs::Histogram,
@@ -70,8 +59,6 @@ impl SimMetrics {
             steps: reg.counter("sim.steps"),
             firings: reg.counter("sim.firings"),
             evals: reg.counter("sim.evals"),
-            cache_hits: reg.counter("sim.cache.hits"),
-            cache_misses: reg.counter("sim.cache.misses"),
             step_ns: reg.histogram("sim.step.ns"),
             events_fired: reg.counter("sim.events.fired"),
             dirty_frac: reg.histogram("sim.dirty.frac"),
@@ -126,7 +113,6 @@ pub struct Simulator<'g, E: Environment> {
     evaluator: Evaluator,
     marking: Marking,
     compiled: Option<CompiledState>,
-    cache: Option<CacheHandle>,
     rng: Option<SmallRng>,
     faults: Option<FaultPlan>,
     wall_budget: Option<Duration>,
@@ -186,7 +172,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
             evaluator: Evaluator::new(g),
             marking: Marking::initial(&g.ctl),
             compiled: None,
-            cache: None,
             rng: None,
             faults: None,
             wall_budget: None,
@@ -324,23 +309,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self
     }
 
-    /// Memoise data-path evaluations through a shared [`EvalCache`].
-    ///
-    /// Evaluation is a pure function of `(design, environment, marking,
-    /// register state, input cursors)`, so runs wired to the same cache
-    /// share work whenever they pass through the same configuration —
-    /// which policy/seed sweeps over the same design do almost every step.
-    /// Silently a no-op when the environment cannot be fingerprinted
-    /// ([`Environment::fingerprint`] returns `None`).
-    pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.cache = self.env.fingerprint().map(|env_fp| CacheHandle {
-            cache,
-            design_fp: self.g.fingerprint(),
-            env_fp,
-        });
-        self
-    }
-
     /// Disable the runtime safeness check (Def. 3.2(2)). Only useful for
     /// demonstrating what goes wrong on improperly designed systems.
     pub fn allow_unsafe(mut self) -> Self {
@@ -350,10 +318,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
 
     /// Inject the faults of `plan` during the run (see [`crate::fault`]).
     /// Data faults force port values at assignment time inside the
-    /// evaluator; control faults perturb the marking before each step. On
-    /// steps where a data fault is active the memo cache is bypassed in
-    /// both directions — forced values are not a pure function of the
-    /// configuration, so they must be neither served nor published.
+    /// evaluator (on the compiled backend, steps where one is active take
+    /// a full walk); control faults perturb the marking before each step.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = (!plan.is_empty()).then_some(plan);
         self
@@ -523,7 +489,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
 
     /// Step phase 2: evaluate the data path under the current marking.
     /// Returns the step's values, and `true` when they came from a full
-    /// walk, a cache hit or the no-dirty ablation rather than from
+    /// walk or the no-dirty ablation rather than from
     /// incremental propagation — which decides how [`Self::observe`]
     /// reads them.
     fn evaluate(&mut self, forced: bool) -> Result<(Arc<StepValues>, bool), SimError> {
@@ -561,41 +527,10 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
             return Ok((cs.values(), cs.no_dirty));
         }
-        // Steps with an active data fault bypass the cache entirely:
-        // forced values are not a pure function of the configuration. The
-        // compiled backend bypasses it too: its persistent values make a
-        // memo lookup pure overhead.
-        let key = match (&self.cache, forced, &self.compiled) {
-            (Some(h), false, None) => Some(StepKey {
-                design: h.design_fp,
-                env: h.env_fp,
-                marking: self.marking.stable_hash64(),
-                state: self.state.stable_hash64(),
-                cursors: self.cursors.stable_hash64(),
-            }),
-            _ => None,
-        };
-        if let (Some(h), Some(k)) = (&self.cache, &key) {
-            if let Some(v) = h.cache.lookup(k, &self.marking, &self.state, &self.cursors) {
-                self.metrics.cache_hits.inc();
-                return Ok((v, true));
-            }
-            self.metrics.cache_misses.inc();
-        }
         self.metrics.evals.inc();
         let walked = self.walk(forced)?;
         let Some(cs) = &mut self.compiled else {
-            let fresh = Arc::new(walked);
-            if let (Some(h), Some(k)) = (&self.cache, key) {
-                h.cache.insert(
-                    k,
-                    &self.marking,
-                    &self.state,
-                    &self.cursors,
-                    Arc::clone(&fresh),
-                );
-            }
-            return Ok((fresh, true));
+            return Ok((Arc::new(walked), true));
         };
         // Conservative path: first step, fault-mutated marking, forced
         // values, or a statically cyclic port graph — rebuild every

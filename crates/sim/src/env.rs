@@ -21,9 +21,8 @@ pub trait Environment {
     /// or `None` when one cannot be computed (e.g. [`FnEnv`] closures).
     ///
     /// Two environments with equal fingerprints must answer every
-    /// `value_at` query identically — the batch-simulation memo cache keys
-    /// evaluations on it, so a sloppy fingerprint silently corrupts
-    /// results. Returning `None` simply opts the run out of memoisation.
+    /// `value_at` query identically. The flight recorder stamps it into a
+    /// recording's metadata (`env_fp`); `None` leaves that field empty.
     fn fingerprint(&self) -> Option<u64> {
         None
     }
@@ -220,9 +219,8 @@ impl InputCursors {
         self.positions[v.idx()] += 1;
     }
 
-    /// The raw position array (raw-vertex-id indexed). Exposed for the
-    /// batch-simulation memo cache, which snapshots it for exact key
-    /// verification.
+    /// The raw position array (raw-vertex-id indexed), as recorder
+    /// checkpoints snapshot it.
     pub fn positions(&self) -> &[u64] {
         &self.positions
     }
@@ -232,14 +230,6 @@ impl InputCursors {
     pub fn restore(&mut self, positions: &[u64]) {
         self.positions.clear();
         self.positions.extend_from_slice(positions);
-    }
-
-    /// A process-independent 64-bit hash of all cursor positions (see
-    /// [`etpn_core::hash::StableHasher`]). Memo-cache keys depend on it.
-    pub fn stable_hash64(&self) -> u64 {
-        etpn_core::hash::stable_hash_words(
-            std::iter::once(self.positions.len() as u64).chain(self.positions.iter().copied()),
-        )
     }
 }
 

@@ -102,10 +102,8 @@ where
 
 /// [`observationally_equal`] over many environments at once, batched
 /// through a [`crate::fleet::Fleet`]: one verdict per environment, in
-/// order. Both designs run under the deterministic policy; all 2·N runs
-/// share the fleet's memo cache, so environments with common stream
-/// prefixes (and the two designs' common evaluations) are only evaluated
-/// once.
+/// order. Both designs run under the deterministic policy on the fleet's
+/// default backend.
 pub fn observational_sweep<E>(
     fleet: &crate::fleet::Fleet,
     g1: &Etpn,
@@ -116,19 +114,12 @@ pub fn observational_sweep<E>(
 where
     E: crate::env::Environment + Clone + Send,
 {
-    // Interpreter jobs on purpose: the memo cache is the sweep's sharing
-    // mechanism, and only the interpreter consults it (the compiled
-    // backend carries its own persistent incremental values instead).
     let jobs: Vec<crate::fleet::SimJob<E>> = envs
         .iter()
         .flat_map(|env| {
             [
-                crate::fleet::SimJob::new(g1, env.clone())
-                    .backend(crate::compiled::Backend::Interp)
-                    .max_steps(max_steps),
-                crate::fleet::SimJob::new(g2, env.clone())
-                    .backend(crate::compiled::Backend::Interp)
-                    .max_steps(max_steps),
+                crate::fleet::SimJob::new(g1, env.clone()).max_steps(max_steps),
+                crate::fleet::SimJob::new(g2, env.clone()).max_steps(max_steps),
             ]
         })
         .collect();
@@ -239,8 +230,6 @@ mod tests {
         let verdicts = observational_sweep(&fleet, &g, &g, &envs, 50).unwrap();
         assert_eq!(verdicts.len(), 5);
         assert!(verdicts.iter().all(EquivalenceVerdict::is_equivalent));
-        let stats = fleet.cache().stats();
-        assert!(stats.hits > 0, "self-comparison must share evaluations");
     }
 
     #[test]

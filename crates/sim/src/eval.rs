@@ -38,9 +38,8 @@ impl DpState {
         self.seq[p.idx()] = v;
     }
 
-    /// The raw latched-value array (raw-port-id indexed). Exposed for the
-    /// batch-simulation memo cache, which snapshots it for exact key
-    /// verification.
+    /// The raw latched-value array (raw-port-id indexed), as recorder
+    /// checkpoints snapshot it.
     pub fn values(&self) -> &[Value] {
         &self.seq
     }
@@ -50,23 +49,6 @@ impl DpState {
     pub fn restore(&mut self, values: &[Value]) {
         self.seq.clear();
         self.seq.extend_from_slice(values);
-    }
-
-    /// A process-independent 64-bit hash of the register state (see
-    /// [`etpn_core::hash::StableHasher`]). Memo-cache keys depend on it.
-    pub fn stable_hash64(&self) -> u64 {
-        let mut h = etpn_core::StableHasher::new();
-        h.write_usize(self.seq.len());
-        for &v in &self.seq {
-            match v {
-                Value::Undef => h.write_u64(u64::MAX),
-                Value::Def(x) => {
-                    h.write_bool(true);
-                    h.write_i64(x);
-                }
-            }
-        }
-        h.finish()
     }
 }
 

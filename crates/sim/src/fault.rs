@@ -211,10 +211,9 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Is any *data* (port) fault active at `step`? The engine bypasses
-    /// the memo cache exactly on such steps: a forced value is not a pure
-    /// function of the step configuration, so neither serving nor
-    /// publishing a cache entry would be sound.
+    /// Is any *data* (port) fault active at `step`? On such steps the
+    /// compiled backend takes a full forced walk instead of incremental
+    /// propagation.
     pub fn port_faults_active_at(&self, step: u64) -> bool {
         self.faults.iter().any(|f| {
             matches!(f.site, FaultSite::Port(_)) && f.kind.is_data() && f.window.active_at(step)
@@ -237,7 +236,7 @@ impl FaultPlan {
     /// loss/duplication only acts on a place that currently holds a token
     /// (there is nothing to lose or duplicate otherwise). These mutate the
     /// configuration *before* evaluation, so the evaluation itself stays a
-    /// pure — and cacheable — function of the perturbed configuration.
+    /// pure function of the perturbed configuration.
     ///
     /// Returns whether the marking was mutated: the compiled backend's
     /// incremental mirrors are built on the assumption that tokens only
@@ -417,7 +416,7 @@ pub struct CampaignConfig {
     pub transient_step: u64,
     /// Fleet worker threads (`0` = one per CPU).
     pub workers: usize,
-    /// Retry policy for panicked jobs (cache bypassed on retry).
+    /// Retry policy for panicked jobs.
     pub retry: RetryPolicy,
     /// Per-job wall-clock budget; overruns classify as [`FaultClass::Hang`].
     pub wall_budget: Option<Duration>,
@@ -476,9 +475,9 @@ pub struct CampaignReport {
     pub golden_events: usize,
     /// The golden run re-executed after the sweep produced the identical
     /// event structure — i.e. no faulty job leaked state into the clean
-    /// path (via the cache or otherwise).
+    /// path.
     pub golden_unchanged: bool,
-    /// Fleet scheduling/cache/panic counters for the faulty batch.
+    /// Fleet scheduling/panic counters for the faulty batch.
     pub fleet: FleetStats,
     /// Coverage merged over the golden run and every faulty job, when
     /// [`CampaignConfig::coverage`] was set.
@@ -616,9 +615,9 @@ fn classify(
     }
 }
 
-/// Run a one-fault-per-job campaign: the golden run (uncached, on the
-/// calling thread), then every planned fault as a fleet job, then the
-/// golden run once more to prove the clean path is unperturbed.
+/// Run a one-fault-per-job campaign: the golden run (on the calling
+/// thread), then every planned fault as a fleet job, then the golden run
+/// once more to prove the clean path is unperturbed.
 ///
 /// `proto` is the job template — design, environment, policy, step budget
 /// and register initialisation are all taken from it; the sweep only adds
@@ -644,7 +643,7 @@ where
             j
         }
     };
-    let golden_trace = instrument(proto.clone()).run_uncached()?;
+    let golden_trace = instrument(proto.clone()).run()?;
     let golden_es = event_structure(g, &golden_trace);
 
     let mut faults = FaultPlan::sweep_data_ports(g, &cfg.kinds, cfg.transient_step);
@@ -713,7 +712,7 @@ where
 
     // Prove the clean path unperturbed: the golden run, repeated after the
     // sweep, must reproduce the identical observation.
-    let golden_again = proto.clone().run_uncached()?;
+    let golden_again = proto.clone().run()?;
     let golden_unchanged = golden_again.termination == golden_trace.termination
         && compare_structures(&golden_es, &event_structure(g, &golden_again)).is_equivalent();
 
@@ -755,9 +754,7 @@ mod tests {
     use super::*;
     use crate::engine::Simulator;
     use crate::env::ScriptedEnv;
-    use crate::fleet::EvalCache;
     use etpn_core::{EtpnBuilder, Op};
-    use std::sync::Arc;
 
     /// s0: load r := a + b;  s1: emit r to y;  then terminate.
     fn add_once() -> Etpn {
@@ -919,14 +916,12 @@ mod tests {
         assert_eq!(a.len(), 20);
     }
 
-    /// A faulty run sharing a cache with clean runs must neither serve the
-    /// clean runs corrupted values nor be served clean values on its
-    /// forced steps.
+    /// A stuck-at fault forces its value on the faulty run, and clean runs
+    /// before and after it are unaffected.
     #[test]
-    fn faulty_runs_do_not_pollute_a_shared_cache() {
+    fn faulty_runs_leave_clean_runs_unchanged() {
         let g = add_once();
-        let cache = Arc::new(EvalCache::new());
-        let clean_before = SimJob::new(&g, env_ab(3, 4)).run(&cache).unwrap();
+        let clean_before = SimJob::new(&g, env_ab(3, 4)).run().unwrap();
 
         let x_out = g.dp.vertex(g.dp.vertex_by_name("a").unwrap()).outputs[0];
         let fault = Fault {
@@ -936,12 +931,11 @@ mod tests {
         };
         let faulty = SimJob::new(&g, env_ab(3, 4))
             .with_faults(FaultPlan::single(fault))
-            .run(&cache)
+            .run()
             .unwrap();
         assert_eq!(faulty.values_on_named_output(&g, "y"), vec![4]);
 
-        // The warm cache must still reproduce the clean result exactly.
-        let clean_after = SimJob::new(&g, env_ab(3, 4)).run(&cache).unwrap();
+        let clean_after = SimJob::new(&g, env_ab(3, 4)).run().unwrap();
         assert_eq!(
             clean_after.values_on_named_output(&g, "y"),
             clean_before.values_on_named_output(&g, "y")

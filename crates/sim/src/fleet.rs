@@ -1,69 +1,43 @@
-//! Batch simulation: a work-stealing job fleet over a shared memo cache.
+//! Batch simulation: a work-stealing job fleet.
 //!
 //! The policy-invariance battery (E10), the semantic oracle of
-//! `etpn-transform`, and the experiment sweeps all run *many* simulations
-//! of the same few designs under varying policies, seeds and environments.
-//! Two observations make that embarrassingly compressible:
-//!
-//! 1. the jobs are independent, so they spread over worker threads;
-//! 2. data-path evaluation ([`crate::eval::Evaluator::step`]) is a pure
-//!    function of `(design, environment, marking, register state, input
-//!    cursors)` — the firing policy and its RNG only decide *which*
-//!    transitions fire afterwards. Runs that pass through the same
-//!    configuration (which seed sweeps over mostly-serial control nets do
-//!    almost every step) can share one evaluation.
-//!
-//! [`Fleet::run_batch`] exploits both: jobs are striped over per-worker
-//! deques (idle workers steal from the back of their neighbours'), and
-//! every simulator is wired to one [`EvalCache`] — a lock-sharded,
-//! bounded memo table from step configurations to [`StepValues`].
-//! Results come back indexed by submission order, so the output is
-//! deterministic regardless of how the jobs were scheduled or stolen.
-//!
-//! Cache keys are [`etpn_core::StableHasher`] digests; to make a 64-bit
-//! collision harmless rather than silently corrupting, every entry also
-//! stores an exact snapshot of its configuration and a hit is only
-//! reported when the snapshot matches.
+//! `etpn-transform`, and the experiment sweeps all run *many* independent
+//! simulations of the same few designs under varying policies, seeds and
+//! environments. [`Fleet::run_batch`] spreads them over worker threads:
+//! jobs are striped over per-worker deques (idle workers steal from the
+//! back of their neighbours'), and each job runs on the compiled engine by
+//! default, so all jobs over one design share its single compilation
+//! ([`crate::compiled::get_or_compile`]). Every job runs inside a
+//! panic-isolation boundary with bounded retries. Results come back
+//! indexed by submission order, so the output is deterministic regardless
+//! of how the jobs were scheduled or stolen.
 
 use crate::compiled::Backend;
 use crate::engine::Simulator;
-use crate::env::{Environment, InputCursors, ScriptedEnv};
+use crate::env::{Environment, ScriptedEnv};
 use crate::error::SimError;
-use crate::eval::{DpState, StepValues};
 use crate::fault::FaultPlan;
 use crate::policy::FiringPolicy;
 use crate::retry::RetryPolicy;
 use crate::trace::Trace;
-use etpn_core::{Etpn, Marking, Value};
+use etpn_core::Etpn;
 use etpn_cov::CovDb;
 use etpn_obs as obs;
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Number of independently locked cache shards (power of two).
-const SHARDS: usize = 16;
-
-/// Default total cache capacity in entries.
-const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Default bounded retries for a panicked job.
 const DEFAULT_RETRIES: u64 = 1;
-
-/// Default cool-down before a quarantined cache shard is rebuilt empty
-/// and re-admitted to service.
-const DEFAULT_QUARANTINE_COOLDOWN: Duration = Duration::from_millis(250);
 
 /// Lock a mutex, recovering the data if a previous holder panicked. Every
 /// structure guarded this way in the fleet (work queues, result slots) is
 /// only mutated by panic-free operations — a poisoned lock means a *job*
 /// died elsewhere on that thread, not that the guarded data is torn — so
-/// recovery is sound. The `EvalCache` shards, whose entries *could* be
-/// mid-insertion when a panic strikes, are not recovered but quarantined
-/// instead (see [`EvalCache`]).
+/// recovery is sound.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -131,10 +105,8 @@ impl<'g, E: Environment> SimJob<'g, E> {
         self.g
     }
 
-    /// Select the step engine (default [`Backend::Compiled`]). Use
-    /// [`Backend::Interp`] for jobs that should share the fleet's
-    /// evaluation memo cache instead of the compiled engine's persistent
-    /// incremental values.
+    /// Select the step engine (default [`Backend::Compiled`]; use
+    /// [`Backend::Interp`] for the reference interpreter).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -225,14 +197,11 @@ impl<'g, E: Environment> SimJob<'g, E> {
         self
     }
 
-    /// Build the configured simulator, optionally wired to a memo cache.
-    fn into_sim(self, cache: Option<&Arc<EvalCache>>) -> Simulator<'g, E> {
+    /// Build the configured simulator.
+    fn into_sim(self) -> Simulator<'g, E> {
         let mut sim = Simulator::new(self.g, self.env)
             .with_backend(self.backend)
             .with_policy(self.policy);
-        if let Some(c) = cache {
-            sim = sim.with_cache(Arc::clone(c));
-        }
         if let Some(v) = self.init_all {
             sim = sim.init_registers(v);
         }
@@ -263,530 +232,33 @@ impl<'g, E: Environment> SimJob<'g, E> {
         sim
     }
 
-    /// Execute this job on the calling thread, memoising through `cache`.
-    pub fn run(self, cache: &Arc<EvalCache>) -> Result<Trace, SimError> {
+    /// Execute this job on the calling thread.
+    pub fn run(self) -> Result<Trace, SimError> {
         let max_steps = self.max_steps;
-        self.into_sim(Some(cache)).run(max_steps)
+        self.into_sim().run(max_steps)
     }
 
-    /// Execute this job sequentially with no cache (reference path).
+    /// Same as [`SimJob::run`].
+    // Kept only because `perfbench/src/battery.rs` calls it by this name;
+    // delete it once that call is changed to `run`.
+    #[doc(hidden)]
     pub fn run_uncached(self) -> Result<Trace, SimError> {
-        let max_steps = self.max_steps;
-        self.into_sim(None).run(max_steps)
+        self.run()
     }
 }
 
-/// The full memo-cache key: stable hashes of every input the evaluator
-/// reads. Equal keys *almost always* mean equal configurations; the stored
-/// snapshot settles the rest.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct StepKey {
-    pub design: u64,
-    pub env: u64,
-    pub marking: u64,
-    pub state: u64,
-    pub cursors: u64,
-}
-
-impl StepKey {
-    fn shard(&self) -> usize {
-        (etpn_core::hash::stable_hash_words([
-            self.design,
-            self.env,
-            self.marking,
-            self.state,
-            self.cursors,
-        ]) as usize)
-            % SHARDS
-    }
-}
-
-/// The exact configuration snapshot a hit must match, plus the memoised
-/// evaluation result.
-struct CacheEntry {
-    marking: Marking,
-    state: Vec<Value>,
-    cursors: Vec<u64>,
-    vals: Arc<StepValues>,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<StepKey, CacheEntry>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<StepKey>,
-}
-
-/// A bounded, lock-sharded memo table from step configurations to
-/// [`StepValues`], shared by every simulator of a fleet (and safely by
-/// concurrent fleets over the same designs).
-///
-/// Shards are *quarantined* rather than recovered on poison: a panic while
-/// a shard lock was held could in principle leave a half-updated entry, so
-/// the first thread to observe the poison clears the shard and disables
-/// it. A quarantined shard answers every lookup with a miss and drops
-/// every insert — cached state from a panicked job can never be served.
-///
-/// Quarantine is not a life sentence: after the configured cool-down
-/// (default 250 ms; see [`EvalCache::with_quarantine_cooldown`]) the
-/// first probe rebuilds the shard *empty* and re-admits it to service,
-/// so a long-lived process — the `etpnd` service in particular — regains
-/// its full cache capacity instead of bleeding shards until restart.
-/// Re-admissions are counted in [`CacheStats::readmitted`].
-pub struct EvalCache {
-    shards: Vec<Mutex<Shard>>,
-    quarantined: Vec<AtomicBool>,
-    /// Per-shard re-admission deadline, nanoseconds since `created`
-    /// (meaningful only while the shard is quarantined; `u64::MAX` while
-    /// permanently dead or mid-lift).
-    lift_at: Vec<AtomicU64>,
-    /// Cool-down before a quarantined shard is rebuilt; `None` keeps the
-    /// pre-service behaviour (dead until the cache is dropped).
-    cooldown: Option<Duration>,
-    created: Instant,
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    quarantines: AtomicU64,
-    readmissions: AtomicU64,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EvalCache {
-    /// A cache with the default capacity (65 536 entries).
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// A cache bounded to roughly `capacity` entries in total. Entries are
-    /// evicted FIFO per shard once a shard fills.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            quarantined: (0..SHARDS).map(|_| AtomicBool::new(false)).collect(),
-            lift_at: (0..SHARDS).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            cooldown: Some(DEFAULT_QUARANTINE_COOLDOWN),
-            created: Instant::now(),
-            shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-        }
-    }
-
-    /// Set (or, with `None`, disable) the quarantine cool-down: how long
-    /// a poisoned shard stays out of service before it is rebuilt empty
-    /// and re-admitted.
-    pub fn with_quarantine_cooldown(mut self, cooldown: Option<Duration>) -> Self {
-        self.cooldown = cooldown;
-        self
-    }
-
-    /// Nanoseconds since this cache was created (the clock the per-shard
-    /// re-admission deadlines are expressed in).
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.created.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Clear and disable shard `i` after its lock was found poisoned (a
-    /// holder panicked mid-mutation). With a cool-down configured the
-    /// shard is scheduled for re-admission; otherwise it stays dead for
-    /// the cache's life.
-    fn quarantine(&self, i: usize, poisoned: PoisonError<MutexGuard<'_, Shard>>) {
-        let mut shard = poisoned.into_inner();
-        shard.map.clear();
-        shard.order.clear();
-        drop(shard);
-        let deadline = match self.cooldown {
-            Some(d) => self
-                .now_ns()
-                .saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
-            None => u64::MAX,
-        };
-        self.lift_at[i].store(deadline, Ordering::Release);
-        if !self.quarantined[i].swap(true, Ordering::Release) {
-            self.quarantines.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether shard `i` is currently out of service. A quarantined shard
-    /// whose cool-down has elapsed is rebuilt empty, its lock's poison
-    /// cleared, and re-admitted — exactly one probing thread performs the
-    /// lift (the CAS on the deadline elects it); the shard counts as
-    /// blocked until the lift completes.
-    fn shard_blocked(&self, i: usize) -> bool {
-        if !self.quarantined[i].load(Ordering::Acquire) {
-            return false;
-        }
-        let deadline = self.lift_at[i].load(Ordering::Acquire);
-        if deadline == u64::MAX || self.now_ns() < deadline {
-            return true;
-        }
-        if self.lift_at[i]
-            .compare_exchange(deadline, u64::MAX, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            // We won the lift. The quarantine flag still gates every
-            // other thread, so nothing can touch the (possibly poisoned)
-            // mutex while we rebuild it.
-            let mut shard = lock_recover(&self.shards[i]);
-            shard.map.clear();
-            shard.order.clear();
-            drop(shard);
-            self.shards[i].clear_poison();
-            self.readmissions.fetch_add(1, Ordering::Relaxed);
-            self.quarantined[i].store(false, Ordering::Release);
-            return false;
-        }
-        // Another thread is mid-lift; treat this probe as blocked.
-        true
-    }
-
-    /// Look up a step configuration. Counts exactly one hit or one miss; a
-    /// key collision whose snapshot mismatches is a miss, as is any probe
-    /// of a quarantined shard.
-    pub(crate) fn lookup(
-        &self,
-        key: &StepKey,
-        marking: &Marking,
-        state: &DpState,
-        cursors: &InputCursors,
-    ) -> Option<Arc<StepValues>> {
-        let i = key.shard();
-        let found = if self.shard_blocked(i) {
-            None
-        } else {
-            match self.shards[i].lock() {
-                Ok(shard) => shard.map.get(key).and_then(|e| {
-                    let exact = e.marking == *marking
-                        && e.state == state.values()
-                        && e.cursors == cursors.positions();
-                    exact.then(|| Arc::clone(&e.vals))
-                }),
-                Err(poisoned) => {
-                    self.quarantine(i, poisoned);
-                    None
-                }
-            }
-        };
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Memoise an evaluation under its configuration snapshot. Silently
-    /// dropped when the shard is quarantined.
-    pub(crate) fn insert(
-        &self,
-        key: StepKey,
-        marking: &Marking,
-        state: &DpState,
-        cursors: &InputCursors,
-        vals: Arc<StepValues>,
-    ) {
-        self.insert_raw(
-            key,
-            marking.clone(),
-            state.values().to_vec(),
-            cursors.positions().to_vec(),
-            vals,
-        );
-    }
-
-    /// [`EvalCache::insert`] from owned snapshot parts — the common path
-    /// for live insertion and journal restoration.
-    fn insert_raw(
-        &self,
-        key: StepKey,
-        marking: Marking,
-        state: Vec<Value>,
-        cursors: Vec<u64>,
-        vals: Arc<StepValues>,
-    ) {
-        let i = key.shard();
-        if self.shard_blocked(i) {
-            return;
-        }
-        let mut shard = match self.shards[i].lock() {
-            Ok(shard) => shard,
-            Err(poisoned) => {
-                self.quarantine(i, poisoned);
-                return;
-            }
-        };
-        while shard.map.len() >= self.shard_capacity {
-            match shard.order.pop_front() {
-                Some(old) => {
-                    if shard.map.remove(&old).is_some() {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
-            }
-        }
-        let entry = CacheEntry {
-            marking,
-            state,
-            cursors,
-            vals,
-        };
-        if shard.map.insert(key, entry).is_none() {
-            shard.order.push_back(key);
-        }
-    }
-
-    /// A consistent snapshot of the counters. Quarantined (or
-    /// not-yet-quarantined poisoned) shards report zero entries.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            quarantined: self.quarantines.load(Ordering::Relaxed),
-            readmitted: self.readmissions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if self.quarantined[i].load(Ordering::Acquire) {
-                        return 0;
-                    }
-                    s.lock().map_or(0, |sh| sh.map.len() as u64)
-                })
-                .sum(),
-        }
-    }
-
-    /// Serialise every resident entry (quarantined shards excluded) into
-    /// a flat byte image — the cache's journal-frame payload for the
-    /// `etpnd` service's crash-safe persistence. The exact configuration
-    /// snapshots travel with the keys, so a restored cache keeps the
-    /// collision-proof hit check intact.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        type SnapshotRow = (StepKey, Marking, Vec<Value>, Vec<u64>, Arc<StepValues>);
-        let mut entries: Vec<SnapshotRow> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.quarantined[i].load(Ordering::Acquire) {
-                continue;
-            }
-            let Ok(shard) = shard.lock() else { continue };
-            for (key, e) in &shard.map {
-                entries.push((
-                    *key,
-                    e.marking.clone(),
-                    e.state.clone(),
-                    e.cursors.clone(),
-                    Arc::clone(&e.vals),
-                ));
-            }
-        }
-        let mut buf = Vec::new();
-        put_u64(&mut buf, entries.len() as u64);
-        for (key, marking, state, cursors, vals) in &entries {
-            for w in [key.design, key.env, key.marking, key.state, key.cursors] {
-                put_u64(&mut buf, w);
-            }
-            put_u64(&mut buf, marking.counts().len() as u64);
-            for &c in marking.counts() {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-            put_values(&mut buf, state);
-            put_u64(&mut buf, cursors.len() as u64);
-            for &c in cursors {
-                put_u64(&mut buf, c);
-            }
-            put_values(&mut buf, &vals.port_values);
-            put_u64(&mut buf, vals.open_arcs.capacity() as u64);
-            put_u64(&mut buf, vals.open_arcs.words().len() as u64);
-            for &w in vals.open_arcs.words() {
-                put_u64(&mut buf, w);
-            }
-        }
-        buf
-    }
-
-    /// Re-insert the entries of a [`EvalCache::snapshot_bytes`] image,
-    /// returning how many were restored. A malformed or truncated image
-    /// is an error, never a panic — the caller (journal recovery)
-    /// decides whether to keep the valid prefix of an older frame
-    /// instead.
-    pub fn restore_bytes(&self, bytes: &[u8]) -> Result<u64, String> {
-        let mut rd = Rd { b: bytes, pos: 0 };
-        let n = rd.u64()?;
-        for i in 0..n {
-            let err = |what: &str| format!("cache snapshot entry {i}: {what}");
-            let key = StepKey {
-                design: rd.u64().map_err(|e| err(&e))?,
-                env: rd.u64().map_err(|e| err(&e))?,
-                marking: rd.u64().map_err(|e| err(&e))?,
-                state: rd.u64().map_err(|e| err(&e))?,
-                cursors: rd.u64().map_err(|e| err(&e))?,
-            };
-            let n_counts = rd.len()?;
-            let mut counts = Vec::with_capacity(n_counts);
-            for _ in 0..n_counts {
-                counts.push(rd.u32().map_err(|e| err(&e))?);
-            }
-            let state = rd.values().map_err(|e| err(&e))?;
-            let n_cursors = rd.len()?;
-            let mut cursors = Vec::with_capacity(n_cursors);
-            for _ in 0..n_cursors {
-                cursors.push(rd.u64().map_err(|e| err(&e))?);
-            }
-            let port_values = rd.values().map_err(|e| err(&e))?;
-            let cap = rd.len()?;
-            let n_words = rd.len()?;
-            let mut open_arcs = etpn_core::bitset::BitSet::new(cap);
-            if n_words != open_arcs.words().len() {
-                return Err(err("open-arc word count disagrees with capacity"));
-            }
-            let mut words = Vec::with_capacity(n_words);
-            for _ in 0..n_words {
-                words.push(rd.u64().map_err(|e| err(&e))?);
-            }
-            open_arcs.union_words(&words);
-            self.insert_raw(
-                key,
-                Marking::from_counts(counts),
-                state,
-                cursors,
-                Arc::new(StepValues {
-                    port_values,
-                    open_arcs,
-                }),
-            );
-        }
-        Ok(n)
-    }
-}
-
-/// Append a little-endian `u64` to a byte image.
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a length-prefixed [`Value`] vector (tag byte + payload each).
-fn put_values(buf: &mut Vec<u8>, vals: &[Value]) {
-    put_u64(buf, vals.len() as u64);
-    for v in vals {
-        match v {
-            Value::Undef => buf.push(0),
-            Value::Def(x) => {
-                buf.push(1);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-}
-
-/// A bounds-checked little-endian reader over a snapshot image.
-struct Rd<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Rd<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| format!("truncated at byte {}", self.pos))?;
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u64` length that must also be addressable in this image (each
-    /// element is at least one byte), so a corrupt huge length fails
-    /// here instead of in `Vec::with_capacity`.
-    fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| "length overflows usize".to_string())?;
-        if n > self.b.len() - self.pos.min(self.b.len()) {
-            return Err(format!("length {n} exceeds remaining bytes"));
-        }
-        Ok(n)
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>, String> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(match self.u8()? {
-                0 => Value::Undef,
-                1 => Value::Def(self.i64()?),
-                t => return Err(format!("bad value tag {t}")),
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// Counter snapshot of an [`EvalCache`].
+/// Always-empty stand-in for the evaluation-cache counters a batch used
+/// to report. Fleet jobs make no cache lookups, so the rate is 0.
+// Kept only because `perfbench/src/battery.rs` reads
+// `batch.stats.cache.hit_rate()`; delete it with that benchmark metric.
+#[doc(hidden)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache (snapshot-verified).
-    pub hits: u64,
-    /// Lookups that fell through to a fresh evaluation.
-    pub misses: u64,
-    /// Entries dropped to respect the capacity bound.
-    pub evictions: u64,
-    /// Shards disabled after a poisoned lock (cumulative trips).
-    pub quarantined: u64,
-    /// Quarantined shards rebuilt empty and re-admitted to service after
-    /// their cool-down (cumulative lifts).
-    pub readmitted: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-}
+pub struct CacheStats;
 
 impl CacheStats {
-    /// Total lookups (`hits + misses` by construction).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (0 when none were made).
+    /// Always 0.0: no lookups are made.
     pub fn hit_rate(&self) -> f64 {
-        let l = self.lookups();
-        if l == 0 {
-            0.0
-        } else {
-            self.hits as f64 / l as f64
-        }
+        0.0
     }
 }
 
@@ -802,10 +274,10 @@ pub struct FleetStats {
     /// Panics contained by the per-job isolation boundary (every attempt
     /// of every job counts once).
     pub panics: u64,
-    /// Retry attempts made for panicked jobs (cache bypassed).
+    /// Retry attempts made for panicked jobs.
     pub retried: u64,
-    /// Cache counters accumulated over the batch (cumulative if the cache
-    /// is shared across batches).
+    /// Always empty (see [`CacheStats`]).
+    #[doc(hidden)]
     pub cache: CacheStats,
 }
 
@@ -819,17 +291,6 @@ impl FleetStats {
         reg.gauge("fleet.stolen").set(self.stolen as i64);
         reg.gauge("fleet.panics").set(self.panics as i64);
         reg.gauge("fleet.retried").set(self.retried as i64);
-        reg.gauge("fleet.cache.quarantined")
-            .set(self.cache.quarantined as i64);
-        reg.gauge("fleet.cache.readmitted")
-            .set(self.cache.readmitted as i64);
-        reg.gauge("fleet.cache.hits").set(self.cache.hits as i64);
-        reg.gauge("fleet.cache.misses")
-            .set(self.cache.misses as i64);
-        reg.gauge("fleet.cache.evictions")
-            .set(self.cache.evictions as i64);
-        reg.gauge("fleet.cache.entries")
-            .set(self.cache.entries as i64);
     }
 }
 
@@ -846,7 +307,7 @@ pub struct FleetBatch {
     /// `--jobs`. Jobs whose design fingerprint differs from the first
     /// covered job are skipped (a batch may legally mix designs).
     pub coverage: Option<CovDb>,
-    /// Scheduling and cache counters for the batch.
+    /// Scheduling and panic counters for the batch.
     pub stats: FleetStats,
 }
 
@@ -894,26 +355,19 @@ pub struct SaturationOutcome {
     pub seeds_used: Vec<u64>,
 }
 
-/// A reusable batch-simulation engine: a worker count and a shared
-/// [`EvalCache`]. Batches run on scoped threads, so jobs may borrow their
-/// designs from the caller's stack.
+/// A reusable batch-simulation engine: a worker count plus retry and
+/// deadline settings. Batches run on scoped threads, so jobs may borrow
+/// their designs from the caller's stack.
 pub struct Fleet {
     workers: usize,
-    cache: Arc<EvalCache>,
     retry: RetryPolicy,
     job_deadline: Option<Duration>,
     deadline_at: Option<Instant>,
 }
 
 impl Fleet {
-    /// A fleet with `workers` threads (`0` means one per available CPU)
-    /// and a fresh default-capacity cache.
+    /// A fleet with `workers` threads (`0` means one per available CPU).
     pub fn new(workers: usize) -> Self {
-        Self::with_cache(workers, Arc::new(EvalCache::new()))
-    }
-
-    /// A fleet over an existing (possibly shared) cache.
-    pub fn with_cache(workers: usize, cache: Arc<EvalCache>) -> Self {
         let workers = if workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -921,7 +375,6 @@ impl Fleet {
         };
         Self {
             workers,
-            cache,
             retry: RetryPolicy::immediate(DEFAULT_RETRIES),
             job_deadline: None,
             deadline_at: None,
@@ -929,11 +382,9 @@ impl Fleet {
     }
 
     /// Bounded retries for panicked jobs (default 1), retried
-    /// immediately. Retries re-run the identical job from scratch with
-    /// the cache bypassed, so they are deterministic and cannot be fed
-    /// state the failed attempt cached. A job that panics on every
-    /// attempt resolves to [`SimError::Panicked`] instead of aborting
-    /// the batch.
+    /// immediately. Retries re-run the identical job from scratch, so
+    /// they are deterministic. A job that panics on every attempt
+    /// resolves to [`SimError::Panicked`] instead of aborting the batch.
     pub fn with_retries(mut self, retries: u64) -> Self {
         self.retry = self.retry.with_max_retries(retries);
         self
@@ -973,19 +424,12 @@ impl Fleet {
         self
     }
 
-    /// The shared evaluation cache (inspect via [`EvalCache::stats`]).
-    pub fn cache(&self) -> &Arc<EvalCache> {
-        &self.cache
-    }
-
     /// Execute one job inside a panic-isolation boundary with bounded
     /// retries under `retry`'s deterministic backoff schedule (keyed by
-    /// the job's submission index). The first attempt uses the shared
-    /// cache; retries bypass it.
+    /// the job's submission index).
     fn run_isolated<'g, E: Environment + Clone>(
         job: &SimJob<'g, E>,
         token: u64,
-        cache: &Arc<EvalCache>,
         retry: &RetryPolicy,
         panics: (&AtomicU64, &obs::Counter),
         retried: (&AtomicU64, &obs::Counter),
@@ -1002,13 +446,7 @@ impl Fleet {
                 }
             }
             let j = job.clone();
-            let run = panic::catch_unwind(AssertUnwindSafe(move || {
-                if attempt == 0 {
-                    j.run(cache)
-                } else {
-                    j.run_uncached()
-                }
-            }));
+            let run = panic::catch_unwind(AssertUnwindSafe(move || j.run()));
             match run {
                 Ok(outcome) => return outcome,
                 Err(payload) => {
@@ -1084,7 +522,6 @@ impl Fleet {
                 let stolen = &stolen;
                 let panics = &panics;
                 let retried = &retried;
-                let cache = &self.cache;
                 let retry = &self.retry;
                 let deadline_at = self.deadline_at;
                 let jobs_done = &jobs_done;
@@ -1130,7 +567,6 @@ impl Fleet {
                                     let mut outcome = Self::run_isolated(
                                         &job,
                                         idx as u64,
-                                        cache,
                                         retry,
                                         (panics, panics_ctr),
                                         (retried, retried_ctr),
@@ -1166,7 +602,7 @@ impl Fleet {
             stolen: stolen.load(Ordering::Relaxed),
             panics: panics.load(Ordering::Relaxed),
             retried: retried.load(Ordering::Relaxed),
-            cache: self.cache.stats(),
+            cache: CacheStats,
         };
         stats.export(reg);
         // Merge per-job coverage in submission order. Summation and set
@@ -1272,7 +708,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etpn_core::{EtpnBuilder, Op};
+    use etpn_core::{EtpnBuilder, Op, Value};
 
     /// s0: load r := a + b;  s1: emit r to y;  then terminate.
     fn add_once() -> Etpn {
@@ -1321,10 +757,8 @@ mod tests {
     }
 
     #[test]
-    fn identical_jobs_share_evaluations() {
+    fn interpreter_jobs_run_through_the_fleet() {
         let g = add_once();
-        // Pinned to the interpreter: the memo cache is its sharing
-        // mechanism (the compiled backend bypasses it).
         let jobs: Vec<SimJob> = (0..8)
             .map(|_| {
                 SimJob::new(&g, env_ab(3, 4))
@@ -1332,31 +766,10 @@ mod tests {
                     .max_steps(10)
             })
             .collect();
-        let fleet = Fleet::new(2);
-        let batch = fleet.run_batch(jobs);
-        let stats = batch.stats.cache;
-        assert!(
-            stats.hits > 0,
-            "repeated identical runs must hit: {stats:?}"
-        );
-        assert_eq!(stats.lookups(), stats.hits + stats.misses);
+        let batch = Fleet::new(2).run_batch(jobs);
         for r in &batch.results {
             assert_eq!(r.as_ref().unwrap().values_on_named_output(&g, "y"), vec![7]);
         }
-    }
-
-    #[test]
-    fn cached_run_equals_uncached_run() {
-        let g = add_once();
-        let cache = Arc::new(EvalCache::new());
-        // Warm the cache, then re-run and compare against the no-cache path
-        // (interpreter jobs: the cache only serves that backend).
-        let job = || SimJob::new(&g, env_ab(5, 6)).backend(Backend::Interp);
-        job().run(&cache).unwrap();
-        let warm = job().run(&cache).unwrap();
-        let cold = job().run_uncached().unwrap();
-        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
-        assert!(cache.stats().hits > 0);
     }
 
     #[test]
@@ -1366,120 +779,6 @@ mod tests {
         let batch = fleet.run_batch(Vec::<SimJob>::new());
         assert!(batch.results.is_empty());
         let _ = &g;
-    }
-
-    #[test]
-    fn eviction_respects_capacity_bound() {
-        let g = add_once();
-        let cache = Arc::new(EvalCache::with_capacity(SHARDS)); // 1 entry per shard
-        for i in 0..50 {
-            SimJob::new(&g, env_ab(i, i))
-                .backend(Backend::Interp)
-                .run(&cache)
-                .unwrap();
-        }
-        let stats = cache.stats();
-        assert!(stats.entries <= SHARDS as u64 * 2);
-        assert!(stats.evictions > 0, "tiny cache must evict: {stats:?}");
-        assert_eq!(stats.lookups(), stats.hits + stats.misses);
-    }
-
-    /// Adversarial `BitSet` patterns: shifted, rotated, prefix-sharing and
-    /// padding-only-different markings must all hash to distinct keys. The
-    /// probes target classic weak-hash failure modes — XOR-cancelling bit
-    /// pairs, equal popcount, trailing empty words.
-    #[test]
-    fn adversarial_bitset_patterns_hash_distinctly() {
-        use etpn_core::bitset::BitSet;
-        let patterns: Vec<Vec<usize>> = vec![
-            vec![],
-            vec![0],
-            vec![1],
-            vec![63],
-            vec![64],
-            vec![0, 63],
-            vec![0, 64],
-            vec![63, 64],
-            vec![0, 1],
-            vec![1, 2],
-            vec![0, 65],
-            vec![1, 64], // same popcount, shifted pair
-            vec![0, 1, 2, 3],
-            vec![4, 5, 6, 7],    // same popcount, disjoint run
-            (0..64).collect(),   // full first word
-            (64..128).collect(), // full second word
-            (0..128).collect(),
-        ];
-        let mut seen = std::collections::HashMap::new();
-        for (i, pat) in patterns.iter().enumerate() {
-            let mut s = BitSet::new(128);
-            for &b in pat {
-                s.insert(b);
-            }
-            if let Some(j) = seen.insert(s.stable_hash64(), i) {
-                panic!(
-                    "patterns {j:?} and {i:?} collide: {:?} vs {pat:?}",
-                    patterns[j]
-                );
-            }
-        }
-    }
-
-    /// A forced 64-bit key collision (same [`StepKey`], different marking)
-    /// must be answered as a miss: the snapshot check keeps the fast path
-    /// exact, never returning another configuration's values.
-    #[test]
-    fn forced_key_collision_is_a_miss_not_a_wrong_hit() {
-        use etpn_core::bitset::BitSet;
-        let g = add_once();
-        let state = DpState::new(&g);
-        let cursors = InputCursors::new(&g);
-        let m1 = Marking::initial(&g.ctl);
-        let mut m2 = Marking::empty(&g.ctl);
-        // A different configuration: move the token one place over.
-        m2.add(g.ctl.places().ids().nth(1).unwrap());
-        assert_ne!(m1, m2);
-
-        let key = StepKey {
-            design: 1,
-            env: 2,
-            marking: 3, // deliberately NOT m1/m2's real hash: a forced collision
-            state: 4,
-            cursors: 5,
-        };
-        let vals = Arc::new(StepValues {
-            port_values: vec![Value::Undef; g.dp.ports().len()],
-            open_arcs: BitSet::new(g.dp.arcs().len()),
-        });
-        let cache = EvalCache::new();
-        cache.insert(key, &m1, &state, &cursors, Arc::clone(&vals));
-
-        // Same key, matching snapshot: hit.
-        assert!(cache.lookup(&key, &m1, &state, &cursors).is_some());
-        // Same key, different marking: the collision must read as a miss.
-        assert!(cache.lookup(&key, &m2, &state, &cursors).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.lookups(), stats.hits + stats.misses);
-    }
-
-    /// Distinct markings of one design reach distinct cache entries on the
-    /// real (hashed) fast path: walking the add-once net through its three
-    /// markings yields three different `stable_hash64` values.
-    #[test]
-    fn distinct_markings_reach_distinct_entries() {
-        let g = add_once();
-        let mut hashes = std::collections::HashSet::new();
-        let mut m = Marking::initial(&g.ctl);
-        hashes.insert(m.stable_hash64());
-        for t in [0u32, 1] {
-            let enabled = m.enabled_transitions(&g.ctl);
-            assert!(!enabled.is_empty(), "step {t}: net stalled");
-            m.fire(&g.ctl, enabled[0]);
-            hashes.insert(m.stable_hash64());
-        }
-        assert_eq!(hashes.len(), 3, "three markings, three distinct hashes");
     }
 
     /// An environment that either answers from a script or detonates,
@@ -1495,13 +794,6 @@ mod tests {
             match self {
                 TestEnv::Healthy(e) => e.value_at(input, name, k),
                 TestEnv::Bomb => panic!("injected eval panic"),
-            }
-        }
-
-        fn fingerprint(&self) -> Option<u64> {
-            match self {
-                TestEnv::Healthy(e) => e.fingerprint(),
-                TestEnv::Bomb => None,
             }
         }
     }
@@ -1565,178 +857,6 @@ mod tests {
         ));
         assert_eq!(batch.stats.panics, 1);
         assert_eq!(batch.stats.retried, 0);
-    }
-
-    /// A shard whose lock was poisoned by a panicking holder is cleared
-    /// and disabled: lookups miss, inserts are dropped, the rest of the
-    /// cache keeps working, and nothing ever panics again.
-    #[test]
-    fn poisoned_shard_is_quarantined_not_fatal() {
-        let g = add_once();
-        let state = DpState::new(&g);
-        let cursors = InputCursors::new(&g);
-        let m = Marking::initial(&g.ctl);
-        let key = StepKey {
-            design: 1,
-            env: 2,
-            marking: 3,
-            state: 4,
-            cursors: 5,
-        };
-        let vals = Arc::new(StepValues {
-            port_values: vec![Value::Undef; g.dp.ports().len()],
-            open_arcs: etpn_core::bitset::BitSet::new(g.dp.arcs().len()),
-        });
-        let cache = EvalCache::new();
-        cache.insert(key, &m, &state, &cursors, Arc::clone(&vals));
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_some());
-
-        // Poison the entry's shard by panicking while holding its lock.
-        let i = key.shard();
-        let poison = panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = cache.shards[i].lock().unwrap();
-            panic!("poison the shard");
-        }));
-        assert!(poison.is_err());
-
-        // First probe observes the poison, quarantines, and misses.
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.quarantined, 1);
-        assert_eq!(stats.entries, 0, "quarantined shard was cleared");
-        // Inserts into the quarantined shard are dropped silently.
-        cache.insert(key, &m, &state, &cursors, Arc::clone(&vals));
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_none());
-        // Other shards still work: a key targeting a different shard.
-        let other = (0..100u64)
-            .map(|d| StepKey {
-                design: d,
-                env: 2,
-                marking: 3,
-                state: 4,
-                cursors: 5,
-            })
-            .find(|k| k.shard() != i)
-            .expect("some key lands elsewhere");
-        cache.insert(other, &m, &state, &cursors, Arc::clone(&vals));
-        assert!(cache.lookup(&other, &m, &state, &cursors).is_some());
-        assert_eq!(cache.stats().quarantined, 1, "counted once");
-    }
-
-    /// After the cool-down, a quarantined shard is rebuilt empty and
-    /// re-admitted: inserts and lookups work again, and the re-admission
-    /// is counted.
-    #[test]
-    fn quarantined_shard_is_readmitted_after_cooldown() {
-        let g = add_once();
-        let state = DpState::new(&g);
-        let cursors = InputCursors::new(&g);
-        let m = Marking::initial(&g.ctl);
-        let key = StepKey {
-            design: 11,
-            env: 2,
-            marking: 3,
-            state: 4,
-            cursors: 5,
-        };
-        let vals = Arc::new(StepValues {
-            port_values: vec![Value::Undef; g.dp.ports().len()],
-            open_arcs: etpn_core::bitset::BitSet::new(g.dp.arcs().len()),
-        });
-        let cache =
-            EvalCache::with_capacity(64).with_quarantine_cooldown(Some(Duration::from_millis(10)));
-        let i = key.shard();
-        let poison = panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = cache.shards[i].lock().unwrap();
-            panic!("poison the shard");
-        }));
-        assert!(poison.is_err());
-        // Inside the cool-down: quarantined, miss, dropped insert.
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_none());
-        assert_eq!(cache.stats().quarantined, 1);
-        assert_eq!(cache.stats().readmitted, 0);
-        std::thread::sleep(Duration::from_millis(20));
-        // First probe after the cool-down lifts the quarantine (an empty
-        // rebuild: the probe itself still misses)…
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.readmitted, 1, "{stats:?}");
-        // …and the shard serves traffic again.
-        cache.insert(key, &m, &state, &cursors, Arc::clone(&vals));
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_some());
-        assert_eq!(cache.stats().quarantined, 1, "trip count is cumulative");
-    }
-
-    /// `None` cool-down preserves the pre-service behaviour: dead for
-    /// the cache's life.
-    #[test]
-    fn quarantine_without_cooldown_is_permanent() {
-        let g = add_once();
-        let state = DpState::new(&g);
-        let cursors = InputCursors::new(&g);
-        let m = Marking::initial(&g.ctl);
-        let key = StepKey {
-            design: 1,
-            env: 2,
-            marking: 3,
-            state: 4,
-            cursors: 5,
-        };
-        let cache = EvalCache::with_capacity(64).with_quarantine_cooldown(None);
-        let i = key.shard();
-        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = cache.shards[i].lock().unwrap();
-            panic!("poison");
-        }));
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_none());
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(cache.lookup(&key, &m, &state, &cursors).is_none());
-        assert_eq!(cache.stats().readmitted, 0);
-    }
-
-    /// Snapshot → restore round-trips resident entries: a fresh cache
-    /// restored from the image serves the same hits.
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let g = add_once();
-        let cache = Arc::new(EvalCache::new());
-        for i in 0..6 {
-            SimJob::new(&g, env_ab(i, i + 1))
-                .backend(Backend::Interp)
-                .run(&cache)
-                .unwrap();
-        }
-        let entries_before = cache.stats().entries;
-        assert!(entries_before > 0);
-        let image = cache.snapshot_bytes();
-
-        let restored = Arc::new(EvalCache::new());
-        let n = restored.restore_bytes(&image).unwrap();
-        assert_eq!(n, entries_before, "every resident entry travels");
-        assert_eq!(restored.stats().entries, entries_before);
-        // A warm run against the restored cache hits immediately.
-        SimJob::new(&g, env_ab(0, 1))
-            .backend(Backend::Interp)
-            .run(&restored)
-            .unwrap();
-        assert!(restored.stats().hits > 0, "{:?}", restored.stats());
-    }
-
-    /// A truncated snapshot image is an error at every cut point, never
-    /// a panic, and restores nothing it cannot prove complete.
-    #[test]
-    fn truncated_snapshot_is_an_error_not_a_panic() {
-        let g = add_once();
-        let cache = Arc::new(EvalCache::new());
-        SimJob::new(&g, env_ab(1, 2))
-            .backend(Backend::Interp)
-            .run(&cache)
-            .unwrap();
-        let image = cache.snapshot_bytes();
-        for cut in 0..image.len() {
-            let fresh = EvalCache::new();
-            let _ = fresh.restore_bytes(&image[..cut]);
-        }
     }
 
     /// The fleet-wide job deadline lands on jobs without their own

@@ -18,9 +18,9 @@
 //!   [`engine::Simulator::with_backend`]);
 //! * [`equiv`] — empirical semantic-equivalence comparison (Def. 4.1);
 //! * [`determinism`] — the policy-invariance battery justifying Def. 3.2;
-//! * [`fleet`] — work-stealing batch simulation over a shared, sharded
-//!   memo cache for policy/seed/environment sweeps, with per-job panic
-//!   isolation, bounded retries and cache-shard quarantine;
+//! * [`fleet`] — work-stealing batch simulation for
+//!   policy/seed/environment sweeps, with per-job panic isolation and
+//!   bounded retries;
 //! * [`fault`] — fault injection (stuck-at, bit-flip, token loss/dup) and
 //!   fleet-backed fault-simulation campaigns classifying each fault as
 //!   masked / silent corruption / detected / hang against a golden run;
@@ -65,10 +65,7 @@ pub use fault::{
     run_campaign, CampaignConfig, CampaignReport, Fault, FaultClass, FaultKind, FaultOutcome,
     FaultPlan, FaultSite, FaultWindow,
 };
-pub use fleet::{
-    CacheStats, EvalCache, Fleet, FleetBatch, FleetStats, SaturationConfig, SaturationOutcome,
-    SimJob,
-};
+pub use fleet::{Fleet, FleetBatch, FleetStats, SaturationConfig, SaturationOutcome, SimJob};
 pub use policy::FiringPolicy;
 pub use replay::{env_from_recording, faults_from_rec, faults_to_rec, replay_recording};
 pub use retry::{Backoff, RetryPolicy};

@@ -44,8 +44,8 @@
 //!                                              print the full report;
 //!                                              --coverage is an alias)
 //!   --jobs N                                  (batch a policy battery over N
-//!                                              fleet workers, report cache
-//!                                              stats and policy invariance)
+//!                                              fleet workers, report policy
+//!                                              invariance)
 //!   --seeds K                                 (battery seeds, default 4)
 //!   --wall-ms N                               (per-run wall-clock budget)
 //!   --strict                                  (error when an input stream
@@ -555,31 +555,7 @@ fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
     for name in &prog.outputs {
         println!("{name} = {:?}", trace.values_on_named_output(&d.etpn, name));
     }
-    print_engine_epilogue();
     Ok(code)
-}
-
-/// One-line engine epilogue for `etpnc run`: compile time spent by the
-/// compiled backend and the guard-evaluation cache hit rate, read back out
-/// of the always-on counters.
-fn print_engine_epilogue() {
-    let reg = obs::global();
-    let compile_ns = reg.counter("sim.compile.ns").get();
-    let hits = reg.counter("sim.cache.hits").get();
-    let misses = reg.counter("sim.cache.misses").get();
-    let lookups = hits + misses;
-    let cache = if lookups == 0 {
-        "n/a (0 lookups)".to_string()
-    } else {
-        format!(
-            "{:.1}% hit rate ({hits} hits / {misses} misses)",
-            hits as f64 / lookups as f64 * 100.0
-        )
-    };
-    println!(
-        "engine: compile {:.3} ms, eval cache {cache}",
-        compile_ns as f64 / 1e6
-    );
 }
 
 /// Parse `--every K` / `--ring N` into a recorder configuration
@@ -865,7 +841,7 @@ fn cmd_why(args: &[String]) -> Result<ExitCode, String> {
 /// `run --jobs N`: batch the deterministic policy plus seeded sweeps of both
 /// randomized policies through a fleet of N workers, check every sweep
 /// against the deterministic reference (policy invariance), and report the
-/// shared-cache statistics.
+/// fleet's scheduling statistics.
 fn run_fleet_battery(
     args: &[String],
     d: &etpn::synth::CompiledDesign,
@@ -939,16 +915,9 @@ fn run_fleet_battery(
     }
     let stats = &batch.stats;
     println!(
-        "fleet: {} jobs on {} workers ({} stolen); cache {} hits / {} misses ({:.1}% hit rate), {} evictions",
-        stats.jobs,
-        stats.workers,
-        stats.stolen,
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.hit_rate() * 100.0,
-        stats.cache.evictions,
+        "fleet: {} jobs on {} workers ({} stolen)",
+        stats.jobs, stats.workers, stats.stolen,
     );
-    print_engine_epilogue();
     if want_cov {
         if let Some(db) = &batch.coverage {
             let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);

@@ -6,15 +6,15 @@
 //!       [--data DIR] [--stats-json FILE]
 //!       [--breaker-threshold N] [--breaker-cooldown-ms N]
 //!       [--breaker-probe-timeout-ms N]
-//!       [--retries N] [--snapshot-every N] [--allow-chaos]
+//!       [--retries N] [--allow-chaos]
 //!       [--no-tracing] [--no-access-log] [--debug-ring N]
 //!       [--slow-trace-ms N]
 //! ```
 //!
 //! The server prints its bound address on stdout (`listening on …`) once
 //! live, serves until `SIGTERM`/`SIGINT`, then drains gracefully: the
-//! listener closes, every admitted request is answered, the shared cache
-//! is snapshotted to its journal and both journals are synced. With
+//! listener closes, every admitted request is answered and the coverage
+//! journal is synced. With
 //! `--stats-json FILE` the final observability registry is written there
 //! on exit.
 //!
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
              \x20             [--data DIR] [--stats-json FILE]\n\
              \x20             [--breaker-threshold N] [--breaker-cooldown-ms N]\n\
              \x20             [--breaker-probe-timeout-ms N]\n\
-             \x20             [--retries N] [--snapshot-every N] [--allow-chaos]\n\
+             \x20             [--retries N] [--allow-chaos]\n\
              \x20             [--no-tracing] [--no-access-log] [--debug-ring N]\n\
              \x20             [--slow-trace-ms N]\n\n\
              Serves until SIGTERM/SIGINT, then drains gracefully.\n\
@@ -104,7 +104,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             .retry
             .with_max_retries(parse_flag(args, "--retries", 2u64)?),
         cov_shed_depth: parse_flag(args, "--cov-shed-depth", defaults.cov_shed_depth)?,
-        snapshot_every: parse_flag(args, "--snapshot-every", defaults.snapshot_every)?,
         allow_chaos: args.iter().any(|a| a == "--allow-chaos"),
         watch_term_signal: true,
         tracing: !args.iter().any(|a| a == "--no-tracing"),
@@ -128,7 +127,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let _ = std::io::stdout().flush();
 
     // Blocks until SIGTERM/SIGINT, then drains: stop accepting, serve the
-    // admitted queue, snapshot + sync journals. The returned export covers
+    // admitted queue, sync the coverage journal. The returned export covers
     // the complete life of the process, including the drain.
     let stats = handle.run_until_term();
     if let Some(path) = stats_path {

@@ -58,15 +58,13 @@ fn counter(reg: &obs::Registry, name: &str) -> u64 {
     reg.counter(name).get()
 }
 
-/// The engine-side cache counters must agree exactly with the cache's own
-/// bookkeeping: every lookup is counted once, as either a hit or a miss.
+/// The fleet's counters agree with the batch it ran: every job is counted
+/// done once, and the batch summary is re-exported as gauges.
 #[test]
-fn fleet_cache_metrics_are_consistent() {
+fn fleet_metrics_are_consistent() {
     let _guard = GLOBAL_LOCK.lock().unwrap();
     let (d, pairs) = gcd_jobs(8);
     let reg = obs::global();
-    let hits0 = counter(reg, "sim.cache.hits");
-    let misses0 = counter(reg, "sim.cache.misses");
     let done0 = counter(reg, "fleet.jobs_done");
 
     let batch = run_batch(&d, &pairs, 4);
@@ -74,19 +72,6 @@ fn fleet_cache_metrics_are_consistent() {
     let stats = &batch.stats;
     assert_eq!(stats.jobs, 8);
     assert!(batch.results.iter().all(|r| r.is_ok()));
-    // hits + misses == lookups, by construction of the cache *and* of the
-    // engine's call-site counters.
-    assert_eq!(stats.cache.hits + stats.cache.misses, stats.cache.lookups());
-    let d_hits = counter(reg, "sim.cache.hits") - hits0;
-    let d_misses = counter(reg, "sim.cache.misses") - misses0;
-    assert_eq!(
-        d_hits, stats.cache.hits,
-        "engine hit counter tracks the cache"
-    );
-    assert_eq!(
-        d_misses, stats.cache.misses,
-        "engine miss counter tracks the cache"
-    );
     assert_eq!(counter(reg, "fleet.jobs_done") - done0, 8);
     // FleetStats is re-exported through the registry as gauges.
     let gauges = reg.gauge_values();
@@ -98,8 +83,6 @@ fn fleet_cache_metrics_are_consistent() {
             .1
     };
     assert_eq!(gauge("fleet.jobs"), 8);
-    assert_eq!(gauge("fleet.cache.hits"), stats.cache.hits as i64);
-    assert_eq!(gauge("fleet.cache.misses"), stats.cache.misses as i64);
 }
 
 /// Under `Level::Trace`, every job and every worker of a batch shows up as

@@ -627,7 +627,7 @@ fn check_span_tree_has_one_child_span_per_fleet_job() {
 
 /// Concurrent mixed traffic (run/check/cov, both backends) completes with
 /// a clean taxonomy, zero route panics and zero aborts, and the policy
-/// battery agrees under the shared cache.
+/// battery agrees.
 #[test]
 fn concurrent_mixed_traffic_is_clean() {
     let handle = start(ServerConfig::default()).unwrap();
@@ -733,6 +733,61 @@ fn restart_recovers_journals_and_accumulates_coverage() {
     let cov = post(&addr, "/v1/cov", r#"{"design":"adder"}"#);
     assert!(cov.body.contains("\"runs\": 3"), "{}", cov.body);
     second.shutdown();
+}
+
+/// A data dir written by an older `etpnd`, which also journaled an
+/// evaluation cache next to the coverage, still starts cleanly: coverage
+/// is recovered from `cov.journal`, runs are served, and every other file
+/// is left byte-identical (neither read nor deleted).
+#[test]
+fn old_data_dir_recovers_coverage_and_keeps_other_files() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("etpnd_legacy_data");
+    let dir = scratch("legacy");
+    let mut untouched = Vec::new();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        let bytes = std::fs::read(entry.path()).unwrap();
+        std::fs::write(dir.join(entry.file_name()), &bytes).unwrap();
+        if entry.file_name() != "cov.journal" {
+            untouched.push((entry.file_name(), bytes));
+        }
+    }
+    assert!(!untouched.is_empty(), "fixture holds more than cov.journal");
+
+    let handle = start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr;
+    let stats = handle.stats_json();
+    assert!(
+        stats.contains("\"serve.recovered.cov_frames\": 2"),
+        "{stats}"
+    );
+    assert!(
+        stats.contains("\"serve.recovered.bad_frames\": 0"),
+        "{stats}"
+    );
+    assert_eq!(post(&addr, "/v1/designs", &src_body(ADDER)).status, 201);
+    let cov = post(&addr, "/v1/cov", r#"{"design":"adder"}"#);
+    assert!(cov.body.contains("\"runs\": 2"), "{}", cov.body);
+    for body in [
+        r#"{"design":"adder","inputs":{"a":[3],"b":[4]}}"#,
+        r#"{"design":"adder","backend":"interp","inputs":{"a":[3],"b":[4]}}"#,
+    ] {
+        let r = post(&addr, "/v1/run", body);
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    handle.shutdown();
+
+    for (name, bytes) in untouched {
+        let after = std::fs::read(dir.join(&name)).unwrap();
+        assert!(after == bytes, "{name:?} was modified");
+    }
 }
 
 /// Graceful shutdown drains: requests admitted before the drain complete,
