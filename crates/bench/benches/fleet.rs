@@ -3,7 +3,7 @@
 //! plain sequential loop over the same jobs, on the default backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use etpn_sim::{FiringPolicy, Fleet, SimJob};
+use etpn_sim::{FiringPolicy, Fleet, RunSpec, SimJob};
 use etpn_synth::CompiledDesign;
 use etpn_workloads::{catalog, Workload};
 
@@ -12,19 +12,14 @@ use etpn_workloads::{catalog, Workload};
 fn battery(designs: &[(Workload, CompiledDesign)]) -> Vec<SimJob<'_>> {
     let mut jobs = Vec::new();
     for (w, d) in designs {
-        let mut policies = vec![FiringPolicy::MaximalStep];
-        for seed in 0..4 {
-            policies.push(FiringPolicy::RandomMaximal { seed });
-            policies.push(FiringPolicy::SingleRandom { seed });
-        }
-        for policy in policies {
-            let mut job = SimJob::new(&d.etpn, w.env())
-                .with_policy(policy)
-                .max_steps(w.max_steps);
-            for (n, v) in &d.reg_inits {
-                job = job.init_register(n, *v);
-            }
-            jobs.push(job);
+        for policy in FiringPolicy::battery(4) {
+            let spec = RunSpec {
+                policy,
+                max_steps: w.max_steps,
+                registers: d.reg_inits.clone(),
+                ..RunSpec::default()
+            };
+            jobs.push(SimJob::from_spec(&d.etpn, w.env(), spec));
         }
     }
     jobs

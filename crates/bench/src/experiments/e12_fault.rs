@@ -14,7 +14,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use etpn_sim::{run_campaign, CampaignConfig, FaultClass, SimJob};
+use etpn_sim::{run_campaign, CampaignConfig, FaultClass, Fleet, RunSpec, SimJob};
 use etpn_workloads::by_name;
 
 /// Run E12.
@@ -32,15 +32,17 @@ pub fn run(scale: Scale) -> Table {
     for name in ["gcd", "diffeq"] {
         let w = by_name(name).expect("workload exists");
         let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
-        let mut proto = SimJob::new(&d.etpn, w.env()).max_steps(w.max_steps);
-        for (n, v) in &d.reg_inits {
-            proto = proto.init_register(n, *v);
-        }
+        let spec = RunSpec {
+            max_steps: w.max_steps,
+            registers: d.reg_inits.clone(),
+            ..RunSpec::default()
+        };
+        let proto = SimJob::from_spec(&d.etpn, w.env(), spec);
         let cfg = CampaignConfig {
             include_control,
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&proto, &cfg).expect("golden run succeeds");
+        let report = run_campaign(&proto, &cfg, &Fleet::new(0)).expect("golden run succeeds");
         let sound =
             report.is_total_partition() && report.golden_unchanged && report.fleet.panics == 0;
         table.row([

@@ -22,7 +22,7 @@ use super::e9_throughput::cyclic_net;
 use crate::table::Table;
 use crate::Scale;
 use etpn_cov::{report, StaticDead};
-use etpn_sim::{FiringPolicy, Fleet, SaturationConfig, SimJob, Simulator};
+use etpn_sim::{FiringPolicy, Fleet, RunSpec, SaturationConfig, SimJob, Simulator};
 use etpn_workloads::by_name;
 use std::time::{Duration, Instant};
 
@@ -61,13 +61,13 @@ pub fn run(scale: Scale) -> Table {
         let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
         let outcome = Fleet::new(0).run_saturation(
             |seed| {
-                let mut job = SimJob::new(&d.etpn, w.env())
-                    .with_policy(policy_of(seed))
-                    .max_steps(w.max_steps);
-                for (n, v) in &d.reg_inits {
-                    job = job.init_register(n, *v);
-                }
-                job
+                let spec = RunSpec {
+                    policy: policy_of(seed),
+                    max_steps: w.max_steps,
+                    registers: d.reg_inits.clone(),
+                    ..RunSpec::default()
+                };
+                SimJob::from_spec(&d.etpn, w.env(), spec)
             },
             cfg,
         );

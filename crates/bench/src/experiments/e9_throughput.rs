@@ -9,7 +9,7 @@
 use crate::table::Table;
 use crate::Scale;
 use etpn_core::Etpn;
-use etpn_sim::{Backend, FiringPolicy, Fleet, ScriptedEnv, SimJob, Simulator};
+use etpn_sim::{Backend, FiringPolicy, Fleet, RunSpec, ScriptedEnv, SimJob, Simulator};
 use etpn_workloads::{catalog, random_net};
 use std::time::Instant;
 
@@ -96,19 +96,14 @@ fn battery_jobs<'a>(
 ) -> Vec<SimJob<'a>> {
     let mut jobs = Vec::new();
     for (w, d) in designs {
-        let mut policies = vec![FiringPolicy::MaximalStep];
-        for seed in 0..seeds {
-            policies.push(FiringPolicy::RandomMaximal { seed });
-            policies.push(FiringPolicy::SingleRandom { seed });
-        }
-        for policy in policies {
-            let mut job = SimJob::new(&d.etpn, w.env())
-                .with_policy(policy)
-                .max_steps(w.max_steps);
-            for (n, v) in &d.reg_inits {
-                job = job.init_register(n, *v);
-            }
-            jobs.push(job);
+        for policy in FiringPolicy::battery(seeds) {
+            let spec = RunSpec {
+                policy,
+                max_steps: w.max_steps,
+                registers: d.reg_inits.clone(),
+                ..RunSpec::default()
+            };
+            jobs.push(SimJob::from_spec(&d.etpn, w.env(), spec));
         }
     }
     jobs

@@ -4,23 +4,15 @@
 //! policy-invariance story to thread count — worker count and work-stealing
 //! order must be unobservable in the results.
 
-use etpn_sim::{event_structure, FiringPolicy, Fleet, SimJob, Simulator};
+use etpn_sim::{event_structure, FiringPolicy, Fleet, RunSpec, SimJob, Simulator};
 use etpn_workloads::catalog;
-
-/// The policy battery run for each workload: the deterministic policy plus
-/// seeded sweeps of both randomized policies. Randomized policies draw from
-/// per-job RNGs, so their traces too must be independent of scheduling.
-fn policies() -> Vec<FiringPolicy> {
-    let mut ps = vec![FiringPolicy::MaximalStep];
-    for seed in 0..2 {
-        ps.push(FiringPolicy::RandomMaximal { seed });
-        ps.push(FiringPolicy::SingleRandom { seed });
-    }
-    ps
-}
 
 #[test]
 fn fleet_matches_sequential_simulator_for_every_workload() {
+    // The policy battery run for each workload. Randomized policies draw
+    // from per-job RNGs, so their traces too must be independent of
+    // scheduling.
+    let policies = FiringPolicy::battery(2);
     for w in catalog() {
         let d = etpn_synth::compile_source(&w.source).unwrap();
 
@@ -28,7 +20,7 @@ fn fleet_matches_sequential_simulator_for_every_workload() {
         // Traces don't implement PartialEq; their Debug form is a complete
         // rendering, so byte-comparing it is the strictest check available.
         let mut expected = Vec::new();
-        for &policy in &policies() {
+        for &policy in &policies {
             let mut sim = Simulator::new(&d.etpn, w.env()).with_policy(policy);
             for (n, v) in &d.reg_inits {
                 sim = sim.init_register(n, *v);
@@ -39,16 +31,16 @@ fn fleet_matches_sequential_simulator_for_every_workload() {
         }
 
         for workers in [1usize, 4, 8] {
-            let jobs: Vec<SimJob> = policies()
+            let jobs: Vec<SimJob> = policies
                 .iter()
                 .map(|&policy| {
-                    let mut job = SimJob::new(&d.etpn, w.env())
-                        .with_policy(policy)
-                        .max_steps(w.max_steps);
-                    for (n, v) in &d.reg_inits {
-                        job = job.init_register(n, *v);
-                    }
-                    job
+                    let spec = RunSpec {
+                        policy,
+                        max_steps: w.max_steps,
+                        registers: d.reg_inits.clone(),
+                        ..RunSpec::default()
+                    };
+                    SimJob::from_spec(&d.etpn, w.env(), spec)
                 })
                 .collect();
             let batch = Fleet::new(workers).run_batch(jobs);

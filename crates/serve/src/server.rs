@@ -47,7 +47,7 @@ use etpn_core::json::{self, Json};
 use etpn_cov::CovDb;
 use etpn_obs as obs;
 use etpn_sim::{
-    Backend, FiringPolicy, Fleet, RetryPolicy, ScriptedEnv, SimError, SimJob, Termination,
+    Backend, FiringPolicy, Fleet, RetryPolicy, RunSpec, ScriptedEnv, SimError, SimJob, Termination,
 };
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
@@ -749,22 +749,31 @@ fn body_json(req: &Request) -> Result<Json, Response> {
     json::parse(text).map_err(|e| Response::error(400, &e.to_string()))
 }
 
-/// Resolve the `design` key of a request body.
-fn resolve_design(shared: &Shared, body: &Json) -> Result<Arc<DesignEntry>, Response> {
+/// Parse a design verb's body and resolve its `design` key, labelling
+/// `meta` with the design.
+fn resolve_design(
+    shared: &Shared,
+    req: &Request,
+    meta: &mut ReqMeta,
+) -> Result<(Json, Arc<DesignEntry>), Response> {
+    let body = body_json(req)?;
     let key = body
         .get("design")
         .and_then(|d| d.as_str().ok())
         .ok_or_else(|| Response::error(400, "missing string field `design`"))?;
-    shared
+    let entry = shared
         .registry
         .get(key)
-        .ok_or_else(|| Response::error(404, &format!("unknown design `{key}`")))
+        .ok_or_else(|| Response::error(404, &format!("unknown design `{key}`")))?;
+    meta.design = Some(entry.design.name.clone());
+    Ok((body, entry))
 }
 
 /// Admission through the design's breaker; simulation verbs only.
-fn admit_breaker(entry: &DesignEntry) -> Result<Admission, Response> {
+fn admit_breaker(shared: &Shared, entry: &DesignEntry) -> Result<Admission, Response> {
     match entry.breaker.admit() {
         Admission::Deny { retry_after } => {
+            shared.stats.counter("serve.breaker_denied").inc();
             let secs = retry_after.as_secs().max(1);
             Err(Response::json(
                 503,
@@ -836,26 +845,6 @@ impl Drop for BreakerTicket<'_> {
     }
 }
 
-/// Deadline remaining for a request admitted at `admitted`; `Err` is the
-/// ready-to-send `408`.
-fn remaining_deadline(
-    shared: &Shared,
-    body: &Json,
-    admitted: Instant,
-) -> Result<Duration, Response> {
-    let requested = body
-        .get("deadline_ms")
-        .and_then(|v| v.as_i64().ok())
-        .filter(|&ms| ms > 0)
-        .map(|ms| Duration::from_millis(ms as u64))
-        .unwrap_or(shared.cfg.default_deadline)
-        .min(shared.cfg.max_deadline);
-    requested.checked_sub(admitted.elapsed()).ok_or_else(|| {
-        shared.stats.counter("serve.deadline_expired").inc();
-        Response::error(408, "deadline expired before the request ran")
-    })
-}
-
 /// `GET /v1/designs`.
 fn list_designs(shared: &Shared) -> Response {
     let designs: Vec<Json> = shared
@@ -911,126 +900,121 @@ fn register_design(shared: &Shared, req: &Request, meta: &mut ReqMeta) -> Respon
     }
 }
 
-/// Shared simulation parameters parsed from a request body.
-struct SimParams {
-    steps: u64,
-    policy: FiringPolicy,
-    env: ScriptedEnv,
-    chaos: Option<String>,
-    backend: Backend,
-}
+/// Every run field a simulation request may carry, with the JSON type it
+/// must have when present.
+const RUN_FIELDS: [(&str, &str); 9] = [
+    ("inputs", "an object"),
+    ("steps", "an integer"),
+    ("seed", "an integer"),
+    ("deadline_ms", "an integer"),
+    ("seeds", "an integer"),
+    ("jobs", "an integer"),
+    ("policy", "a string"),
+    ("backend", "a string"),
+    ("repeat_last", "a boolean"),
+];
 
-fn sim_params(shared: &Shared, body: &Json) -> Result<SimParams, Response> {
-    let steps = body
-        .get("steps")
-        .and_then(|v| v.as_i64().ok())
-        .filter(|&n| n > 0)
-        .map(|n| n as u64)
-        .unwrap_or(10_000)
-        .min(1_000_000_000);
-    let seed = body.get("seed").and_then(|v| v.as_i64().ok()).unwrap_or(0) as u64;
-    let policy = match body.get("policy").and_then(|p| p.as_str().ok()) {
+/// The run a simulation request asks for: its [`RunSpec`] — registers
+/// from the design entry, and a wall budget of whatever the request
+/// deadline (`min(deadline_ms, max)` from admission) has left — plus its
+/// environment. Every simulating verb derives its jobs from this by
+/// overriding fields. A run field present with the wrong JSON type is a
+/// `400` naming it; absent fields keep their defaults and out-of-range
+/// numbers are clamped. An already expired deadline is the ready-to-send
+/// `408`.
+fn run_spec(
+    shared: &Shared,
+    entry: &DesignEntry,
+    body: &Json,
+    admitted: Instant,
+) -> Result<(RunSpec, ScriptedEnv), Response> {
+    for (field, kind) in RUN_FIELDS {
+        let found = match body.get(field) {
+            None => continue,
+            Some(Json::Num(_)) => "an integer",
+            Some(Json::Str(_)) => "a string",
+            Some(Json::Bool(_)) => "a boolean",
+            Some(Json::Obj(_)) => "an object",
+            Some(_) => "",
+        };
+        if found != kind {
+            let msg = format!("field `{field}` must be {kind}");
+            return Err(Response::error(400, &msg));
+        }
+    }
+    let int = |field| body.get(field).and_then(|v| v.as_i64().ok());
+    let text = |field| body.get(field).and_then(|v| v.as_str().ok());
+
+    let requested = int("deadline_ms")
+        .filter(|&ms| ms > 0)
+        .map(|ms| Duration::from_millis(ms as u64))
+        .unwrap_or(shared.cfg.default_deadline)
+        .min(shared.cfg.max_deadline);
+    let remaining = requested.checked_sub(admitted.elapsed()).ok_or_else(|| {
+        shared.stats.counter("serve.deadline_expired").inc();
+        Response::error(408, "deadline expired before the request ran")
+    })?;
+    let seed = int("seed").unwrap_or(0) as u64;
+    let policy = match text("policy") {
         None | Some("maximal") => FiringPolicy::MaximalStep,
         Some("random-maximal") => FiringPolicy::RandomMaximal { seed },
         Some("single-random") => FiringPolicy::SingleRandom { seed },
         Some(other) => return Err(Response::error(400, &format!("unknown policy `{other}`"))),
     };
-    let mut env = ScriptedEnv::new();
-    if let Some(Json::Obj(pairs)) = body.get("inputs") {
-        for (name, values) in pairs {
-            let arr = values
-                .as_arr()
-                .map_err(|e| Response::error(400, &e.to_string()))?;
-            let vals: Result<Vec<i64>, Response> = arr
-                .iter()
-                .map(|v| v.as_i64().map_err(|e| Response::error(400, &e.to_string())))
-                .collect();
-            env = env.with_stream(name, vals?);
-        }
-    }
-    if body
-        .get("repeat_last")
-        .and_then(|v| v.as_bool().ok())
-        .unwrap_or(false)
-    {
-        env = env.repeat_last();
-    }
-    let chaos = body
-        .get("chaos")
-        .and_then(|c| c.as_str().ok())
-        .map(str::to_string)
-        .filter(|_| shared.cfg.allow_chaos);
     // `interp` selects the reference interpreter.
-    let backend = match body.get("backend").and_then(|b| b.as_str().ok()) {
+    let backend = match text("backend") {
         None | Some("compiled") => Backend::Compiled,
         Some("interp") => Backend::Interp,
         Some(other) => return Err(Response::error(400, &format!("unknown backend `{other}`"))),
     };
-    Ok(SimParams {
-        steps,
-        policy,
-        env,
-        chaos,
-        backend,
-    })
-}
-
-/// Run one job attempt (panics propagate to the caller's `catch_unwind`).
-fn run_once(
-    entry: &DesignEntry,
-    p: &SimParams,
-    backend: Backend,
-    remaining: Duration,
-    want_cov: bool,
-) -> Result<etpn_sim::trace::Trace, etpn_sim::SimError> {
-    if let Some(chaos) = &p.chaos {
-        let strike =
-            chaos == "panic" || (chaos == "panic_compiled" && backend == Backend::Compiled);
-        if strike {
-            panic!("chaos: injected panic before simulation");
+    let mut env = ScriptedEnv::new();
+    if let Some(Json::Obj(pairs)) = body.get("inputs") {
+        for (name, values) in pairs {
+            let vals = values
+                .as_arr()
+                .and_then(|arr| arr.iter().map(Json::as_i64).collect::<Result<Vec<_>, _>>())
+                .map_err(|e| Response::error(400, &format!("field `inputs.{name}`: {e}")))?;
+            env = env.with_stream(name, vals);
         }
     }
-    let mut job = SimJob::new(&entry.design.etpn, p.env.clone())
-        .backend(backend)
-        .with_policy(p.policy)
-        .max_steps(p.steps)
-        .wall_budget(remaining);
-    for (name, v) in &entry.design.reg_inits {
-        job = job.init_register(name, *v);
+    if body.get("repeat_last") == Some(&Json::Bool(true)) {
+        env = env.repeat_last();
     }
-    if want_cov {
-        job = job.with_coverage();
-    }
-    job.run()
+    let spec = RunSpec {
+        backend,
+        policy,
+        max_steps: int("steps")
+            .filter(|&n| n > 0)
+            .map_or(10_000, |n| n as u64)
+            .min(1_000_000_000),
+        registers: entry.design.reg_inits.clone(),
+        wall_budget: Some(remaining),
+        ..RunSpec::default()
+    };
+    Ok((spec, env))
 }
 
 /// `POST /v1/run` — simulate under the full robustness envelope.
 fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMeta) -> Response {
-    let body = match body_json(req) {
-        Ok(b) => b,
+    let (body, entry) = match resolve_design(shared, req, meta) {
+        Ok(r) => r,
         Err(r) => return r,
     };
-    let entry = match resolve_design(shared, &body) {
-        Ok(e) => e,
-        Err(r) => return r,
-    };
-    meta.design = Some(entry.design.name.clone());
-    if let Err(r) = admit_breaker(&entry) {
-        shared.stats.counter("serve.breaker_denied").inc();
+    if let Err(r) = admit_breaker(shared, &entry) {
         return r;
     }
     // From here on, every path owes the admission an outcome; early
     // returns abstain via the ticket's drop (client faults are neither
     // success nor failure, and must never leak a half-open probe).
     let ticket = BreakerTicket::new(&entry.breaker);
-    let remaining = match remaining_deadline(shared, &body, admitted) {
-        Ok(d) => d,
+    let (spec, env) = match run_spec(shared, &entry, &body, admitted) {
+        Ok(r) => r,
         Err(r) => return r,
     };
-    let params = match sim_params(shared, &body) {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
+    let chaos = body
+        .get("chaos")
+        .and_then(|c| c.as_str().ok())
+        .filter(|_| shared.cfg.allow_chaos);
 
     // Graceful degradation: above the watermark, stop paying for coverage.
     let depth = shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
@@ -1042,8 +1026,8 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
     };
 
     let token = shared.request_seq.fetch_add(1, Ordering::Relaxed);
-    let deadline_at = Instant::now() + remaining;
-    let mut backend = params.backend;
+    let deadline_at = Instant::now() + spec.wall_budget.unwrap_or_default();
+    let mut backend = spec.backend;
     let mut delays = shared.cfg.retry.schedule(token);
     let mut last_panic = String::new();
     let mut attempt_no = 0i64;
@@ -1051,10 +1035,21 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
         let attempt = {
             let _s = meta.ctx.span_arg("engine.run", "attempt", attempt_no);
             catch_unwind(AssertUnwindSafe(|| {
+                let strike = chaos == Some("panic")
+                    || (chaos == Some("panic_compiled") && backend == Backend::Compiled);
+                if strike {
+                    panic!("chaos: injected panic before simulation");
+                }
                 let left = deadline_at
                     .checked_duration_since(Instant::now())
                     .unwrap_or(Duration::from_millis(1));
-                run_once(&entry, &params, backend, left, want_cov)
+                let spec = RunSpec {
+                    backend,
+                    wall_budget: Some(left),
+                    coverage: want_cov,
+                    ..spec.clone()
+                };
+                SimJob::from_spec(&entry.design.etpn, env.clone(), spec).run()
             }))
         };
         attempt_no += 1;
@@ -1157,27 +1152,17 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
 /// fleet: the design's event structure must be identical under every
 /// firing policy (Def. 3.2).
 fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMeta) -> Response {
-    let body = match body_json(req) {
-        Ok(b) => b,
+    let (body, entry) = match resolve_design(shared, req, meta) {
+        Ok(r) => r,
         Err(r) => return r,
     };
-    let entry = match resolve_design(shared, &body) {
-        Ok(e) => e,
-        Err(r) => return r,
-    };
-    meta.design = Some(entry.design.name.clone());
-    if let Err(r) = admit_breaker(&entry) {
-        shared.stats.counter("serve.breaker_denied").inc();
+    if let Err(r) = admit_breaker(shared, &entry) {
         return r;
     }
     // Client-fault early returns abstain via the ticket's drop.
     let ticket = BreakerTicket::new(&entry.breaker);
-    let remaining = match remaining_deadline(shared, &body, admitted) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
-    let params = match sim_params(shared, &body) {
-        Ok(p) => p,
+    let (spec, env) = match run_spec(shared, &entry, &body, admitted) {
+        Ok(r) => r,
         Err(r) => return r,
     };
     let seeds = body
@@ -1195,11 +1180,7 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         .unwrap_or(2)
         .min(8);
 
-    let mut policies = vec![FiringPolicy::MaximalStep];
-    for seed in 0..seeds {
-        policies.push(FiringPolicy::RandomMaximal { seed });
-        policies.push(FiringPolicy::SingleRandom { seed });
-    }
+    let policies = FiringPolicy::battery(seeds);
     // Every battery job carries a clone of the batch span's context, so
     // however the fleet's work-stealing schedules them, each `fleet.job`
     // span lands in this request's tree, parented under `fleet.batch`.
@@ -1209,15 +1190,11 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     let jobs: Vec<SimJob<'_, ScriptedEnv>> = policies
         .iter()
         .map(|&policy| {
-            let mut job = SimJob::new(&entry.design.etpn, params.env.clone())
-                .backend(params.backend)
-                .with_policy(policy)
-                .max_steps(params.steps)
-                .with_trace(batch_span.ctx());
-            for (name, v) in &entry.design.reg_inits {
-                job = job.init_register(name, *v);
-            }
-            job
+            let spec = RunSpec {
+                policy,
+                ..spec.clone()
+            };
+            SimJob::from_spec(&entry.design.etpn, env.clone(), spec).with_trace(batch_span.ctx())
         })
         .collect();
     // One *absolute* deadline for the whole battery: each job's budget is
@@ -1225,7 +1202,7 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     // workers cannot multiply the request deadline job-by-job.
     let fleet = Fleet::new(workers)
         .with_retry_policy(shared.cfg.retry)
-        .with_deadline_at(Instant::now() + remaining);
+        .with_deadline_at(Instant::now() + spec.wall_budget.unwrap_or_default());
     let batch = fleet.run_batch(jobs);
     drop(batch_span);
 
@@ -1300,15 +1277,10 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
 
 /// `POST /v1/cov` — coverage read-out; allowed in degraded mode.
 fn cov_verb(shared: &Shared, req: &Request, meta: &mut ReqMeta) -> Response {
-    let body = match body_json(req) {
-        Ok(b) => b,
+    let entry = match resolve_design(shared, req, meta) {
+        Ok((_, e)) => e,
         Err(r) => return r,
     };
-    let entry = match resolve_design(shared, &body) {
-        Ok(e) => e,
-        Err(r) => return r,
-    };
-    meta.design = Some(entry.design.name.clone());
     let cov = entry.cov.lock().unwrap_or_else(|e| e.into_inner());
     let (places, transitions, arcs, guards, toggles) = cov.covered_counts();
     Response::json(
@@ -1334,15 +1306,10 @@ fn cov_verb(shared: &Shared, req: &Request, meta: &mut ReqMeta) -> Response {
 /// `POST /v1/lint` — the diagnose-only verb; always available, breaker or
 /// not (this is what "degraded mode" degrades *to*).
 fn lint_verb(shared: &Shared, req: &Request, meta: &mut ReqMeta) -> Response {
-    let body = match body_json(req) {
-        Ok(b) => b,
+    let entry = match resolve_design(shared, req, meta) {
+        Ok((_, e)) => e,
         Err(r) => return r,
     };
-    let entry = match resolve_design(shared, &body) {
-        Ok(e) => e,
-        Err(r) => return r,
-    };
-    meta.design = Some(entry.design.name.clone());
     let report = etpn_lint::lint_compiled(&entry.design, &etpn_lint::LintConfig::default());
     let (errors, warnings, notes) = report.counts();
     Response::json(
@@ -1359,50 +1326,37 @@ fn lint_verb(shared: &Shared, req: &Request, meta: &mut ReqMeta) -> Response {
 
 /// `POST /v1/fault` — a bounded single-fault campaign.
 fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMeta) -> Response {
-    let body = match body_json(req) {
-        Ok(b) => b,
+    let (body, entry) = match resolve_design(shared, req, meta) {
+        Ok(r) => r,
         Err(r) => return r,
     };
-    let entry = match resolve_design(shared, &body) {
-        Ok(e) => e,
-        Err(r) => return r,
-    };
-    meta.design = Some(entry.design.name.clone());
-    if let Err(r) = admit_breaker(&entry) {
-        shared.stats.counter("serve.breaker_denied").inc();
+    if let Err(r) = admit_breaker(shared, &entry) {
         return r;
     }
     // Client-fault early returns abstain via the ticket's drop.
     let ticket = BreakerTicket::new(&entry.breaker);
-    let remaining = match remaining_deadline(shared, &body, admitted) {
-        Ok(d) => d,
+    let (spec, env) = match run_spec(shared, &entry, &body, admitted) {
+        Ok(r) => r,
         Err(r) => return r,
     };
-    let params = match sim_params(shared, &body) {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
-    let mut proto = SimJob::new(&entry.design.etpn, params.env.clone())
-        .with_policy(params.policy)
-        .max_steps(params.steps)
-        // The golden run is bounded too: a burner design must not hold a
-        // worker past the request deadline before the sweep even starts.
-        .wall_budget(remaining);
-    for (name, v) in &entry.design.reg_inits {
-        proto = proto.init_register(name, *v);
-    }
+    // The spec's wall budget bounds the golden run too: a burner design
+    // must not hold a worker past the request deadline before the sweep
+    // even starts. The fleet's deadline is absolute across the whole sweep
+    // (a deep fault queue cannot multiply it); jobs cut by it classify as
+    // hangs.
+    let fleet = Fleet::new(2)
+        .with_retry_policy(shared.cfg.retry)
+        .with_deadline_at(Instant::now() + spec.wall_budget.unwrap_or_default());
+    let proto = SimJob::from_spec(&entry.design.etpn, env, spec);
     let cfg = etpn_sim::CampaignConfig {
-        workers: 2,
-        retry: shared.cfg.retry,
-        // The deadline is absolute across the whole sweep (a deep fault
-        // queue cannot multiply it); jobs cut by it classify as hangs.
-        deadline_at: Some(Instant::now() + remaining),
         forensics: false,
         ..etpn_sim::CampaignConfig::default()
     };
     let result = {
         let _s = meta.ctx.span("fault.campaign");
-        catch_unwind(AssertUnwindSafe(|| etpn_sim::run_campaign(&proto, &cfg)))
+        catch_unwind(AssertUnwindSafe(|| {
+            etpn_sim::run_campaign(&proto, &cfg, &fleet)
+        }))
     };
     match result {
         Err(payload) => {
@@ -1503,17 +1457,17 @@ fn forensics(
     // divergence baseline `etpnc why` wants.
     if let Ok(Ok(trace)) = catch_unwind(AssertUnwindSafe(|| {
         let body = body_json(req).map_err(|_| ())?;
-        let p = sim_params(shared, &body).map_err(|_| ())?;
-        let mut job = SimJob::new(&entry.design.etpn, p.env.clone())
-            .backend(Backend::Interp)
-            .with_policy(p.policy)
-            .max_steps(p.steps.min(4096))
-            .wall_budget(Duration::from_millis(250))
-            .record(etpn_rec::RecordConfig::full(256));
-        for (name, v) in &entry.design.reg_inits {
-            job = job.init_register(name, *v);
-        }
-        job.run().map_err(|_| ())
+        let (spec, env) = run_spec(shared, entry, &body, Instant::now()).map_err(|_| ())?;
+        let spec = RunSpec {
+            backend: Backend::Interp,
+            max_steps: spec.max_steps.min(4096),
+            wall_budget: Some(Duration::from_millis(250)),
+            record: Some(etpn_rec::RecordConfig::full(256)),
+            ..spec
+        };
+        SimJob::from_spec(&entry.design.etpn, env, spec)
+            .run()
+            .map_err(|_| ())
     })) {
         if let Some(rec) = &trace.recording {
             let _ = std::fs::write(dir.join(format!("{stem}.etpnrec")), rec.to_bytes());

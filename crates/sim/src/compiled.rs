@@ -35,7 +35,8 @@ use etpn_core::{ArcId, Etpn, EtpnBuilder, Marking, Op, PlaceId, PortId, TransId,
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Which step engine a [`crate::Simulator`] (or [`crate::SimJob`]) uses.
+/// Which step engine a [`crate::Simulator`] uses ([`crate::RunSpec::backend`]
+/// for jobs, where the default is [`Backend::Compiled`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Backend {
     /// The reference interpreter: re-walk every place, arc and vertex on
@@ -178,6 +179,12 @@ impl CompiledDesign {
     /// Specialise `g` into flat tables. Pure function of the design; use
     /// [`get_or_compile`] to share compilations across runs.
     pub fn compile(g: &Etpn) -> Self {
+        Self::compile_keyed(g, g.fingerprint())
+    }
+
+    /// [`Self::compile`] for a design whose fingerprint `fp` the caller
+    /// has already computed.
+    fn compile_keyed(g: &Etpn, fp: u64) -> Self {
         let t0 = std::time::Instant::now();
         let pb = g.dp.ports().capacity_bound();
         let ab = g.dp.arcs().capacity_bound();
@@ -311,7 +318,7 @@ impl CompiledDesign {
 
         let spec = Self::build_spec(g);
         let cd = Self {
-            fingerprint: g.fingerprint(),
+            fingerprint: fp,
             fallback,
             n_ports: pb,
             n_arcs: ab,
@@ -426,10 +433,10 @@ impl CompiledDesign {
         self.live_ports
     }
 
-    /// True when this compilation's shape matches `g` (guards the global
-    /// cache against fingerprint collisions).
-    pub fn matches(&self, g: &Etpn) -> bool {
-        self.fingerprint == g.fingerprint()
+    /// True when this compilation's shape matches `g`, whose fingerprint
+    /// is `fp` (guards the global cache against fingerprint collisions).
+    fn matches(&self, g: &Etpn, fp: u64) -> bool {
+        self.fingerprint == fp
             && self.n_ports == g.dp.ports().capacity_bound()
             && self.n_arcs == g.dp.arcs().capacity_bound()
             && self.n_places == g.ctl.places().capacity_bound()
@@ -517,15 +524,15 @@ pub fn get_or_compile(g: &Etpn) -> Arc<CompiledDesign> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(cd) = map.get(&fp) {
-        if cd.matches(g) {
+        if cd.matches(g, fp) {
             return Arc::clone(cd);
         }
-        return Arc::new(CompiledDesign::compile(g));
+        return Arc::new(CompiledDesign::compile_keyed(g, fp));
     }
     drop(map);
     // Compile outside the lock: compilation can be slow for big designs
     // and other threads may want other designs meanwhile.
-    let cd = Arc::new(CompiledDesign::compile(g));
+    let cd = Arc::new(CompiledDesign::compile_keyed(g, fp));
     let mut map = cache
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);

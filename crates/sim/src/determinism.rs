@@ -15,6 +15,7 @@ use crate::error::SimError;
 use crate::extract::event_structure_with;
 use crate::fleet::{Fleet, SimJob};
 use crate::policy::FiringPolicy;
+use crate::spec::RunSpec;
 use etpn_core::{ControlRelations, Etpn, EventStructure};
 
 /// Result of a determinism battery.
@@ -70,21 +71,17 @@ where
     E: Environment + Clone + Send,
 {
     let rel = ControlRelations::compute(&g.ctl);
-    let mut policies = vec![FiringPolicy::MaximalStep];
-    for seed in 0..seeds {
-        policies.push(FiringPolicy::RandomMaximal { seed });
-        policies.push(FiringPolicy::SingleRandom { seed });
-    }
+    let policies = FiringPolicy::battery(seeds);
     let jobs: Vec<SimJob<E>> = policies
         .iter()
         .map(|&policy| {
-            let mut job = SimJob::new(g, env.clone())
-                .with_policy(policy)
-                .max_steps(max_steps);
-            for (name, v) in reg_inits {
-                job = job.init_register(name, *v);
-            }
-            job
+            let spec = RunSpec {
+                policy,
+                max_steps,
+                registers: reg_inits.to_vec(),
+                ..RunSpec::default()
+            };
+            SimJob::from_spec(g, env.clone(), spec)
         })
         .collect();
     let batch = Fleet::new(0).run_batch(jobs);

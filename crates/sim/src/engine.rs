@@ -239,14 +239,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self
     }
 
-    /// Record the value of the given ports at every step (waveform capture
-    /// for `sim::vcd`).
-    pub fn watch_ports(mut self, ports: Vec<PortId>) -> Self {
-        self.watch = ports;
-        self
-    }
-
-    /// Watch every register output (the architectural state).
+    /// Record the value of every register output (the architectural
+    /// state) at every step: waveform capture for `sim::vcd`.
     pub fn watch_registers(mut self) -> Self {
         let mut ports = Vec::new();
         for (_, vx) in self.g.dp.vertices().iter() {
@@ -363,18 +357,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self
     }
 
-    /// Initialise every register to `value` before the run.
-    pub fn init_registers(mut self, value: i64) -> Self {
-        for (_, vx) in self.g.dp.vertices().iter() {
-            for &p in &vx.outputs {
-                if self.g.dp.port(p).operation() == Op::Reg {
-                    self.state.set(p, Value::Def(value));
-                }
-            }
-        }
-        self
-    }
-
     /// Initialise the register vertex named `name` to `value`.
     pub fn init_register(mut self, name: &str, value: i64) -> Self {
         if let Some(v) = self.g.dp.vertex_by_name(name) {
@@ -385,6 +367,12 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
         }
         self
+    }
+
+    /// The fingerprint of the compiled backend's design, when a compiled
+    /// backend is selected.
+    pub(crate) fn compiled_fingerprint(&self) -> Option<u64> {
+        self.compiled.as_ref().map(|cs| cs.cd.fingerprint())
     }
 
     /// Current marking (diagnostics / single-stepping).

@@ -114,12 +114,17 @@ pub fn observational_sweep<E>(
 where
     E: crate::env::Environment + Clone + Send,
 {
-    let jobs: Vec<crate::fleet::SimJob<E>> = envs
+    use crate::{fleet::SimJob, spec::RunSpec};
+    let spec = RunSpec {
+        max_steps,
+        ..RunSpec::default()
+    };
+    let jobs: Vec<SimJob<E>> = envs
         .iter()
         .flat_map(|env| {
             [
-                crate::fleet::SimJob::new(g1, env.clone()).max_steps(max_steps),
-                crate::fleet::SimJob::new(g2, env.clone()).max_steps(max_steps),
+                SimJob::from_spec(g1, env.clone(), spec.clone()),
+                SimJob::from_spec(g2, env.clone(), spec.clone()),
             ]
         })
         .collect();

@@ -31,7 +31,6 @@ use crate::equiv::{compare_structures, EquivalenceVerdict};
 use crate::error::SimError;
 use crate::extract::event_structure;
 use crate::fleet::{lock_recover, Fleet, FleetStats, SimJob};
-use crate::retry::RetryPolicy;
 use crate::trace::{Termination, Trace};
 use etpn_core::dot::{datapath_dot_heat, DataHeat};
 use etpn_core::{Etpn, EventStructure, Marking, PlaceId, PortId, Value};
@@ -41,7 +40,6 @@ use etpn_rec::{DivergenceReport, RecordConfig, Recording};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// What a fault does at its site.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -414,24 +412,6 @@ pub struct CampaignConfig {
     pub include_control: bool,
     /// Strike step for transient faults (bit flips, token faults).
     pub transient_step: u64,
-    /// Fleet worker threads (`0` = one per CPU).
-    pub workers: usize,
-    /// Retry policy for panicked jobs.
-    pub retry: RetryPolicy,
-    /// Per-job wall-clock budget; overruns classify as [`FaultClass::Hang`].
-    pub wall_budget: Option<Duration>,
-    /// Absolute deadline for the whole sweep
-    /// ([`Fleet::with_deadline_at`]): each faulty job's budget is clamped
-    /// to the time left when it starts, so a deep fault queue cannot
-    /// multiply `wall_budget` past the caller's deadline. Jobs cut this
-    /// way classify as [`FaultClass::Hang`].
-    pub deadline_at: Option<Instant>,
-    /// Collect functional coverage over the campaign: the golden run and
-    /// every faulty job record a [`CovDb`], merged into
-    /// [`CampaignReport::coverage`]. A campaign exercises the design under
-    /// every single-fault perturbation, so its merged coverage is a cheap
-    /// upper-bound probe of reachable-but-untested behaviour.
-    pub coverage: bool,
     /// Flight-record the golden run and every faulty job, and bisect each
     /// non-masked completed outcome against the golden recording to its
     /// first divergent step and causal slice
@@ -454,11 +434,6 @@ impl Default for CampaignConfig {
             ],
             include_control: false,
             transient_step: 1,
-            workers: 0,
-            retry: RetryPolicy::default(),
-            wall_budget: None,
-            deadline_at: None,
-            coverage: false,
             forensics: true,
         }
     }
@@ -479,8 +454,9 @@ pub struct CampaignReport {
     pub golden_unchanged: bool,
     /// Fleet scheduling/panic counters for the faulty batch.
     pub fleet: FleetStats,
-    /// Coverage merged over the golden run and every faulty job, when
-    /// [`CampaignConfig::coverage`] was set.
+    /// Coverage merged over the golden run and every faulty job, when the
+    /// prototype job's [`RunSpec::coverage`](crate::RunSpec::coverage) was
+    /// set.
     pub coverage: Option<CovDb>,
     planned: usize,
 }
@@ -615,35 +591,38 @@ fn classify(
     }
 }
 
-/// Run a one-fault-per-job campaign: the golden run (on the calling
-/// thread), then every planned fault as a fleet job, then the golden run
-/// once more to prove the clean path is unperturbed.
+/// Run a one-fault-per-job campaign on `fleet`: the golden run (on the
+/// calling thread), then every planned fault as a fleet job, then the
+/// golden run once more to prove the clean path is unperturbed.
 ///
-/// `proto` is the job template — design, environment, policy, step budget
-/// and register initialisation are all taken from it; the sweep only adds
-/// the fault plan (and `cfg.wall_budget`, when set).
+/// `proto` is the job template: every run takes its settings from
+/// `proto.spec`, and the sweep only adds the fault plan (plus a recording
+/// under [`CampaignConfig::forensics`]). The spec's wall-clock budget
+/// bounds the golden run and each faulty job; overruns classify as
+/// [`FaultClass::Hang`]. With coverage on, the golden and faulty DBs merge
+/// into [`CampaignReport::coverage`]: a campaign exercises the design
+/// under every single-fault perturbation, so that is a cheap upper-bound
+/// probe of reachable-but-untested behaviour. The fleet supplies workers,
+/// retries and an optional absolute deadline
+/// ([`Fleet::with_deadline_at`]), under which jobs cut short also
+/// classify as hangs.
 pub fn run_campaign<'g, E>(
     proto: &SimJob<'g, E>,
     cfg: &CampaignConfig,
+    fleet: &Fleet,
 ) -> Result<CampaignReport, SimError>
 where
     E: Environment + Clone + Send,
 {
     let _span = obs::span("fault.campaign");
     let g = proto.design();
-    // One fingerprint pass serves the golden run and every swept job.
-    let design_fp = cfg.forensics.then(|| g.fingerprint());
-    let instrument = |j: SimJob<'g, E>| {
-        let j = if cfg.coverage { j.with_coverage() } else { j };
-        if let Some(fp) = design_fp {
-            // Full-journal recordings: forensics must reach back to step 0
-            // regardless of trace length, so no ring eviction here.
-            j.record(RecordConfig::full(256)).design_fingerprint(fp)
-        } else {
-            j
-        }
-    };
-    let golden_trace = instrument(proto.clone()).run()?;
+    let mut instrumented = proto.clone();
+    if cfg.forensics {
+        // Full-journal recordings: forensics must reach back to step 0
+        // regardless of trace length, so no ring eviction here.
+        instrumented.spec.record = Some(RecordConfig::full(256));
+    }
+    let golden_trace = instrumented.clone().run()?;
     let golden_es = event_structure(g, &golden_trace);
 
     let mut faults = FaultPlan::sweep_data_ports(g, &cfg.kinds, cfg.transient_step);
@@ -655,17 +634,11 @@ where
     let jobs: Vec<SimJob<'g, E>> = faults
         .iter()
         .map(|&f| {
-            let mut j = instrument(proto.clone()).with_faults(FaultPlan::single(f));
-            if let Some(b) = cfg.wall_budget {
-                j = j.wall_budget(b);
-            }
+            let mut j = instrumented.clone();
+            j.spec.faults = Some(FaultPlan::single(f));
             j
         })
         .collect();
-    let mut fleet = Fleet::new(cfg.workers).with_retry_policy(cfg.retry);
-    if let Some(at) = cfg.deadline_at {
-        fleet = fleet.with_deadline_at(at);
-    }
     // Classify and bisect on the worker threads, per job as it finishes:
     // each faulty journal is dropped the moment its divergence report
     // exists, so the batch retains at most one full journal per worker
@@ -785,6 +758,13 @@ mod tests {
         ScriptedEnv::new()
             .with_stream("a", [a])
             .with_stream("b", [b])
+    }
+
+    /// The campaign prototype: a default job with a 20-step budget.
+    fn proto_job(g: &Etpn) -> SimJob<'_> {
+        let mut proto = SimJob::new(g, env_ab(3, 4));
+        proto.spec.max_steps = 20;
+        proto
     }
 
     #[test]
@@ -929,10 +909,9 @@ mod tests {
             kind: FaultKind::StuckAt0,
             window: FaultWindow::Permanent(0),
         };
-        let faulty = SimJob::new(&g, env_ab(3, 4))
-            .with_faults(FaultPlan::single(fault))
-            .run()
-            .unwrap();
+        let mut faulty = SimJob::new(&g, env_ab(3, 4));
+        faulty.spec.faults = Some(FaultPlan::single(fault));
+        let faulty = faulty.run().unwrap();
         assert_eq!(faulty.values_on_named_output(&g, "y"), vec![4]);
 
         let clean_after = SimJob::new(&g, env_ab(3, 4)).run().unwrap();
@@ -946,13 +925,12 @@ mod tests {
     #[test]
     fn campaign_partitions_every_fault() {
         let g = add_once();
-        let proto = SimJob::new(&g, env_ab(3, 4)).max_steps(20);
+        let proto = proto_job(&g);
         let cfg = CampaignConfig {
             include_control: true,
-            workers: 2,
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&proto, &cfg).unwrap();
+        let report = run_campaign(&proto, &cfg, &Fleet::new(2)).unwrap();
         let expected = g.dp.ports().len() * 3 + g.ctl.places().len() * 2;
         assert_eq!(report.outcomes.len(), expected);
         assert!(report.is_total_partition(), "{}", report.summary(&g));
@@ -973,8 +951,9 @@ mod tests {
     #[test]
     fn forensics_locates_first_divergence_of_sdc_faults() {
         let g = add_once();
-        let proto = SimJob::new(&g, env_ab(3, 4)).max_steps(20);
-        let report = run_campaign(&proto, &CampaignConfig::default()).unwrap();
+        let proto = proto_job(&g);
+        let fleet = Fleet::new(0);
+        let report = run_campaign(&proto, &CampaignConfig::default(), &fleet).unwrap();
         let sdc: Vec<&FaultOutcome> = report
             .outcomes
             .iter()
@@ -1010,6 +989,7 @@ mod tests {
                 forensics: false,
                 ..CampaignConfig::default()
             },
+            &fleet,
         )
         .unwrap();
         assert!(plain.outcomes.iter().all(|o| o.divergence.is_none()));
@@ -1018,8 +998,8 @@ mod tests {
     #[test]
     fn vulnerability_map_scores_sdc_vertices() {
         let g = add_once();
-        let proto = SimJob::new(&g, env_ab(3, 4)).max_steps(20);
-        let report = run_campaign(&proto, &CampaignConfig::default()).unwrap();
+        let proto = proto_job(&g);
+        let report = run_campaign(&proto, &CampaignConfig::default(), &Fleet::new(0)).unwrap();
         let heat = report.sdc_by_vertex(&g);
         assert_eq!(heat.len(), g.dp.vertices().capacity_bound());
         assert!(

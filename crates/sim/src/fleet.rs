@@ -5,20 +5,20 @@
 //! simulations of the same few designs under varying policies, seeds and
 //! environments. [`Fleet::run_batch`] spreads them over worker threads:
 //! jobs are striped over per-worker deques (idle workers steal from the
-//! back of their neighbours'), and each job runs on the compiled engine by
-//! default, so all jobs over one design share its single compilation
+//! back of their neighbours'). A job is a design, an environment and a
+//! [`RunSpec`]; it runs on the compiled engine by default, so all jobs over
+//! one design share its single compilation
 //! ([`crate::compiled::get_or_compile`]). Every job runs inside a
 //! panic-isolation boundary with bounded retries. Results come back
 //! indexed by submission order, so the output is deterministic regardless
 //! of how the jobs were scheduled or stolen.
 
-use crate::compiled::Backend;
 use crate::engine::Simulator;
 use crate::env::{Environment, ScriptedEnv};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
 use crate::policy::FiringPolicy;
 use crate::retry::RetryPolicy;
+use crate::spec::RunSpec;
 use crate::trace::Trace;
 use etpn_core::Etpn;
 use etpn_cov::CovDb;
@@ -53,49 +53,30 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// One simulation request: a design, an environment and a run
-/// configuration. Built builder-style, mirroring [`Simulator`].
+/// One simulation request: a design, an environment and the [`RunSpec`]
+/// that configures the run.
 #[derive(Clone)]
 pub struct SimJob<'g, E: Environment = ScriptedEnv> {
     g: &'g Etpn,
     env: E,
-    policy: FiringPolicy,
-    max_steps: u64,
-    init_all: Option<i64>,
-    reg_inits: Vec<(String, i64)>,
-    allow_unsafe: bool,
-    faults: Option<FaultPlan>,
-    wall_budget: Option<Duration>,
-    strict: bool,
-    coverage: bool,
-    backend: Backend,
-    record: Option<etpn_rec::RecordConfig>,
-    design_fp: Option<u64>,
+    /// How the job runs.
+    pub spec: RunSpec,
     trace: obs::TraceCtx,
 }
 
 impl<'g, E: Environment> SimJob<'g, E> {
-    /// A job over `g` and `env` with the deterministic
-    /// [`FiringPolicy::MaximalStep`] policy, a 10 000-step budget, and the
-    /// compiled backend (the fleet default — jobs over one design share its
-    /// compilation, and the differential battery holds the backends
-    /// bit-identical; see [`SimJob::backend`] to opt out).
+    /// A job over `g` and `env` with the default [`RunSpec`]: the compiled
+    /// backend, [`FiringPolicy::MaximalStep`] and a 10 000-step budget.
     pub fn new(g: &'g Etpn, env: E) -> Self {
+        Self::from_spec(g, env, RunSpec::default())
+    }
+
+    /// A job over `g` and `env` configured by `spec`.
+    pub fn from_spec(g: &'g Etpn, env: E, spec: RunSpec) -> Self {
         Self {
             g,
             env,
-            policy: FiringPolicy::MaximalStep,
-            max_steps: 10_000,
-            init_all: None,
-            reg_inits: Vec::new(),
-            allow_unsafe: false,
-            faults: None,
-            wall_budget: None,
-            strict: false,
-            coverage: false,
-            backend: Backend::Compiled,
-            record: None,
-            design_fp: None,
+            spec,
             trace: obs::TraceCtx::disabled(),
         }
     }
@@ -103,43 +84,6 @@ impl<'g, E: Environment> SimJob<'g, E> {
     /// The design this job runs.
     pub fn design(&self) -> &'g Etpn {
         self.g
-    }
-
-    /// Select the step engine (default [`Backend::Compiled`]; use
-    /// [`Backend::Interp`] for the reference interpreter).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Select the firing policy (the seed lives inside the policy).
-    pub fn with_policy(mut self, policy: FiringPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Set the step budget.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Initialise every register to `value` before the run.
-    pub fn init_registers(mut self, value: i64) -> Self {
-        self.init_all = Some(value);
-        self
-    }
-
-    /// Initialise the register vertex named `name` to `value`.
-    pub fn init_register(mut self, name: &str, value: i64) -> Self {
-        self.reg_inits.push((name.to_string(), value));
-        self
-    }
-
-    /// Disable the runtime safeness check (Def. 3.2(2)).
-    pub fn allow_unsafe(mut self) -> Self {
-        self.allow_unsafe = true;
-        self
     }
 
     /// Attach a request-scoped trace context ([`obs::TraceCtx`]). The
@@ -153,94 +97,35 @@ impl<'g, E: Environment> SimJob<'g, E> {
         self
     }
 
-    /// Inject faults from `plan` (see [`crate::fault`]).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Stop with `Termination::Budget` after this much wall-clock time.
-    pub fn wall_budget(mut self, budget: Duration) -> Self {
-        self.wall_budget = Some(budget);
-        self
-    }
-
-    /// Raise `SimError::InputExhausted` on dry input reads.
-    pub fn strict_inputs(mut self) -> Self {
-        self.strict = true;
-        self
-    }
-
-    /// Collect functional coverage into the job's trace (see
-    /// [`Simulator::with_coverage`]); the fleet merges per-job DBs into
-    /// [`FleetBatch::coverage`] at join.
-    pub fn with_coverage(mut self) -> Self {
-        self.coverage = true;
-        self
-    }
-
-    /// Flight-record the job (see [`Simulator::with_recorder`]): the
-    /// trace carries an [`etpn_rec::Recording`] per job, so any fleet
-    /// member — e.g. each fault of a campaign — can be replayed and
-    /// bisected for divergence forensics afterwards.
-    pub fn record(mut self, cfg: etpn_rec::RecordConfig) -> Self {
-        self.record = Some(cfg);
-        self
-    }
-
-    /// Supply the design's precomputed fingerprint so each recorded job
-    /// skips re-deriving it (see
-    /// [`Simulator::with_design_fingerprint`]). Campaign drivers compute
-    /// it once per design and stamp every job.
-    pub fn design_fingerprint(mut self, fp: u64) -> Self {
-        self.design_fp = Some(fp);
-        self
-    }
-
-    /// Build the configured simulator.
-    fn into_sim(self) -> Simulator<'g, E> {
-        let mut sim = Simulator::new(self.g, self.env)
-            .with_backend(self.backend)
-            .with_policy(self.policy);
-        if let Some(v) = self.init_all {
-            sim = sim.init_registers(v);
-        }
-        for (name, v) in &self.reg_inits {
-            sim = sim.init_register(name, *v);
-        }
-        if self.allow_unsafe {
-            sim = sim.allow_unsafe();
-        }
-        if let Some(plan) = self.faults {
-            sim = sim.with_faults(plan);
-        }
-        if let Some(b) = self.wall_budget {
-            sim = sim.with_wall_budget(b);
-        }
-        if self.strict {
-            sim = sim.strict_inputs();
-        }
-        if self.coverage {
-            sim = sim.with_coverage();
-        }
-        if let Some(cfg) = self.record {
-            sim = sim.with_recorder(cfg);
-        }
-        if let Some(fp) = self.design_fp {
-            sim = sim.with_design_fingerprint(fp);
-        }
-        sim
-    }
-
     /// Execute this job on the calling thread.
     pub fn run(self) -> Result<Trace, SimError> {
-        let max_steps = self.max_steps;
-        self.into_sim().run(max_steps)
+        Simulator::from_spec(self.g, self.env, &self.spec).run(self.spec.max_steps)
     }
 
-    /// Same as [`SimJob::run`].
-    // Kept only because `perfbench/src/battery.rs` calls it by this name;
-    // delete it once that call is changed to `run`.
+    // The four methods below are kept only because `perfbench/src/battery.rs`
+    // calls them; delete them once it builds its jobs with `from_spec`.
+
+    #[doc(hidden)]
+    #[deprecated(note = "perfbench only; use SimJob::from_spec")]
+    pub fn with_policy(mut self, policy: FiringPolicy) -> Self {
+        self.spec.policy = policy;
+        self
+    }
+
+    #[doc(hidden)]
+    #[deprecated(note = "perfbench only; use SimJob::from_spec")]
+    pub fn max_steps(mut self, max_steps: u64) -> Self {
+        self.spec.max_steps = max_steps;
+        self
+    }
+
+    #[doc(hidden)]
+    #[deprecated(note = "perfbench only; use SimJob::from_spec")]
+    pub fn init_register(mut self, name: &str, value: i64) -> Self {
+        self.spec.registers.push((name.to_string(), value));
+        self
+    }
+
     #[doc(hidden)]
     pub fn run_uncached(self) -> Result<Trace, SimError> {
         self.run()
@@ -301,7 +186,7 @@ pub struct FleetBatch {
     /// order the workers actually ran them in.
     pub results: Vec<Result<Trace, SimError>>,
     /// Merged functional coverage over every successful job that carried a
-    /// [`CovDb`] (jobs built [`SimJob::with_coverage`]). Counters sum and
+    /// [`CovDb`] (jobs with [`RunSpec::coverage`] set). Counters sum and
     /// covered-sets union, so the merge is independent of worker count and
     /// scheduling: the same seed set yields a bit-identical DB under any
     /// `--jobs`. Jobs whose design fingerprint differs from the first
@@ -357,11 +242,11 @@ pub struct SaturationOutcome {
 
 /// A reusable batch-simulation engine: a worker count plus retry and
 /// deadline settings. Batches run on scoped threads, so jobs may borrow
-/// their designs from the caller's stack.
+/// their designs from the caller's stack. A per-job wall-clock budget is
+/// the job's own [`RunSpec::wall_budget`].
 pub struct Fleet {
     workers: usize,
     retry: RetryPolicy,
-    job_deadline: Option<Duration>,
     deadline_at: Option<Instant>,
 }
 
@@ -376,49 +261,28 @@ impl Fleet {
         Self {
             workers,
             retry: RetryPolicy::immediate(DEFAULT_RETRIES),
-            job_deadline: None,
             deadline_at: None,
         }
     }
 
-    /// Bounded retries for panicked jobs (default 1), retried
-    /// immediately. Retries re-run the identical job from scratch, so
-    /// they are deterministic. A job that panics on every attempt
-    /// resolves to [`SimError::Panicked`] instead of aborting the batch.
-    pub fn with_retries(mut self, retries: u64) -> Self {
-        self.retry = self.retry.with_max_retries(retries);
-        self
-    }
-
-    /// The full retry policy — budget *and* backoff schedule (see
-    /// [`RetryPolicy`]). The fleet default is
-    /// [`RetryPolicy::immediate`]`(1)`; services that share a machine
-    /// with their callers (e.g. `etpnd`) use a decorrelated-jitter
-    /// policy so retry storms spread out.
+    /// The retry policy for panicked jobs — budget *and* backoff schedule
+    /// (see [`RetryPolicy`]). Retries re-run the identical job from
+    /// scratch, so they are deterministic, and a job that panics on every
+    /// attempt resolves to [`SimError::Panicked`] instead of aborting the
+    /// batch. The fleet default is [`RetryPolicy::immediate`]`(1)`;
+    /// services that share a machine with their callers (e.g. `etpnd`)
+    /// use a decorrelated-jitter policy so retry storms spread out.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
         self
     }
 
-    /// A wall-clock deadline stamped onto every job of a batch that does
-    /// not already carry its own [`SimJob::wall_budget`]: one stuck
-    /// simulation then resolves to `Termination::Budget` instead of
-    /// stalling the whole batch behind it. Note this is a **per-job**
-    /// budget, each measured from its own start — a deep queue on few
-    /// workers can therefore spend many multiples of it in total. When
-    /// the batch as a whole must resolve by a point in time, use
-    /// [`Fleet::with_deadline_at`].
-    pub fn with_job_deadline(mut self, deadline: Duration) -> Self {
-        self.job_deadline = Some(deadline);
-        self
-    }
-
     /// An **absolute** deadline for the whole batch: when each job
-    /// starts, its [`SimJob::wall_budget`] is clamped to the time left
+    /// starts, its [`RunSpec::wall_budget`] is clamped to the time left
     /// until `at` (jobs starting after `at` terminate almost immediately
-    /// with `Termination::Budget`). Unlike [`Fleet::with_job_deadline`],
-    /// queueing time counts, so a deep queue cannot multiply the batch's
-    /// wall time past the deadline.
+    /// with `Termination::Budget`). Unlike a per-job budget, queueing time
+    /// counts, so a deep queue cannot multiply the batch's wall time past
+    /// the deadline.
     pub fn with_deadline_at(mut self, at: Instant) -> Self {
         self.deadline_at = Some(at);
         self
@@ -501,12 +365,7 @@ impl Fleet {
         let workers = self.workers.min(n_jobs).max(1);
         let queues: Vec<WorkQueue<'g, E>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, mut job) in jobs.into_iter().enumerate() {
-            // Stamp the fleet-wide deadline on jobs without their own, so
-            // a single pathological job cannot stall the batch.
-            if job.wall_budget.is_none() {
-                job.wall_budget = self.job_deadline;
-            }
+        for (i, job) in jobs.into_iter().enumerate() {
             lock_recover(&queues[i % workers]).push_back((i, job));
         }
         let slots: Vec<Mutex<Option<Result<Trace, SimError>>>> =
@@ -555,8 +414,8 @@ impl Fleet {
                                         let left = at
                                             .checked_duration_since(Instant::now())
                                             .unwrap_or(Duration::from_micros(1));
-                                        job.wall_budget =
-                                            Some(job.wall_budget.map_or(left, |b| b.min(left)));
+                                        let budget = &mut job.spec.wall_budget;
+                                        *budget = Some(budget.map_or(left, |b| b.min(left)));
                                     }
                                     let _job_span = obs::span_arg("fleet.job", "job", idx as i64);
                                     // The request-scoped twin of the span
@@ -665,7 +524,11 @@ impl Fleet {
                 .collect();
             let jobs: Vec<SimJob<'g, E>> = seeds
                 .iter()
-                .map(|&seed| make_job(seed).with_coverage())
+                .map(|&seed| {
+                    let mut job = make_job(seed);
+                    job.spec.coverage = true;
+                    job
+                })
                 .collect();
             seeds_used.extend_from_slice(&seeds);
             let batch = self.run_batch(jobs);
@@ -708,6 +571,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::Backend;
     use etpn_core::{EtpnBuilder, Op, Value};
 
     /// s0: load r := a + b;  s1: emit r to y;  then terminate.
@@ -741,12 +605,19 @@ mod tests {
             .with_stream("b", [b])
     }
 
+    /// A default job with a `max_steps` budget.
+    fn job<E: Environment>(g: &Etpn, env: E, max_steps: u64) -> SimJob<'_, E> {
+        let spec = RunSpec {
+            max_steps,
+            ..RunSpec::default()
+        };
+        SimJob::from_spec(g, env, spec)
+    }
+
     #[test]
     fn batch_results_follow_submission_order() {
         let g = add_once();
-        let jobs: Vec<SimJob> = (0..12)
-            .map(|i| SimJob::new(&g, env_ab(i, 100)).max_steps(10))
-            .collect();
+        let jobs: Vec<SimJob> = (0..12).map(|i| job(&g, env_ab(i, 100), 10)).collect();
         let fleet = Fleet::new(4);
         let batch = fleet.run_batch(jobs);
         assert_eq!(batch.stats.jobs, 12);
@@ -761,14 +632,28 @@ mod tests {
         let g = add_once();
         let jobs: Vec<SimJob> = (0..8)
             .map(|_| {
-                SimJob::new(&g, env_ab(3, 4))
-                    .backend(Backend::Interp)
-                    .max_steps(10)
+                let mut j = job(&g, env_ab(3, 4), 10);
+                j.spec.backend = Backend::Interp;
+                j
             })
             .collect();
         let batch = Fleet::new(2).run_batch(jobs);
         for r in &batch.results {
             assert_eq!(r.as_ref().unwrap().values_on_named_output(&g, "y"), vec![7]);
+        }
+    }
+
+    /// A recorded job is keyed by its design's fingerprint on either
+    /// backend (the compiled one takes it from the shared compilation).
+    #[test]
+    fn recorded_jobs_carry_the_design_fingerprint() {
+        let g = add_once();
+        for backend in [Backend::Interp, Backend::Compiled] {
+            let mut j = job(&g, env_ab(1, 2), 10);
+            j.spec.backend = backend;
+            j.spec.record = Some(etpn_rec::RecordConfig::full(4));
+            let rec = j.run().unwrap().recording.unwrap();
+            assert_eq!(rec.meta.design_fp, g.fingerprint());
         }
     }
 
@@ -802,9 +687,9 @@ mod tests {
     fn panics_are_contained_per_job() {
         let g = add_once();
         let jobs = vec![
-            SimJob::new(&g, TestEnv::Healthy(env_ab(1, 2))).max_steps(10),
-            SimJob::new(&g, TestEnv::Bomb).max_steps(10),
-            SimJob::new(&g, TestEnv::Healthy(env_ab(3, 4))).max_steps(10),
+            job(&g, TestEnv::Healthy(env_ab(1, 2)), 10),
+            job(&g, TestEnv::Bomb, 10),
+            job(&g, TestEnv::Healthy(env_ab(3, 4)), 10),
         ];
         let batch = Fleet::new(2).run_batch(jobs);
         assert_eq!(
@@ -836,8 +721,10 @@ mod tests {
     #[test]
     fn retry_budget_is_bounded_and_counted() {
         let g = add_once();
-        let jobs = vec![SimJob::new(&g, TestEnv::Bomb).max_steps(10)];
-        let batch = Fleet::new(1).with_retries(3).run_batch(jobs);
+        let jobs = vec![job(&g, TestEnv::Bomb, 10)];
+        let batch = Fleet::new(1)
+            .with_retry_policy(RetryPolicy::immediate(3))
+            .run_batch(jobs);
         assert!(matches!(
             batch.results[0],
             Err(SimError::Panicked { retries: 3, .. })
@@ -849,8 +736,10 @@ mod tests {
     #[test]
     fn zero_retries_still_contains_the_panic() {
         let g = add_once();
-        let jobs = vec![SimJob::new(&g, TestEnv::Bomb).max_steps(10)];
-        let batch = Fleet::new(1).with_retries(0).run_batch(jobs);
+        let jobs = vec![job(&g, TestEnv::Bomb, 10)];
+        let batch = Fleet::new(1)
+            .with_retry_policy(RetryPolicy::immediate(0))
+            .run_batch(jobs);
         assert!(matches!(
             batch.results[0],
             Err(SimError::Panicked { retries: 0, .. })
@@ -859,9 +748,9 @@ mod tests {
         assert_eq!(batch.stats.retried, 0);
     }
 
-    /// The fleet-wide job deadline lands on jobs without their own
-    /// budget: a spinning job resolves to `Termination::Budget` instead
-    /// of hanging the batch.
+    /// A job's own wall-clock budget bounds it inside the fleet: a
+    /// spinning job resolves to `Termination::Budget` instead of hanging
+    /// the batch.
     #[test]
     fn fleet_deadline_bounds_stuck_jobs() {
         use crate::trace::Termination;
@@ -878,9 +767,9 @@ mod tests {
         b.seq(s1, s0, "t1");
         b.mark(s0);
         let spin = b.finish().unwrap();
-        let jobs = vec![SimJob::new(&spin, ScriptedEnv::new()).max_steps(u64::MAX)];
-        let fleet = Fleet::new(1).with_job_deadline(Duration::from_millis(20));
-        let batch = fleet.run_batch(jobs);
+        let mut stuck = job(&spin, ScriptedEnv::new(), u64::MAX);
+        stuck.spec.wall_budget = Some(Duration::from_millis(20));
+        let batch = Fleet::new(1).run_batch(vec![stuck]);
         let trace = batch.results[0].as_ref().unwrap();
         assert_eq!(trace.termination, Termination::Budget);
     }
@@ -904,7 +793,7 @@ mod tests {
         b.mark(s0);
         let spin = b.finish().unwrap();
         let jobs: Vec<_> = (0..8)
-            .map(|_| SimJob::new(&spin, ScriptedEnv::new()).max_steps(u64::MAX))
+            .map(|_| job(&spin, ScriptedEnv::new(), u64::MAX))
             .collect();
         let deadline = Duration::from_millis(150);
         let fleet = Fleet::new(1).with_deadline_at(Instant::now() + deadline);
@@ -940,8 +829,8 @@ mod tests {
         let bad = b.finish().unwrap();
         let good = add_once();
         let jobs = vec![
-            SimJob::new(&good, env_ab(1, 2)).max_steps(10),
-            SimJob::new(&bad, ScriptedEnv::new()).max_steps(10),
+            job(&good, env_ab(1, 2), 10),
+            job(&bad, ScriptedEnv::new(), 10),
         ];
         let batch = Fleet::new(2).run_batch(jobs);
         assert!(batch.results[0].is_ok());

@@ -18,6 +18,9 @@
 //!   [`engine::Simulator::with_backend`]);
 //! * [`equiv`] — empirical semantic-equivalence comparison (Def. 4.1);
 //! * [`determinism`] — the policy-invariance battery justifying Def. 3.2;
+//! * [`spec`] — [`RunSpec`], one run's configuration as a plain value
+//!   (backend, policy, budgets, registers, coverage, faults, recording),
+//!   turned into a simulator by [`Simulator::from_spec`];
 //! * [`fleet`] — work-stealing batch simulation for
 //!   policy/seed/environment sweeps, with per-job panic isolation and
 //!   bounded retries;
@@ -47,6 +50,7 @@ pub mod fleet;
 pub mod policy;
 pub mod replay;
 pub mod retry;
+pub mod spec;
 pub mod trace;
 pub mod vcd;
 
@@ -69,4 +73,5 @@ pub use fleet::{Fleet, FleetBatch, FleetStats, SaturationConfig, SaturationOutco
 pub use policy::FiringPolicy;
 pub use replay::{env_from_recording, faults_from_rec, faults_to_rec, replay_recording};
 pub use retry::{Backoff, RetryPolicy};
+pub use spec::RunSpec;
 pub use trace::{Termination, Trace};

@@ -54,6 +54,18 @@ impl FiringPolicy {
         }
     }
 
+    /// The Def. 3.2 policy-invariance battery: the deterministic
+    /// [`FiringPolicy::MaximalStep`] reference first, then seeds
+    /// `0..seeds` of each randomized policy.
+    pub fn battery(seeds: u64) -> Vec<FiringPolicy> {
+        let mut policies = vec![FiringPolicy::MaximalStep];
+        for seed in 0..seeds {
+            policies.push(FiringPolicy::RandomMaximal { seed });
+            policies.push(FiringPolicy::SingleRandom { seed });
+        }
+        policies
+    }
+
     /// Build the per-run RNG (None for the deterministic policy).
     pub(crate) fn rng(&self) -> Option<SmallRng> {
         match self {

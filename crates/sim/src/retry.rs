@@ -1,9 +1,8 @@
 //! Bounded retries with deterministic decorrelated-jitter backoff.
 //!
 //! Every retrying subsystem — the fleet's panic containment
-//! ([`crate::fleet::Fleet::with_retry_policy`]), fault campaigns
-//! ([`crate::fault::CampaignConfig`]), and the `etpnd` service's
-//! per-request envelope — shares this one policy type, so retry behaviour
+//! ([`crate::fleet::Fleet::with_retry_policy`]), which fault campaigns
+//! run on, and the `etpnd` service's per-request envelope — shares this one policy type, so retry behaviour
 //! is uniform and testable in a single place.
 //!
 //! The backoff schedule is *decorrelated jitter* (each delay is drawn

@@ -48,7 +48,7 @@ pub struct Trace {
     pub firings: u64,
     /// How the run ended.
     pub termination: Termination,
-    /// Ports captured per step (see `Simulator::watch_ports`).
+    /// Ports captured per step (see `Simulator::watch_registers`).
     pub watch: Vec<PortId>,
     /// One value row per executed step, aligned with `watch`.
     pub watched: Vec<Vec<Value>>,

@@ -1,8 +1,8 @@
 //! Value-change-dump (VCD) export of watched-port waveforms.
 //!
-//! Capture ports with [`Simulator::watch_ports`](crate::Simulator::watch_ports)
-//! or [`Simulator::watch_registers`](crate::Simulator::watch_registers),
-//! then render the run as an IEEE-1364-style VCD file viewable in GTKWave
+//! Capture the registers with
+//! [`Simulator::watch_registers`](crate::Simulator::watch_registers), then
+//! render the run as an IEEE-1364-style VCD file viewable in GTKWave
 //! & friends. One timestep per control step; values are 64-bit binary
 //! vectors, with `x` for the undefined value `⊥`.
 //!

@@ -16,8 +16,8 @@ use crate::error::TransformResult;
 use etpn_analysis::DataDependence;
 use etpn_core::{ControlRelations, Etpn, PlaceId, Value};
 use etpn_sim::{
-    compare_structures, event_structure, EquivalenceVerdict, FiringPolicy, Fleet, ScriptedEnv,
-    SimError, SimJob,
+    compare_structures, event_structure, EquivalenceVerdict, FiringPolicy, Fleet, RunSpec,
+    ScriptedEnv, SimError, SimJob,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -170,11 +170,7 @@ pub fn random_env(g: &Etpn, seed: u64, stream_len: usize, range: (i64, i64)) -> 
 /// arc id, so the caller must ensure external arc ids correspond (both our
 /// transformations preserve arc identities).
 pub fn semantic_oracle(g1: &Etpn, g2: &Etpn, cfg: OracleConfig) -> OracleVerdict {
-    let mut policies = vec![FiringPolicy::MaximalStep];
-    for s in 0..cfg.policy_seeds {
-        policies.push(FiringPolicy::RandomMaximal { seed: s });
-        policies.push(FiringPolicy::SingleRandom { seed: s });
-    }
+    let policies = FiringPolicy::battery(cfg.policy_seeds);
     let env_seeds: Vec<u64> = (0..cfg.environments)
         .map(|e| u64::from(e) * 0x9E37_79B9 + 12_345)
         .collect();
@@ -182,16 +178,20 @@ pub fn semantic_oracle(g1: &Etpn, g2: &Etpn, cfg: OracleConfig) -> OracleVerdict
     // One batch: per environment, the g1 reference run followed by the full
     // policy battery on g2.
     let per_env = 1 + policies.len();
+    let spec = RunSpec {
+        max_steps: cfg.max_steps,
+        ..RunSpec::default()
+    };
     let mut jobs: Vec<SimJob> = Vec::with_capacity(env_seeds.len() * per_env);
     for &env_seed in &env_seeds {
         let env = random_env(g1, env_seed, cfg.stream_len, (cfg.value_min, cfg.value_max));
-        jobs.push(SimJob::new(g1, env.clone()).max_steps(cfg.max_steps));
+        jobs.push(SimJob::from_spec(g1, env.clone(), spec.clone()));
         for &policy in &policies {
-            jobs.push(
-                SimJob::new(g2, env.clone())
-                    .with_policy(policy)
-                    .max_steps(cfg.max_steps),
-            );
+            let spec = RunSpec {
+                policy,
+                ..spec.clone()
+            };
+            jobs.push(SimJob::from_spec(g2, env.clone(), spec));
         }
     }
     let batch = Fleet::new(cfg.threads).run_batch(jobs);

@@ -28,28 +28,35 @@
 //!   --max-area N | --max-latency N            (constraint for the objective)
 //!   --grade standard|fast|small               (module library speed grade)
 //!   -o DIR                                    (output directory, default .)
-//! run options:
+//! run options (every simulating subcommand: run, record, fault, cov,
+//!              dot --heat):
 //!   --set NAME=v1,v2,…                        (input stream, repeatable)
-//!   --steps N                                 (budget, default 100000)
-//!   --backend interp|compiled|compiled-nodirty
-//!                                             (step engine, default interp;
-//!                                              `compiled` runs the
-//!                                              event-driven compiled engine —
-//!                                              bit-identical, see
-//!                                              tests/backend_differential.rs —
-//!                                              and `compiled-nodirty` its
+//!   --steps N                                 (step budget per run,
+//!                                              default 100000)
+//!   --backend compiled|interp|compiled-nodirty
+//!                                             (step engine, default
+//!                                              compiled: the event-driven
+//!                                              engine, bit-identical to
+//!                                              the `interp` reference — see
+//!                                              tests/backend_differential.rs;
+//!                                              `compiled-nodirty` is its
 //!                                              full-re-evaluation ablation)
-//!   --vcd FILE                                (dump register waveforms)
-//!   --cov                                     (collect functional coverage and
-//!                                              print the full report;
-//!                                              --coverage is an alias)
-//!   --jobs N                                  (batch a policy battery over N
-//!                                              fleet workers, report policy
-//!                                              invariance)
-//!   --seeds K                                 (battery seeds, default 4)
-//!   --wall-ms N                               (per-run wall-clock budget)
 //!   --strict                                  (error when an input stream
 //!                                              runs dry instead of reading ⊥)
+//!   --wall-ms N                               (per-run wall-clock budget)
+//!   --cov                                     (collect functional coverage and
+//!                                              print the full report; fault
+//!                                              merges it over the golden run
+//!                                              and every faulty job, cov
+//!                                              always collects it;
+//!                                              --coverage is an alias)
+//! run options (plus the run options above):
+//!   --vcd FILE                                (dump register waveforms)
+//!   --jobs N                                  (batch a policy battery over N
+//!                                              fleet workers, report policy
+//!                                              invariance; rejects --vcd and
+//!                                              --record)
+//!   --seeds K                                 (battery seeds, default 4)
 //!   --record FILE                             (flight-record the run to FILE)
 //!   --ring N                                  (with --record: ring-buffer
 //!                                              mode retaining only the last N
@@ -57,8 +64,8 @@
 //!                                              journal)
 //!   --every K                                 (with --record: checkpoint
 //!                                              every K steps, default 1024)
-//! record options (plus --set/--steps/--backend/--strict/--wall-ms,
-//!                 and --ring/--every as for run --record):
+//! record options (plus the run options, and --ring/--every as for
+//!                 run --record):
 //!   -o FILE                                   (recording output file,
 //!                                              default design.etpnrec)
 //!   --fault VERTEX:KIND@STEP                  (inject a fault while
@@ -71,7 +78,8 @@
 //! replay options:
 //!   --at N                                    (target step, default the
 //!                                              journal end)
-//!   --backend interp|compiled|compiled-nodirty
+//!   --backend compiled|interp|compiled-nodirty
+//!                                             (as for run, default compiled)
 //!   --vcd FILE                                (dump the replayed register
 //!                                              waveforms)
 //! why options:
@@ -79,7 +87,10 @@
 //!                                              report)
 //!   --dot FILE                                (causal-slice heat overlay of
 //!                                              the data path)
-//! fault options (plus --set/--steps/--jobs/--wall-ms as for run):
+//! fault options (plus the run options):
+//!   --jobs N                                  (fleet workers, default all CPUs)
+//!   --retries N                               (per-job retry budget,
+//!                                              default 1)
 //!   --no-forensics                            (skip the per-fault divergence
 //!                                              bisection against the golden
 //!                                              recording)
@@ -87,15 +98,12 @@
 //!                                              faults into control places)
 //!   --at N                                    (step for transient bit-flips,
 //!                                              default 1)
-//!   --retries N                               (per-job retry budget,
-//!                                              default 1)
+//!   --bit B                                   (bit the flip faults invert,
+//!                                              default 0)
 //!   --dot FILE                                (write the silent-corruption
 //!                                              vulnerability map as a heat
 //!                                              DOT of the data path)
-//!   --cov                                     (merge functional coverage over
-//!                                              the golden run and every
-//!                                              faulty job)
-//! cov options (plus --set/--steps/--strict as for run):
+//! cov options (plus the run options):
 //!   --jobs N                                  (fleet workers, default all CPUs)
 //!   --batch K                                 (seeds per batch, default 8)
 //!   --stable K                                (stop after K batches with no
@@ -111,11 +119,10 @@
 //!                                              statically-dead items are
 //!                                              excluded from denominators)
 //! dot options:
-//!   --heat                                    (simulate with the --set
-//!                                              streams and colour the control
-//!                                              net by activation/firing
-//!                                              counts)
-//! observability (run, build, interp):
+//!   --heat                                    (simulate with the run options
+//!                                              and colour the control net by
+//!                                              activation/firing counts)
+//! observability (every subcommand):
 //!   --profile FILE.json                       (write a Chrome trace_event
 //!                                              profile; open in
 //!                                              chrome://tracing or Perfetto)
@@ -137,7 +144,7 @@
 use etpn::analysis::proper::check_properly_designed;
 use etpn::core::dot;
 use etpn::obs;
-use etpn::sim::{ScriptedEnv, Simulator, Termination};
+use etpn::sim::{Backend, RunSpec, ScriptedEnv, SimJob, Simulator, Termination};
 use etpn::synth::{synthesize, Grade, ModuleLibrary, Objective};
 use std::process::ExitCode;
 
@@ -222,12 +229,9 @@ fn export_observability(profile_path: Option<&str>, want_stats: bool) -> Result<
 }
 
 fn read_source(args: &[String]) -> Result<(String, String), String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("missing design file")?;
+    let path = *positionals(args).first().ok_or("missing design file")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    Ok((path.clone(), src))
+    Ok((path.to_string(), src))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -235,6 +239,17 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The value of `flag` parsed as a `T`, if the flag is given.
+fn parse_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, flag)
+        .map(|v| v.parse().map_err(|e| format!("{flag}: {e}")))
+        .transpose()
 }
 
 /// Every value of a repeatable flag, accepting both `--flag v` and
@@ -342,14 +357,10 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
     let (_, src) = read_source(args)?;
     let objective = match flag_value(args, "--objective").unwrap_or("balanced") {
         "min-delay" => Objective::MinDelay {
-            max_area: flag_value(args, "--max-area")
-                .map(|v| v.parse().map_err(|e| format!("--max-area: {e}")))
-                .transpose()?,
+            max_area: parse_flag(args, "--max-area")?,
         },
         "min-area" => Objective::MinArea {
-            max_latency: flag_value(args, "--max-latency")
-                .map(|v| v.parse().map_err(|e| format!("--max-latency: {e}")))
-                .transpose()?,
+            max_latency: parse_flag(args, "--max-latency")?,
         },
         "balanced" => Objective::Balanced,
         other => return Err(format!("unknown objective `{other}`")),
@@ -425,6 +436,41 @@ fn parse_streams(args: &[String]) -> Result<Vec<(String, Vec<i64>)>, String> {
     Ok(streams)
 }
 
+/// The run configuration every simulating subcommand shares, read from
+/// `--set`, `--steps` (default 100 000), `--backend` (default compiled),
+/// `--strict`, `--wall-ms` and `--cov`, with `d`'s register reset values.
+fn run_spec(
+    args: &[String],
+    d: &etpn::synth::CompiledDesign,
+) -> Result<(RunSpec, ScriptedEnv), String> {
+    let mut env = ScriptedEnv::new();
+    for (name, values) in parse_streams(args)? {
+        env = env.with_stream(&name, values);
+    }
+    let backend = match flag_values(args, "--backend").last().map(String::as_str) {
+        None | Some("compiled") => Backend::Compiled,
+        Some("interp") => Backend::Interp,
+        Some("compiled-nodirty") => Backend::CompiledNoDirty,
+        Some(other) => {
+            return Err(format!(
+                "--backend {other}: expected compiled, interp or compiled-nodirty"
+            ))
+        }
+    };
+    let spec = RunSpec {
+        backend,
+        max_steps: parse_flag(args, "--steps")?.unwrap_or(100_000),
+        registers: d.reg_inits.clone(),
+        strict_inputs: args.iter().any(|a| a == "--strict"),
+        // `--coverage` is the historical alias from when `run` only knew
+        // place/transition hit counts.
+        coverage: args.iter().any(|a| a == "--cov" || a == "--coverage"),
+        wall_budget: parse_flag(args, "--wall-ms")?.map(std::time::Duration::from_millis),
+        ..RunSpec::default()
+    };
+    Ok((spec, env))
+}
+
 /// Print how a run ended and map it onto the process exit code.
 fn report_termination(trace: &etpn::sim::Trace, steps: u64) -> ExitCode {
     let reason = match trace.termination {
@@ -468,16 +514,11 @@ fn report_termination(trace: &etpn::sim::Trace, steps: u64) -> ExitCode {
 
 fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
     let (_, src) = read_source(args)?;
-    let streams = parse_streams(args)?;
-    let steps: u64 = flag_value(args, "--steps")
-        .map(|v| v.parse().map_err(|e| format!("--steps: {e}")))
-        .transpose()?
-        .unwrap_or(100_000);
-
     if use_interpreter {
         let _span = obs::span("interp.run");
         let prog = etpn::lang::parse_and_check(&src).map_err(|e| e.to_string())?;
-        let out = etpn::workloads::interpret(&prog, &streams).map_err(|e| e.to_string())?;
+        let out =
+            etpn::workloads::interpret(&prog, &parse_streams(args)?).map_err(|e| e.to_string())?;
         for name in &prog.outputs {
             println!("{name} = {:?}", out[name]);
         }
@@ -485,43 +526,26 @@ fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
     }
 
     let d = etpn::synth::compile_source(&src).map_err(|e| e.to_string())?;
-    let backend = parse_backend(args)?;
-    let mut env = ScriptedEnv::new();
-    for (name, values) in &streams {
-        env = env.with_stream(name, values.iter().copied());
-    }
-    let jobs: Option<usize> = flag_value(args, "--jobs")
-        .map(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
-        .transpose()?;
-    if let Some(workers) = jobs {
-        if flag_value(args, "--vcd").is_some() {
+    let (mut spec, env) = run_spec(args, &d)?;
+    let vcd_path = flag_value(args, "--vcd");
+    let record_path = flag_value(args, "--record");
+    if let Some(workers) = parse_flag(args, "--jobs")? {
+        if vcd_path.is_some() {
             return Err("--jobs batches don't capture waveforms; drop --vcd".into());
         }
-        return run_fleet_battery(args, &d, env, steps, workers, backend);
+        if record_path.is_some() {
+            return Err("--jobs batches don't flight-record; drop --record".into());
+        }
+        return run_fleet_battery(args, &d, env, spec, workers);
     }
-    let mut sim = Simulator::new(&d.etpn, env).with_backend(backend);
-    for (name, v) in &d.reg_inits {
-        sim = sim.init_register(name, *v);
+    if record_path.is_some() {
+        spec.record = Some(record_config(args)?);
     }
-    if let Some(ms) = wall_budget(args)? {
-        sim = sim.with_wall_budget(ms);
-    }
-    if args.iter().any(|a| a == "--strict") {
-        sim = sim.strict_inputs();
-    }
-    let vcd_path = flag_value(args, "--vcd");
+    let mut sim = Simulator::from_spec(&d.etpn, env, &spec);
     if vcd_path.is_some() {
         sim = sim.watch_registers().watch_control();
     }
-    let want_cov = want_coverage(args);
-    if want_cov {
-        sim = sim.with_coverage();
-    }
-    let record_path = flag_value(args, "--record");
-    if record_path.is_some() {
-        sim = sim.with_recorder(record_config(args)?);
-    }
-    let trace = sim.run(steps).map_err(|e| e.describe(&d.etpn))?;
+    let trace = sim.run(spec.max_steps).map_err(|e| e.describe(&d.etpn))?;
     if let Some(path) = record_path {
         write_recording(&trace, path)?;
     }
@@ -530,27 +554,8 @@ fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
         std::fs::write(path, vcd).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
-    if want_cov {
-        // Statically-dead elements come out of the denominators: a hole in
-        // this report is a genuine testing gap, never dead code.
-        let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
-        let cov = etpn::sim::coverage_excluding(&d.etpn, &trace, &dead_p, &dead_t);
-        let (ps, ts) = cov.percentages();
-        println!(
-            "coverage: {ps:.0}% states, {ts:.0}% transitions ({} dead excluded)",
-            cov.dead_places + cov.dead_transitions
-        );
-        for (_, name) in &cov.unvisited_places {
-            println!("  never activated: {name}");
-        }
-        for (_, name) in &cov.unfired_transitions {
-            println!("  never fired:     {name}");
-        }
-        if let Some(db) = &trace.cov {
-            print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
-        }
-    }
-    let code = report_termination(&trace, steps);
+    print_coverage(&d, &trace);
+    let code = report_termination(&trace, spec.max_steps);
     let prog = etpn::lang::parse_and_check(&src).map_err(|e| e.to_string())?;
     for name in &prog.outputs {
         println!("{name} = {:?}", trace.values_on_named_output(&d.etpn, name));
@@ -558,17 +563,33 @@ fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
     Ok(code)
 }
 
+/// Print the coverage of a run made with `--cov`, if it collected any.
+fn print_coverage(d: &etpn::synth::CompiledDesign, trace: &etpn::sim::Trace) {
+    let Some(db) = &trace.cov else { return };
+    // Statically-dead elements come out of the denominators: a hole in
+    // this report is a genuine testing gap, never dead code.
+    let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
+    let cov = etpn::sim::coverage_excluding(&d.etpn, trace, &dead_p, &dead_t);
+    let (ps, ts) = cov.percentages();
+    println!(
+        "coverage: {ps:.0}% states, {ts:.0}% transitions ({} dead excluded)",
+        cov.dead_places + cov.dead_transitions
+    );
+    for (_, name) in &cov.unvisited_places {
+        println!("  never activated: {name}");
+    }
+    for (_, name) in &cov.unfired_transitions {
+        println!("  never fired:     {name}");
+    }
+    print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
+}
+
 /// Parse `--every K` / `--ring N` into a recorder configuration
 /// (full journal by default; bounded ring when `--ring` is given).
 fn record_config(args: &[String]) -> Result<etpn::rec::RecordConfig, String> {
-    let every: u64 = flag_value(args, "--every")
-        .map(|v| v.parse().map_err(|e| format!("--every: {e}")))
-        .transpose()?
-        .unwrap_or(1024);
-    Ok(match flag_value(args, "--ring") {
-        Some(n) => {
-            etpn::rec::RecordConfig::ring(n.parse().map_err(|e| format!("--ring: {e}"))?, every)
-        }
+    let every = parse_flag(args, "--every")?.unwrap_or(1024);
+    Ok(match parse_flag(args, "--ring")? {
+        Some(n) => etpn::rec::RecordConfig::ring(n, every),
         None => etpn::rec::RecordConfig::full(every),
     })
 }
@@ -683,43 +704,27 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let _span = obs::span("record.cmd");
     let (path, src) = read_source(args)?;
     let d = etpn::synth::compile_source(&src).map_err(|e| e.to_string())?;
-    let streams = parse_streams(args)?;
-    let steps: u64 = flag_value(args, "--steps")
-        .map(|v| v.parse().map_err(|e| format!("--steps: {e}")))
-        .transpose()?
-        .unwrap_or(100_000);
-    let backend = parse_backend(args)?;
-    let mut env = ScriptedEnv::new();
-    for (name, values) in &streams {
-        env = env.with_stream(name, values.iter().copied());
-    }
-    let mut sim = Simulator::new(&d.etpn, env).with_backend(backend);
-    for (name, v) in &d.reg_inits {
-        sim = sim.init_register(name, *v);
-    }
-    if args.iter().any(|a| a == "--strict") {
-        sim = sim.strict_inputs();
-    }
-    if let Some(ms) = wall_budget(args)? {
-        sim = sim.with_wall_budget(ms);
-    }
+    let (mut spec, env) = run_spec(args, &d)?;
     let faults = parse_fault_specs(args, &d.etpn)?;
     if !faults.is_empty() {
         println!("injecting {} fault(s)", faults.len());
         let plan = faults
             .into_iter()
             .fold(etpn::sim::FaultPlan::new(), etpn::sim::FaultPlan::with);
-        sim = sim.with_faults(plan);
+        spec.faults = Some(plan);
     }
-    sim = sim.with_recorder(record_config(args)?);
-    let trace = sim.run(steps).map_err(|e| e.describe(&d.etpn))?;
+    spec.record = Some(record_config(args)?);
+    let trace = Simulator::from_spec(&d.etpn, env, &spec)
+        .run(spec.max_steps)
+        .map_err(|e| e.describe(&d.etpn))?;
     let default_out = match path.strip_suffix(".hdl") {
         Some(stem) => format!("{stem}.etpnrec"),
         None => format!("{path}.etpnrec"),
     };
     let out = flag_value(args, "-o").map_or(default_out, str::to_string);
     write_recording(&trace, &out)?;
-    Ok(report_termination(&trace, steps))
+    print_coverage(&d, &trace);
+    Ok(report_termination(&trace, spec.max_steps))
 }
 
 /// `etpnc replay`: restore the nearest retained checkpoint and re-apply
@@ -730,27 +735,24 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
 
     let _span = obs::span("replay.cmd");
     let pos = positionals(args);
-    let [design_path, rec_path] = pos[..] else {
+    let [_, rec_path] = pos[..] else {
         return Err(
             "usage: etpnc replay <design.hdl> <recording> [--at N] [--backend B] [--vcd FILE]"
                 .into(),
         );
     };
-    let src =
-        std::fs::read_to_string(design_path).map_err(|e| format!("reading {design_path}: {e}"))?;
+    let (_, src) = read_source(args)?;
     let d = etpn::synth::compile_source(&src).map_err(|e| e.to_string())?;
     let bytes = std::fs::read(rec_path).map_err(|e| format!("reading {rec_path}: {e}"))?;
     let rec = Recording::from_bytes(&bytes).map_err(|e| format!("{rec_path}: {e}"))?;
-    let at: u64 = flag_value(args, "--at")
-        .map(|v| v.parse().map_err(|e| format!("--at: {e}")))
-        .transpose()?
-        .unwrap_or_else(|| rec.end_step());
-    let backend = parse_backend(args)?;
+    let at = parse_flag(args, "--at")?.unwrap_or_else(|| rec.end_step());
+    // The recording fixes everything but the step engine.
+    let (spec, _) = run_spec(args, &d)?;
     let policy = etpn::sim::FiringPolicy::decode(rec.meta.policy_tag, rec.meta.policy_seed)
         .ok_or("recording carries an unknown firing-policy tag")?;
     let mut sim = Simulator::new(&d.etpn, etpn::sim::env_from_recording(&rec))
         .with_policy(policy)
-        .with_backend(backend);
+        .with_backend(spec.backend);
     let vcd_path = flag_value(args, "--vcd");
     if vcd_path.is_some() {
         sim = sim.watch_registers().watch_control();
@@ -801,14 +803,13 @@ fn cmd_why(args: &[String]) -> Result<ExitCode, String> {
 
     let _span = obs::span("why.cmd");
     let pos = positionals(args);
-    let [design_path, gold_path, faulty_path] = pos[..] else {
+    let [_, gold_path, faulty_path] = pos[..] else {
         return Err(
             "usage: etpnc why <design.hdl> <golden.etpnrec> <faulty.etpnrec> [--json] [--dot FILE]"
                 .into(),
         );
     };
-    let src =
-        std::fs::read_to_string(design_path).map_err(|e| format!("reading {design_path}: {e}"))?;
+    let (_, src) = read_source(args)?;
     let d = etpn::synth::compile_source(&src).map_err(|e| e.to_string())?;
     let load = |p: &str| -> Result<Recording, String> {
         let bytes = std::fs::read(p).map_err(|e| format!("reading {p}: {e}"))?;
@@ -846,44 +847,23 @@ fn run_fleet_battery(
     args: &[String],
     d: &etpn::synth::CompiledDesign,
     env: ScriptedEnv,
-    steps: u64,
+    spec: RunSpec,
     workers: usize,
-    backend: etpn::sim::Backend,
 ) -> Result<ExitCode, String> {
-    use etpn::sim::{compare_structures, event_structure, FiringPolicy, Fleet, SimJob};
+    use etpn::sim::{compare_structures, event_structure, FiringPolicy, Fleet};
 
-    let seeds: u64 = flag_value(args, "--seeds")
-        .map(|v| v.parse().map_err(|e| format!("--seeds: {e}")))
-        .transpose()?
-        .unwrap_or(4);
-    let mut policies = vec![FiringPolicy::MaximalStep];
-    for seed in 0..seeds {
-        policies.push(FiringPolicy::RandomMaximal { seed });
-        policies.push(FiringPolicy::SingleRandom { seed });
-    }
-    let want_cov = want_coverage(args);
+    let policies = FiringPolicy::battery(parse_flag(args, "--seeds")?.unwrap_or(4));
     let jobs: Vec<SimJob> = policies
         .iter()
         .map(|&policy| {
-            let mut job = SimJob::new(&d.etpn, env.clone())
-                .backend(backend)
-                .with_policy(policy)
-                .max_steps(steps);
-            for (name, v) in &d.reg_inits {
-                job = job.init_register(name, *v);
-            }
-            if want_cov {
-                job = job.with_coverage();
-            }
-            job
+            let spec = RunSpec {
+                policy,
+                ..spec.clone()
+            };
+            SimJob::from_spec(&d.etpn, env.clone(), spec)
         })
         .collect();
-
-    let mut fleet = Fleet::new(workers);
-    if let Some(deadline) = wall_budget(args)? {
-        fleet = fleet.with_job_deadline(deadline);
-    }
-    let batch = fleet.run_batch(jobs);
+    let batch = Fleet::new(workers).run_batch(jobs);
     let mut results = batch.results.into_iter();
     let reference = results
         .next()
@@ -918,13 +898,11 @@ fn run_fleet_battery(
         "fleet: {} jobs on {} workers ({} stolen)",
         stats.jobs, stats.workers, stats.stolen,
     );
-    if want_cov {
-        if let Some(db) = &batch.coverage {
-            let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
-            print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
-        }
+    if let Some(db) = &batch.coverage {
+        let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
+        print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
     }
-    let code = report_termination(&reference, steps);
+    let code = report_termination(&reference, spec.max_steps);
     for v in d.etpn.dp.output_vertices() {
         let name = &d.etpn.dp.vertex(v).name;
         println!(
@@ -947,36 +925,17 @@ fn run_fleet_battery(
     }
 }
 
-/// Parse `--wall-ms N` into a [`std::time::Duration`].
-fn wall_budget(args: &[String]) -> Result<Option<std::time::Duration>, String> {
-    flag_value(args, "--wall-ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(std::time::Duration::from_millis)
-                .map_err(|e| format!("--wall-ms: {e}"))
-        })
-        .transpose()
-}
-
 /// `etpnc fault`: run a full single-fault injection campaign against the
 /// design — one golden run plus one faulty run per (site, kind) pair — and
 /// report the masked / sdc / detected / hang partition, Def. 3.2 detector
 /// status, and (optionally) a silent-corruption vulnerability map.
 fn cmd_fault(args: &[String]) -> Result<ExitCode, String> {
-    use etpn::sim::{run_campaign, CampaignConfig, FaultKind, SimJob};
+    use etpn::sim::{run_campaign, CampaignConfig, FaultKind, Fleet, RetryPolicy};
 
     let _span = obs::span("fault.cmd");
     let (_, src) = read_source(args)?;
     let d = etpn::synth::compile_source(&src).map_err(|e| e.to_string())?;
-    let streams = parse_streams(args)?;
-    let steps: u64 = flag_value(args, "--steps")
-        .map(|v| v.parse().map_err(|e| format!("--steps: {e}")))
-        .transpose()?
-        .unwrap_or(100_000);
-    let mut env = ScriptedEnv::new();
-    for (name, values) in &streams {
-        env = env.with_stream(name, values.iter().copied());
-    }
+    let (spec, env) = run_spec(args, &d)?;
 
     // Def. 3.2 status up front: the `detected` class leans on the runtime
     // monitors, which only mean something when the static analysis passes.
@@ -987,41 +946,21 @@ fn cmd_fault(args: &[String]) -> Result<ExitCode, String> {
         if proper.is_proper() { "yes" } else { "NO" }
     );
 
-    let mut proto = SimJob::new(&d.etpn, env).max_steps(steps);
-    for (name, v) in &d.reg_inits {
-        proto = proto.init_register(name, *v);
-    }
-    let bit: u32 = flag_value(args, "--bit")
-        .map(|v| v.parse().map_err(|e| format!("--bit: {e}")))
-        .transpose()?
-        .unwrap_or(0);
+    let proto = SimJob::from_spec(&d.etpn, env, spec);
+    let fleet = Fleet::new(parse_flag(args, "--jobs")?.unwrap_or(0)).with_retry_policy(
+        RetryPolicy::immediate(parse_flag(args, "--retries")?.unwrap_or(1)),
+    );
     let cfg = CampaignConfig {
         kinds: vec![
             FaultKind::StuckAt0,
             FaultKind::StuckAt1,
-            FaultKind::BitFlip(bit),
+            FaultKind::BitFlip(parse_flag(args, "--bit")?.unwrap_or(0)),
         ],
         include_control: args.iter().any(|a| a == "--control"),
-        transient_step: flag_value(args, "--at")
-            .map(|v| v.parse().map_err(|e| format!("--at: {e}")))
-            .transpose()?
-            .unwrap_or(1),
-        workers: flag_value(args, "--jobs")
-            .map(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
-            .transpose()?
-            .unwrap_or(0),
-        retry: etpn::sim::RetryPolicy::immediate(
-            flag_value(args, "--retries")
-                .map(|v| v.parse().map_err(|e| format!("--retries: {e}")))
-                .transpose()?
-                .unwrap_or(1),
-        ),
-        wall_budget: wall_budget(args)?,
-        deadline_at: None,
-        coverage: want_coverage(args),
+        transient_step: parse_flag(args, "--at")?.unwrap_or(1),
         forensics: !args.iter().any(|a| a == "--no-forensics"),
     };
-    let report = run_campaign(&proto, &cfg).map_err(|e| e.describe(&d.etpn))?;
+    let report = run_campaign(&proto, &cfg, &fleet).map_err(|e| e.describe(&d.etpn))?;
     print!("{}", report.summary(&d.etpn));
     if let Some(db) = &report.coverage {
         let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
@@ -1043,26 +982,6 @@ fn cmd_fault(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parse `--backend`, defaulting to the interpreter reference engine.
-/// (`etpnc run` keeps the reference as its default; the fleet API defaults
-/// to the compiled engine, which the differential battery pins to it.)
-fn parse_backend(args: &[String]) -> Result<etpn::sim::Backend, String> {
-    match flag_values(args, "--backend").last().map(String::as_str) {
-        None | Some("interp") => Ok(etpn::sim::Backend::Interp),
-        Some("compiled") => Ok(etpn::sim::Backend::Compiled),
-        Some("compiled-nodirty") => Ok(etpn::sim::Backend::CompiledNoDirty),
-        Some(other) => Err(format!(
-            "--backend {other}: expected interp, compiled or compiled-nodirty"
-        )),
-    }
-}
-
-/// `--cov` requests functional coverage; `--coverage` is the historical
-/// alias from when `run` only knew place/transition hit counts.
-fn want_coverage(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--cov" || a == "--coverage")
-}
-
 /// The five-dimension coverage report with `etpn-lint`'s statically-dead
 /// fixpoint already folded out of the denominators.
 fn full_report(
@@ -1080,37 +999,20 @@ fn full_report(
 /// then report, optionally gate (`--fail-under`, exit 6), and export
 /// JSON / lcov / DOT renderings.
 fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
-    use etpn::sim::{FiringPolicy, Fleet, SaturationConfig, SimJob};
+    use etpn::sim::{FiringPolicy, Fleet, SaturationConfig};
 
     let _span = obs::span("cov.cmd");
-    let (_, src) = read_source(args)?;
+    let (design_path, src) = read_source(args)?;
     let d = etpn::synth::compile_source(&src).map_err(|e| e.to_string())?;
-    let streams = parse_streams(args)?;
-    let steps: u64 = flag_value(args, "--steps")
-        .map(|v| v.parse().map_err(|e| format!("--steps: {e}")))
-        .transpose()?
-        .unwrap_or(100_000);
-    let mut env = ScriptedEnv::new();
-    for (name, values) in &streams {
-        env = env.with_stream(name, values.iter().copied());
-    }
-    let workers: usize = flag_value(args, "--jobs")
-        .map(|v| v.parse().map_err(|e| format!("--jobs: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let mut cfg = SaturationConfig::default();
-    if let Some(v) = flag_value(args, "--batch") {
-        cfg.batch_size = v.parse().map_err(|e| format!("--batch: {e}"))?;
-    }
-    if let Some(v) = flag_value(args, "--stable") {
-        cfg.stable_batches = v.parse().map_err(|e| format!("--stable: {e}"))?;
-    }
-    if let Some(v) = flag_value(args, "--max-batches") {
-        cfg.max_batches = v.parse().map_err(|e| format!("--max-batches: {e}"))?;
-    }
-    let strict = args.iter().any(|a| a == "--strict");
+    let (spec, env) = run_spec(args, &d)?;
+    let defaults = SaturationConfig::default();
+    let cfg = SaturationConfig {
+        batch_size: parse_flag(args, "--batch")?.unwrap_or(defaults.batch_size),
+        stable_batches: parse_flag(args, "--stable")?.unwrap_or(defaults.stable_batches),
+        max_batches: parse_flag(args, "--max-batches")?.unwrap_or(defaults.max_batches),
+    };
 
-    let fleet = Fleet::new(workers);
+    let fleet = Fleet::new(parse_flag(args, "--jobs")?.unwrap_or(0));
     let outcome = fleet.run_saturation(
         |seed| {
             // Seed 0 is the deterministic reference; odd/even seeds then
@@ -1121,16 +1023,11 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
                 s if s % 2 == 1 => FiringPolicy::RandomMaximal { seed: s },
                 s => FiringPolicy::SingleRandom { seed: s },
             };
-            let mut job = SimJob::new(&d.etpn, env.clone())
-                .with_policy(policy)
-                .max_steps(steps);
-            for (name, v) in &d.reg_inits {
-                job = job.init_register(name, *v);
-            }
-            if strict {
-                job = job.strict_inputs();
-            }
-            job
+            let spec = RunSpec {
+                policy,
+                ..spec.clone()
+            };
+            SimJob::from_spec(&d.etpn, env.clone(), spec)
         },
         cfg,
     );
@@ -1159,10 +1056,6 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(path) = flag_value(args, "--lcov") {
         let dead = etpn::cov::StaticDead::from_ids(&d.etpn, &dead_p, &dead_t);
-        let design_path = args
-            .iter()
-            .find(|a| !a.starts_with('-'))
-            .map_or("design.hdl", String::as_str);
         let line_of_place = |sp: etpn::core::PlaceId| {
             let span = d.src_map.place_span(sp);
             (!span.is_dummy()).then(|| etpn::lang::span::line_col(&src, span.start).0)
@@ -1175,7 +1068,7 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
             &d.etpn,
             db,
             &dead,
-            design_path,
+            &design_path,
             &line_of_place,
             &line_of_trans,
         );
@@ -1191,8 +1084,7 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path} (coverage heat overlay)");
     }
-    if let Some(pct) = flag_value(args, "--fail-under") {
-        let pct: f64 = pct.parse().map_err(|e| format!("--fail-under: {e}"))?;
+    if let Some(pct) = parse_flag::<f64>(args, "--fail-under")? {
         if !rep.meets(pct) {
             eprintln!(
                 "etpnc: coverage gate failed (exit {EXIT_COVERAGE}): places {:.1}%, transitions {:.1}% < {pct}%",
@@ -1216,20 +1108,10 @@ fn cmd_dot(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--heat") {
         // Heat needs an execution: simulate with the provided streams and
         // grade the control net by the observed activity.
-        let streams = parse_streams(args)?;
-        let steps: u64 = flag_value(args, "--steps")
-            .map(|v| v.parse().map_err(|e| format!("--steps: {e}")))
-            .transpose()?
-            .unwrap_or(100_000);
-        let mut env = ScriptedEnv::new();
-        for (name, values) in &streams {
-            env = env.with_stream(name, values.iter().copied());
-        }
-        let mut sim = Simulator::new(&d.etpn, env);
-        for (name, v) in &d.reg_inits {
-            sim = sim.init_register(name, *v);
-        }
-        let trace = sim.run(steps).map_err(|e| e.describe(&d.etpn))?;
+        let (spec, env) = run_spec(args, &d)?;
+        let trace = Simulator::from_spec(&d.etpn, env, &spec)
+            .run(spec.max_steps)
+            .map_err(|e| e.describe(&d.etpn))?;
         let heat = dot::ControlHeat {
             exit_counts: &trace.exit_counts,
             fire_counts: &trace.fire_counts,
@@ -1256,6 +1138,8 @@ fn cmd_dot(args: &[String]) -> Result<ExitCode, String> {
 /// etpnc remote --addr HOST:PORT stats|health|designs
 /// ```
 ///
+/// `run`, `check` and `fault` also forward `--backend compiled|interp`.
+///
 /// `DESIGN` is a name or `0x…` fingerprint returned by `register`. The
 /// exit code mirrors the local taxonomy: `0` for 2xx, `5` (budget) for
 /// `408`, `1` otherwise with the server's error body on stderr.
@@ -1263,25 +1147,9 @@ fn cmd_remote(args: &[String]) -> Result<ExitCode, String> {
     use etpn::core::json::Json;
 
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7414");
-    let timeout = std::time::Duration::from_millis(
-        flag_value(args, "--timeout-ms")
-            .map(|v| v.parse().map_err(|e| format!("--timeout-ms: {e}")))
-            .transpose()?
-            .unwrap_or(60_000u64),
-    );
-    // Positional args: everything that is neither a `--flag` nor the value
-    // of one (every remote flag except `--stats` takes a value).
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += if args[i] == "--stats" { 1 } else { 2 };
-        } else {
-            positional.push(&args[i]);
-            i += 1;
-        }
-    }
-    let mut free = positional.into_iter();
+    let timeout =
+        std::time::Duration::from_millis(parse_flag(args, "--timeout-ms")?.unwrap_or(60_000));
+    let mut free = positionals(args).into_iter();
     let verb = free
         .next()
         .ok_or("remote: missing verb (register|run|check|cov|lint|fault|stats|health|designs)")?;
@@ -1293,7 +1161,7 @@ fn cmd_remote(args: &[String]) -> Result<ExitCode, String> {
 
     let mut body_pairs: Vec<(&'static str, Json)> = Vec::new();
     let design_arg = free.next();
-    let response = match verb.as_str() {
+    let response = match verb {
         "stats" => send("GET", "/stats", None)?,
         "health" => send("GET", "/healthz", None)?,
         "designs" => send("GET", "/v1/designs", None)?,
@@ -1305,29 +1173,20 @@ fn cmd_remote(args: &[String]) -> Result<ExitCode, String> {
         }
         "run" | "check" | "cov" | "lint" | "fault" => {
             let design = design_arg.ok_or("remote: missing design name/fingerprint")?;
-            body_pairs.push(("design", Json::Str(design.clone())));
-            if let Some(steps) = flag_value(args, "--steps") {
-                let n: i64 = steps.parse().map_err(|e| format!("--steps: {e}"))?;
-                body_pairs.push(("steps", Json::Num(n)));
-            }
-            if let Some(ms) = flag_value(args, "--deadline-ms") {
-                let n: i64 = ms.parse().map_err(|e| format!("--deadline-ms: {e}"))?;
-                body_pairs.push(("deadline_ms", Json::Num(n)));
+            body_pairs.push(("design", Json::Str(design.to_string())));
+            for (flag, field) in [
+                ("--steps", "steps"),
+                ("--deadline-ms", "deadline_ms"),
+                ("--seed", "seed"),
+                ("--seeds", "seeds"),
+                ("--jobs", "jobs"),
+            ] {
+                if let Some(n) = parse_flag(args, flag)? {
+                    body_pairs.push((field, Json::Num(n)));
+                }
             }
             if let Some(policy) = flag_value(args, "--policy") {
                 body_pairs.push(("policy", Json::Str(policy.to_string())));
-            }
-            if let Some(seed) = flag_value(args, "--seed") {
-                let n: i64 = seed.parse().map_err(|e| format!("--seed: {e}"))?;
-                body_pairs.push(("seed", Json::Num(n)));
-            }
-            if let Some(seeds) = flag_value(args, "--seeds") {
-                let n: i64 = seeds.parse().map_err(|e| format!("--seeds: {e}"))?;
-                body_pairs.push(("seeds", Json::Num(n)));
-            }
-            if let Some(jobs) = flag_value(args, "--jobs") {
-                let n: i64 = jobs.parse().map_err(|e| format!("--jobs: {e}"))?;
-                body_pairs.push(("jobs", Json::Num(n)));
             }
             if let Some(backend) = flag_value(args, "--backend") {
                 body_pairs.push(("backend", Json::Str(backend.to_string())));

@@ -3,7 +3,9 @@
 //! coverage, and the byte-stable golden VCD of the GCD example.
 
 use etpn_cov::{report, CovDb, StaticDead};
-use etpn_sim::{vcd, FiringPolicy, Fleet, SaturationConfig, ScriptedEnv, SimJob, Simulator};
+use etpn_sim::{
+    vcd, FiringPolicy, Fleet, RunSpec, SaturationConfig, ScriptedEnv, SimJob, Simulator,
+};
 use etpn_synth::CompiledDesign;
 
 const GCD_SRC: &str = include_str!("../examples/gcd.hdl");
@@ -27,13 +29,22 @@ fn policy_of(seed: u64) -> FiringPolicy {
     }
 }
 
+/// A 5 000-step job under seed `seed`'s policy.
+fn seed_job(d: &CompiledDesign, env: ScriptedEnv, seed: u64) -> SimJob<'_> {
+    let spec = RunSpec {
+        policy: policy_of(seed),
+        max_steps: 5_000,
+        ..RunSpec::default()
+    };
+    SimJob::from_spec(&d.etpn, env, spec)
+}
+
 fn seed_jobs(d: &CompiledDesign, seeds: std::ops::Range<u64>) -> Vec<SimJob<'_>> {
     seeds
         .map(|seed| {
-            SimJob::new(&d.etpn, gcd_env(3528, 3780))
-                .with_policy(policy_of(seed))
-                .max_steps(5_000)
-                .with_coverage()
+            let mut job = seed_job(d, gcd_env(3528, 3780), seed);
+            job.spec.coverage = true;
+            job
         })
         .collect()
 }
@@ -80,14 +91,7 @@ fn saturation_converges_and_covers_gcd_completely() {
         stable_batches: 3,
         max_batches: 64,
     };
-    let outcome = Fleet::new(4).run_saturation(
-        |seed| {
-            SimJob::new(&d.etpn, gcd_env(3528, 3780))
-                .with_policy(policy_of(seed))
-                .max_steps(5_000)
-        },
-        cfg,
-    );
+    let outcome = Fleet::new(4).run_saturation(|seed| seed_job(&d, gcd_env(3528, 3780), seed), cfg);
     assert!(outcome.saturated, "gcd saturates well inside 64 batches");
     assert_eq!(outcome.failures, 0);
     assert_eq!(outcome.seeds_used.len() as u64, outcome.jobs);
@@ -113,16 +117,7 @@ fn saturation_is_reproducible() {
         stable_batches: 2,
         max_batches: 32,
     };
-    let run = || {
-        Fleet::new(2).run_saturation(
-            |seed| {
-                SimJob::new(&d.etpn, gcd_env(12, 18))
-                    .with_policy(policy_of(seed))
-                    .max_steps(5_000)
-            },
-            cfg,
-        )
-    };
+    let run = || Fleet::new(2).run_saturation(|seed| seed_job(&d, gcd_env(12, 18), seed), cfg);
     let (a, b) = (run(), run());
     assert_eq!(a.seeds_used, b.seeds_used);
     assert_eq!(a.coverage, b.coverage);
@@ -133,26 +128,33 @@ fn saturation_is_reproducible() {
 fn fault_campaign_merges_golden_and_faulty_coverage() {
     use etpn_sim::{run_campaign, CampaignConfig, FaultKind};
     let d = gcd();
-    let proto = SimJob::new(&d.etpn, gcd_env(12, 18)).max_steps(2_000);
-    let cfg = CampaignConfig {
-        kinds: vec![FaultKind::StuckAt0],
-        workers: 4,
+    let spec = RunSpec {
+        max_steps: 2_000,
         coverage: true,
         wall_budget: Some(std::time::Duration::from_secs(5)),
+        ..RunSpec::default()
+    };
+    let proto = SimJob::from_spec(&d.etpn, gcd_env(12, 18), spec.clone());
+    let cfg = CampaignConfig {
+        kinds: vec![FaultKind::StuckAt0],
         ..CampaignConfig::default()
     };
-    let report = run_campaign(&proto, &cfg).unwrap();
+    let fleet = Fleet::new(4);
+    let report = run_campaign(&proto, &cfg, &fleet).unwrap();
     let db = report.coverage.as_ref().expect("campaign coverage on");
     // Golden run + one faulty job per outcome, all merged.
     assert_eq!(db.runs, report.outcomes.len() as u64 + 1);
     assert!(report.golden_unchanged);
     // Without the flag no coverage is collected.
-    let cfg_off = CampaignConfig {
-        kinds: vec![FaultKind::StuckAt0],
-        workers: 4,
-        ..CampaignConfig::default()
+    let spec_off = RunSpec {
+        coverage: false,
+        ..spec
     };
-    assert!(run_campaign(&proto, &cfg_off).unwrap().coverage.is_none());
+    let proto_off = SimJob::from_spec(&d.etpn, gcd_env(12, 18), spec_off);
+    assert!(run_campaign(&proto_off, &cfg, &fleet)
+        .unwrap()
+        .coverage
+        .is_none());
 }
 
 #[test]

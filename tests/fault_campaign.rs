@@ -9,7 +9,8 @@
 
 use etpn::core::{Value, VertexId};
 use etpn::sim::{
-    run_campaign, CampaignConfig, Environment, FaultClass, Fleet, SimError, SimJob, Termination,
+    run_campaign, CampaignConfig, Environment, FaultClass, Fleet, RetryPolicy, RunSpec, SimError,
+    SimJob, Termination,
 };
 use etpn::workloads::by_name;
 use std::time::Duration;
@@ -20,16 +21,17 @@ fn sweep(
 ) -> (etpn::synth::CompiledDesign, etpn::sim::CampaignReport) {
     let w = by_name(workload).expect("workload exists");
     let d = etpn::synth::compile_source(&w.source).expect("workload compiles");
-    let mut proto = SimJob::new(&d.etpn, w.env()).max_steps(w.max_steps);
-    for (n, v) in &d.reg_inits {
-        proto = proto.init_register(n, *v);
-    }
+    let spec = RunSpec {
+        max_steps: w.max_steps,
+        registers: d.reg_inits.clone(),
+        ..RunSpec::default()
+    };
+    let proto = SimJob::from_spec(&d.etpn, w.env(), spec);
     let cfg = CampaignConfig {
         include_control,
-        workers: 4,
         ..CampaignConfig::default()
     };
-    let report = run_campaign(&proto, &cfg).expect("golden run succeeds");
+    let report = run_campaign(&proto, &cfg, &Fleet::new(4)).expect("golden run succeeds");
     (d, report)
 }
 
@@ -117,19 +119,20 @@ impl Environment for BombEnv {
 fn environment_panics_are_contained_per_job() {
     let w = by_name("gcd").expect("gcd exists");
     let d = etpn::synth::compile_source(&w.source).expect("gcd compiles");
-    let job = |env: BombEnv| {
-        let mut j = SimJob::new(&d.etpn, env).max_steps(w.max_steps);
-        for (n, v) in &d.reg_inits {
-            j = j.init_register(n, *v);
-        }
-        j
+    let spec = RunSpec {
+        max_steps: w.max_steps,
+        registers: d.reg_inits.clone(),
+        ..RunSpec::default()
     };
+    let job = |env: BombEnv| SimJob::from_spec(&d.etpn, env, spec.clone());
     let jobs = vec![
         job(BombEnv::Healthy(w.env())),
         job(BombEnv::Bomb),
         job(BombEnv::Healthy(w.env())),
     ];
-    let batch = Fleet::new(2).with_retries(2).run_batch(jobs);
+    let batch = Fleet::new(2)
+        .with_retry_policy(RetryPolicy::immediate(2))
+        .run_batch(jobs);
     assert_eq!(batch.stats.panics, 3, "initial attempt + 2 retries");
     assert!(batch.results[0].is_ok(), "healthy neighbour survives");
     assert!(batch.results[2].is_ok(), "healthy neighbour survives");

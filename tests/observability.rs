@@ -6,7 +6,7 @@
 //! binary — no other test shares the process).
 
 use etpn::obs;
-use etpn::sim::{Fleet, ScriptedEnv, SimJob};
+use etpn::sim::{Fleet, RunSpec, ScriptedEnv, SimJob};
 use std::sync::Mutex;
 
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
@@ -38,17 +38,18 @@ fn run_batch(
     pairs: &[(i64, i64)],
     workers: usize,
 ) -> etpn::sim::FleetBatch {
+    let spec = RunSpec {
+        max_steps: 5_000,
+        registers: d.reg_inits.clone(),
+        ..RunSpec::default()
+    };
     let jobs: Vec<SimJob> = pairs
         .iter()
         .map(|&(a, b)| {
             let env = ScriptedEnv::new()
                 .with_stream("a", [a])
                 .with_stream("b", [b]);
-            let mut job = SimJob::new(&d.etpn, env).max_steps(5_000);
-            for (name, v) in &d.reg_inits {
-                job = job.init_register(name, *v);
-            }
-            job
+            SimJob::from_spec(&d.etpn, env, spec.clone())
         })
         .collect();
     Fleet::new(workers).run_batch(jobs)

@@ -83,6 +83,43 @@ fn src_body(src: &str) -> String {
     etpn::core::json::Json::obj([("source", etpn::core::json::Json::Str(src.to_string()))]).pretty()
 }
 
+/// A run field present with the wrong JSON type is a 400 naming the
+/// field, never a silent default: nothing runs and no coverage merges.
+#[test]
+fn wrongly_typed_run_fields_are_400() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let addr = handle.addr;
+    assert_eq!(post(&addr, "/v1/designs", &src_body(GCD)).status, 201);
+    let cases = [
+        ("/v1/run", r#""inputs":[12,8]"#, "inputs"),
+        ("/v1/run", r#""steps":"many""#, "steps"),
+        ("/v1/run", r#""policy":7"#, "policy"),
+        ("/v1/run", r#""backend":true"#, "backend"),
+        ("/v1/run", r#""deadline_ms":"soon""#, "deadline_ms"),
+        ("/v1/run", r#""seed":"x""#, "seed"),
+        ("/v1/run", r#""repeat_last":1"#, "repeat_last"),
+        ("/v1/check", r#""seeds":"all""#, "seeds"),
+        ("/v1/check", r#""jobs":"two""#, "jobs"),
+        ("/v1/fault", r#""steps":[1]"#, "steps"),
+    ];
+    for (path, field, name) in cases {
+        // Every other field is well-typed; the inputs case replaces the
+        // valid inputs object.
+        let inputs = if name == "inputs" {
+            ""
+        } else {
+            r#""inputs":{"a":[12],"b":[8]},"#
+        };
+        let body = format!(r#"{{"design":"gcd",{inputs}{field}}}"#);
+        let r = post(&addr, path, &body);
+        assert_eq!(r.status, 400, "{path} {body}: {}", r.body);
+        assert!(r.body.contains(&format!("`{name}`")), "{path}: {}", r.body);
+    }
+    let cov = post(&addr, "/v1/cov", r#"{"design":"gcd"}"#);
+    assert!(cov.body.contains("\"runs\": 0"), "{}", cov.body);
+    handle.shutdown();
+}
+
 /// Raw malformed HTTP (not even a request line) answers 400, and an
 /// absurd Content-Length answers 413 — without tying up the worker.
 #[test]
