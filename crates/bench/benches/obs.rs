@@ -17,9 +17,8 @@ fn bench_primitives(c: &mut Criterion) {
     group.bench_function("span_disabled", |b| b.iter(|| obs::span("bench.span")));
     obs::set_level(obs::Level::Trace);
     group.bench_function("span_enabled", |b| b.iter(|| obs::span("bench.span")));
+    // Lowering the level drops the profile root and its spans.
     obs::set_level(obs::Level::Off);
-    obs::flush_thread();
-    obs::global().clear_events();
     group.finish();
 }
 
@@ -43,8 +42,6 @@ fn bench_sim_at_levels(c: &mut Criterion) {
             })
         });
         obs::set_level(obs::Level::Off);
-        obs::flush_thread();
-        obs::global().clear_events();
     }
     group.finish();
 }

@@ -7,7 +7,8 @@
 //! each and no timestamp is taken. `stats` adds the step-duration
 //! histogram (two `Instant::now` calls and four relaxed atomic ops per
 //! step). `trace` additionally records every span with start/end
-//! timestamps into a thread-local buffer.
+//! timestamps into the profile root, the shared buffer `--profile` writes
+//! out.
 //!
 //! Acceptance: `stats` stays within 5% of `off`, and `off` is
 //! indistinguishable from noise against an uninstrumented build (the
@@ -43,9 +44,8 @@ pub fn run(scale: Scale) -> Table {
             steps += sim.run(w.max_steps).expect("gcd runs").steps;
         }
         let dt = t0.elapsed().as_secs_f64();
+        // Lowering the level drops the profile root and its spans.
         obs::set_level(obs::Level::Off);
-        obs::flush_thread();
-        obs::global().clear_events();
         (steps, steps as f64 / dt)
     };
 

@@ -1,12 +1,6 @@
-//! Exporters: Chrome `trace_event` JSON and flat stats dumps.
-//!
-//! The Chrome exporter emits the JSON Object Format understood by
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): an object
-//! with a `traceEvents` array of complete (`"ph":"X"`) span events plus
-//! counter (`"ph":"C"`) samples. Timestamps are integer microseconds from
-//! the registry epoch — integers keep the emitted document inside the
-//! workspace's own float-free JSON dialect, so traces can be validated by
-//! `etpn_core::json::parse` in tests and CI.
+//! Stats exporters: flat text, JSON and Prometheus dumps of the metric
+//! [`Registry`]. Spans and samples export through
+//! [`crate::FinishedTrace::chrome_json`].
 
 use crate::metrics::{HistogramSnapshot, SUBS};
 use crate::registry::{decode_key, Registry};
@@ -27,10 +21,6 @@ fn esc(out: &mut String, s: &str) {
     }
 }
 
-fn cat_of(name: &str) -> &str {
-    name.split('.').next().unwrap_or("misc")
-}
-
 /// Human-readable form of a (possibly label-encoded) registry key:
 /// `name` or `name{k="v",…}`.
 fn display_key(key: &str) -> String {
@@ -48,86 +38,6 @@ fn display_key(key: &str) -> String {
         let _ = write!(out, "{k}=\"{v}\"");
     }
     out.push('}');
-    out
-}
-
-/// Render the registry's recorded spans and counter samples as Chrome
-/// `trace_event` JSON. Call [`crate::flush_thread`] first so the calling
-/// thread's buffered spans are included.
-pub fn chrome_trace(reg: &Registry) -> String {
-    let mut out = String::with_capacity(64 * 1024);
-    out.push_str("{\n\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push_event = |ev: String| {
-        if first {
-            first = false;
-        } else {
-            out.push_str(",\n");
-        }
-        out.push_str(&ev);
-    };
-
-    push_event(
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-         \"args\": {\"name\": \"etpn\"}}"
-            .to_string(),
-    );
-
-    // One thread_name metadata event per distinct tid, so Perfetto labels
-    // the tracks instead of showing bare thread numbers.
-    let mut tids: Vec<u64> = reg
-        .spans()
-        .iter()
-        .map(|s| s.tid)
-        .chain(reg.samples().iter().map(|c| c.tid))
-        .collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        push_event(format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
-             \"args\": {{\"name\": \"etpn-{tid}\"}}}}"
-        ));
-    }
-
-    for s in reg.spans() {
-        let mut ev = String::new();
-        let _ = write!(
-            ev,
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \
-             \"tid\": {}, \"ts\": {}, \"dur\": {}",
-            s.name,
-            cat_of(s.name),
-            s.tid,
-            s.start_ns / 1_000,
-            s.dur_ns / 1_000,
-        );
-        let _ = write!(ev, ", \"args\": {{\"ns\": {}", s.dur_ns);
-        if let Some((k, v)) = s.arg {
-            let _ = write!(ev, ", \"{k}\": {v}");
-        }
-        ev.push_str("}}");
-        push_event(ev);
-    }
-
-    for c in reg.samples() {
-        let mut ev = String::new();
-        let _ = write!(
-            ev,
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"C\", \"pid\": 1, \
-             \"tid\": {}, \"ts\": {}, \"args\": {{\"value\": {}}}}}",
-            c.name,
-            cat_of(c.name),
-            c.tid,
-            c.at_ns / 1_000,
-            c.value,
-        );
-        push_event(ev);
-    }
-
-    out.push_str(
-        "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"generator\": \"etpn-obs\"}\n}\n",
-    );
     out
 }
 
@@ -373,38 +283,13 @@ pub fn prometheus_text(reg: &Registry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{CounterSample, SpanEvent};
 
     fn seeded_registry() -> Registry {
         let r = Registry::new();
         r.counter("sim.steps").add(9);
         r.gauge("fleet.workers").set(4);
         r.histogram("sim.step.ns").record(1500);
-        r.record_spans([SpanEvent {
-            name: "sim.run",
-            tid: 3,
-            start_ns: 2_000,
-            dur_ns: 5_000,
-            arg: Some(("steps", 12)),
-        }]);
-        r.record_sample(CounterSample {
-            name: "opt.cost",
-            tid: 3,
-            at_ns: 4_000,
-            value: 77,
-        });
         r
-    }
-
-    #[test]
-    fn chrome_trace_contains_span_and_counter_events() {
-        let t = chrome_trace(&seeded_registry());
-        assert!(t.contains("\"traceEvents\""));
-        assert!(t.contains("\"name\": \"sim.run\""));
-        assert!(t.contains("\"ph\": \"X\""));
-        assert!(t.contains("\"ph\": \"C\""));
-        assert!(t.contains("\"steps\": 12"));
-        assert!(t.contains("\"cat\": \"sim\""));
     }
 
     #[test]
@@ -421,14 +306,6 @@ mod tests {
         assert!(s.contains("\"sim.steps\": 9"), "{s}");
         assert!(s.contains("\"p95\""), "{s}");
         assert!(!s.contains('.') || !s.contains("e-"), "{s}");
-    }
-
-    #[test]
-    fn chrome_trace_labels_every_thread_track() {
-        let t = chrome_trace(&seeded_registry());
-        assert!(t.contains("\"name\": \"process_name\""), "{t}");
-        assert!(t.contains("\"name\": \"thread_name\""), "{t}");
-        assert!(t.contains("\"name\": \"etpn-3\""), "{t}");
     }
 
     #[test]

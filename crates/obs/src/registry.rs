@@ -1,54 +1,17 @@
-//! The metric/span registry and the thread-local span recorder.
+//! The process-wide metric registry.
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::{trace_enabled, Level};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-/// One finished span, timed against the registry epoch.
-#[derive(Clone, Debug)]
-pub struct SpanEvent {
-    /// Static span name, dot-separated (`sim.step`, `fleet.worker`, …).
-    pub name: &'static str,
-    /// Process-unique, monotonically assigned thread number.
-    pub tid: u64,
-    /// Start offset from the registry epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Duration, nanoseconds.
-    pub dur_ns: u64,
-    /// Optional single argument (rendered into Chrome-trace `args`).
-    pub arg: Option<(&'static str, i64)>,
-}
-
-/// One timestamped counter sample (a Chrome `ph:"C"` point), used for
-/// value-over-time trajectories such as the optimiser cost curve.
-#[derive(Clone, Debug)]
-pub struct CounterSample {
-    /// Series name.
-    pub name: &'static str,
-    /// Thread that recorded the sample.
-    pub tid: u64,
-    /// Offset from the registry epoch, nanoseconds.
-    pub at_ns: u64,
-    /// Sampled value.
-    pub value: i64,
-}
-
-/// The process-wide metric store: named counters/gauges/histograms plus the
-/// buffers finished spans and counter samples drain into.
+/// The process-wide metric store: named counters, gauges and histograms.
 ///
 /// Metric namespaces are flat dotted strings. All methods take `&self`; the
 /// registry is freely shared across threads.
 pub struct Registry {
-    epoch: Instant,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    spans: Mutex<Vec<SpanEvent>>,
-    samples: Mutex<Vec<CounterSample>>,
 }
 
 impl Default for Registry {
@@ -58,22 +21,13 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry whose epoch is "now".
+    /// An empty registry.
     pub fn new() -> Self {
         Self {
-            epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(Vec::new()),
-            samples: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Nanoseconds elapsed since the registry epoch.
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Resolve (or create) the counter named `name`.
@@ -121,16 +75,6 @@ impl Registry {
         self.counter(&encode_key(name, labels))
     }
 
-    /// Append finished spans (called by the thread-local recorder).
-    pub fn record_spans(&self, events: impl IntoIterator<Item = SpanEvent>) {
-        self.spans.lock().expect("registry poisoned").extend(events);
-    }
-
-    /// Append one counter sample.
-    pub fn record_sample(&self, sample: CounterSample) {
-        self.samples.lock().expect("registry poisoned").push(sample);
-    }
-
     /// Snapshot all counters as `(name, value)` pairs in name order.
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         self.counters
@@ -159,24 +103,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect()
-    }
-
-    /// Copy of the recorded spans (the caller should flush first; see
-    /// [`crate::flush_thread`]).
-    pub fn spans(&self) -> Vec<SpanEvent> {
-        self.spans.lock().expect("registry poisoned").clone()
-    }
-
-    /// Copy of the recorded counter samples.
-    pub fn samples(&self) -> Vec<CounterSample> {
-        self.samples.lock().expect("registry poisoned").clone()
-    }
-
-    /// Drop all recorded spans and counter samples (metric values are
-    /// left untouched — they are cumulative by design).
-    pub fn clear_events(&self) {
-        self.spans.lock().expect("registry poisoned").clear();
-        self.samples.lock().expect("registry poisoned").clear();
     }
 }
 
@@ -225,137 +151,6 @@ pub fn decode_key(key: &str) -> (&str, Vec<(&str, &str)>) {
     (name, labels)
 }
 
-// ---------------------------------------------------------------------------
-// Thread-local span recording.
-// ---------------------------------------------------------------------------
-
-/// Buffered span count at which a thread flushes into the registry.
-const FLUSH_AT: usize = 4096;
-
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-struct ThreadBuf {
-    tid: u64,
-    events: Vec<SpanEvent>,
-}
-
-impl ThreadBuf {
-    fn new() -> Self {
-        Self {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            events: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.events.is_empty() {
-            global().record_spans(self.events.drain(..));
-        }
-    }
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        // Thread exit: hand whatever is buffered to the registry, so spans
-        // recorded by short-lived fleet workers survive the worker.
-        self.flush();
-    }
-}
-
-thread_local! {
-    static THREAD_BUF: RefCell<ThreadBuf> = RefCell::new(ThreadBuf::new());
-}
-
-/// The calling thread's process-unique span tid.
-pub fn current_tid() -> u64 {
-    THREAD_BUF.with(|b| b.borrow().tid)
-}
-
-/// Push the calling thread's buffered spans into the global registry.
-/// Exporters call this for the exporting thread; other threads flush
-/// automatically on exit or when their buffer fills.
-pub fn flush_thread() {
-    THREAD_BUF.with(|b| b.borrow_mut().flush());
-}
-
-/// An in-flight span. Created by [`crate::span`]; records itself into the
-/// thread-local buffer when dropped. A disabled span is a no-op carrying no
-/// timestamp.
-#[must_use = "a span measures the scope it is alive in"]
-pub struct Span {
-    active: Option<ActiveSpan>,
-}
-
-struct ActiveSpan {
-    name: &'static str,
-    start_ns: u64,
-    arg: Option<(&'static str, i64)>,
-}
-
-impl Span {
-    pub(crate) fn disabled() -> Self {
-        Self { active: None }
-    }
-
-    pub(crate) fn start(name: &'static str, arg: Option<(&'static str, i64)>) -> Self {
-        Self {
-            active: Some(ActiveSpan {
-                name,
-                start_ns: global().now_ns(),
-                arg,
-            }),
-        }
-    }
-
-    /// Attach (or replace) the span's argument after creation.
-    pub fn set_arg(&mut self, key: &'static str, value: i64) {
-        if let Some(a) = self.active.as_mut() {
-            a.arg = Some((key, value));
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(a) = self.active.take() else { return };
-        let end_ns = global().now_ns();
-        THREAD_BUF.with(|b| {
-            let mut buf = b.borrow_mut();
-            let tid = buf.tid;
-            buf.events.push(SpanEvent {
-                name: a.name,
-                tid,
-                start_ns: a.start_ns,
-                dur_ns: end_ns.saturating_sub(a.start_ns),
-                arg: a.arg,
-            });
-            if buf.events.len() >= FLUSH_AT {
-                buf.flush();
-            }
-        });
-    }
-}
-
-/// Record a timestamped counter sample into the global registry when
-/// tracing is enabled (a Chrome `ph:"C"` point).
-#[inline]
-pub fn sample(name: &'static str, value: i64) {
-    if !trace_enabled() {
-        return;
-    }
-    let at_ns = global().now_ns();
-    global().record_sample(CounterSample {
-        name,
-        tid: current_tid(),
-        at_ns,
-        value,
-    });
-}
-
-/// Re-exported level gate used by [`crate::span`]; lives here so the
-/// `Span` fast path and the level check stay in one compilation unit.
-pub(crate) static LEVEL: AtomicI64 = AtomicI64::new(Level::Off as i64);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,20 +190,5 @@ mod tests {
         // Separator characters in values are stripped, not misparsed.
         let k = encode_key("m", &[("design", "a\u{1f}b\u{1e}c")]);
         assert_eq!(decode_key(&k).1, vec![("design", "abc")]);
-    }
-
-    #[test]
-    fn span_events_can_be_recorded_directly() {
-        let r = Registry::new();
-        r.record_spans([SpanEvent {
-            name: "t",
-            tid: 1,
-            start_ns: 10,
-            dur_ns: 5,
-            arg: None,
-        }]);
-        assert_eq!(r.spans().len(), 1);
-        r.clear_events();
-        assert!(r.spans().is_empty());
     }
 }

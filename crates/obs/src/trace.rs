@@ -1,18 +1,18 @@
-//! Request-scoped trace context: an explicit, cloneable span sink that
-//! crosses thread boundaries.
+//! Trace contexts: the one span API. A [`TraceCtx`] is an explicit,
+//! cloneable span sink that crosses thread boundaries.
 //!
-//! The thread-local span buffers in [`crate::registry`] are perfect for
-//! process-wide profiling but useless for answering "what happened to
-//! *this* request": fleet workers batch-flush into the global registry,
-//! where one request's spans interleave with every other tenant's. This
-//! module is the per-request complement — a [`TraceCtx`] wraps an
-//! `Arc`-shared buffer that travels *with* the work (into fleet jobs,
-//! across scoped threads) so the request's span tree can be reassembled at
-//! join, no matter which worker executed which job.
+//! A context wraps an `Arc`-shared buffer that travels *with* the work
+//! (into fleet jobs, across scoped threads), so a span tree can be
+//! reassembled at join no matter which worker executed which job. etpnd
+//! gives every request its own root; the one process-wide context is the
+//! **profile root** that [`crate::set_level`]`(Level::Trace)` installs
+//! (the CLI's `--profile`), which [`crate::span`], [`crate::span_arg`]
+//! and [`crate::sample`] record under and [`crate::take_profile`] hands
+//! back. Either way a finished trace renders through one Chrome writer,
+//! [`FinishedTrace::chrome_json`].
 //!
-//! Everything is explicit: no thread-locals, no globals. A disabled
-//! context ([`TraceCtx::disabled`]) is a `None` all the way down, so the
-//! tracing-off path costs one branch per span site.
+//! A disabled context ([`TraceCtx::disabled`]) is a `None` all the way
+//! down, so the tracing-off path costs one branch per span site.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +62,16 @@ impl fmt::Display for TraceId {
     }
 }
 
+/// The calling thread's process-unique span tid, assigned from 1 in the
+/// order threads first ask for one.
+pub fn current_tid() -> u64 {
+    static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    }
+    TID.with(|t| *t)
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -82,10 +92,24 @@ pub struct SpanRec {
     pub start_ns: u64,
     /// Duration, nanoseconds.
     pub dur_ns: u64,
-    /// Thread that executed the span (the registry's process-unique tid).
+    /// Thread that executed the span ([`current_tid`]).
     pub tid: u64,
     /// Optional single argument.
     pub arg: Option<(&'static str, i64)>,
+}
+
+/// One timestamped counter sample inside a trace (a Chrome `ph:"C"`
+/// point), for value-over-time series such as the optimiser cost curve.
+#[derive(Clone, Debug)]
+pub struct SampleRec {
+    /// Series name.
+    pub name: &'static str,
+    /// Thread that recorded the sample ([`current_tid`]).
+    pub tid: u64,
+    /// Offset from the trace epoch, nanoseconds.
+    pub at_ns: u64,
+    /// Sampled value.
+    pub value: i64,
 }
 
 #[derive(Debug)]
@@ -94,6 +118,7 @@ struct TraceInner {
     epoch: Instant,
     next_id: AtomicU64,
     spans: Mutex<Vec<SpanRec>>,
+    samples: Mutex<Vec<SampleRec>>,
 }
 
 impl TraceInner {
@@ -134,6 +159,7 @@ impl TraceCtx {
                 epoch,
                 next_id: AtomicU64::new(1),
                 spans: Mutex::new(Vec::new()),
+                samples: Mutex::new(Vec::new()),
             })),
             parent: 0,
         }
@@ -167,9 +193,13 @@ impl TraceCtx {
         self.span_arg_opt(name, Some((key, value)))
     }
 
-    fn span_arg_opt(&self, name: &'static str, arg: Option<(&'static str, i64)>) -> TraceSpan {
+    pub(crate) fn span_arg_opt(
+        &self,
+        name: &'static str,
+        arg: Option<(&'static str, i64)>,
+    ) -> TraceSpan {
         let Some(inner) = &self.inner else {
-            return TraceSpan { live: None };
+            return TraceSpan::disabled();
         };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         TraceSpan {
@@ -201,9 +231,25 @@ impl TraceCtx {
             name,
             start_ns,
             dur_ns,
-            tid: crate::current_tid(),
+            tid: current_tid(),
             arg: None,
         });
+    }
+
+    /// Record a timestamped counter sample into this trace.
+    pub fn sample(&self, name: &'static str, value: i64) {
+        let Some(inner) = &self.inner else { return };
+        let at_ns = inner.now_ns();
+        inner
+            .samples
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(SampleRec {
+                name,
+                tid: current_tid(),
+                at_ns,
+                value,
+            });
     }
 
     /// Snapshot the trace into an exportable form. Callable while clones
@@ -215,6 +261,11 @@ impl TraceCtx {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
+        let samples = inner
+            .samples
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
         let total_ns = spans
             .iter()
             .map(|s| s.start_ns + s.dur_ns)
@@ -223,6 +274,7 @@ impl TraceCtx {
         Some(FinishedTrace {
             trace_id: inner.trace_id,
             spans,
+            samples,
             total_ns,
         })
     }
@@ -246,6 +298,11 @@ struct LiveSpan {
 }
 
 impl TraceSpan {
+    /// A guard that records nothing.
+    pub(crate) fn disabled() -> TraceSpan {
+        TraceSpan { live: None }
+    }
+
     /// A context whose spans become children of *this* span — pass it
     /// into work spawned under the span (fleet jobs, scoped threads).
     pub fn ctx(&self) -> TraceCtx {
@@ -267,29 +324,42 @@ impl TraceSpan {
 }
 
 impl Drop for TraceSpan {
+    // Inlined so a disabled guard costs its callers one `None` check; the
+    // recording half stays out of line.
+    #[inline]
     fn drop(&mut self) {
-        let Some(l) = self.live.take() else { return };
-        let end_ns = l.inner.now_ns();
-        l.inner.push(SpanRec {
-            id: l.id,
-            parent: l.parent,
-            name: l.name,
-            start_ns: l.start_ns,
-            dur_ns: end_ns.saturating_sub(l.start_ns),
-            tid: crate::current_tid(),
-            arg: l.arg,
+        if let Some(l) = self.live.take() {
+            l.record();
+        }
+    }
+}
+
+impl LiveSpan {
+    #[inline(never)]
+    fn record(self) {
+        let end_ns = self.inner.now_ns();
+        self.inner.push(SpanRec {
+            id: self.id,
+            parent: self.parent,
+            name: self.name,
+            start_ns: self.start_ns,
+            dur_ns: end_ns.saturating_sub(self.start_ns),
+            tid: current_tid(),
+            arg: self.arg,
         });
     }
 }
 
-/// A completed request trace: the id, every recorded span, and the
-/// latest span end seen (an upper bound on the request's wall time).
+/// A completed trace: the id, every recorded span and sample, and the
+/// latest span end seen (an upper bound on the traced wall time).
 #[derive(Clone, Debug)]
 pub struct FinishedTrace {
-    /// The request's trace id.
+    /// The trace id.
     pub trace_id: TraceId,
     /// Recorded spans, in completion order.
     pub spans: Vec<SpanRec>,
+    /// Recorded counter samples, in recording order.
+    pub samples: Vec<SampleRec>,
     /// `max(start_ns + dur_ns)` over all spans.
     pub total_ns: u64,
 }
@@ -300,19 +370,41 @@ impl FinishedTrace {
         self.spans.iter().filter(|s| s.name == name).collect()
     }
 
-    /// Render the span tree as Chrome `trace_event` JSON (the same
-    /// float-free dialect as [`crate::chrome_trace`], parseable by
-    /// `etpn_core::json`). Span/parent ids ride along in `args` so tools
-    /// — and tests — can reconstruct the tree exactly.
+    /// Render the trace as Chrome `trace_event` JSON, the JSON Object
+    /// Format understood by `chrome://tracing` and
+    /// [Perfetto](https://ui.perfetto.dev): a `process_name` and one
+    /// `thread_name` metadata event per thread, a complete (`"ph":"X"`)
+    /// event per span and a counter (`"ph":"C"`) event per sample.
+    /// Timestamps are integer microseconds from the trace epoch —
+    /// integers keep the document inside the workspace's own float-free
+    /// JSON dialect, so `etpn_core::json` parses it. Every span carries its
+    /// `span`/`parent` ids and exact `ns` duration in `args`, so tools —
+    /// and tests — can reconstruct the tree exactly.
     pub fn chrome_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::with_capacity(4096 + 160 * self.spans.len());
-        let _ = write!(
-            out,
-            "{{\n\"traceEvents\": [\n{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
-             \"tid\": 0, \"args\": {{\"name\": \"etpnd request {}\"}}}}",
-            self.trace_id
+        let cat = |name: &'static str| name.split('.').next().unwrap_or("misc");
+        let mut out = String::with_capacity(4096 + 160 * (self.spans.len() + self.samples.len()));
+        out.push_str(
+            "{\n\"traceEvents\": [\n{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
+             \"tid\": 0, \"args\": {\"name\": \"etpn\"}}",
         );
+        // One thread_name metadata event per distinct tid, so Perfetto
+        // labels the tracks instead of showing bare thread numbers.
+        let mut tids: Vec<u64> = self
+            .spans
+            .iter()
+            .map(|s| s.tid)
+            .chain(self.samples.iter().map(|c| c.tid))
+            .collect();
+        tids.sort_unstable();
+        tids.dedup();
+        for tid in tids {
+            let _ = write!(
+                out,
+                ",\n{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
+                 \"args\": {{\"name\": \"etpn-{tid}\"}}}}"
+            );
+        }
         for s in &self.spans {
             let _ = write!(
                 out,
@@ -320,7 +412,7 @@ impl FinishedTrace {
                  \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"span\": {}, \
                  \"parent\": {}, \"ns\": {}",
                 s.name,
-                s.name.split('.').next().unwrap_or("misc"),
+                cat(s.name),
                 s.tid,
                 s.start_ns / 1_000,
                 s.dur_ns / 1_000,
@@ -332,6 +424,18 @@ impl FinishedTrace {
                 let _ = write!(out, ", \"{k}\": {v}");
             }
             out.push_str("}}");
+        }
+        for c in &self.samples {
+            let _ = write!(
+                out,
+                ",\n{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"C\", \"pid\": 1, \
+                 \"tid\": {}, \"ts\": {}, \"args\": {{\"value\": {}}}}}",
+                c.name,
+                cat(c.name),
+                c.tid,
+                c.at_ns / 1_000,
+                c.value,
+            );
         }
         let _ = write!(
             out,
@@ -405,6 +509,47 @@ mod tests {
         assert!(!ctx.is_enabled());
         assert!(ctx.finish().is_none());
         assert!(ctx.trace_id().is_none());
+    }
+
+    fn seeded_trace() -> FinishedTrace {
+        FinishedTrace {
+            trace_id: TraceId(0xabc),
+            spans: vec![SpanRec {
+                id: 1,
+                parent: 0,
+                name: "sim.run",
+                start_ns: 2_000,
+                dur_ns: 5_000,
+                tid: 3,
+                arg: Some(("steps", 12)),
+            }],
+            samples: vec![SampleRec {
+                name: "opt.cost",
+                tid: 3,
+                at_ns: 4_000,
+                value: 77,
+            }],
+            total_ns: 7_000,
+        }
+    }
+
+    #[test]
+    fn chrome_trace_contains_span_and_counter_events() {
+        let t = seeded_trace().chrome_json();
+        assert!(t.contains("\"traceEvents\""));
+        assert!(t.contains("\"name\": \"sim.run\""));
+        assert!(t.contains("\"ph\": \"X\""));
+        assert!(t.contains("\"ph\": \"C\""));
+        assert!(t.contains("\"steps\": 12"));
+        assert!(t.contains("\"cat\": \"sim\""));
+    }
+
+    #[test]
+    fn chrome_trace_labels_every_thread_track() {
+        let t = seeded_trace().chrome_json();
+        assert!(t.contains("\"name\": \"process_name\""), "{t}");
+        assert!(t.contains("\"name\": \"thread_name\""), "{t}");
+        assert!(t.contains("\"name\": \"etpn-3\""), "{t}");
     }
 
     #[test]

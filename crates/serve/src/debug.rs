@@ -272,6 +272,7 @@ mod tests {
             store.insert(std::sync::Arc::new(FinishedTrace {
                 trace_id: TraceId(n),
                 spans: Vec::new(),
+                samples: Vec::new(),
                 total_ns: 0,
             }));
         }

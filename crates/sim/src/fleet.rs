@@ -71,13 +71,15 @@ impl<'g, E: Environment> SimJob<'g, E> {
         Self::from_spec(g, env, RunSpec::default())
     }
 
-    /// A job over `g` and `env` configured by `spec`.
+    /// A job over `g` and `env` configured by `spec`. Its trace context
+    /// starts as the profile root ([`obs::profile`]), so under `--profile`
+    /// the job's `fleet.job` span lands in the process profile.
     pub fn from_spec(g: &'g Etpn, env: E, spec: RunSpec) -> Self {
         Self {
             g,
             env,
             spec,
-            trace: obs::TraceCtx::disabled(),
+            trace: obs::profile(),
         }
     }
 
@@ -86,12 +88,12 @@ impl<'g, E: Environment> SimJob<'g, E> {
         self.g
     }
 
-    /// Attach a request-scoped trace context ([`obs::TraceCtx`]). The
-    /// fleet worker that eventually executes this job opens a `fleet.job`
-    /// span as a child of the context's parent span, recorded into the
-    /// *request's* span buffer — not the process-wide thread-local one —
-    /// so a request's span tree survives the thread hop and reassembles
-    /// at join.
+    /// Attach a request-scoped trace context ([`obs::TraceCtx`]) in place
+    /// of the profile root. The fleet worker that eventually executes this
+    /// job opens its one `fleet.job` span as a child of the context's
+    /// parent span, recorded into the *request's* span buffer, so a
+    /// request's span tree survives the thread hop and reassembles at
+    /// join.
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         self.trace = ctx;
         self
@@ -389,60 +391,48 @@ impl Fleet {
                 let retried_ctr = &retried_ctr;
                 let post = &post;
                 scope.spawn(move || {
-                    {
-                        let _worker_span = obs::span_arg("fleet.worker", "worker", w as i64);
-                        loop {
-                            let mut next = lock_recover(&queues[w]).pop_front();
-                            if next.is_none() {
-                                for d in 1..workers {
-                                    let victim = (w + d) % workers;
-                                    next = lock_recover(&queues[victim]).pop_back();
-                                    if next.is_some() {
-                                        stolen.fetch_add(1, Ordering::Relaxed);
-                                        steals.inc();
-                                        break;
-                                    }
+                    let _worker_span = obs::span_arg("fleet.worker", "worker", w as i64);
+                    loop {
+                        let mut next = lock_recover(&queues[w]).pop_front();
+                        if next.is_none() {
+                            for d in 1..workers {
+                                let victim = (w + d) % workers;
+                                next = lock_recover(&queues[victim]).pop_back();
+                                if next.is_some() {
+                                    stolen.fetch_add(1, Ordering::Relaxed);
+                                    steals.inc();
+                                    break;
                                 }
-                            }
-                            match next {
-                                Some((idx, mut job)) => {
-                                    // The batch-wide absolute deadline binds
-                                    // each job to the time actually left when
-                                    // it *starts*, so queued jobs cannot each
-                                    // spend a full budget of their own.
-                                    if let Some(at) = deadline_at {
-                                        let left = at
-                                            .checked_duration_since(Instant::now())
-                                            .unwrap_or(Duration::from_micros(1));
-                                        let budget = &mut job.spec.wall_budget;
-                                        *budget = Some(budget.map_or(left, |b| b.min(left)));
-                                    }
-                                    let _job_span = obs::span_arg("fleet.job", "job", idx as i64);
-                                    // The request-scoped twin of the span
-                                    // above: lands in the owning request's
-                                    // buffer, tagged with the job index.
-                                    let _req_span =
-                                        job.trace.span_arg("fleet.job", "job", idx as i64);
-                                    let mut outcome = Self::run_isolated(
-                                        &job,
-                                        idx as u64,
-                                        retry,
-                                        (panics, panics_ctr),
-                                        (retried, retried_ctr),
-                                    );
-                                    post(idx, &mut outcome);
-                                    *lock_recover(&slots[idx]) = Some(outcome);
-                                    jobs_done.inc();
-                                }
-                                None => break,
                             }
                         }
+                        match next {
+                            Some((idx, mut job)) => {
+                                // The batch-wide absolute deadline binds
+                                // each job to the time actually left when
+                                // it *starts*, so queued jobs cannot each
+                                // spend a full budget of their own.
+                                if let Some(at) = deadline_at {
+                                    let left = at
+                                        .checked_duration_since(Instant::now())
+                                        .unwrap_or(Duration::from_micros(1));
+                                    let budget = &mut job.spec.wall_budget;
+                                    *budget = Some(budget.map_or(left, |b| b.min(left)));
+                                }
+                                let _job_span = job.trace.span_arg("fleet.job", "job", idx as i64);
+                                let mut outcome = Self::run_isolated(
+                                    &job,
+                                    idx as u64,
+                                    retry,
+                                    (panics, panics_ctr),
+                                    (retried, retried_ctr),
+                                );
+                                post(idx, &mut outcome);
+                                *lock_recover(&slots[idx]) = Some(outcome);
+                                jobs_done.inc();
+                            }
+                            None => break,
+                        }
                     }
-                    // Flush explicitly: `thread::scope` unblocks when this
-                    // closure returns, which is *before* thread-local
-                    // destructors run, so relying on the TLS-drop flush
-                    // would race the batch's readers.
-                    obs::flush_thread();
                 });
             }
         });

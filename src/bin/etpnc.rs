@@ -33,14 +33,11 @@
 //!   --set NAME=v1,v2,…                        (input stream, repeatable)
 //!   --steps N                                 (step budget per run,
 //!                                              default 100000)
-//!   --backend compiled|interp|compiled-nodirty
-//!                                             (step engine, default
+//!   --backend compiled|interp                 (step engine, default
 //!                                              compiled: the event-driven
 //!                                              engine, bit-identical to
 //!                                              the `interp` reference — see
-//!                                              tests/backend_differential.rs;
-//!                                              `compiled-nodirty` is its
-//!                                              full-re-evaluation ablation)
+//!                                              tests/backend_differential.rs)
 //!   --strict                                  (error when an input stream
 //!                                              runs dry instead of reading ⊥)
 //!   --wall-ms N                               (per-run wall-clock budget)
@@ -78,8 +75,7 @@
 //! replay options:
 //!   --at N                                    (target step, default the
 //!                                              journal end)
-//!   --backend compiled|interp|compiled-nodirty
-//!                                             (as for run, default compiled)
+//!   --backend compiled|interp                 (as for run, default compiled)
 //!   --vcd FILE                                (dump the replayed register
 //!                                              waveforms)
 //! why options:
@@ -216,14 +212,13 @@ fn export_observability(profile_path: Option<&str>, want_stats: bool) -> Result<
     if profile_path.is_none() && !want_stats {
         return Ok(());
     }
-    obs::flush_thread();
-    let reg = obs::global();
     if let Some(path) = profile_path {
-        std::fs::write(path, obs::chrome_trace(reg)).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path} ({} spans)", reg.spans().len());
+        let profile = obs::take_profile().expect("--profile sets Level::Trace");
+        std::fs::write(path, profile.chrome_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path} ({} spans)", profile.spans.len());
     }
     if want_stats {
-        print!("{}", obs::stats_text(reg));
+        print!("{}", obs::stats_text(obs::global()));
     }
     Ok(())
 }
@@ -450,12 +445,7 @@ fn run_spec(
     let backend = match flag_values(args, "--backend").last().map(String::as_str) {
         None | Some("compiled") => Backend::Compiled,
         Some("interp") => Backend::Interp,
-        Some("compiled-nodirty") => Backend::CompiledNoDirty,
-        Some(other) => {
-            return Err(format!(
-                "--backend {other}: expected compiled, interp or compiled-nodirty"
-            ))
-        }
+        Some(other) => return Err(format!("--backend {other}: expected compiled or interp")),
     };
     let spec = RunSpec {
         backend,

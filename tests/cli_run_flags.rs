@@ -21,6 +21,7 @@ fn run_flags_are_parsed_alike_by_every_subcommand() {
     let rec = rec.to_str().unwrap();
 
     // An unknown backend is a usage error everywhere, not a silent default.
+    // The no-dirty ablation is a bench-only backend, not a CLI value.
     for cmd in [
         &["run"][..],
         &["run", "--jobs", "2"],
@@ -29,13 +30,15 @@ fn run_flags_are_parsed_alike_by_every_subcommand() {
         &["cov"],
         &["dot", "--heat"],
     ] {
-        let out = etpnc(&[cmd, &[GCD], &INPUTS, &["--backend", "bogus"]]);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{cmd:?}: {err}");
-        assert!(
-            err.contains("--backend bogus: expected compiled, interp"),
-            "{err}"
-        );
+        for backend in ["bogus", "compiled-nodirty"] {
+            let out = etpnc(&[cmd, &[GCD], &INPUTS, &["--backend", backend]]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} {backend}: {err}");
+            assert!(
+                err.contains(&format!("--backend {backend}: expected compiled")),
+                "{err}"
+            );
+        }
     }
 
     // A fleet battery cannot flight-record: refused, nothing written.

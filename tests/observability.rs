@@ -1,9 +1,10 @@
 //! Observability integration tests: metric consistency under a concurrent
-//! fleet batch, and the Chrome `trace_event` exporter's schema.
+//! fleet batch, one span per fleet job, and the Chrome `trace_event`
+//! exporter's schema.
 //!
-//! The observability level and the registry are process-wide, so every
-//! test here serialises on [`GLOBAL_LOCK`] (this file is its own test
-//! binary — no other test shares the process).
+//! The observability level, the profile root and the registry are
+//! process-wide, so every test here serialises on [`GLOBAL_LOCK`] (this
+//! file is its own test binary — no other test shares the process).
 
 use etpn::obs;
 use etpn::sim::{Fleet, RunSpec, ScriptedEnv, SimJob};
@@ -33,17 +34,13 @@ fn gcd_jobs(n: usize) -> (etpn::synth::CompiledDesign, Vec<(i64, i64)>) {
     (d, pairs)
 }
 
-fn run_batch(
-    d: &etpn::synth::CompiledDesign,
-    pairs: &[(i64, i64)],
-    workers: usize,
-) -> etpn::sim::FleetBatch {
+fn gcd_batch<'d>(d: &'d etpn::synth::CompiledDesign, pairs: &[(i64, i64)]) -> Vec<SimJob<'d>> {
     let spec = RunSpec {
         max_steps: 5_000,
         registers: d.reg_inits.clone(),
         ..RunSpec::default()
     };
-    let jobs: Vec<SimJob> = pairs
+    pairs
         .iter()
         .map(|&(a, b)| {
             let env = ScriptedEnv::new()
@@ -51,8 +48,15 @@ fn run_batch(
                 .with_stream("b", [b]);
             SimJob::from_spec(&d.etpn, env, spec.clone())
         })
-        .collect();
-    Fleet::new(workers).run_batch(jobs)
+        .collect()
+}
+
+fn run_batch(
+    d: &etpn::synth::CompiledDesign,
+    pairs: &[(i64, i64)],
+    workers: usize,
+) -> etpn::sim::FleetBatch {
+    Fleet::new(workers).run_batch(gcd_batch(d, pairs))
 }
 
 fn counter(reg: &obs::Registry, name: &str) -> u64 {
@@ -93,15 +97,14 @@ fn fleet_metrics_are_consistent() {
 fn fleet_spans_account_for_every_job() {
     let _guard = GLOBAL_LOCK.lock().unwrap();
     obs::set_level(obs::Level::Trace);
-    obs::global().clear_events();
     let (d, pairs) = gcd_jobs(9);
     let workers = 3;
     let batch = run_batch(&d, &pairs, workers);
+    let profile = obs::take_profile().expect("Trace installs a profile root");
     obs::set_level(obs::Level::Off);
-    obs::flush_thread();
 
     assert_eq!(batch.stats.jobs, 9);
-    let spans = obs::global().spans();
+    let spans = &profile.spans;
     let batch_span = spans
         .iter()
         .find(|s| s.name == "fleet.batch")
@@ -141,6 +144,44 @@ fn fleet_spans_account_for_every_job() {
     }
 }
 
+/// A job carrying a request context records its one `fleet.job` span
+/// there, and the profile root gets no twin of it: each job span appears
+/// exactly once across the request trace and the profile.
+#[test]
+fn fleet_job_spans_are_not_twinned_into_the_profile() {
+    let _guard = GLOBAL_LOCK.lock().unwrap();
+    obs::set_level(obs::Level::Trace);
+    let (d, pairs) = gcd_jobs(6);
+    let request = obs::TraceCtx::root(obs::TraceId::generate());
+    let batch = {
+        let verb = request.span("verb.check");
+        let jobs = gcd_batch(&d, &pairs)
+            .into_iter()
+            .map(|job| job.with_trace(verb.ctx()))
+            .collect();
+        Fleet::new(3).run_batch(jobs)
+    };
+    let profile = obs::take_profile().expect("Trace installs a profile root");
+    obs::set_level(obs::Level::Off);
+    let request = request.finish().expect("request trace is enabled");
+
+    assert!(batch.results.iter().all(|r| r.is_ok()));
+    let job_idx = |t: &obs::FinishedTrace| {
+        let mut idx: Vec<i64> = t
+            .spans_named("fleet.job")
+            .iter()
+            .map(|s| s.arg.expect("job index").1)
+            .collect();
+        idx.sort_unstable();
+        idx
+    };
+    assert_eq!(job_idx(&request), (0..6).collect::<Vec<_>>());
+    assert!(job_idx(&profile).is_empty(), "no twin in the profile");
+    // The profile still has the batch and its workers.
+    assert_eq!(profile.spans_named("fleet.batch").len(), 1);
+    assert_eq!(profile.spans_named("fleet.worker").len(), 3);
+}
+
 /// Golden schema test: the Chrome-trace exporter emits JSON that the
 /// repo's own (float-free) parser accepts, with the fields Perfetto /
 /// `chrome://tracing` require on every event.
@@ -148,14 +189,13 @@ fn fleet_spans_account_for_every_job() {
 fn chrome_trace_schema_is_valid() {
     let _guard = GLOBAL_LOCK.lock().unwrap();
     obs::set_level(obs::Level::Trace);
-    obs::global().clear_events();
     let (d, pairs) = gcd_jobs(3);
     let _ = run_batch(&d, &pairs, 2);
     obs::sample("test.series", 42);
+    let profile = obs::take_profile().expect("Trace installs a profile root");
     obs::set_level(obs::Level::Off);
-    obs::flush_thread();
 
-    let text = obs::chrome_trace(obs::global());
+    let text = profile.chrome_json();
     let doc = etpn::core::json::parse(&text).expect("exporter output parses");
     let events = doc
         .req("traceEvents")
