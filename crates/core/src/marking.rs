@@ -11,9 +11,17 @@ use crate::control::Control;
 use crate::ids::{PlaceId, TransId};
 
 /// A token assignment `M : S → ℕ`, indexed densely by raw place id.
+///
+/// `marked` counts the places holding a token and `over` those holding two
+/// or more, so termination and safeness are O(1). [`Marking::add`] and
+/// [`Marking::remove`], the only mutators, keep them as places cross 0↔1
+/// and 1↔2 tokens; being functions of `tokens`, they keep the derived `Eq`
+/// and `Hash` equal to comparing token vectors.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Marking {
     tokens: Vec<u32>,
+    marked: u32,
+    over: u32,
 }
 
 impl Marking {
@@ -21,6 +29,8 @@ impl Marking {
     pub fn empty(control: &Control) -> Self {
         Self {
             tokens: vec![0; control.places().capacity_bound()],
+            marked: 0,
+            over: 0,
         }
     }
 
@@ -29,7 +39,7 @@ impl Marking {
         let mut m = Self::empty(control);
         for (s, p) in control.places().iter() {
             if p.marked0 {
-                m.tokens[s.idx()] = 1;
+                m.add(s);
             }
         }
         m
@@ -44,7 +54,13 @@ impl Marking {
     /// Rebuild a marking from a raw token-count vector (the inverse of
     /// [`Marking::counts`]; checkpoint restore).
     pub fn from_counts(tokens: Vec<u32>) -> Self {
-        Self { tokens }
+        let count = |min: u32| tokens.iter().filter(|&&c| c >= min).count() as u32;
+        let (marked, over) = (count(1), count(2));
+        Self {
+            tokens,
+            marked,
+            over,
+        }
     }
 
     /// `M(s)` — the token count of a place.
@@ -61,14 +77,20 @@ impl Marking {
 
     /// Add one token to `s`.
     pub fn add(&mut self, s: PlaceId) {
-        self.tokens[s.idx()] += 1;
+        let c = &mut self.tokens[s.idx()];
+        *c += 1;
+        self.marked += u32::from(*c == 1);
+        self.over += u32::from(*c == 2);
     }
 
     /// Remove one token from `s`; panics if the place is empty (the caller
     /// must have checked enablement).
     pub fn remove(&mut self, s: PlaceId) {
-        assert!(self.tokens[s.idx()] > 0, "removing token from empty {s}");
-        self.tokens[s.idx()] -= 1;
+        let c = &mut self.tokens[s.idx()];
+        assert!(*c > 0, "removing token from empty {s}");
+        *c -= 1;
+        self.marked -= u32::from(*c == 0);
+        self.over -= u32::from(*c == 1);
     }
 
     /// Places currently holding at least one token, in id order.
@@ -87,15 +109,18 @@ impl Marking {
     }
 
     /// True iff no control state holds a token — the execution is
-    /// terminated (Def. 3.1(6)).
+    /// terminated (Def. 3.1(6)). O(1): reads the marked-place count.
+    #[inline]
     pub fn is_terminated(&self) -> bool {
-        self.tokens.iter().all(|&c| c == 0)
+        self.marked == 0
     }
 
     /// True iff no place holds more than one token (safeness at this
     /// marking; Def. 3.2(2) requires it at *every reachable* marking).
+    /// O(1): reads the over-full-place count.
+    #[inline]
     pub fn is_safe(&self) -> bool {
-        self.tokens.iter().all(|&c| c <= 1)
+        self.over == 0
     }
 
     /// Structural enablement (Def. 3.1(3)): every input place of `t` holds

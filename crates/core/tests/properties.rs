@@ -6,7 +6,7 @@
 use etpn_core::arena::TypedVec;
 use etpn_core::bitset::{BitMatrix, BitSet};
 use etpn_core::ids::VertexId;
-use etpn_core::{Control, Marking, Op, Value};
+use etpn_core::{Control, Marking, Op, PlaceId, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -158,5 +158,47 @@ proptest! {
         prop_assert!(m.enabled(&c, t));
         m.fire(&c, t);
         prop_assert_eq!(m.total() as i64, before as i64 - pre.len() as i64 + post.len() as i64);
+    }
+
+    /// The marking's O(1) termination and safeness summaries agree with a
+    /// scan of the token counts after every `add`, `remove`, `fire` and
+    /// `from_counts`, and markings that reach the same counts by different
+    /// histories compare equal (so the derived `Hash` agrees too).
+    #[test]
+    fn marking_summaries_follow_the_counts(
+        n in 1usize..6,
+        flows in prop::collection::vec((0usize..6, 0usize..3, any::<bool>()), 0..12),
+        ops in prop::collection::vec((0u8..4, 0usize..6, prop::collection::vec(0u32..3, 0..6)), 1..40),
+    ) {
+        let mut c = Control::new();
+        let places: Vec<_> = (0..n).map(|i| c.add_place(format!("s{i}"))).collect();
+        let trans: Vec<_> = (0..3).map(|i| c.add_transition(format!("t{i}"))).collect();
+        for (s, t, pre) in flows {
+            let (s, t) = (places[s % n], trans[t]);
+            // A repeated flow is refused; the first one stands.
+            let _ = if pre { c.flow_st(s, t) } else { c.flow_ts(t, s) };
+        }
+        let mut m = Marking::empty(&c);
+        for (op, k, mut counts) in ops {
+            let (s, t) = (places[k % n], trans[k % 3]);
+            match op {
+                0 => m.add(s),
+                1 if m.count(s) > 0 => m.remove(s),
+                2 if m.enabled(&c, t) => m.fire(&c, t),
+                3 => {
+                    counts.resize(n, 0);
+                    m = Marking::from_counts(counts);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(m.is_terminated(), m.counts().iter().all(|&c| c == 0));
+            prop_assert_eq!(m.is_safe(), m.counts().iter().all(|&c| c <= 1));
+            let mut rebuilt = Marking::empty(&c);
+            for (i, &k) in m.counts().iter().enumerate() {
+                (0..k).for_each(|_| rebuilt.add(PlaceId::new(i as u32)));
+            }
+            prop_assert_eq!(&Marking::from_counts(m.counts().to_vec()), &m);
+            prop_assert_eq!(&rebuilt, &m);
+        }
     }
 }

@@ -31,7 +31,7 @@ use crate::eval::{DpState, StepValues};
 use etpn_core::bitset::BitSet;
 use etpn_core::port::Dir;
 use etpn_core::vertex::VertexKind;
-use etpn_core::{ArcId, Etpn, EtpnBuilder, Marking, Op, PlaceId, PortId, TransId, Value, VertexId};
+use etpn_core::{ArcId, Etpn, Marking, Op, PlaceId, PortId, TransId, Value, VertexId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -78,20 +78,9 @@ struct Csr {
 }
 
 impl Csr {
-    fn build(rows: Vec<Vec<u32>>) -> Self {
-        let mut off = Vec::with_capacity(rows.len() + 1);
-        let mut dat = Vec::new();
-        off.push(0);
-        for row in &rows {
-            dat.extend_from_slice(row);
-            off.push(dat.len() as u32);
-        }
-        Self { off, dat }
-    }
-
-    /// Build with `n` rows, `fill(i, row)` appending row `i`'s payload.
-    /// Unlike [`Csr::build`] this holds no per-row vectors, so compiling
-    /// a large design never keeps thousands of small allocations alive.
+    /// Build with `n` rows, `fill(i, row)` appending row `i`'s payload
+    /// into one shared buffer, so compiling a large design never holds
+    /// thousands of small per-row allocations.
     fn from_fn(n: usize, mut fill: impl FnMut(usize, &mut Vec<u32>)) -> Self {
         let mut off = Vec::with_capacity(n + 1);
         let mut dat = Vec::new();
@@ -108,36 +97,6 @@ impl Csr {
         &self.dat[self.off[i] as usize..self.off[i + 1] as usize]
     }
 }
-
-/// One vertex of the structural replay tables.
-#[derive(Clone, Debug)]
-struct VertexSpec {
-    name: String,
-    kind: VertexKind,
-    n_inputs: usize,
-    out_ops: Vec<Op>,
-}
-
-/// Structural tables sufficient to replay the design through the public
-/// construction API ([`CompiledDesign::decompile`]).
-#[derive(Clone, Debug, Default)]
-struct DesignSpec {
-    /// True when any arena has holes (removed objects): raw ids then no
-    /// longer replay densely and decompilation is unsupported.
-    holes: bool,
-    vertices: Vec<VertexSpec>,
-    /// `(from_vertex, from_out_index, to_vertex, to_in_index)` per arc.
-    arcs: Vec<(u32, u32, u32, u32)>,
-    /// `(name, marked0, controlled arc ids)` per place.
-    places: Vec<(String, bool, Vec<u32>)>,
-    /// `(name, pre places, post places, guard (vertex, out_index))` per
-    /// transition.
-    trans: Vec<TransSpec>,
-}
-
-/// `(name, pre places, post places, guard (vertex, out_index))` for one
-/// transition in [`DesignSpec`].
-type TransSpec = (String, Vec<u32>, Vec<u32>, Vec<(u32, u32)>);
 
 /// A design specialised into dense dispatch tables (see module docs).
 ///
@@ -171,8 +130,6 @@ pub struct CompiledDesign {
     place_post: Csr,
     place_latch: Csr,
     place_input_outs: Csr,
-    // --- cold replay tables ---
-    spec: DesignSpec,
 }
 
 impl CompiledDesign {
@@ -223,15 +180,26 @@ impl CompiledDesign {
                 row.extend(vx.inputs.iter().take(op.arity()).map(|ip| ip.0));
             }
         });
-        let mut reader_rows: Vec<Vec<u32>> = vec![Vec::new(); pb];
+        // Readers are the transpose of `comb_args`: count each in-port's
+        // readers into offsets, then fill in vertex/output order.
+        let mut off = vec![0u32; pb + 1];
+        for &ip in &comb_args.dat {
+            off[ip as usize + 1] += 1;
+        }
+        for i in 0..pb {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut dat = vec![0u32; comb_args.dat.len()];
         for (_, vx) in g.dp.vertices().iter() {
             for &op_port in &vx.outputs {
                 for &ip in comb_args.row(op_port.idx()) {
-                    reader_rows[ip as usize].push(op_port.0);
+                    dat[next[ip as usize] as usize] = op_port.0;
+                    next[ip as usize] += 1;
                 }
             }
         }
-        let readers = Csr::build(reader_rows);
+        let readers = Csr { off, dat };
 
         let mut arc_from = vec![u32::MAX; ab];
         let mut arc_to = vec![u32::MAX; ab];
@@ -316,7 +284,6 @@ impl CompiledDesign {
             }
         });
 
-        let spec = Self::build_spec(g);
         let cd = Self {
             fingerprint: fp,
             fallback,
@@ -338,83 +305,11 @@ impl CompiledDesign {
             place_post,
             place_latch,
             place_input_outs,
-            spec,
         };
         etpn_obs::global()
             .counter("sim.compile.ns")
             .add(t0.elapsed().as_nanos() as u64);
         cd
-    }
-
-    fn build_spec(g: &Etpn) -> DesignSpec {
-        let holes = g.dp.vertices().len() != g.dp.vertices().capacity_bound()
-            || g.dp.ports().len() != g.dp.ports().capacity_bound()
-            || g.dp.arcs().len() != g.dp.arcs().capacity_bound()
-            || g.ctl.places().len() != g.ctl.places().capacity_bound()
-            || g.ctl.transitions().len() != g.ctl.transitions().capacity_bound();
-        let out_index = |p: PortId| -> (u32, u32) {
-            let vx = g.dp.vertex(g.dp.port(p).vertex);
-            let i = vx.outputs.iter().position(|&q| q == p).expect("out port");
-            (g.dp.port(p).vertex.0, i as u32)
-        };
-        let in_index = |p: PortId| -> (u32, u32) {
-            let vx = g.dp.vertex(g.dp.port(p).vertex);
-            let i = vx.inputs.iter().position(|&q| q == p).expect("in port");
-            (g.dp.port(p).vertex.0, i as u32)
-        };
-        DesignSpec {
-            holes,
-            vertices: g
-                .dp
-                .vertices()
-                .iter()
-                .map(|(_, vx)| VertexSpec {
-                    name: vx.name.clone(),
-                    kind: vx.kind,
-                    n_inputs: vx.inputs.len(),
-                    out_ops: vx
-                        .outputs
-                        .iter()
-                        .map(|&p| g.dp.port(p).operation())
-                        .collect(),
-                })
-                .collect(),
-            arcs: g
-                .dp
-                .arcs()
-                .iter()
-                .map(|(_, arc)| {
-                    let (fv, fi) = out_index(arc.from);
-                    let (tv, ti) = in_index(arc.to);
-                    (fv, fi, tv, ti)
-                })
-                .collect(),
-            places: g
-                .ctl
-                .places()
-                .iter()
-                .map(|(_, p)| {
-                    (
-                        p.name.clone(),
-                        p.marked0,
-                        p.ctrl.iter().map(|a| a.0).collect(),
-                    )
-                })
-                .collect(),
-            trans: g
-                .ctl
-                .transitions()
-                .iter()
-                .map(|(_, t)| {
-                    (
-                        t.name.clone(),
-                        t.pre.iter().map(|s| s.0).collect(),
-                        t.post.iter().map(|s| s.0).collect(),
-                        t.guards.iter().map(|&p| out_index(p)).collect(),
-                    )
-                })
-                .collect(),
-        }
     }
 
     /// The design fingerprint this compilation is keyed by.
@@ -441,68 +336,6 @@ impl CompiledDesign {
             && self.n_arcs == g.dp.arcs().capacity_bound()
             && self.n_places == g.ctl.places().capacity_bound()
             && self.n_trans == g.ctl.transitions().capacity_bound()
-    }
-
-    /// Replay the structural tables back into a design through the public
-    /// construction API. For canonically-built (hole-free) designs the
-    /// result is arena-identical to the original, so
-    /// `decompile().fingerprint() == fingerprint()` — the stability
-    /// property of the cache key, checked by the property suite. Returns
-    /// `None` for designs with arena holes (removed objects), whose raw
-    /// ids cannot be replayed densely.
-    pub fn decompile(&self) -> Option<Etpn> {
-        if self.spec.holes {
-            return None;
-        }
-        let mut b = EtpnBuilder::new();
-        let mut vids: Vec<VertexId> = Vec::with_capacity(self.spec.vertices.len());
-        for vs in &self.spec.vertices {
-            let v = match vs.kind {
-                VertexKind::Input => b.input(&vs.name),
-                VertexKind::Output => b.output(&vs.name),
-                VertexKind::Unit => {
-                    if vs.n_inputs == 1 && vs.out_ops == [Op::Reg] {
-                        b.register(&vs.name)
-                    } else if vs.n_inputs == 0 && vs.out_ops.len() == 1 {
-                        match vs.out_ops[0] {
-                            Op::Const(c) => b.constant(c, &vs.name),
-                            _ => b.operator_multi(&vs.out_ops, 0, &vs.name),
-                        }
-                    } else {
-                        b.operator_multi(&vs.out_ops, vs.n_inputs, &vs.name)
-                    }
-                }
-            };
-            vids.push(v);
-        }
-        for &(fv, fi, tv, ti) in &self.spec.arcs {
-            let from = b.out_port(vids[fv as usize], fi as usize);
-            let to = b.in_port(vids[tv as usize], ti as usize);
-            b.connect(from, to);
-        }
-        let pids: Vec<PlaceId> = self.spec.places.iter().map(|p| b.place(&p.0)).collect();
-        let tids: Vec<TransId> = self.spec.trans.iter().map(|t| b.transition(&t.0)).collect();
-        for (i, ts) in self.spec.trans.iter().enumerate() {
-            for &s in &ts.1 {
-                b.flow_st(pids[s as usize], tids[i]);
-            }
-            for &s in &ts.2 {
-                b.flow_ts(tids[i], pids[s as usize]);
-            }
-            for &(gv, go) in &ts.3 {
-                let p = b.out_port(vids[gv as usize], go as usize);
-                b.guard(tids[i], p);
-            }
-        }
-        for (i, ps) in self.spec.places.iter().enumerate() {
-            if !ps.2.is_empty() {
-                b.control(pids[i], ps.2.iter().map(|&a| ArcId::new(a)));
-            }
-            if ps.1 {
-                b.mark(pids[i]);
-            }
-        }
-        b.finish().ok()
     }
 }
 
@@ -551,8 +384,9 @@ pub fn get_or_compile(g: &Etpn) -> Arc<CompiledDesign> {
 /// whenever they cannot be maintained exactly):
 /// * `vals` equals what a full interpreter walk would produce for the
 ///   current marking/state/cursors, for every port not queued dirty;
-/// * `marked`/`arc_ctl`/`in_open`/`conflicted`/`enabled` agree with the
-///   current marking;
+/// * `marked`/`arc_ctl`/`in_open`/`enabled` agree with the current
+///   marking, and `conflicted` counts the in-ports with two or more open
+///   arcs;
 /// * every port whose inputs changed since it was last evaluated is in
 ///   `dirty`.
 #[derive(Debug)]
@@ -562,7 +396,7 @@ pub(crate) struct CompiledState {
     marked: BitSet,
     arc_ctl: Vec<u32>,
     in_open: Vec<u32>,
-    conflicted: BitSet,
+    conflicted: u32,
     enabled: BitSet,
     dirty: DirtyQueue,
     /// Full walk required at the next evaluation (first step, fault-mutated
@@ -598,7 +432,7 @@ impl CompiledState {
             marked: BitSet::new(sb),
             arc_ctl: vec![0; ab],
             in_open: vec![0; pb],
-            conflicted: BitSet::new(pb),
+            conflicted: 0,
             enabled: BitSet::new(tb),
             dirty: DirtyQueue::new(positions),
             resync: true,
@@ -632,13 +466,13 @@ impl CompiledState {
             }
         }
         self.in_open.fill(0);
-        self.conflicted.clear();
+        self.conflicted = 0;
         for (a, &n) in self.arc_ctl.iter().enumerate() {
             if n > 0 {
                 let to = self.cd.arc_to[a] as usize;
                 self.in_open[to] += 1;
-                if self.in_open[to] > 1 {
-                    self.conflicted.insert(to);
+                if self.in_open[to] == 2 {
+                    self.conflicted += 1;
                 }
             }
         }
@@ -653,10 +487,17 @@ impl CompiledState {
 
     /// Raise the same `InputConflict` the interpreter's id-order init scan
     /// would: smallest-id contended port, its open arcs in adjacency order.
+    /// O(1) while no port is contended; the scan for the port runs only on
+    /// the error path.
     pub(crate) fn check_conflict(&self, step: u64) -> Result<(), SimError> {
-        let Some(p) = self.conflicted.iter().next() else {
+        if self.conflicted == 0 {
             return Ok(());
-        };
+        }
+        let p = self
+            .in_open
+            .iter()
+            .position(|&n| n > 1)
+            .expect("a contended port exists while the conflict count is non-zero");
         let arcs: Vec<ArcId> = self
             .cd
             .in_arcs
@@ -847,7 +688,7 @@ impl CompiledState {
                         self.opened.push(a as u32);
                         self.in_open[to] += 1;
                         if self.in_open[to] == 2 {
-                            self.conflicted.insert(to);
+                            self.conflicted += 1;
                         }
                         self.dirty.push(cd.topo_pos[to]);
                     }
@@ -857,7 +698,7 @@ impl CompiledState {
                         vals.open_arcs.remove(a);
                         self.in_open[to] -= 1;
                         if self.in_open[to] == 1 {
-                            self.conflicted.remove(to);
+                            self.conflicted -= 1;
                         }
                         self.dirty.push(cd.topo_pos[to]);
                     }
@@ -894,6 +735,7 @@ impl CompiledState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etpn_core::EtpnBuilder;
 
     /// in x → add(x, r) → reg r → out y, two chained places.
     fn small() -> Etpn {
@@ -961,39 +803,5 @@ mod tests {
         let c2 = get_or_compile(&g);
         assert!(Arc::ptr_eq(&c1, &c2), "same fingerprint, same compilation");
         assert_eq!(c1.fingerprint(), g.fingerprint());
-    }
-
-    #[test]
-    fn decompile_reproduces_the_fingerprint() {
-        let g = small();
-        let cd = CompiledDesign::compile(&g);
-        let g2 = cd.decompile().expect("hole-free design decompiles");
-        assert_eq!(g2.fingerprint(), g.fingerprint());
-        assert_eq!(g2.dp.ports().len(), g.dp.ports().len());
-    }
-
-    #[test]
-    fn decompile_covers_every_constructor_shape() {
-        let mut b = EtpnBuilder::new();
-        let k = b.constant(7, "k");
-        let x = b.input("x");
-        let mx = b.operator(Op::Mux, 3, "mx");
-        let r = b.register("r");
-        let y = b.output("y");
-        let a0 = b.connect(b.out_port(k, 0), b.in_port(mx, 0));
-        let a1 = b.connect(b.out_port(x, 0), b.in_port(mx, 1));
-        let a2 = b.connect(b.out_port(x, 0), b.in_port(mx, 2));
-        let a3 = b.connect(b.out_port(mx, 0), b.in_port(r, 0));
-        let a4 = b.connect(b.out_port(r, 0), b.in_port(y, 0));
-        let s0 = b.place("s0");
-        b.control(s0, [a0, a1, a2, a3]);
-        let s1 = b.place("s1");
-        b.control(s1, [a4]);
-        let t = b.seq(s0, s1, "t0");
-        b.guard(t, b.out_port(r, 0));
-        b.mark(s0);
-        let g = b.finish().unwrap();
-        let g2 = CompiledDesign::compile(&g).decompile().unwrap();
-        assert_eq!(g2.fingerprint(), g.fingerprint());
     }
 }

@@ -778,6 +778,22 @@ impl<'g, E: Environment> Simulator<'g, E> {
                 ),
             });
         };
+        // A checkpoint decoded from bytes may not fit this design even when
+        // the fingerprints agree; restoring it would index out of bounds
+        // or silently drop places.
+        let (dp, ctl) = (&self.g.dp, &self.g.ctl);
+        for (what, got, want) in [
+            ("marking", ck.marking.len(), ctl.places().capacity_bound()),
+            ("state", ck.state.len(), dp.ports().capacity_bound()),
+            ("cursors", ck.cursors.len(), dp.vertices().capacity_bound()),
+        ] {
+            if got != want {
+                return Err(SimError::ReplayDivergence {
+                    step: ck.step,
+                    detail: format!("checkpoint {what} has {got} entries, the design needs {want}"),
+                });
+            }
+        }
         if self.faults.is_none() && !recording.meta.faults.is_empty() {
             self.faults = Some(crate::replay::faults_from_rec(&recording.meta.faults));
         }
@@ -963,6 +979,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
     }
 
     /// The safeness violation of the current marking, if any (Def. 3.2(2)).
+    /// The check is O(1); only a violation scans for the over-full place.
     fn over_full(&self) -> Option<SimError> {
         if self.marking.is_safe() {
             return None;

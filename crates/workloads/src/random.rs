@@ -158,8 +158,8 @@ pub fn random_net(seed: u64, n_places: usize) -> Etpn {
 /// `n_places` is clamped to `2..=64` and `n_regs` to `1..=16`, so a
 /// failing property case replays (and "shrinks") by re-running with the
 /// three integers from the report. The construction is canonical (flows
-/// grouped per transition at creation), which keeps the design stable
-/// under compile∘decompile replay.
+/// grouped per transition at creation), so equal arguments build
+/// arena-identical designs with equal fingerprints.
 pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
     let n_places = n_places.clamp(2, 64);
     let n_regs = n_regs.clamp(1, 16);

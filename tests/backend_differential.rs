@@ -317,3 +317,41 @@ fn event_structures_agree_on_every_workload() {
         assert_eq!(si, sc, "{}: {:?}", w.name, si.first_difference(&sc));
     }
 }
+
+/// An input conflict that first appears on an incremental step: s0 loads
+/// register r from k1, then t0 forks into s1 (r ← k1) and s2 (r ← k2).
+/// Step 0 is the compiled engine's full walk with one arc open; step 1,
+/// its first incremental step, opens both. The engines must name the
+/// same port, the same arcs in adjacency order, and the same step.
+#[test]
+fn input_conflict_on_an_incremental_step_agrees() {
+    let mut b = etpn_core::EtpnBuilder::new();
+    let k1 = b.constant(1, "k1");
+    let k2 = b.constant(2, "k2");
+    let r = b.register("r");
+    let r_in = b.in_port(r, 0);
+    let a0 = b.connect(b.out_port(k1, 0), r_in);
+    let a1 = b.connect(b.out_port(k2, 0), r_in);
+    let s0 = b.place("s0");
+    let s1 = b.place("s1");
+    let s2 = b.place("s2");
+    b.control(s0, [a0]);
+    b.control(s1, [a0]);
+    b.control(s2, [a1]);
+    let t0 = b.seq(s0, s1, "t0");
+    b.flow_ts(t0, s2);
+    b.mark(s0);
+    let g = b.finish().unwrap();
+    let expected = etpn_sim::SimError::InputConflict {
+        port: r_in,
+        arcs: vec![a0, a1],
+        step: 1,
+    };
+    for backend in [Backend::Interp, Backend::Compiled] {
+        let err = Simulator::new(&g, etpn_sim::ScriptedEnv::new())
+            .with_backend(backend)
+            .run(10)
+            .expect_err("the fork opens two arcs into r");
+        assert_eq!(err, expected, "{backend:?}");
+    }
+}

@@ -275,24 +275,4 @@ proptest! {
         let interp = Simulator::new(&g, env).with_coverage().run(300);
         prop_assert_eq!(format!("{verified:?}"), format!("{interp:?}"));
     }
-
-    /// The compile table is a faithful image of the design: replaying it
-    /// through the builder (decompile) reproduces the exact fingerprint
-    /// that keys the global compile cache.
-    #[test]
-    fn compile_decompile_preserves_fingerprint(
-        seed in 0u64..10_000,
-        n_places in 2usize..48,
-        n_regs in 1usize..9,
-    ) {
-        let g = etpn_workloads::random_design(seed, n_places, n_regs);
-        let cd = etpn_sim::CompiledDesign::compile(&g);
-        let back = cd.decompile().expect("spec tables replay");
-        prop_assert_eq!(back.fingerprint(), g.fingerprint());
-
-        let net = etpn_workloads::random_net(seed, n_places.max(4));
-        let cd = etpn_sim::CompiledDesign::compile(&net);
-        let back = cd.decompile().expect("spec tables replay");
-        prop_assert_eq!(back.fingerprint(), net.fingerprint());
-    }
 }

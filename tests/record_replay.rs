@@ -10,13 +10,13 @@
 //! events, termination, step/firing counts, watched waveforms, marking
 //! rows, coverage DBs — plus the rendered VCD documents.
 
-use etpn_rec::{DivergenceReport, RecordConfig, Recording};
+use etpn_rec::{Checkpoint, DivergenceReport, RecordConfig, Recording};
 use etpn_sim::{
     replay_recording, vcd, Backend, Fault, FaultKind, FaultPlan, FaultSite, FaultWindow,
-    ScriptedEnv, Simulator, Termination, Trace,
+    ScriptedEnv, SimError, Simulator, Termination, Trace,
 };
 use etpn_synth::CompiledDesign;
-use etpn_workloads::{by_name, catalog, random_design, Workload};
+use etpn_workloads::{by_name, catalog, random_design, random_net, Workload};
 use proptest::prelude::*;
 
 /// A fully instrumented recording simulator for a catalogue workload.
@@ -202,6 +202,50 @@ fn wire_format_round_trips() {
         assert_eq!(rec.digest(), back.digest());
         assert_eq!(format!("{rec:?}"), format!("{back:?}"));
         assert_eq!(bytes, back.to_bytes(), "re-encoding is not canonical");
+    }
+}
+
+/// A checkpoint whose vectors do not fit the design is refused with a
+/// divergence at its step on both engines, even after a clean wire
+/// round-trip. A marking cut to 6 of 16 places used to index out of
+/// bounds; one cut to a single place replayed 4 steps and reported
+/// termination although the journal runs to step 13.
+#[test]
+fn replay_rejects_a_checkpoint_that_does_not_fit_the_design() {
+    let g = random_net(3, 16);
+    let trace = Simulator::new(&g, ScriptedEnv::new())
+        .with_recorder(RecordConfig::full(4))
+        .run(1_000)
+        .expect("recorded run succeeds");
+    let rec = trace.recording.as_ref().expect("recording captured");
+    let steps: Vec<u64> = rec.checkpoints.iter().map(|c| c.step).collect();
+    assert_eq!((steps, rec.end_step()), (vec![0, 4, 8, 12], 13));
+    for (what, keep, want) in [
+        ("marking", 6, g.ctl.places().capacity_bound()),
+        ("marking", 1, g.ctl.places().capacity_bound()),
+        ("state", 1, g.dp.ports().capacity_bound()),
+        ("cursors", 1, g.dp.vertices().capacity_bound()),
+    ] {
+        let mut cut = rec.clone();
+        for ck in &mut cut.checkpoints {
+            let (mut m, mut s, mut c) = (ck.marking.clone(), ck.state.clone(), ck.cursors.clone());
+            match what {
+                "marking" => m.truncate(keep),
+                "state" => s.truncate(keep),
+                _ => c.truncate(keep),
+            }
+            *ck = Checkpoint::new(ck.step, m, s, c);
+        }
+        let cut = Recording::from_bytes(&cut.to_bytes()).expect("truncated journal decodes");
+        for backend in [Backend::Interp, Backend::Compiled] {
+            let err = Simulator::new(&g, ScriptedEnv::new())
+                .with_backend(backend)
+                .replay_between(&cut, 4, cut.end_step())
+                .expect_err("a checkpoint that does not fit must not replay");
+            let detail = format!("checkpoint {what} has {keep} entries, the design needs {want}");
+            let want_err = SimError::ReplayDivergence { step: 4, detail };
+            assert_eq!(err, want_err, "{backend:?}");
+        }
     }
 }
 
