@@ -10,6 +10,7 @@
 
 use crate::arena::TypedVec;
 use crate::error::{CoreError, CoreResult};
+use crate::idlist::IdList;
 use crate::ids::{ArcId, PlaceId, PortId, TransId};
 
 /// An `S`-element: a control state (place).
@@ -19,13 +20,13 @@ pub struct Place {
     pub name: String,
     /// The control set `C(S)`: data-path arcs opened while this place is
     /// marked.
-    pub ctrl: Vec<ArcId>,
+    pub ctrl: IdList<ArcId>,
     /// `M0(S) = 1` — the place holds a token initially.
     pub marked0: bool,
     /// Input transitions: `{T | (T, S) ∈ F}`.
-    pub pre: Vec<TransId>,
+    pub pre: IdList<TransId>,
     /// Output transitions: `{T | (S, T) ∈ F}`.
-    pub post: Vec<TransId>,
+    pub post: IdList<TransId>,
 }
 
 /// A `T`-element: a transition.
@@ -34,12 +35,12 @@ pub struct Transition {
     /// Human-readable name.
     pub name: String,
     /// Input places: `{S | (S, T) ∈ F}`.
-    pub pre: Vec<PlaceId>,
+    pub pre: IdList<PlaceId>,
     /// Output places: `{S | (T, S) ∈ F}`.
-    pub post: Vec<PlaceId>,
+    pub post: IdList<PlaceId>,
     /// Guarding output ports; the transition's guard is the OR of their
     /// truth values (Def. 3.1(4)). Empty means unguarded (always true).
-    pub guards: Vec<PortId>,
+    pub guards: IdList<PortId>,
 }
 
 /// The control structure `(S, T, F, C, G, M0)`.
@@ -63,10 +64,10 @@ impl Control {
     pub fn add_place(&mut self, name: impl Into<String>) -> PlaceId {
         self.places.push(Place {
             name: name.into(),
-            ctrl: Vec::new(),
+            ctrl: IdList::new(),
             marked0: false,
-            pre: Vec::new(),
-            post: Vec::new(),
+            pre: IdList::new(),
+            post: IdList::new(),
         })
     }
 
@@ -74,9 +75,9 @@ impl Control {
     pub fn add_transition(&mut self, name: impl Into<String>) -> TransId {
         self.transitions.push(Transition {
             name: name.into(),
-            pre: Vec::new(),
-            post: Vec::new(),
-            guards: Vec::new(),
+            pre: IdList::new(),
+            post: IdList::new(),
+            guards: IdList::new(),
         })
     }
 
@@ -132,7 +133,7 @@ impl Control {
     /// Remove and return the control set `C(s)` (used by state chaining,
     /// which folds one state's arcs into another's).
     pub fn take_ctrl(&mut self, s: PlaceId) -> Vec<ArcId> {
-        std::mem::take(&mut self.places[s].ctrl)
+        std::mem::take(&mut self.places[s].ctrl).to_vec()
     }
 
     /// Remove `(S, T)` from the flow relation, if present.

@@ -8,6 +8,7 @@
 
 use crate::arena::TypedVec;
 use crate::error::{CoreError, CoreResult};
+use crate::idlist::IdList;
 use crate::ids::{ArcId, PortId, VertexId};
 use crate::op::Op;
 use crate::port::{Dir, Port};
@@ -29,9 +30,9 @@ pub struct DataPath {
     ports: TypedVec<PortId, Port>,
     arcs: TypedVec<ArcId, DpArc>,
     /// Arcs whose `to` is this port ("pending arcs" of an input, Def. 3.1(10)).
-    incoming: Vec<Vec<ArcId>>,
+    incoming: Vec<IdList<ArcId>>,
     /// Arcs whose `from` is this port.
-    outgoing: Vec<Vec<ArcId>>,
+    outgoing: Vec<IdList<ArcId>>,
 }
 
 impl DataPath {
@@ -111,8 +112,8 @@ impl DataPath {
         let v = self.vertices.push(Vertex {
             name,
             kind,
-            inputs: Vec::with_capacity(n_inputs),
-            outputs: Vec::with_capacity(out_ops.len()),
+            inputs: IdList::new(),
+            outputs: IdList::new(),
         });
         for i in 0..n_inputs {
             let p = self.ports.push(Port {
@@ -144,8 +145,8 @@ impl DataPath {
         vertices: TypedVec<VertexId, Vertex>,
         ports: TypedVec<PortId, Port>,
         arcs: TypedVec<ArcId, DpArc>,
-        incoming: Vec<Vec<ArcId>>,
-        outgoing: Vec<Vec<ArcId>>,
+        incoming: Vec<IdList<ArcId>>,
+        outgoing: Vec<IdList<ArcId>>,
     ) -> CoreResult<Self> {
         if incoming.len() != ports.capacity_bound() || outgoing.len() != ports.capacity_bound() {
             return Err(CoreError::Invalid(
@@ -163,8 +164,8 @@ impl DataPath {
 
     fn grow_adj(&mut self, p: PortId) {
         while self.incoming.len() <= p.idx() {
-            self.incoming.push(Vec::new());
-            self.outgoing.push(Vec::new());
+            self.incoming.push(IdList::new());
+            self.outgoing.push(IdList::new());
         }
     }
 
@@ -367,8 +368,26 @@ impl DataPath {
     }
 
     /// Structural sanity check: adjacency lists consistent with arc arena,
-    /// ops present exactly on output ports, external vertices well-formed.
+    /// vertices and ports agree on ownership, ops present exactly on
+    /// output ports, external vertices well-formed. Linear in the size of
+    /// the data path.
     pub fn validate(&self) -> CoreResult<()> {
+        // Bit 0: `outgoing[from]` lists the arc; bit 1: `incoming[to]` does.
+        let mut listed = vec![0u8; self.arcs.capacity_bound()];
+        for (p, row) in self.outgoing.iter().enumerate() {
+            for &a in row {
+                if self.arcs.get(a).is_some_and(|arc| arc.from.idx() == p) {
+                    listed[a.idx()] |= 1;
+                }
+            }
+        }
+        for (p, row) in self.incoming.iter().enumerate() {
+            for &a in row {
+                if self.arcs.get(a).is_some_and(|arc| arc.to.idx() == p) {
+                    listed[a.idx()] |= 2;
+                }
+            }
+        }
         for (a, arc) in self.arcs.iter() {
             let pf = self
                 .ports
@@ -384,11 +403,22 @@ impl DataPath {
                     to: arc.to,
                 });
             }
-            if !self.outgoing[arc.from.idx()].contains(&a)
-                || !self.incoming[arc.to.idx()].contains(&a)
-            {
+            if listed[a.idx()] != 3 {
                 return Err(CoreError::Invalid(format!(
                     "arc {a} missing from adjacency lists"
+                )));
+            }
+        }
+        for (p, port) in self.ports.iter() {
+            if !self.vertices.contains(port.vertex) {
+                return Err(CoreError::PortOwnership {
+                    vertex: port.vertex,
+                    port: p,
+                });
+            }
+            if port.op.is_some() != port.is_output() {
+                return Err(CoreError::Invalid(format!(
+                    "port {p}: output ports carry an operation, input ports none"
                 )));
             }
         }
@@ -401,6 +431,14 @@ impl DataPath {
                     return Err(CoreError::MalformedExternalVertex(v))
                 }
                 _ => {}
+            }
+            for (ports, dir) in [(&vx.inputs, Dir::In), (&vx.outputs, Dir::Out)] {
+                for &p in ports {
+                    let owned = self.ports.get(p);
+                    if !owned.is_some_and(|port| port.vertex == v && port.dir == dir) {
+                        return Err(CoreError::PortOwnership { vertex: v, port: p });
+                    }
+                }
             }
             for &p in &vx.outputs {
                 let op = self.ports[p].operation();

@@ -40,6 +40,15 @@ pub enum CoreError {
         /// The missing arc.
         arc: ArcId,
     },
+    /// A vertex and a port disagree on ownership: the vertex lists a port
+    /// that is dead, of the other direction or another vertex's, or a live
+    /// port names a dead vertex (Def. 2.1: each port belongs to one vertex).
+    PortOwnership {
+        /// The listing or named vertex.
+        vertex: VertexId,
+        /// The listed or naming port.
+        port: PortId,
+    },
     /// A vertex cannot be removed while arcs still attach to its ports.
     VertexInUse(VertexId),
     /// The flow relation `F` must connect places and transitions only
@@ -68,6 +77,9 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::ControlMapsDeadArc { place, arc } => {
                 write!(f, "control state {place} maps removed arc {arc}")
+            }
+            CoreError::PortOwnership { vertex, port } => {
+                write!(f, "vertex {vertex} and port {port} disagree on ownership")
             }
             CoreError::VertexInUse(v) => write!(f, "vertex {v} still has attached arcs"),
             CoreError::DuplicateFlow => write!(f, "duplicate flow-relation edge"),

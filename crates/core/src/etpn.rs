@@ -30,7 +30,11 @@ impl Etpn {
     /// design — compute it once per batch, not per step.
     pub fn fingerprint(&self) -> u64 {
         use crate::hash::StableHasher;
+        use std::fmt::Write;
         let mut h = StableHasher::new();
+        // One buffer for every op's `Debug` name: the same bytes as
+        // `format!("{op:?}")`, without a string per port.
+        let mut op_name = String::new();
         for slot in self.dp.vertices().slots() {
             match slot {
                 None => h.write_u64(u64::MAX),
@@ -61,7 +65,11 @@ impl Etpn {
                     h.write_u32(p.index as u32);
                     match p.op {
                         None => h.write_u64(u64::MAX - 1),
-                        Some(op) => h.write_str(&format!("{op:?}")),
+                        Some(op) => {
+                            op_name.clear();
+                            write!(op_name, "{op:?}").expect("writing to a String cannot fail");
+                            h.write_str(&op_name);
+                        }
                     }
                 }
             }

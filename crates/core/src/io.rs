@@ -11,7 +11,8 @@ use crate::control::{Control, Place, Transition};
 use crate::datapath::{DataPath, DpArc};
 use crate::error::{CoreError, CoreResult};
 use crate::etpn::Etpn;
-use crate::ids::{ArcId, PlaceId, PortId, TransId, VertexId};
+use crate::idlist::IdList;
+use crate::ids::{ArcId, Id, PlaceId, PortId, TransId, VertexId};
 use crate::json::{num_arr, parse, Json};
 use crate::op::Op;
 use crate::port::{Dir, Port};
@@ -175,7 +176,7 @@ fn decode(doc: &Json) -> CoreResult<Etpn> {
     Ok(Etpn::new(dp, ctl))
 }
 
-fn decode_slots<I: crate::ids::Id, T>(
+fn decode_slots<I: Id, T>(
     arr: &Json,
     f: impl Fn(&Json) -> CoreResult<T>,
 ) -> CoreResult<TypedVec<I, T>> {
@@ -190,20 +191,14 @@ fn decode_slots<I: crate::ids::Id, T>(
     Ok(out)
 }
 
-fn decode_adjacency(arr: &Json) -> CoreResult<Vec<Vec<ArcId>>> {
+fn decode_adjacency(arr: &Json) -> CoreResult<Vec<IdList<ArcId>>> {
     arr.as_arr()?
         .iter()
-        .map(|lists| {
-            lists
-                .as_arr()?
-                .iter()
-                .map(|a| Ok(ArcId::new(a.as_index()? as u32)))
-                .collect()
-        })
+        .map(|row| id_list(row, ArcId::new))
         .collect()
 }
 
-fn id_list<I>(arr: &Json, mk: impl Fn(u32) -> I) -> CoreResult<Vec<I>> {
+fn id_list<I: Id>(arr: &Json, mk: impl Fn(u32) -> I) -> CoreResult<IdList<I>> {
     arr.as_arr()?
         .iter()
         .map(|v| Ok(mk(v.as_index()? as u32)))
@@ -370,6 +365,117 @@ mod tests {
     fn corrupted_json_rejected() {
         assert!(from_json("{\"dp\": 42}").is_err());
         assert!(from_json("not json").is_err());
+    }
+
+    /// `x → r → y`: ports p0 (x out), p1 (r in), p2 (r out), p3 (y in);
+    /// arcs a0 = p0 → p1 under s0 and a1 = p2 → p3 under s1.
+    fn chain() -> Etpn {
+        let mut b = EtpnBuilder::new();
+        let x = b.input("x");
+        let r = b.register("r");
+        let y = b.output("y");
+        let load = b.connect(b.out_port(x, 0), b.in_port(r, 0));
+        let emit = b.connect(b.out_port(r, 0), b.in_port(y, 0));
+        let s0 = b.place("s0");
+        let s1 = b.place("s1");
+        b.control(s0, [load]);
+        b.control(s1, [emit]);
+        b.seq(s0, s1, "t");
+        b.mark(s0);
+        b.finish().unwrap()
+    }
+
+    /// Decode [`chain`]'s JSON after `edit` has changed its document.
+    fn decode_edited(edit: impl FnOnce(&mut Json)) -> CoreResult<Etpn> {
+        let mut doc = parse(&to_json(&chain()).unwrap()).unwrap();
+        edit(&mut doc);
+        from_json(&doc.pretty())
+    }
+
+    /// The value at `path`, where object keys and array indices alternate.
+    fn at<'a>(mut j: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        for key in path {
+            j = match j {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("no `{key}` in {other:?}"),
+            };
+        }
+        j
+    }
+
+    #[test]
+    fn vertex_listing_a_dangling_port_is_an_error() {
+        let err = decode_edited(|doc| {
+            *at(doc, &["dp", "vertices", "1", "outputs"]) = num_arr([999]);
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::PortOwnership {
+                vertex: VertexId::new(1),
+                port: PortId::new(999)
+            }
+        );
+    }
+
+    #[test]
+    fn vertex_listing_an_input_port_as_output_is_an_error() {
+        let err = decode_edited(|doc| {
+            *at(doc, &["dp", "vertices", "1", "outputs"]) = num_arr([1]);
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::PortOwnership {
+                vertex: VertexId::new(1),
+                port: PortId::new(1)
+            }
+        );
+    }
+
+    #[test]
+    fn port_naming_a_dead_vertex_is_an_error() {
+        let err = decode_edited(|doc| {
+            *at(doc, &["dp", "ports", "3", "vertex"]) = Json::Num(9);
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::PortOwnership {
+                vertex: VertexId::new(9),
+                port: PortId::new(3)
+            }
+        );
+    }
+
+    #[test]
+    fn output_port_without_an_operation_is_an_error() {
+        let err = decode_edited(|doc| *at(doc, &["dp", "ports", "2", "op"]) = Json::Null);
+        assert!(matches!(err, Err(CoreError::Invalid(m)) if m.starts_with("port p2:")));
+    }
+
+    #[test]
+    fn arc_missing_from_its_source_row_is_an_error() {
+        let err =
+            decode_edited(|doc| *at(doc, &["dp", "outgoing", "0"]) = num_arr([])).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Invalid("arc a0 missing from adjacency lists".into())
+        );
+    }
+
+    #[test]
+    fn arc_moved_to_another_ports_incoming_row_is_an_error() {
+        let err = decode_edited(|doc| {
+            *at(doc, &["dp", "incoming", "1"]) = num_arr([]);
+            *at(doc, &["dp", "incoming", "3"]) = num_arr([1, 0]);
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Invalid("arc a0 missing from adjacency lists".into())
+        );
     }
 
     #[test]

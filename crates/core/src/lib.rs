@@ -40,6 +40,7 @@ pub mod error;
 pub mod etpn;
 pub mod event;
 pub mod hash;
+pub mod idlist;
 pub mod ids;
 pub mod io;
 pub mod json;
@@ -57,6 +58,7 @@ pub use error::{CoreError, CoreResult};
 pub use etpn::Etpn;
 pub use event::{EventKey, EventStructure, ExternalEvent};
 pub use hash::StableHasher;
+pub use idlist::IdList;
 pub use ids::{ArcId, PlaceId, PortId, TransId, VertexId};
 pub use marking::Marking;
 pub use op::Op;

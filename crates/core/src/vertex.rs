@@ -5,6 +5,7 @@
 //! *input vertices* have exactly one output port and no input ports; *output
 //! vertices* have exactly one input port and no output ports.
 
+use crate::idlist::IdList;
 use crate::ids::PortId;
 
 /// Classification of a vertex with respect to the environment boundary.
@@ -28,9 +29,9 @@ pub struct Vertex {
     /// Environment-boundary classification.
     pub kind: VertexKind,
     /// Input ports `I(V)` in declaration order.
-    pub inputs: Vec<PortId>,
+    pub inputs: IdList<PortId>,
     /// Output ports `O(V)` in declaration order.
-    pub outputs: Vec<PortId>,
+    pub outputs: IdList<PortId>,
 }
 
 impl Vertex {
@@ -50,15 +51,15 @@ mod tests {
         let v = Vertex {
             name: "x".into(),
             kind: VertexKind::Input,
-            inputs: vec![],
-            outputs: vec![PortId::new(0)],
+            inputs: IdList::new(),
+            outputs: vec![PortId::new(0)].into(),
         };
         assert!(v.is_external());
         let u = Vertex {
             name: "alu".into(),
             kind: VertexKind::Unit,
-            inputs: vec![],
-            outputs: vec![],
+            inputs: IdList::new(),
+            outputs: IdList::new(),
         };
         assert!(!u.is_external());
     }

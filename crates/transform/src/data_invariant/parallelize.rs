@@ -115,7 +115,7 @@ impl<'a> Parallelizer<'a> {
                 "{tj} is not an unguarded group join into {sb}"
             )));
         }
-        let group = trj.pre.clone();
+        let group = trj.pre.to_vec();
         let mut tf = None;
         for &m in &group {
             let pm = g.ctl.place(m);

@@ -1,13 +1,15 @@
 //! A steady-state step of the compiled engine allocates nothing: its
 //! scratch lists are reused across steps and the persistent step values
 //! are updated in place, so step cost follows the step's activity rather
-//! than the heap.
+//! than the heap. Building, compiling and cloning a design allocate per
+//! named object and arena, not per relation list: the model's id lists
+//! hold up to three ids inline.
 //!
 //! The test binary installs a counting global allocator. Counts are kept
 //! per thread, so tests running in parallel do not disturb each other.
 
 use etpn_core::Etpn;
-use etpn_sim::{FiringPolicy, ScriptedEnv, Simulator};
+use etpn_sim::{CompiledDesign, FiringPolicy, ScriptedEnv, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -96,4 +98,34 @@ fn steady_state_compiled_steps_do_not_allocate() {
             "{policy:?}: 1024 steady-state steps allocated {made} times"
         );
     }
+}
+
+#[test]
+fn cloning_a_design_allocates_once_per_name() {
+    let g = cyclic_net(7, 1024);
+    let (vertices, _, _, places, transitions) = g.size();
+    let before = allocations();
+    let copy = g.clone();
+    let made = allocations() - before;
+    assert_eq!(copy, g);
+    // One allocation per name, plus the arena buffers and the one id list
+    // too long to sit inline (the shared constant's fan-out).
+    let bound = (vertices + places + transitions + 16) as u64;
+    assert!(
+        made <= bound,
+        "cloning allocated {made} times, bound {bound}"
+    );
+}
+
+#[test]
+fn building_and_compiling_a_design_allocate_per_object() {
+    let before = allocations();
+    let g = etpn_workloads::random_net(1, 1024);
+    let built = allocations() - before;
+    assert!(built <= 9_000, "building allocated {built} times");
+    let before = allocations();
+    let compiled = CompiledDesign::compile(&g);
+    let made = allocations() - before;
+    assert!(!compiled.is_fallback());
+    assert!(made <= 100, "compiling allocated {made} times");
 }
