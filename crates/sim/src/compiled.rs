@@ -380,6 +380,11 @@ pub fn get_or_compile(g: &Etpn) -> Arc<CompiledDesign> {
 /// (open arcs, per-port open-arc counts, enabled transitions), and the
 /// dirty queue carrying change seeds from one step into the next.
 ///
+/// The state owns its step values. A step lends them to its read phases
+/// ([`Self::lend_values`]) and hands them back before sync, on an error
+/// too ([`Self::return_values`]), so propagation and sync update them in
+/// place without a shared handle to check.
+///
 /// Invariants between steps (re-established by [`Self::resync_full`]
 /// whenever they cannot be maintained exactly):
 /// * `vals` equals what a full interpreter walk would produce for the
@@ -392,7 +397,7 @@ pub fn get_or_compile(g: &Etpn) -> Arc<CompiledDesign> {
 #[derive(Debug)]
 pub(crate) struct CompiledState {
     pub(crate) cd: Arc<CompiledDesign>,
-    vals: Arc<StepValues>,
+    vals: StepValues,
     marked: BitSet,
     arc_ctl: Vec<u32>,
     in_open: Vec<u32>,
@@ -425,10 +430,10 @@ impl CompiledState {
         let positions = cd.topo_order.len();
         Self {
             cd,
-            vals: Arc::new(StepValues {
+            vals: StepValues {
                 port_values: Vec::new(),
                 open_arcs: BitSet::new(0),
-            }),
+            },
             marked: BitSet::new(sb),
             arc_ctl: vec![0; ab],
             in_open: vec![0; pb],
@@ -450,10 +455,10 @@ impl CompiledState {
         self.resync || forced || self.cd.fallback
     }
 
-    /// Adopt the result of a full walk and rebuild every mirror from the
-    /// ground truth (marking + walk output).
-    pub(crate) fn resync_full(&mut self, g: &Etpn, marking: &Marking, vals: StepValues) {
-        self.vals = Arc::new(vals);
+    /// Rebuild every mirror from the marking after a full walk. The walk's
+    /// values become this state's values when the step returns them
+    /// ([`Self::return_values`]).
+    pub(crate) fn resync_full(&mut self, g: &Etpn, marking: &Marking) {
         self.dirty.clear();
         self.touched.clear();
         self.opened.clear();
@@ -523,8 +528,8 @@ impl CompiledState {
         state: &DpState,
         mut input_value: impl FnMut(VertexId) -> Value,
     ) -> u64 {
-        let cd = &self.cd;
-        let vals = Arc::make_mut(&mut self.vals);
+        let cd = &*self.cd;
+        let vals = &mut self.vals;
         self.changed.clear();
         let mut fired = 0u64;
         while let Some(pos) = self.dirty.pop() {
@@ -589,8 +594,8 @@ impl CompiledState {
         mut input_value: impl FnMut(VertexId) -> Value,
     ) -> u64 {
         self.dirty.clear();
-        let cd = Arc::clone(&self.cd);
-        let vals = Arc::make_mut(&mut self.vals);
+        let cd = &*self.cd;
+        let vals = &mut self.vals;
         for &p in &cd.topo_order {
             let p = p as usize;
             vals.port_values[p] = match cd.task[p] {
@@ -620,12 +625,26 @@ impl CompiledState {
         cd.topo_order.len() as u64
     }
 
-    /// The current step values (shared; cheap to clone). The caller must
-    /// drop its handle before the next [`Self::sync_after_commit`] or
-    /// [`Self::propagate`], or those copy the whole value array instead
-    /// of updating it in place.
-    pub(crate) fn values(&self) -> Arc<StepValues> {
-        Arc::clone(&self.vals)
+    /// The current step values (empty while they are lent out).
+    pub(crate) fn values(&self) -> &StepValues {
+        &self.vals
+    }
+
+    /// Move the step values out for the step's read phases, leaving an
+    /// empty placeholder that does not allocate. The step must hand them
+    /// back with [`Self::return_values`] before the next sync or
+    /// evaluation.
+    pub(crate) fn lend_values(&mut self) -> StepValues {
+        StepValues {
+            port_values: std::mem::take(&mut self.vals.port_values),
+            open_arcs: std::mem::replace(&mut self.vals.open_arcs, BitSet::new(0)),
+        }
+    }
+
+    /// Take back the values lent by [`Self::lend_values`], or adopt a
+    /// full walk's values after [`Self::resync_full`].
+    pub(crate) fn return_values(&mut self, vals: StepValues) {
+        self.vals = vals;
     }
 
     /// Ports whose value the last [`Self::propagate`] changed (valid
@@ -661,10 +680,9 @@ impl CompiledState {
         state: &DpState,
         exited: &[PlaceId],
     ) {
-        let cd = Arc::clone(&self.cd);
+        let cd = &*self.cd;
         self.opened.clear();
-        let mut touched = std::mem::take(&mut self.touched);
-        for &s in &touched {
+        for &s in &self.touched {
             let s = s as usize;
             let now = marking.is_marked(PlaceId::new(s as u32));
             let was = self.marked.contains(s);
@@ -677,7 +695,7 @@ impl CompiledState {
             } else {
                 self.marked.remove(s);
             }
-            let vals = Arc::make_mut(&mut self.vals);
+            let vals = &mut self.vals;
             for &a in cd.place_ctrl.row(s) {
                 let a = a as usize;
                 let to = cd.arc_to[a] as usize;
@@ -712,8 +730,7 @@ impl CompiledState {
                 }
             }
         }
-        touched.clear();
-        self.touched = touched;
+        self.touched.clear();
 
         for &s in exited {
             // Registers latched at this exit: the sequential out-port's

@@ -31,19 +31,20 @@ use crate::error::SimError;
 use crate::eval::{DpState, Evaluator, StepValues};
 use crate::fault::FaultPlan;
 use crate::policy::FiringPolicy;
-use crate::trace::{Termination, Trace};
+use crate::trace::{Termination, Trace, WorkCounts};
 use etpn_core::bitset::BitSet;
 use etpn_core::{Etpn, ExternalEvent, Marking, Op, PlaceId, PortId, TransId, Value, VertexId};
 use etpn_cov::CovDb;
 use etpn_obs as obs;
 use etpn_rec::{RecMeta, RecordConfig, Recorder, Recording, FLAG_CONTROL_FAULT, FLAG_DATA_FAULT};
 use rand::rngs::SmallRng;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Pre-resolved registry handles for the engine's hot-path metrics: one
-/// lock per name at construction, one relaxed atomic op per update after.
+/// The run's work counts plus pre-resolved registry handles (one lock per
+/// name at construction). A step only adds to the plain counts; they reach
+/// the global counters once, when the simulator is dropped.
 struct SimMetrics {
+    work: WorkCounts,
     steps: obs::Counter,
     firings: obs::Counter,
     evals: obs::Counter,
@@ -56,6 +57,7 @@ impl SimMetrics {
     fn new() -> Self {
         let reg = obs::global();
         Self {
+            work: WorkCounts::default(),
             steps: reg.counter("sim.steps"),
             firings: reg.counter("sim.firings"),
             evals: reg.counter("sim.evals"),
@@ -66,14 +68,29 @@ impl SimMetrics {
     }
 
     /// Record one step's dirty fraction (per mille of live ports
-    /// re-evaluated), at stats level and up.
-    fn record_dirty_frac(&self, frac: u64) {
+    /// re-evaluated), at stats level and up; below that `frac` is not
+    /// computed.
+    fn record_dirty_frac(&self, frac: impl FnOnce() -> Option<u64>) {
         if obs::stats_enabled() || obs::trace_enabled() {
+            let Some(frac) = frac() else {
+                return;
+            };
             self.dirty_frac.record(frac);
             if obs::trace_enabled() {
                 obs::sample("sim.dirty.frac", frac as i64);
             }
         }
+    }
+}
+
+impl Drop for SimMetrics {
+    /// Publish the run's counts, also when a panic unwinds the simulator.
+    fn drop(&mut self) {
+        let w = self.work;
+        self.steps.add(w.steps);
+        self.firings.add(w.firings);
+        self.evals.add(w.evaluations);
+        self.events_fired.add(w.port_evals);
     }
 }
 
@@ -118,7 +135,6 @@ pub struct Simulator<'g, E: Environment> {
     wall_budget: Option<Duration>,
     strict: bool,
     step: u64,
-    firings: u64,
     events: Vec<ExternalEvent>,
     watch: Vec<PortId>,
     watched: Vec<Vec<Value>>,
@@ -177,7 +193,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
             wall_budget: None,
             strict: false,
             step: 0,
-            firings: 0,
             events: Vec::new(),
             watch: Vec::new(),
             watched: Vec::new(),
@@ -380,6 +395,12 @@ impl<'g, E: Environment> Simulator<'g, E> {
         &self.marking
     }
 
+    /// The work counted so far; the global `sim.*` counters receive it
+    /// when the simulator is dropped.
+    pub fn work(&self) -> WorkCounts {
+        self.metrics.work
+    }
+
     /// Execute one control step. Returns `None` when the run has stopped
     /// (terminated or quiescent), `Some(fired)` otherwise.
     pub fn step_once(&mut self) -> Result<Option<usize>, SimError> {
@@ -394,9 +415,9 @@ impl<'g, E: Environment> Simulator<'g, E> {
         let t0 = (obs::trace_enabled() || (obs::stats_enabled() && self.step & 0xF == 0))
             .then(std::time::Instant::now);
         // A step is a fixed phase sequence: perturb → evaluate → observe →
-        // fire → commit → sync. The step's read handle on the values is
-        // dropped before sync, so the compiled backend mutates its
-        // persistent values in place instead of copying them.
+        // fire → commit → sync. The compiled backend lends its values to
+        // the read phases and gets them back before sync, so it mutates
+        // them in place instead of copying them.
         let Some((fault_flags, forced)) = self.perturb()? else {
             return Ok(None);
         };
@@ -404,10 +425,17 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self.observe(&vals, walked);
         let fired = {
             let _fire_span = obs::span("sim.fire");
-            let fired = self.fire(&vals)?;
             let events_before = self.events.len();
-            self.commit_exits(&vals)?;
-            drop(vals);
+            let done = self
+                .fire(&vals)
+                .and_then(|fired| self.commit_exits(&vals).map(|()| fired));
+            if let Some(cs) = &mut self.compiled {
+                cs.return_values(vals);
+                // A failed step leaves the mirrors out of step with the
+                // marking; the next step rebuilds them from a full walk.
+                cs.resync |= done.is_err();
+            }
+            let fired = done?;
             self.sync();
             if self.rec.is_some() || self.script.is_some() {
                 self.finish_step_journal(events_before, fault_flags)?;
@@ -416,8 +444,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
         };
 
         self.step += 1;
-        self.metrics.steps.inc();
-        self.metrics.firings.add(fired as u64);
+        self.metrics.work.steps += 1;
+        self.metrics.work.firings += fired as u64;
         if let Some(t0) = t0 {
             self.metrics.step_ns.record(t0.elapsed().as_nanos() as u64);
         }
@@ -479,25 +507,26 @@ impl<'g, E: Environment> Simulator<'g, E> {
     /// Returns the step's values, and `true` when they came from a full
     /// walk or the no-dirty ablation rather than from
     /// incremental propagation — which decides how [`Self::observe`]
-    /// reads them.
-    fn evaluate(&mut self, forced: bool) -> Result<(Arc<StepValues>, bool), SimError> {
+    /// reads them. On the compiled backend the caller must hand the
+    /// values back to the compiled state before sync.
+    fn evaluate(&mut self, forced: bool) -> Result<(StepValues, bool), SimError> {
         let _eval_span = obs::span("sim.eval");
         let g = self.g;
         let step_no = self.step;
         let (env, cursors) = (&self.env, &self.cursors);
         let input = |v| env.value_at(v, &g.dp.vertex(v).name, cursors.position(v));
+        self.metrics.work.evaluations += 1;
         if let Some(cs) = self.compiled.as_mut().filter(|cs| !cs.needs_full(forced)) {
-            self.metrics.evals.inc();
             cs.check_conflict(step_no)?;
             let fired = if cs.no_dirty {
                 cs.recompute_all(&self.state, input)
             } else {
                 cs.propagate(&self.state, input)
             };
-            self.metrics.events_fired.add(fired);
-            if let Some(frac) = (fired * 1000).checked_div(cs.cd.port_count() as u64) {
-                self.metrics.record_dirty_frac(frac);
-            }
+            self.metrics.work.port_evals += fired;
+            let ports = cs.cd.port_count() as u64;
+            self.metrics
+                .record_dirty_frac(|| (fired * 1000).checked_div(ports));
             if cs.verify {
                 let walked = self
                     .evaluator
@@ -513,24 +542,26 @@ impl<'g, E: Environment> Simulator<'g, E> {
                      port's value differs from a full evaluation"
                 );
             }
-            return Ok((cs.values(), cs.no_dirty));
+            let no_dirty = cs.no_dirty;
+            return Ok((cs.lend_values(), no_dirty));
         }
-        self.metrics.evals.inc();
+        self.metrics.work.full_walks += 1;
         let walked = self.walk(forced)?;
         let Some(cs) = &mut self.compiled else {
-            return Ok((Arc::new(walked), true));
+            return Ok((walked, true));
         };
         // Conservative path: first step, fault-mutated marking, forced
         // values, or a statically cyclic port graph — rebuild every
-        // incremental mirror from the interpreter walk.
-        cs.resync_full(g, &self.marking, walked);
+        // incremental mirror; the walk's values come home at the end of
+        // the step.
+        cs.resync_full(g, &self.marking);
         // A forced walk leaves forced values behind: the next step must
         // walk again to restore the pure values before incremental
         // stepping resumes.
         cs.resync = forced;
-        self.metrics.events_fired.add(cs.cd.port_count() as u64);
-        self.metrics.record_dirty_frac(1000);
-        Ok((cs.values(), true))
+        self.metrics.work.port_evals += cs.cd.port_count() as u64;
+        self.metrics.record_dirty_frac(|| Some(1000));
+        Ok((walked, true))
     }
 
     /// The interpreter's full data-path walk for this step, with the
@@ -704,7 +735,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
         Ok(Trace {
             events: self.events,
             steps: self.step,
-            firings: self.firings,
+            firings: self.metrics.work.firings,
             termination,
             watch: self.watch,
             watched: self.watched,
@@ -715,6 +746,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
             fire_counts: self.fire_counts,
             exit_counts: self.exit_counts,
             recording: self.rec.take().map(Recorder::into_recording),
+            work: self.metrics.work,
         })
     }
 
@@ -974,7 +1006,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
                 return Err(err);
             }
         }
-        self.firings += fired as u64;
         Ok(fired)
     }
 
@@ -1458,11 +1489,10 @@ mod tests {
             .compiled()
             .with_coverage()
             .init_register("laps", 0);
-        // Where the persistent step values live; the probe's handle is
-        // dropped at once, as the step loop drops its own before sync.
+        // Where the persistent value buffer lives between steps; each step
+        // lends it out and hands the same buffer back.
         let home = |sim: &Simulator<'_, ScriptedEnv>| {
-            let vals = sim.compiled.as_ref().unwrap().values();
-            (Arc::as_ptr(&vals), vals.port_values.as_ptr())
+            sim.compiled.as_ref().unwrap().values().port_values.as_ptr()
         };
         for _ in 0..3 * 16 {
             assert!(sim.step_once().unwrap().is_some());
@@ -1476,6 +1506,43 @@ mod tests {
                 "steady-state step {step} copied StepValues"
             );
         }
+    }
+
+    #[test]
+    fn a_step_after_a_failed_step_fails_again() {
+        // s0 forks into s1 and s2; t1 (guarded by k == k, whose inputs s1
+        // controls) and t2 both put a token into s3, so the second step
+        // fails in `fire` while the step's values are lent out.
+        let mut b = EtpnBuilder::new();
+        let k = b.constant(1, "k");
+        let eq = b.operator(Op::Eq, 2, "eq");
+        let lhs = b.connect(b.out_port(k, 0), b.in_port(eq, 0));
+        let rhs = b.connect(b.out_port(k, 0), b.in_port(eq, 1));
+        let [s0, s1, s2, s3] = ["s0", "s1", "s2", "s3"].map(|n| b.place(n));
+        let t0 = b.transition("t0");
+        b.flow_st(s0, t0);
+        b.flow_ts(t0, s1);
+        b.flow_ts(t0, s2);
+        let t1 = b.seq(s1, s3, "t1");
+        b.guard(t1, b.out_port(eq, 0));
+        b.seq(s2, s3, "t2");
+        b.control(s1, [lhs, rhs]);
+        b.mark(s0);
+        let g = b.finish().unwrap();
+        let mut sim = Simulator::new(&g, ScriptedEnv::new())
+            .compiled()
+            .with_coverage();
+        assert_eq!(sim.step_once().unwrap(), Some(1));
+        match sim.step_once() {
+            Err(SimError::UnsafeMarking {
+                place,
+                tokens: 2,
+                step: 1,
+            }) if place == s3 => {}
+            other => panic!("expected s3 to hold two tokens at step 1, got {other:?}"),
+        }
+        // The failed step handed its values back to the compiled state.
+        assert!(sim.step_once().is_err());
     }
 
     #[test]

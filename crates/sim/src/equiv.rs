@@ -168,6 +168,7 @@ mod tests {
             fire_counts: Vec::new(),
             exit_counts: Vec::new(),
             recording: None,
+            work: Default::default(),
         }
     }
 

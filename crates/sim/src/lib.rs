@@ -74,4 +74,4 @@ pub use policy::FiringPolicy;
 pub use replay::{env_from_recording, faults_from_rec, faults_to_rec, replay_recording};
 pub use retry::{Backoff, RetryPolicy};
 pub use spec::RunSpec;
-pub use trace::{Termination, Trace};
+pub use trace::{Termination, Trace, WorkCounts};

@@ -3,6 +3,7 @@
 use etpn_core::bitset::BitSet;
 use etpn_core::{ArcId, Etpn, ExternalEvent, PlaceId, PortId, TransId, Value};
 use etpn_cov::CovDb;
+use std::fmt;
 
 /// Why a run stopped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,8 +38,37 @@ impl Termination {
     }
 }
 
+/// Exact work counts of one simulator, kept in plain fields while it runs
+/// and added to the global `sim.*` counters once, when it is dropped (so
+/// after [`crate::Simulator::run`] returns, or when a simulator driven by
+/// `step_once` goes away). Unlike wall time they are deterministic: the
+/// same run counts the same work on every host.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct WorkCounts {
+    /// Control steps completed (`sim.steps`).
+    pub steps: u64,
+    /// Transitions fired by completed steps (`sim.firings`).
+    pub firings: u64,
+    /// Data-path evaluations begun, one per step that got past
+    /// perturbation (`sim.evals`).
+    pub evaluations: u64,
+    /// Ports the compiled engine evaluated (`sim.events.fired`):
+    /// dirty-queue pops on an incremental step, every live port on a walk
+    /// or a no-dirty recompute. The interpreter backend counts none.
+    pub port_evals: u64,
+    /// Evaluations done by the interpreter's full walk: the compiled
+    /// engine's first step, resyncs, forced data faults and statically
+    /// cyclic designs, and every interpreter step. No global counter.
+    pub full_walks: u64,
+}
+
 /// The observable outcome of a simulation run.
-#[derive(Clone, Debug)]
+///
+/// Its `Debug` rendering leaves out [`Trace::work`]: the rest is the
+/// run's observable record, which every backend and every replay must
+/// reproduce byte for byte, while the work counts are the cost of
+/// producing it and differ by engine.
+#[derive(Clone)]
 pub struct Trace {
     /// All external events in occurrence order (ties broken by arc id).
     pub events: Vec<ExternalEvent>,
@@ -71,6 +101,28 @@ pub struct Trace {
     /// The flight recording of the run (see `Simulator::with_recorder`).
     /// `None` unless requested.
     pub recording: Option<etpn_rec::Recording>,
+    /// The simulator's work counts, up to the end of the run.
+    pub work: WorkCounts,
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("events", &self.events)
+            .field("steps", &self.steps)
+            .field("firings", &self.firings)
+            .field("termination", &self.termination)
+            .field("watch", &self.watch)
+            .field("watched", &self.watched)
+            .field("marking_rows", &self.marking_rows)
+            .field("guard_ports", &self.guard_ports)
+            .field("guard_rows", &self.guard_rows)
+            .field("cov", &self.cov)
+            .field("fire_counts", &self.fire_counts)
+            .field("exit_counts", &self.exit_counts)
+            .field("recording", &self.recording)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Trace {
@@ -171,6 +223,7 @@ mod tests {
             fire_counts: Vec::new(),
             exit_counts: Vec::new(),
             recording: None,
+            work: WorkCounts::default(),
         };
         assert_eq!(
             t.values_on_arc(ArcId::new(0)),

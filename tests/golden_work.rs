@@ -1,0 +1,147 @@
+//! Golden work counts of the compiled engine, and their publication.
+//!
+//! Each row of `tests/golden/work.txt` gives one design's exact
+//! [`WorkCounts`] — `steps firings evaluations port_evals full_walks` —
+//! for a compiled-backend `MaximalStep` run: the eight catalogue workloads
+//! on their representative inputs, register inits and step budgets, and
+//! the seeded cyclic 1 024-place `random_net` with coverage for 4 096
+//! steps. Unlike wall time these counts are the same on every host, so a
+//! change in how much work a step does shows up as a diff. Regenerate
+//! after an intentional change (and say why in the change log) with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test golden_work
+//! ```
+//!
+//! The file holds a single test function on purpose: the `sim.*` counters
+//! live in the process-wide registry, and tests in one binary run in
+//! parallel, so only a lone test can check that a run adds exactly its
+//! own counts to them.
+
+use etpn_core::Etpn;
+use etpn_sim::{Backend, ScriptedEnv, Simulator, WorkCounts};
+use etpn_workloads::{by_name, catalog, Workload};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+/// Places of the cyclic net.
+const PLACES: usize = 1024;
+/// Steps of the cyclic net's golden run.
+const NET_STEPS: u64 = 4096;
+
+/// A seeded `random_net` made cyclic, as the E9c benchmarks do: the
+/// terminal transition loops back to the initial place.
+fn cyclic_net(seed: u64, places: usize) -> Etpn {
+    let mut g = etpn_workloads::random_net(seed, places);
+    let t_end = g
+        .ctl
+        .transitions()
+        .iter()
+        .find(|(_, tr)| tr.post.is_empty())
+        .map(|(t, _)| t)
+        .unwrap();
+    let first = g.ctl.initial_places()[0];
+    g.ctl.flow_ts(t_end, first).unwrap();
+    g
+}
+
+/// The work of one catalogue workload's run on `backend`.
+fn workload_work(w: &Workload, backend: Backend) -> WorkCounts {
+    let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
+    let mut sim = Simulator::new(&d.etpn, w.env()).with_backend(backend);
+    for (n, v) in &d.reg_inits {
+        sim = sim.init_register(n, *v);
+    }
+    sim.run(w.max_steps).expect("workload simulates").work
+}
+
+/// The work of the cyclic net's covered run on `backend`.
+fn net_work(g: &Etpn, backend: Backend) -> WorkCounts {
+    let trace = Simulator::new(g, ScriptedEnv::new())
+        .with_backend(backend)
+        .with_coverage()
+        .run(NET_STEPS);
+    trace.expect("the cyclic net steps cleanly").work
+}
+
+fn row(out: &mut String, name: &str, w: WorkCounts) {
+    let _ = writeln!(
+        out,
+        "{name} {} {} {} {} {}",
+        w.steps, w.firings, w.evaluations, w.port_evals, w.full_walks
+    );
+}
+
+/// The `sim.*` counters a run publishes, read from the global registry.
+fn published() -> [u64; 4] {
+    let reg = etpn_obs::global();
+    ["sim.steps", "sim.firings", "sim.evals", "sim.events.fired"].map(|n| reg.counter(n).get())
+}
+
+fn as_published(w: WorkCounts) -> [u64; 4] {
+    [w.steps, w.firings, w.evaluations, w.port_evals]
+}
+
+fn increase(before: [u64; 4], after: [u64; 4]) -> [u64; 4] {
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+#[test]
+fn work_counts_are_golden_and_published() {
+    let net = cyclic_net(1, PLACES);
+
+    // Golden rows.
+    let mut rendered = String::from("# design steps firings evaluations port_evals full_walks\n");
+    for w in catalog() {
+        row(&mut rendered, w.name, workload_work(&w, Backend::Compiled));
+    }
+    let net_golden = net_work(&net, Backend::Compiled);
+    row(&mut rendered, "cyclic_net_1024", net_golden);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/work.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &rendered).unwrap();
+    } else {
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+                path.display()
+            )
+        });
+        assert!(
+            rendered == golden,
+            "work counts drifted from {}; run with UPDATE_GOLDEN=1 if the change \
+             is intentional and say why in the change log.\nrendered:\n{rendered}",
+            path.display()
+        );
+    }
+
+    // Publication: `run` adds exactly the trace's work to the global
+    // counters when it returns...
+    let gcd = by_name("gcd").unwrap();
+    let before = published();
+    let gcd_work = workload_work(&gcd, Backend::Compiled);
+    assert_eq!(increase(before, published()), as_published(gcd_work));
+
+    // ...and a simulator driven by `step_once` adds its work when dropped,
+    // not before.
+    let before = published();
+    let mut sim = Simulator::new(&net, ScriptedEnv::new())
+        .compiled()
+        .with_coverage();
+    for _ in 0..1000 {
+        assert!(matches!(sim.step_once(), Ok(Some(_))));
+    }
+    let work = sim.work();
+    assert_eq!(work.steps, 1000);
+    assert_eq!(published(), before, "counts are published on drop");
+    drop(sim);
+    assert_eq!(increase(before, published()), as_published(work));
+
+    // Negative control: forcing a full recompute on every step (the
+    // no-dirty ablation) must show in the counts.
+    let full = "a full recompute per step must change the port evaluations";
+    let no_dirty = workload_work(&gcd, Backend::CompiledNoDirty);
+    assert_ne!(no_dirty.port_evals, gcd_work.port_evals, "gcd: {full}");
+    let no_dirty = net_work(&net, Backend::CompiledNoDirty);
+    assert_ne!(no_dirty.port_evals, net_golden.port_evals, "net: {full}");
+}

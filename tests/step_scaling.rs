@@ -6,7 +6,8 @@
 //! padded ring steps within a small factor of the plain one; a per-step
 //! scan over places or ports makes it about 16× slower. Wall time is
 //! noisy on a shared host, so the arms are interleaved over rounds and
-//! each keeps its best.
+//! each keeps its best. The count form needs no timing: over the same
+//! steps both rings evaluate exactly the same ports.
 
 use etpn_core::{Etpn, EtpnBuilder};
 use etpn_sim::{ScriptedEnv, Simulator};
@@ -68,5 +69,32 @@ fn dead_places_do_not_slow_compiled_steps() {
         "16× padding slowed each step {ratio:.1}× ({:?} vs {:?}); steps must cost O(activity)",
         best[1],
         best[0]
+    );
+}
+
+#[test]
+fn dead_places_add_no_counted_work() {
+    let (plain, padded) = (ring(0), ring(15));
+    let [plain_work, padded_work] = [&plain, &padded].map(|g| {
+        let mut sim = Simulator::new(g, ScriptedEnv::new())
+            .compiled()
+            .with_coverage();
+        time_per_step(&mut sim, 2_000);
+        let before = sim.work();
+        time_per_step(&mut sim, 5_000);
+        let after = sim.work();
+        [
+            after.evaluations - before.evaluations,
+            after.port_evals - before.port_evals,
+            after.full_walks - before.full_walks,
+        ]
+    });
+    assert_eq!(
+        padded_work, plain_work,
+        "[evaluations, port_evals, full_walks] over 5 000 steps: padding added work"
+    );
+    assert_eq!(
+        plain_work[2], 0,
+        "steady-state steps never take a full walk"
     );
 }
