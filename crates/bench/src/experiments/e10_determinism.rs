@@ -3,56 +3,18 @@
 //! The point of Def. 3.2: the intrinsic nondeterminism of the firing rule
 //! must not be observable. Every benchmark runs under the maximal-step
 //! policy plus batteries of randomized policies; the extracted external
-//! event structures must coincide. A deliberately *improper* design (two
-//! parallel states writing one register) is included as the control: the
-//! battery must flag it.
+//! event structures must coincide. Two deliberately *improper* designs are
+//! included as controls, and the battery must flag both: two parallel
+//! states writing one register (an input conflict), and a read/write race
+//! whose divergence the table prints as a witness. The race passes the
+//! static Def. 3.2 check, which compares only the vertices parallel states
+//! write.
 
 use crate::table::Table;
 use crate::Scale;
-use etpn_core::{Etpn, EtpnBuilder};
-use etpn_sim::{check_determinism, SimError};
+use etpn_sim::determinism::{read_write_race, register_conflict};
+use etpn_sim::{check_determinism, DeterminismReport, SimError};
 use etpn_workloads::catalog;
-
-/// The seeded counterexample: parallel branches writing the same register.
-pub fn improper_design() -> Etpn {
-    let mut b = EtpnBuilder::new();
-    let c1 = b.constant(1, "one");
-    let c2 = b.constant(2, "two");
-    let p1 = b.operator(etpn_core::Op::Pass, 1, "p1");
-    let p2 = b.operator(etpn_core::Op::Pass, 1, "p2");
-    let r = b.register("r");
-    let y = b.output("y");
-    let a1 = b.connect(b.out_port(c1, 0), b.in_port(p1, 0));
-    let a1b = b.connect(b.out_port(p1, 0), b.in_port(r, 0));
-    let a2 = b.connect(b.out_port(c2, 0), b.in_port(p2, 0));
-    let a2b = b.connect(b.out_port(p2, 0), b.in_port(r, 0));
-    let emit = b.connect(b.out_port(r, 0), b.in_port(y, 0));
-    let s0 = b.place("s0");
-    let sa = b.place("sa");
-    let sb = b.place("sb");
-    let sa2 = b.place("sa2");
-    let sb2 = b.place("sb2");
-    let se = b.place("se");
-    let end = b.place("end");
-    b.control(sa, [a1, a1b]);
-    b.control(sb, [a2, a2b]);
-    b.control(se, [emit]);
-    let tf = b.transition("fork");
-    b.flow_st(s0, tf);
-    b.flow_ts(tf, sa);
-    b.flow_ts(tf, sb);
-    b.seq(sa, sa2, "ta");
-    b.seq(sb, sb2, "tb");
-    let tj = b.transition("join");
-    b.flow_st(sa2, tj);
-    b.flow_st(sb2, tj);
-    b.flow_ts(tj, se);
-    b.seq(se, end, "te");
-    let fin = b.transition("fin");
-    b.flow_st(end, fin);
-    b.mark(s0);
-    b.finish().unwrap()
-}
 
 /// Run E10.
 pub fn run(scale: Scale) -> Table {
@@ -68,14 +30,10 @@ pub fn run(scale: Scale) -> Table {
         let report =
             etpn_sim::check_determinism_with(&d.etpn, &w.env(), seeds, w.max_steps, &d.reg_inits);
         let (runs, verdict) = match report {
-            Ok(r) if r.is_deterministic() => (
-                match &r {
-                    etpn_sim::DeterminismReport::Deterministic { runs, .. } => *runs,
-                    _ => 0,
-                },
-                "deterministic".to_string(),
-            ),
-            Ok(_) => (0, "DIVERGENT".to_string()),
+            Ok(DeterminismReport::Deterministic { runs }) => (runs, "deterministic".to_string()),
+            Ok(DeterminismReport::Divergent { witness }) => {
+                (0, format!("DIVERGENT: {}", witness.render(&d.etpn)))
+            }
             Err(e) => (0, format!("sim error: {e}")),
         };
         table.row([
@@ -85,24 +43,32 @@ pub fn run(scale: Scale) -> Table {
             verdict,
         ]);
     }
-    // The control: an improper design must be flagged.
-    let bad = improper_design();
-    let proper = etpn_analysis::check_properly_designed(&bad).is_proper();
-    let verdict = match check_determinism(&bad, &etpn_sim::ScriptedEnv::new(), seeds, 200) {
-        Err(SimError::InputConflict { .. }) => "conflict detected".to_string(),
-        Ok(r) if !r.is_deterministic() => "DIVERGENT (as expected)".to_string(),
-        Ok(_) => "undetected!".to_string(),
-        Err(e) => format!("sim error: {e}"),
-    };
-    table.row([
-        "improper-ctrl".to_string(),
-        proper.to_string(),
-        "-".to_string(),
-        verdict,
-    ]);
+    // The controls: improper designs the battery must flag, one by an
+    // input conflict, the other by a divergence with its witness.
+    for (name, bad) in [
+        ("improper-ctrl", register_conflict()),
+        ("race-ctrl", read_write_race()),
+    ] {
+        let proper = etpn_analysis::check_properly_designed(&bad).is_proper();
+        let verdict = match check_determinism(&bad, &etpn_sim::ScriptedEnv::new(), seeds, 200) {
+            Err(SimError::InputConflict { .. }) => "conflict detected".to_string(),
+            Ok(DeterminismReport::Divergent { witness }) => {
+                format!("DIVERGENT (as expected): {}", witness.render(&bad))
+            }
+            Ok(_) => "undetected!".to_string(),
+            Err(e) => format!("sim error: {e}"),
+        };
+        table.row([
+            name.to_string(),
+            proper.to_string(),
+            "-".to_string(),
+            verdict,
+        ]);
+    }
     table.interpret(
-        "all properly designed benchmarks are policy-invariant; the seeded \
-         improper design is caught statically and dynamically",
+        "all properly designed benchmarks are policy-invariant; the register \
+         conflict is caught statically and dynamically, while the read/write \
+         race passes the static Def. 3.2 check and only the battery catches it",
     );
     table
 }
@@ -112,18 +78,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn e10_catches_the_improper_control() {
+    fn e10_catches_the_improper_controls() {
         let t = run(Scale::Quick);
-        let last = t.rows.last().unwrap();
-        assert_eq!(last[0], "improper-ctrl");
-        assert_eq!(last[1], "false", "statically flagged");
-        assert_ne!(last[3], "undetected!");
+        let [.., conflict, race] = &t.rows[..] else {
+            panic!("two control rows: {:?}", t.rows);
+        };
+        assert_eq!(conflict[0], "improper-ctrl");
+        assert_eq!(conflict[1], "false", "statically flagged");
+        assert_eq!(conflict[3], "conflict detected");
+        assert_eq!(race[0], "race-ctrl");
+        // Def. 3.2(1) compares the states' associated (written) vertices,
+        // so a read racing a write passes the static check.
+        assert_eq!(race[1], "true", "not statically flagged");
+        assert_eq!(
+            race[3],
+            "DIVERGENT (as expected): MaximalStep vs SingleRandom { seed: 2 } (job 6): value \
+             sequences on arc a2 (p5 of `y`) differ at event 0: ⊥ vs 2"
+        );
     }
 
     #[test]
     fn e10_benchmarks_deterministic() {
         let t = run(Scale::Quick);
-        for row in &t.rows[..t.rows.len() - 1] {
+        for row in &t.rows[..t.rows.len() - 2] {
             assert_eq!(row[1], "true", "{row:?}");
             assert_eq!(row[3], "deterministic", "{row:?}");
         }

@@ -40,16 +40,18 @@ fn run_family(id: &str, title: &str, family: Family, scale: Scale) -> Table {
             "sequences",
             "moves",
             "oracle runs",
+            "skipped envs",
             "struct fails",
             "counterexamples",
         ],
     );
-    let mut total_cex = 0u64;
+    let mut first_cex: Option<String> = None;
     for w in catalog() {
         let g0 = etpn_synth::compile_source(&w.source).unwrap().etpn;
         let sequences = scale.n(2, 8);
         let mut moves = 0usize;
         let mut runs = 0u64;
+        let mut skipped_envs = 0u32;
         let mut struct_fails = 0usize;
         let mut cex = 0u64;
         for seed in 0..sequences as u64 {
@@ -58,27 +60,39 @@ fn run_family(id: &str, title: &str, family: Family, scale: Scale) -> Table {
             if family == Family::DataInvariant && !check_data_invariant(&g0, &g2).is_equivalent() {
                 struct_fails += 1;
             }
-            match semantic_oracle(&g0, &g2, oracle_cfg(w.name, scale)) {
-                OracleVerdict::NoCounterexample { runs: r } => runs += r,
-                OracleVerdict::Counterexample { .. } | OracleVerdict::SimFailure { .. } => {
-                    cex += 1;
+            let failure = match semantic_oracle(&g0, &g2, oracle_cfg(w.name, scale)) {
+                OracleVerdict::NoCounterexample { runs: r, skipped } => {
+                    runs += r;
+                    skipped_envs += skipped;
+                    continue;
                 }
-            }
+                OracleVerdict::Counterexample { env_seed, witness } => {
+                    format!("env seed {env_seed}: {}", witness.render(&g0))
+                }
+                OracleVerdict::SimFailure { env_seed, error } => {
+                    format!("env seed {env_seed}: {}", error.describe(&g0))
+                }
+            };
+            cex += 1;
+            first_cex.get_or_insert_with(|| format!("{} sequence {seed}, {failure}", w.name));
         }
-        total_cex += cex;
         table.row([
             w.name.to_string(),
             sequences.to_string(),
             moves.to_string(),
             runs.to_string(),
+            skipped_envs.to_string(),
             struct_fails.to_string(),
             cex.to_string(),
         ]);
     }
-    table.interpret(if total_cex == 0 {
-        "zero counterexamples: the transformations preserve the external event structure"
-    } else {
-        "COUNTEREXAMPLES FOUND — theorem validation FAILED"
+    table.interpret(match first_cex {
+        None => "zero counterexamples: the transformations preserve the external event \
+                 structure"
+            .to_string(),
+        Some(first) => {
+            format!("COUNTEREXAMPLES FOUND — theorem validation FAILED; first: {first}")
+        }
     });
     table
 }
@@ -112,8 +126,8 @@ mod tests {
         let t = run_e1(Scale::Quick);
         assert_eq!(t.rows.len(), etpn_workloads::catalog().len());
         for row in &t.rows {
-            assert_eq!(row[4], "0", "structural failures in {row:?}");
-            assert_eq!(row[5], "0", "counterexamples in {row:?}");
+            assert_eq!(row[5], "0", "structural failures in {row:?}");
+            assert_eq!(row[6], "0", "counterexamples in {row:?}");
         }
     }
 
@@ -121,7 +135,7 @@ mod tests {
     fn e2_finds_no_counterexample_quick() {
         let t = run_e2(Scale::Quick);
         for row in &t.rows {
-            assert_eq!(row[5], "0", "counterexamples in {row:?}");
+            assert_eq!(row[6], "0", "counterexamples in {row:?}");
         }
     }
 }

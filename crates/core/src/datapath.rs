@@ -312,9 +312,17 @@ impl DataPath {
 
     /// True iff the arc connects to a port of an external vertex (Def. 3.3).
     pub fn is_external_arc(&self, a: ArcId) -> bool {
-        let arc = &self.arcs[a];
-        self.vertices[self.ports[arc.from].vertex].is_external()
-            || self.vertices[self.ports[arc.to].vertex].is_external()
+        self.external_port(a).is_some()
+    }
+
+    /// The arc's port on an external vertex: the source port of an input
+    /// vertex's arc, else the destination port of an output vertex's arc.
+    /// `None` for an internal arc or an id this data path does not have.
+    pub fn external_port(&self, a: ArcId) -> Option<PortId> {
+        let arc = self.arcs.get(a)?;
+        [arc.from, arc.to]
+            .into_iter()
+            .find(|&p| self.vertices[self.ports[p].vertex].is_external())
     }
 
     /// All external arcs `Ae` in id order.

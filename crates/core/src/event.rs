@@ -108,10 +108,10 @@ impl EventStructure {
         a != b && !self.precedes(a, b) && !self.precedes(b, a) && !self.concurrent_with(a, b)
     }
 
-    /// Human-readable explanation of the first difference from `other`,
-    /// or `None` when the structures are equal. Used by the randomized
-    /// equivalence oracle to report counterexamples.
-    pub fn first_difference(&self, other: &EventStructure) -> Option<String> {
+    /// The first difference from `other`, or `None` when the structures
+    /// are equal. Arcs are searched in id order, then `≺`, then `≍`; `self`
+    /// is the left-hand side.
+    pub fn first_difference(&self, other: &EventStructure) -> Option<StructureDiff> {
         let arcs: BTreeSet<ArcId> = self
             .events
             .keys()
@@ -121,38 +121,86 @@ impl EventStructure {
         for arc in arcs {
             let (a, b) = (self.values_on(arc), other.values_on(arc));
             if a != b {
-                return Some(format!(
-                    "value sequences on arc {arc} differ: {a:?} vs {b:?}"
-                ));
+                let k = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                return Some(StructureDiff::Event {
+                    arc,
+                    k: k as u32,
+                    lhs: a.get(k).copied(),
+                    rhs: b.get(k).copied(),
+                });
             }
         }
-        if let Some(pair) = self.precedent.symmetric_difference(&other.precedent).next() {
-            let side = if self.precedent.contains(pair) {
-                "only lhs"
-            } else {
-                "only rhs"
-            };
-            return Some(format!(
-                "precedent pair {:?} ≺ {:?} present in {side}",
-                pair.0, pair.1
-            ));
+        if let Some(&pair) = self.precedent.symmetric_difference(&other.precedent).next() {
+            let in_lhs = self.precedent.contains(&pair);
+            return Some(StructureDiff::Precedent { pair, in_lhs });
         }
-        if let Some(pair) = self
+        if let Some(&pair) = self
             .concurrent
             .symmetric_difference(&other.concurrent)
             .next()
         {
-            let side = if self.concurrent.contains(pair) {
-                "only lhs"
-            } else {
-                "only rhs"
-            };
-            return Some(format!(
-                "concurrent pair {:?} ≍ {:?} present in {side}",
-                pair.0, pair.1
-            ));
+            let in_lhs = self.concurrent.contains(&pair);
+            return Some(StructureDiff::Concurrent { pair, in_lhs });
         }
         None
+    }
+}
+
+/// The first difference between two external event structures, as
+/// [`EventStructure::first_difference`] finds it: an event the two sides
+/// saw differently, or a `≺`/`≍` pair only one side has.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StructureDiff {
+    /// The value sequences on `arc` first differ at occurrence `k`; a side
+    /// with no `k`-th event there reads `None`.
+    Event {
+        /// The external arc.
+        arc: ArcId,
+        /// Zero-based occurrence index.
+        k: u32,
+        /// The left-hand side's `k`-th value.
+        lhs: Option<Value>,
+        /// The right-hand side's `k`-th value.
+        rhs: Option<Value>,
+    },
+    /// A precedent pair `pair.0 ≺ pair.1` only one side has.
+    Precedent {
+        /// The pair.
+        pair: (EventKey, EventKey),
+        /// True when the left-hand side has it.
+        in_lhs: bool,
+    },
+    /// A concurrent pair `pair.0 ≍ pair.1` only one side has.
+    Concurrent {
+        /// The pair (stored with `pair.0 < pair.1`).
+        pair: (EventKey, EventKey),
+        /// True when the left-hand side has it.
+        in_lhs: bool,
+    },
+}
+
+impl StructureDiff {
+    /// The difference in words, with `name` naming each external arc and
+    /// `sides` naming the left- and right-hand side.
+    pub fn describe(&self, name: impl Fn(ArcId) -> String, sides: [&str; 2]) -> String {
+        let (kind, rel, (a, b), in_lhs) = match *self {
+            StructureDiff::Event { arc, k, lhs, rhs } => {
+                let value = |v: Option<Value>| v.map_or("no event".into(), |v| v.to_string());
+                let (arc, lhs, rhs) = (name(arc), value(lhs), value(rhs));
+                return format!("value sequences on arc {arc} differ at event {k}: {lhs} vs {rhs}");
+            }
+            StructureDiff::Precedent { pair, in_lhs } => ("precedent", "≺", pair, in_lhs),
+            StructureDiff::Concurrent { pair, in_lhs } => ("concurrent", "≍", pair, in_lhs),
+        };
+        let key = |e: EventKey| format!("event {} on {}", e.k, name(e.arc));
+        let (a, b, only) = (key(a), key(b), sides[usize::from(!in_lhs)]);
+        format!("{kind} pair {a} {rel} {b} present in only {only}")
+    }
+}
+
+impl std::fmt::Display for StructureDiff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.describe(|a| a.to_string(), ["lhs", "rhs"]))
     }
 }
 
@@ -204,6 +252,15 @@ mod tests {
         assert!(s.concurrent.is_empty());
     }
 
+    fn event_diff(arc: u32, k: u32, lhs: Option<Value>, rhs: Option<Value>) -> StructureDiff {
+        StructureDiff::Event {
+            arc: ArcId::new(arc),
+            k,
+            lhs,
+            rhs,
+        }
+    }
+
     #[test]
     fn difference_reports_values_first() {
         let mut s1 = EventStructure::new();
@@ -211,8 +268,39 @@ mod tests {
         s1.push_event(ArcId::new(0), Value::Def(1));
         s2.push_event(ArcId::new(0), Value::Def(9));
         let d = s1.first_difference(&s2).unwrap();
-        assert!(d.contains("value sequences"), "{d}");
+        assert_eq!(
+            d,
+            event_diff(0, 0, Some(Value::Def(1)), Some(Value::Def(9)))
+        );
+        assert_eq!(
+            d.to_string(),
+            "value sequences on arc a0 differ at event 0: 1 vs 9"
+        );
         assert_eq!(s1.first_difference(&s1), None);
+    }
+
+    #[test]
+    fn difference_names_the_first_differing_occurrence() {
+        let mut s1 = EventStructure::new();
+        let mut s2 = EventStructure::new();
+        for v in [Value::Def(1), Value::Def(2), Value::Def(3)] {
+            s1.push_event(ArcId::new(4), v);
+        }
+        s2.push_event(ArcId::new(4), Value::Def(1));
+        s2.push_event(ArcId::new(4), Value::Undef);
+        let d = s1.first_difference(&s2);
+        assert_eq!(
+            d,
+            Some(event_diff(4, 1, Some(Value::Def(2)), Some(Value::Undef)))
+        );
+        // A prefix: the shorter side has no event at the first gap.
+        s2.events.get_mut(&ArcId::new(4)).unwrap().truncate(1);
+        let d = s2.first_difference(&s1).unwrap();
+        assert_eq!(d, event_diff(4, 1, None, Some(Value::Def(2))));
+        assert_eq!(
+            d.to_string(),
+            "value sequences on arc a4 differ at event 1: no event vs 2"
+        );
     }
 
     #[test]
@@ -226,7 +314,20 @@ mod tests {
         s1.add_precedent(a1, b1);
         s2.add_concurrent(a2, b2);
         let d = s1.first_difference(&s2).unwrap();
-        assert!(d.contains("precedent"), "{d}");
+        assert_eq!(
+            d.to_string(),
+            "precedent pair event 0 on a0 ≺ event 0 on a1 present in only lhs"
+        );
         assert_ne!(s1, s2);
+        s1.precedent.clear();
+        let d = s1.first_difference(&s2);
+        let pair = (a2, b2);
+        assert_eq!(
+            d,
+            Some(StructureDiff::Concurrent {
+                pair,
+                in_lhs: false
+            })
+        );
     }
 }

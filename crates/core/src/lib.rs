@@ -56,7 +56,7 @@ pub use control::Control;
 pub use datapath::DataPath;
 pub use error::{CoreError, CoreResult};
 pub use etpn::Etpn;
-pub use event::{EventKey, EventStructure, ExternalEvent};
+pub use event::{EventKey, EventStructure, ExternalEvent, StructureDiff};
 pub use hash::StableHasher;
 pub use idlist::IdList;
 pub use ids::{ArcId, PlaceId, PortId, TransId, VertexId};

@@ -44,10 +44,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use etpn_core::json::{self, Json};
+use etpn_core::{EventKey, StructureDiff, Value};
 use etpn_cov::CovDb;
 use etpn_obs as obs;
 use etpn_sim::{
-    Backend, FiringPolicy, Fleet, RetryPolicy, RunSpec, ScriptedEnv, SimError, SimJob, Termination,
+    battery, Backend, BatteryGroup, BatteryVerdict, FiringPolicy, Fleet, RetryPolicy, RunSpec,
+    ScriptedEnv, SimError, SimJob, Termination, Witness,
 };
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
@@ -416,6 +418,8 @@ struct ReqMeta {
     design: Option<String>,
     ctx: TraceCtx,
     trace_id: TraceId,
+    /// Tail-capture this request's trace whatever its status and latency.
+    capture: bool,
 }
 
 /// Milliseconds since the Unix epoch.
@@ -462,6 +466,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
         design: None,
         ctx: ctx.clone(),
         trace_id,
+        capture: false,
     };
     let (response, target) = match read {
         Ok(req) => {
@@ -516,14 +521,15 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
             total_us,
             at_unix_ms: unix_ms(),
         },
+        meta.capture,
     );
 }
 
 /// The observability epilogue every completed request runs: SLO
 /// histograms (per-verb and per-design latency, queue-wait vs. service
 /// split), the access log, the debug ring, the trace store, and the
-/// slow/errored tail capture.
-fn finish_request(shared: &Shared, ctx: &TraceCtx, summary: RequestSummary) {
+/// slow/errored tail capture (`capture` forces it).
+fn finish_request(shared: &Shared, ctx: &TraceCtx, summary: RequestSummary, capture: bool) {
     let verb_hist = shared
         .stats
         .histogram_with("serve.latency_us", &[("verb", summary.verb)]);
@@ -562,7 +568,7 @@ fn finish_request(shared: &Shared, ctx: &TraceCtx, summary: RequestSummary) {
         let slow = summary.total_us >= shared.cfg.slow_floor.as_micros() as u64
             && summary.total_us >= snap.quantile_bound(0.99);
         let finished = Arc::new(finished);
-        if errored || slow {
+        if errored || slow || capture {
             shared.stats.counter("serve.trace_captures").inc();
             if let Some(dir) = shared.cfg.data_dir.as_ref() {
                 let dir = dir.join("traces");
@@ -956,10 +962,12 @@ fn run_spec(
     })?;
     let seed = int("seed").unwrap_or(0) as u64;
     let policy = match text("policy") {
-        None | Some("maximal") => FiringPolicy::MaximalStep,
-        Some("random-maximal") => FiringPolicy::RandomMaximal { seed },
-        Some("single-random") => FiringPolicy::SingleRandom { seed },
-        Some(other) => return Err(Response::error(400, &format!("unknown policy `{other}`"))),
+        None => FiringPolicy::MaximalStep,
+        Some(name) => POLICY_NAMES
+            .iter()
+            .position(|&n| n == name)
+            .and_then(|tag| FiringPolicy::decode(tag as u8, seed))
+            .ok_or_else(|| Response::error(400, &format!("unknown policy `{name}`")))?,
     };
     // `interp` selects the reference interpreter.
     let backend = match text("backend") {
@@ -1165,54 +1173,33 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         Ok(r) => r,
         Err(r) => return r,
     };
-    let seeds = body
-        .get("seeds")
-        .and_then(|v| v.as_i64().ok())
-        .filter(|&n| n >= 0)
-        .map(|n| n as u64)
-        .unwrap_or(2)
-        .min(16);
-    let workers = body
-        .get("jobs")
-        .and_then(|v| v.as_i64().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n as usize)
-        .unwrap_or(2)
-        .min(8);
-
-    let policies = FiringPolicy::battery(seeds);
-    // Every battery job carries a clone of the batch span's context, so
-    // however the fleet's work-stealing schedules them, each `fleet.job`
-    // span lands in this request's tree, parented under `fleet.batch`.
-    let batch_span = meta
-        .ctx
-        .span_arg("fleet.batch", "jobs", policies.len() as i64);
-    let jobs: Vec<SimJob<'_, ScriptedEnv>> = policies
-        .iter()
-        .map(|&policy| {
-            let spec = RunSpec {
-                policy,
-                ..spec.clone()
-            };
-            SimJob::from_spec(&entry.design.etpn, env.clone(), spec).with_trace(batch_span.ctx())
-        })
-        .collect();
+    let int = |field, min, default, max| {
+        let n = body.get(field).and_then(|v| v.as_i64().ok());
+        n.filter(|&n| n >= min).unwrap_or(default).min(max)
+    };
+    let (seeds, workers) = (int("seeds", 0, 2, 16) as u64, int("jobs", 1, 2, 8) as usize);
     // One *absolute* deadline for the whole battery: each job's budget is
     // the time left when it starts, so queueing the battery on the fleet
     // workers cannot multiply the request deadline job-by-job.
     let fleet = Fleet::new(workers)
         .with_retry_policy(shared.cfg.retry)
         .with_deadline_at(Instant::now() + spec.wall_budget.unwrap_or_default());
-    let batch = fleet.run_batch(jobs);
+    // Every battery job carries a clone of the batch span's context, so
+    // however the fleet's work-stealing schedules them, each `fleet.job`
+    // span lands in this request's tree, parented under `fleet.batch`.
+    let batch_span = meta
+        .ctx
+        .span_arg("fleet.batch", "jobs", 1 + 2 * seeds as i64);
+    let proto = SimJob::from_spec(&entry.design.etpn, env, spec).with_trace(batch_span.ctx());
+    let group = BatteryGroup::policies(&proto, seeds);
+    let v = battery(&fleet, vec![group]).verdicts.remove(0);
     drop(batch_span);
 
-    let mut results = batch.results.into_iter();
-    let reference = match results.next().expect("battery is non-empty") {
+    match &v.reference {
         // Mirror /v1/run's classification: a retry-exhausted panic is an
         // internal fault; any structured SimError is a property of the
         // request (bad environment, unsafe design) and must not let a
         // client degrade a healthy design for every tenant.
-        Ok(t) => t,
         Err(e @ SimError::Panicked { .. }) => {
             ticket.failure();
             shared.stats.counter("serve.failures").inc();
@@ -1225,36 +1212,14 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
             ticket.success();
             return Response::error(422, &e.describe(&entry.design.etpn));
         }
-    };
-    if reference.termination == Termination::Budget {
-        ticket.success();
-        shared.stats.counter("serve.deadline_expired").inc();
-        return Response::error(408, "deadline exceeded during the reference run");
-    }
-    let ref_structure = etpn_sim::event_structure(&entry.design.etpn, &reference);
-    let mut divergent = 0i64;
-    let mut budget_cut = 0i64;
-    let mut failed = 0i64;
-    let mut panicked = 0i64;
-    for result in results {
-        match result {
-            Ok(t) if t.termination == Termination::Budget => budget_cut += 1,
-            Ok(t) => {
-                let s = etpn_sim::event_structure(&entry.design.etpn, &t);
-                if let etpn_sim::EquivalenceVerdict::Different(_) =
-                    etpn_sim::compare_structures(&ref_structure, &s)
-                {
-                    divergent += 1;
-                }
-            }
-            Err(SimError::Panicked { .. }) => {
-                failed += 1;
-                panicked += 1;
-            }
-            Err(_) => failed += 1,
+        Ok(t) if t.termination == Termination::Budget => {
+            ticket.success();
+            shared.stats.counter("serve.deadline_expired").inc();
+            return Response::error(408, "deadline exceeded during the reference run");
         }
+        Ok(_) => {}
     }
-    if panicked > 0 {
+    if v.panicked > 0 {
         // At least one battery job exhausted its retries on a panic: an
         // internal fault even though the battery as a whole completed.
         shared.stats.counter("serve.failures").inc();
@@ -1262,17 +1227,84 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     } else {
         ticket.success();
     }
-    Response::json(
-        200,
-        &Json::obj([
-            ("policies", Json::Num(policies.len() as i64)),
-            ("divergent", Json::Num(divergent)),
-            ("budget_cut", Json::Num(budget_cut)),
-            ("failed", Json::Num(failed)),
-            ("panicked", Json::Num(panicked)),
-            ("agree", Json::Bool(divergent == 0 && failed == 0)),
-        ]),
-    )
+    // A disagreeing battery (`agree` false) is tail-captured like a 5xx.
+    meta.capture |= v.divergent > 0 || v.failed > 0;
+    Response::json(200, &check_json(&entry.design.etpn, &v))
+}
+
+/// Policy names as request bodies and `/v1/check` witnesses spell them,
+/// indexed by [`FiringPolicy::encode`]'s tag.
+const POLICY_NAMES: [&str; 3] = ["maximal", "random-maximal", "single-random"];
+
+/// The `/v1/check` body for a battery whose reference completed: the
+/// counts, `agree`, and the witness of the first divergence, if any.
+fn check_json(g: &etpn_core::Etpn, v: &BatteryVerdict) -> Json {
+    // Every compared job was compared, cut or failed.
+    let policies = 1 + v.compared + v.cut + v.failed;
+    let mut doc = vec![
+        ("policies", Json::Num(policies as i64)),
+        ("compared", Json::Num(v.compared as i64)),
+        ("divergent", Json::Num(v.divergent as i64)),
+        ("budget_cut", Json::Num(v.cut as i64)),
+        ("failed", Json::Num(v.failed as i64)),
+        ("panicked", Json::Num(v.panicked as i64)),
+        ("agree", Json::Bool(v.divergent == 0 && v.failed == 0)),
+    ];
+    if let Some(w) = &v.witness {
+        doc.push(("witness", witness_json(g, w)));
+    }
+    Json::obj(doc)
+}
+
+/// A [`Witness`] as JSON: the kind, the event (arc, external vertex,
+/// occurrence `k`) and each side's policy, seed and value — an integer,
+/// `null` for ⊥, or no `value` when that side has no such event. A `≺`/`≍`
+/// witness names its second event under `then` and the side that has the
+/// pair under `present_in`.
+fn witness_json(g: &etpn_core::Etpn, w: &Witness) -> Json {
+    let event = |key: EventKey| {
+        let vertex = g.dp.external_port(key.arc).map_or(Json::Null, |p| {
+            Json::Str(g.dp.vertex(g.dp.port(p).vertex).name.clone())
+        });
+        [
+            ("arc", Json::Str(key.arc.to_string())),
+            ("vertex", vertex),
+            ("k", Json::Num(i64::from(key.k))),
+        ]
+    };
+    let side = |policy: FiringPolicy, value: Option<Value>| {
+        let (tag, seed) = policy.encode();
+        let mut doc = vec![
+            ("policy", Json::Str(POLICY_NAMES[usize::from(tag)].into())),
+            ("seed", Json::Num(seed as i64)),
+        ];
+        if let Some(v) = value {
+            doc.push(("value", v.as_i64().map_or(Json::Null, Json::Num)));
+        }
+        Json::obj(doc)
+    };
+    let (kind, first, then, lhs, rhs) = match w.diff {
+        StructureDiff::Event { arc, k, lhs, rhs } => ("event", EventKey { arc, k }, None, lhs, rhs),
+        StructureDiff::Precedent { pair, in_lhs } => {
+            ("precedent", pair.0, Some((pair.1, in_lhs)), None, None)
+        }
+        StructureDiff::Concurrent { pair, in_lhs } => {
+            ("concurrent", pair.0, Some((pair.1, in_lhs)), None, None)
+        }
+    };
+    let mut doc = vec![
+        ("job", Json::Num(w.job as i64)),
+        ("kind", Json::Str(kind.into())),
+    ];
+    doc.extend(event(first));
+    if let Some((then, in_lhs)) = then {
+        doc.push(("then", Json::obj(event(then))));
+        let side = if in_lhs { "reference" } else { "compared" };
+        doc.push(("present_in", Json::Str(side.into())));
+    }
+    doc.push(("reference", side(w.reference, lhs)));
+    doc.push(("compared", side(w.compared, rhs)));
+    Json::obj(doc)
 }
 
 /// `POST /v1/cov` — coverage read-out; allowed in degraded mode.
@@ -1520,4 +1552,53 @@ fn refresh_gauges_shared(shared: &Shared) {
 
 fn refresh_gauges(shared: &Arc<Shared>) {
     refresh_gauges_shared(shared);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_json_carries_the_race_witness() {
+        let g = etpn_sim::determinism::read_write_race();
+        let group = BatteryGroup::policies(&SimJob::new(&g, ScriptedEnv::new()), 4);
+        let v = battery(&Fleet::new(2), vec![group]).verdicts.remove(0);
+        let doc = check_json(&g, &v);
+        let field = |k: &str| doc.get(k).cloned();
+        assert_eq!(field("agree"), Some(Json::Bool(false)), "{}", doc.pretty());
+        assert_eq!(field("policies"), Some(Json::Num(9)));
+        assert_eq!(field("compared"), Some(Json::Num(8)));
+        let side = |policy: &str, seed, value: Option<Json>| {
+            let doc = [
+                ("policy", Json::Str(policy.into())),
+                ("seed", Json::Num(seed)),
+            ];
+            Json::obj(doc.into_iter().chain(value.map(|v| ("value", v))))
+        };
+        let witness = Json::obj([
+            ("job", Json::Num(6)),
+            ("kind", Json::Str("event".into())),
+            ("arc", Json::Str("a2".into())),
+            ("vertex", Json::Str("y".into())),
+            ("k", Json::Num(0)),
+            ("reference", side("maximal", 0, Some(Json::Null))),
+            ("compared", side("single-random", 2, Some(Json::Num(2)))),
+        ]);
+        assert_eq!(field("witness"), Some(witness));
+
+        // A side with no such event carries no value.
+        let mut w = v.witness.unwrap();
+        w.diff = StructureDiff::Event {
+            arc: etpn_core::ArcId::new(2),
+            k: 1,
+            lhs: Some(Value::Def(7)),
+            rhs: None,
+        };
+        let doc = witness_json(&g, &w);
+        assert_eq!(
+            doc.get("reference"),
+            Some(&side("maximal", 0, Some(Json::Num(7))))
+        );
+        assert_eq!(doc.get("compared"), Some(&side("single-random", 2, None)));
+    }
 }

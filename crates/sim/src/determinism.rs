@@ -3,20 +3,15 @@
 //! For a *properly designed* system, the intrinsic nondeterminism of the
 //! Petri-net firing order must not be observable: every firing policy and
 //! seed must yield the same external event structure. This module runs a
-//! battery of policies over one design/environment and reports the first
-//! divergence, if any — experiment E10's engine.
-//!
-//! The battery executes as one [`Fleet`] batch: the runs spread over the
-//! fleet's workers and share the design's one compilation.
+//! [`battery`] of policies over one design/environment and reports the
+//! first divergence, if any — experiment E10's engine.
 
+use crate::battery::{battery, BatteryGroup, Witness};
 use crate::env::Environment;
-use crate::equiv::compare_structures;
 use crate::error::SimError;
-use crate::extract::event_structure_with;
 use crate::fleet::{Fleet, SimJob};
-use crate::policy::FiringPolicy;
 use crate::spec::RunSpec;
-use etpn_core::{ControlRelations, Etpn, EventStructure};
+use etpn_core::{ArcId, Etpn, EtpnBuilder};
 
 /// Result of a determinism battery.
 #[derive(Clone, Debug)]
@@ -25,15 +20,11 @@ pub enum DeterminismReport {
     Deterministic {
         /// Number of runs compared (including the reference run).
         runs: usize,
-        /// The agreed structure.
-        structure: EventStructure,
     },
     /// A run diverged from the reference (maximal-step) run.
     Divergent {
-        /// The policy that diverged.
-        policy: FiringPolicy,
-        /// Description of the first difference.
-        difference: String,
+        /// The first divergence.
+        witness: Witness,
     },
 }
 
@@ -44,8 +35,9 @@ impl DeterminismReport {
     }
 }
 
-/// Run the design under [`FiringPolicy::MaximalStep`] plus `seeds` runs each
-/// of the two randomized policies, comparing external event structures.
+/// Run the design under [`FiringPolicy::MaximalStep`](crate::FiringPolicy)
+/// plus `seeds` runs each of the two randomized policies, comparing
+/// external event structures.
 pub fn check_determinism<E>(
     g: &Etpn,
     env: &E,
@@ -59,7 +51,8 @@ where
 }
 
 /// [`check_determinism`] with named register reset values applied to every
-/// run (compiled designs rely on `reg r = k;` initialisation).
+/// run (compiled designs rely on `reg r = k;` initialisation). The first
+/// failed run, the reference first, is the error.
 pub fn check_determinism_with<E>(
     g: &Etpn,
     env: &E,
@@ -70,48 +63,91 @@ pub fn check_determinism_with<E>(
 where
     E: Environment + Clone + Send,
 {
-    let rel = ControlRelations::compute(&g.ctl);
-    let policies = FiringPolicy::battery(seeds);
-    let jobs: Vec<SimJob<E>> = policies
-        .iter()
-        .map(|&policy| {
-            let spec = RunSpec {
-                policy,
-                max_steps,
-                registers: reg_inits.to_vec(),
-                ..RunSpec::default()
-            };
-            SimJob::from_spec(g, env.clone(), spec)
-        })
-        .collect();
-    let batch = Fleet::new(0).run_batch(jobs);
-
-    let mut results = batch.results.into_iter();
-    let reference = results
-        .next()
-        .expect("battery contains the reference run")?;
-    let ref_structure = event_structure_with(&rel, &reference);
-    let mut runs = 1usize;
-    for (&policy, result) in policies[1..].iter().zip(results) {
-        let trace = result?;
-        let structure = event_structure_with(&rel, &trace);
-        runs += 1;
-        let verdict = compare_structures(&ref_structure, &structure);
-        if let crate::equiv::EquivalenceVerdict::Different(difference) = verdict {
-            return Ok(DeterminismReport::Divergent { policy, difference });
-        }
+    let spec = RunSpec {
+        max_steps,
+        registers: reg_inits.to_vec(),
+        ..RunSpec::default()
+    };
+    let proto = SimJob::from_spec(g, env.clone(), spec);
+    let group = BatteryGroup::policies(&proto, seeds);
+    let v = battery(&Fleet::new(0), vec![group]).verdicts.remove(0);
+    v.reference?;
+    if let Some((_, e)) = v.first_error {
+        return Err(e);
     }
-    Ok(DeterminismReport::Deterministic {
-        runs,
-        structure: ref_structure,
+    Ok(match v.witness {
+        Some(witness) => DeterminismReport::Divergent { witness },
+        None => DeterminismReport::Deterministic {
+            runs: v.compared + 1,
+        },
     })
+}
+
+/// A negative control for every policy-invariance check: after a fork,
+/// `sa` and `sb` write the constants 1 and 2 into register `r`, which is
+/// then emitted on `y`. Def. 3.2(1) rejects it statically, and under
+/// [`FiringPolicy::MaximalStep`](crate::FiringPolicy) both writes are open
+/// at once: an input conflict.
+pub fn register_conflict() -> Etpn {
+    let mut b = EtpnBuilder::new();
+    let (one, two) = (b.constant(1, "one"), b.constant(2, "two"));
+    let r = b.register("r");
+    let y = b.output("y");
+    let sa = b.connect(b.out_port(one, 0), b.in_port(r, 0));
+    let sb = b.connect(b.out_port(two, 0), b.in_port(r, 0));
+    let emit = b.connect(b.out_port(r, 0), b.in_port(y, 0));
+    fork_join(b, sa, sb, emit)
+}
+
+/// A negative control that passes the static Def. 3.2 check, which
+/// compares only the vertices parallel states write: after a fork, `sa`
+/// loads `r := 2` while `sb` copies `r` into `s`, and `s` is then emitted
+/// on `y` (arc a2). Under [`FiringPolicy::MaximalStep`](crate::FiringPolicy)
+/// both branches finish in the same step and the copy latches `r` before
+/// the load has, so `y` sees `⊥`; an interleaving that finishes `sa` while
+/// `sb` is still active makes `y` see 2.
+pub fn read_write_race() -> Etpn {
+    let mut b = EtpnBuilder::new();
+    let two = b.constant(2, "two");
+    let (r, s) = (b.register("r"), b.register("s"));
+    let y = b.output("y");
+    let load = b.connect(b.out_port(two, 0), b.in_port(r, 0));
+    let copy = b.connect(b.out_port(r, 0), b.in_port(s, 0));
+    let emit = b.connect(b.out_port(s, 0), b.in_port(y, 0));
+    fork_join(b, load, copy, emit)
+}
+
+/// The controls' shared control net: `s0` forks into `sa` and `sb`, which
+/// open `in_sa` and `in_sb` and take one more step each before joining
+/// into `se`, which opens `emit`.
+fn fork_join(mut b: EtpnBuilder, in_sa: ArcId, in_sb: ArcId, emit: ArcId) -> Etpn {
+    let [s0, sa, sb, sa2, sb2, se, end] =
+        ["s0", "sa", "sb", "sa2", "sb2", "se", "end"].map(|name| b.place(name));
+    b.control(sa, [in_sa]);
+    b.control(sb, [in_sb]);
+    b.control(se, [emit]);
+    let fork = b.transition("fork");
+    b.flow_st(s0, fork);
+    b.flow_ts(fork, sa);
+    b.flow_ts(fork, sb);
+    b.seq(sa, sa2, "ta");
+    b.seq(sb, sb2, "tb");
+    let join = b.transition("join");
+    b.flow_st(sa2, join);
+    b.flow_st(sb2, join);
+    b.flow_ts(join, se);
+    b.seq(se, end, "te");
+    let fin = b.transition("fin");
+    b.flow_st(end, fin);
+    b.mark(s0);
+    b.finish().expect("the control designs are well formed")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::ScriptedEnv;
-    use etpn_core::{EtpnBuilder, Op};
+    use etpn_core::Op;
 
     /// A properly designed fork/join pipeline: two independent computations.
     fn proper_parallel() -> Etpn {
@@ -165,58 +201,17 @@ mod tests {
             .with_stream("y", [4]);
         let report = check_determinism(&g, &env, 6, 100).unwrap();
         assert!(report.is_deterministic(), "{report:?}");
-        if let DeterminismReport::Deterministic { runs, structure } = report {
+        if let DeterminismReport::Deterministic { runs } = report {
             assert_eq!(runs, 13);
-            assert_eq!(structure.event_count(), 5); // ax0, ay0, ay1, ex, ey
         }
-    }
-
-    /// An *improperly* designed system: two parallel states write the same
-    /// register through the same input port — a structural conflict whose
-    /// winner depends on firing order.
-    fn improper_shared_register() -> Etpn {
-        let mut b = EtpnBuilder::new();
-        let c1 = b.constant(1, "one");
-        let c2 = b.constant(2, "two");
-        let r = b.register("r");
-        let mux_like = b.operator(Op::Pass, 1, "pass1");
-        let pass2 = b.operator(Op::Pass, 1, "pass2");
-        let y = b.output("y");
-        let a1 = b.connect(b.out_port(c1, 0), b.in_port(mux_like, 0));
-        let a1b = b.connect(b.out_port(mux_like, 0), b.in_port(r, 0));
-        let a2 = b.connect(b.out_port(c2, 0), b.in_port(pass2, 0));
-        let a2b = b.connect(b.out_port(pass2, 0), b.in_port(r, 0));
-        let emit = b.connect(b.out_port(r, 0), b.in_port(y, 0));
-        let s0 = b.place("s0");
-        let sa = b.place("sa");
-        let sb = b.place("sb");
-        let sa2 = b.place("sa2");
-        let sb2 = b.place("sb2");
-        let s_emit = b.place("s_emit");
-        let s_end = b.place("end");
-        b.control(sa, [a1, a1b]);
-        b.control(sb, [a2, a2b]);
-        b.control(s_emit, [emit]);
-        let tf = b.transition("fork");
-        b.flow_st(s0, tf);
-        b.flow_ts(tf, sa);
-        b.flow_ts(tf, sb);
-        b.seq(sa, sa2, "ta");
-        b.seq(sb, sb2, "tb");
-        let tj = b.transition("join");
-        b.flow_st(sa2, tj);
-        b.flow_st(sb2, tj);
-        b.flow_ts(tj, s_emit);
-        b.seq(s_emit, s_end, "te");
-        let fin = b.transition("fin");
-        b.flow_st(s_end, fin);
-        b.mark(s0);
-        b.finish().unwrap()
+        let trace = crate::Simulator::new(&g, env).run(100).unwrap();
+        let structure = crate::event_structure(&g, &trace);
+        assert_eq!(structure.event_count(), 5); // ax0, ay0, ay1, ex, ey
     }
 
     #[test]
     fn improper_design_diverges_or_conflicts() {
-        let g = improper_shared_register();
+        let g = register_conflict();
         let env = ScriptedEnv::new();
         // Under the maximal-step policy both writes are simultaneously open:
         // an input conflict. Under interleavings the winner flips. Either
@@ -226,5 +221,33 @@ mod tests {
             Ok(report) => assert!(!report.is_deterministic(), "{report:?}"),
             Err(e) => panic!("unexpected error {e}"),
         }
+    }
+
+    #[test]
+    fn read_write_race_has_a_typed_witness() {
+        let g = read_write_race();
+        let report = check_determinism(&g, &ScriptedEnv::new(), 4, 100).unwrap();
+        let DeterminismReport::Divergent { witness } = report else {
+            panic!("the race must diverge: {report:?}");
+        };
+        assert_eq!(
+            witness,
+            Witness {
+                job: 6,
+                reference: crate::FiringPolicy::MaximalStep,
+                compared: crate::FiringPolicy::SingleRandom { seed: 2 },
+                diff: etpn_core::StructureDiff::Event {
+                    arc: etpn_core::ArcId::new(2),
+                    k: 0,
+                    lhs: Some(etpn_core::Value::Undef),
+                    rhs: Some(etpn_core::Value::Def(2)),
+                },
+            }
+        );
+        assert_eq!(
+            witness.render(&g),
+            "MaximalStep vs SingleRandom { seed: 2 } (job 6): value sequences on arc a2 \
+             (p5 of `y`) differ at event 0: ⊥ vs 2"
+        );
     }
 }

@@ -27,7 +27,6 @@
 //!   as a heat-graded DOT graph.
 
 use crate::env::Environment;
-use crate::equiv::{compare_structures, EquivalenceVerdict};
 use crate::error::SimError;
 use crate::extract::event_structure;
 use crate::fleet::{lock_recover, Fleet, FleetStats, SimJob};
@@ -584,9 +583,9 @@ fn classify(
             FaultClass::Hang,
             format!("{:?} after {} steps", t.termination, t.steps),
         ),
-        Ok(t) => match compare_structures(golden, &event_structure(g, t)) {
-            EquivalenceVerdict::Equivalent => (FaultClass::Masked, String::new()),
-            EquivalenceVerdict::Different(d) => (FaultClass::SilentCorruption, d),
+        Ok(t) => match golden.first_difference(&event_structure(g, t)) {
+            None => (FaultClass::Masked, String::new()),
+            Some(d) => (FaultClass::SilentCorruption, d.to_string()),
         },
     }
 }
@@ -687,7 +686,9 @@ where
     // sweep, must reproduce the identical observation.
     let golden_again = proto.clone().run()?;
     let golden_unchanged = golden_again.termination == golden_trace.termination
-        && compare_structures(&golden_es, &event_structure(g, &golden_again)).is_equivalent();
+        && golden_es
+            .first_difference(&event_structure(g, &golden_again))
+            .is_none();
 
     // Campaign coverage: the golden DB merged with the faulty batch's.
     let coverage = match (golden_trace.cov.clone(), batch.coverage) {

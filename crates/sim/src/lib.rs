@@ -16,7 +16,9 @@
 //!   per-design flat dispatch tables plus an event-driven dirty set,
 //!   bit-identical to the interpreter (selected via
 //!   [`engine::Simulator::with_backend`]);
-//! * [`equiv`] — empirical semantic-equivalence comparison (Def. 4.1);
+//! * [`mod@battery`] — one fleet batch of reference and compared runs, and
+//!   one verdict per group with a typed [`Witness`] for the first
+//!   divergence (Defs. 3.2 and 4.1);
 //! * [`determinism`] — the policy-invariance battery justifying Def. 3.2;
 //! * [`spec`] — [`RunSpec`], one run's configuration as a plain value
 //!   (backend, policy, budgets, registers, coverage, faults, recording),
@@ -35,13 +37,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod battery;
 pub mod compiled;
-pub mod coverage;
 pub mod determinism;
 pub mod dirty;
 pub mod engine;
 pub mod env;
-pub mod equiv;
 pub mod error;
 pub mod eval;
 pub mod extract;
@@ -54,15 +55,13 @@ pub mod spec;
 pub mod trace;
 pub mod vcd;
 
+#[allow(deprecated)]
+pub use battery::compare_structures;
+pub use battery::{battery, BatteryGroup, BatteryRun, BatteryVerdict, EquivalenceVerdict, Witness};
 pub use compiled::{get_or_compile, Backend, CompiledDesign};
-pub use coverage::{coverage, coverage_excluding, CoverageReport};
 pub use determinism::{check_determinism, check_determinism_with, DeterminismReport};
 pub use engine::Simulator;
 pub use env::{Environment, FnEnv, ScriptedEnv};
-pub use equiv::{
-    compare_structures, compare_values, observational_sweep, observationally_equal,
-    EquivalenceVerdict,
-};
 pub use error::SimError;
 pub use extract::event_structure;
 pub use fault::{

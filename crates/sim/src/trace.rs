@@ -1,7 +1,7 @@
 //! Execution traces: the observable record of one run.
 
 use etpn_core::bitset::BitSet;
-use etpn_core::{ArcId, Etpn, ExternalEvent, PlaceId, PortId, TransId, Value};
+use etpn_core::{ArcId, Etpn, ExternalEvent, PortId, Value};
 use etpn_cov::CovDb;
 use std::fmt;
 
@@ -126,15 +126,6 @@ impl fmt::Debug for Trace {
 }
 
 impl Trace {
-    /// The values observed on one arc, in occurrence order.
-    pub fn values_on_arc(&self, arc: ArcId) -> Vec<Value> {
-        self.events
-            .iter()
-            .filter(|e| e.arc == arc)
-            .map(|e| e.value)
-            .collect()
-    }
-
     /// The *defined* values delivered to the output vertex named `name`,
     /// in occurrence order. Convenience for asserting computed results.
     pub fn values_on_named_output(&self, g: &Etpn, name: &str) -> Vec<i64> {
@@ -152,51 +143,15 @@ impl Trace {
             .collect()
     }
 
-    /// All values (defined or not) delivered to a named output vertex.
-    pub fn raw_values_on_named_output(&self, g: &Etpn, name: &str) -> Vec<Value> {
-        let Some(v) = g.dp.vertex_by_name(name) else {
-            return Vec::new();
-        };
-        let Some(&ip) = g.dp.vertex(v).inputs.first() else {
-            return Vec::new();
-        };
-        let arcs: Vec<ArcId> = g.dp.incoming_arcs(ip).to_vec();
-        self.events
-            .iter()
-            .filter(|e| arcs.contains(&e.arc))
-            .map(|e| e.value)
-            .collect()
-    }
-
     /// Total number of external events.
     pub fn event_count(&self) -> usize {
         self.events.len()
-    }
-
-    /// Firing count of one transition.
-    pub fn firings_of(&self, t: TransId) -> u64 {
-        self.fire_counts.get(t.idx()).copied().unwrap_or(0)
-    }
-
-    /// Activation count of one control state.
-    pub fn activations_of(&self, s: PlaceId) -> u64 {
-        self.exit_counts.get(s.idx()).copied().unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etpn_core::{PlaceId, Value};
-
-    fn ev(arc: u32, value: i64, step: u64) -> ExternalEvent {
-        ExternalEvent {
-            arc: ArcId::new(arc),
-            value: Value::Def(value),
-            place: PlaceId::new(0),
-            step,
-        }
-    }
 
     #[test]
     fn hang_classification_of_terminations() {
@@ -205,31 +160,5 @@ mod tests {
         assert!(Termination::Deadlock.is_hang());
         assert!(Termination::StepLimit.is_hang());
         assert!(Termination::Budget.is_hang());
-    }
-
-    #[test]
-    fn per_arc_filtering() {
-        let t = Trace {
-            events: vec![ev(0, 1, 0), ev(1, 2, 0), ev(0, 3, 1)],
-            steps: 2,
-            firings: 2,
-            termination: Termination::Terminated,
-            watch: Vec::new(),
-            watched: Vec::new(),
-            marking_rows: Vec::new(),
-            guard_ports: Vec::new(),
-            guard_rows: Vec::new(),
-            cov: None,
-            fire_counts: Vec::new(),
-            exit_counts: Vec::new(),
-            recording: None,
-            work: WorkCounts::default(),
-        };
-        assert_eq!(
-            t.values_on_arc(ArcId::new(0)),
-            vec![Value::Def(1), Value::Def(3)]
-        );
-        assert_eq!(t.values_on_arc(ArcId::new(9)), Vec::<Value>::new());
-        assert_eq!(t.event_count(), 3);
     }
 }

@@ -281,8 +281,9 @@ mod tests {
             sim = sim.init_register(name, *v);
         }
         let trace = sim.run(10_000).unwrap();
-        assert_eq!(trace.activations_of(decide) + trace.activations_of(copy), 5);
-        assert!(trace.activations_of(copy) >= 2);
+        let activations = |s: PlaceId| trace.exit_counts[s.idx()];
+        assert_eq!(activations(decide) + activations(copy), 5);
+        assert!(activations(copy) >= 2);
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //! `⇒`-ordering must hold in the other, and vice versa. The oracle
 //! *falsifies* (never proves) semantic equivalence (Def. 4.1) by running
 //! both designs against many random environments, seeds, and firing
-//! policies and comparing external event structures. The whole battery is
-//! submitted as one `etpn-sim` [`Fleet`] batch: runs spread over worker
-//! threads on the fleet's default compiled step engine (each design is
-//! compiled once and shared by every policy/seed run over it), and the
-//! counterexample reported is the first in environment order.
+//! policies and comparing external event structures. The whole oracle is
+//! one `etpn-sim` [`battery()`] with a group per environment: runs spread
+//! over the [`Fleet`]'s worker threads on the default compiled step engine
+//! (each design is compiled once and shared by every policy/seed run over
+//! it), and the counterexample reported is the first in environment
+//! order.
 
 use crate::error::TransformResult;
 use etpn_analysis::DataDependence;
 use etpn_core::{ControlRelations, Etpn, PlaceId, Value};
 use etpn_sim::{
-    compare_structures, event_structure, EquivalenceVerdict, FiringPolicy, Fleet, RunSpec,
-    ScriptedEnv, SimError, SimJob,
+    battery, BatteryGroup, Fleet, RunSpec, ScriptedEnv, SimError, SimJob, Termination, Witness,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -125,13 +125,20 @@ pub enum OracleVerdict {
     NoCounterexample {
         /// Total runs compared.
         runs: u64,
+        /// Environments skipped because the reference run hit the step
+        /// limit (a truncated run observes an arbitrary prefix). When
+        /// every environment is skipped, `runs` is 0 and the pass is
+        /// vacuous.
+        skipped: u32,
     },
     /// A run pair with differing external event structures.
     Counterexample {
         /// Environment seed that exposed it.
         env_seed: u64,
-        /// Difference description.
-        difference: String,
+        /// The first difference: the reference is `g1` under
+        /// [`etpn_sim::FiringPolicy::MaximalStep`], the compared run `g2` under
+        /// `witness.compared`.
+        witness: Witness,
     },
     /// A simulation failed outright (itself evidence of inequivalence or an
     /// improper design).
@@ -170,73 +177,51 @@ pub fn random_env(g: &Etpn, seed: u64, stream_len: usize, range: (i64, i64)) -> 
 /// arc id, so the caller must ensure external arc ids correspond (both our
 /// transformations preserve arc identities).
 pub fn semantic_oracle(g1: &Etpn, g2: &Etpn, cfg: OracleConfig) -> OracleVerdict {
-    let policies = FiringPolicy::battery(cfg.policy_seeds);
     let env_seeds: Vec<u64> = (0..cfg.environments)
         .map(|e| u64::from(e) * 0x9E37_79B9 + 12_345)
         .collect();
 
-    // One batch: per environment, the g1 reference run followed by the full
-    // policy battery on g2.
-    let per_env = 1 + policies.len();
+    // One group per environment.
     let spec = RunSpec {
         max_steps: cfg.max_steps,
         ..RunSpec::default()
     };
-    let mut jobs: Vec<SimJob> = Vec::with_capacity(env_seeds.len() * per_env);
-    for &env_seed in &env_seeds {
-        let env = random_env(g1, env_seed, cfg.stream_len, (cfg.value_min, cfg.value_max));
-        jobs.push(SimJob::from_spec(g1, env.clone(), spec.clone()));
-        for &policy in &policies {
-            let spec = RunSpec {
-                policy,
-                ..spec.clone()
-            };
-            jobs.push(SimJob::from_spec(g2, env.clone(), spec));
-        }
-    }
-    let batch = Fleet::new(cfg.threads).run_batch(jobs);
+    let groups = env_seeds
+        .iter()
+        .map(|&env_seed| {
+            let env = random_env(g1, env_seed, cfg.stream_len, (cfg.value_min, cfg.value_max));
+            // The full policy battery on g2 is compared with the g1 run.
+            let on_g2 = SimJob::from_spec(g2, env.clone(), spec.clone());
+            let mut group = BatteryGroup::policies(&on_g2, cfg.policy_seeds);
+            let on_g1 = SimJob::from_spec(g1, env, spec.clone());
+            group
+                .compared
+                .insert(0, std::mem::replace(&mut group.reference, on_g1));
+            group
+        })
+        .collect();
+    let run = battery(&Fleet::new(cfg.threads), groups);
 
-    let mut runs = 0u64;
-    let mut results = batch.results.into_iter();
-    for &env_seed in &env_seeds {
-        let chunk: Vec<Result<etpn_sim::Trace, SimError>> =
-            results.by_ref().take(per_env).collect();
-        let t_ref = match &chunk[0] {
-            Ok(t) => t,
-            Err(error) => {
-                return OracleVerdict::SimFailure {
-                    env_seed,
-                    error: error.clone(),
-                }
+    let (mut runs, mut skipped) = (0u64, 0u32);
+    for (env_seed, v) in env_seeds.into_iter().zip(run.verdicts) {
+        let failure = |error| OracleVerdict::SimFailure { env_seed, error };
+        match v.reference {
+            Err(error) => return failure(error),
+            Ok(t) if t.termination == Termination::StepLimit => {
+                skipped += 1;
+                continue;
             }
-        };
-        if t_ref.termination == etpn_sim::Termination::StepLimit {
-            // A truncated run observes an arbitrary prefix; timing
-            // differences would masquerade as counterexamples.
-            continue;
+            Ok(_) => {}
         }
-        let s_ref = event_structure(g1, t_ref);
-        for t2 in &chunk[1..] {
-            let t2 = match t2 {
-                Ok(t) => t,
-                Err(error) => {
-                    return OracleVerdict::SimFailure {
-                        env_seed,
-                        error: error.clone(),
-                    }
-                }
-            };
-            let s2 = event_structure(g2, t2);
-            runs += 1;
-            if let EquivalenceVerdict::Different(difference) = compare_structures(&s_ref, &s2) {
-                return OracleVerdict::Counterexample {
-                    env_seed,
-                    difference,
-                };
-            }
+        if let Some((_, error)) = v.first_error {
+            return failure(error);
         }
+        if let Some(witness) = v.witness {
+            return OracleVerdict::Counterexample { env_seed, witness };
+        }
+        runs += v.compared as u64;
     }
-    OracleVerdict::NoCounterexample { runs }
+    OracleVerdict::NoCounterexample { runs, skipped }
 }
 
 /// Convenience: apply a transformation function to a clone and verify both

@@ -544,7 +544,7 @@ fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
         std::fs::write(path, vcd).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
-    print_coverage(&d, &trace);
+    print_coverage(&d.etpn, trace.cov.as_ref());
     let code = report_termination(&trace, spec.max_steps);
     let prog = etpn::lang::parse_and_check(&src).map_err(|e| e.to_string())?;
     for name in &prog.outputs {
@@ -553,25 +553,11 @@ fn cmd_run(args: &[String], use_interpreter: bool) -> Result<ExitCode, String> {
     Ok(code)
 }
 
-/// Print the coverage of a run made with `--cov`, if it collected any.
-fn print_coverage(d: &etpn::synth::CompiledDesign, trace: &etpn::sim::Trace) {
-    let Some(db) = &trace.cov else { return };
-    // Statically-dead elements come out of the denominators: a hole in
-    // this report is a genuine testing gap, never dead code.
-    let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
-    let cov = etpn::sim::coverage_excluding(&d.etpn, trace, &dead_p, &dead_t);
-    let (ps, ts) = cov.percentages();
-    println!(
-        "coverage: {ps:.0}% states, {ts:.0}% transitions ({} dead excluded)",
-        cov.dead_places + cov.dead_transitions
-    );
-    for (_, name) in &cov.unvisited_places {
-        println!("  never activated: {name}");
+/// Print the coverage a `--cov` run or batch collected, if any.
+fn print_coverage(g: &etpn::core::Etpn, db: Option<&etpn::cov::CovDb>) {
+    if let Some(db) = db {
+        print!("{}", full_report(g, db).text());
     }
-    for (_, name) in &cov.unfired_transitions {
-        println!("  never fired:     {name}");
-    }
-    print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
 }
 
 /// Parse `--every K` / `--ring N` into a recorder configuration
@@ -713,7 +699,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     };
     let out = flag_value(args, "-o").map_or(default_out, str::to_string);
     write_recording(&trace, &out)?;
-    print_coverage(&d, &trace);
+    print_coverage(&d.etpn, trace.cov.as_ref());
     Ok(report_termination(&trace, spec.max_steps))
 }
 
@@ -840,78 +826,61 @@ fn run_fleet_battery(
     spec: RunSpec,
     workers: usize,
 ) -> Result<ExitCode, String> {
-    use etpn::sim::{compare_structures, event_structure, FiringPolicy, Fleet};
+    use etpn::sim::{battery, BatteryGroup, FiringPolicy, Fleet};
 
-    let policies = FiringPolicy::battery(parse_flag(args, "--seeds")?.unwrap_or(4));
-    let jobs: Vec<SimJob> = policies
-        .iter()
-        .map(|&policy| {
-            let spec = RunSpec {
-                policy,
-                ..spec.clone()
-            };
-            SimJob::from_spec(&d.etpn, env.clone(), spec)
-        })
-        .collect();
-    let batch = Fleet::new(workers).run_batch(jobs);
-    let mut results = batch.results.into_iter();
-    let reference = results
-        .next()
-        .expect("battery is non-empty")
-        .map_err(|e| format!("job 0 ({:?}): {}", policies[0], e.describe(&d.etpn)))?;
-    let ref_structure = event_structure(&d.etpn, &reference);
-    let mut divergent = 0usize;
-    let mut budget_cut = 0usize;
-    for (idx, (policy, result)) in policies[1..].iter().zip(results).enumerate() {
-        let trace =
-            result.map_err(|e| format!("job {} ({policy:?}): {}", idx + 1, e.describe(&d.etpn)))?;
-        if trace.termination == etpn::sim::Termination::Budget {
-            // A truncated run has a truncated event structure; comparing
-            // it against the full reference would report a spurious
-            // divergence, so surface the cut instead.
-            budget_cut += 1;
-            println!(
-                "job {} ({policy:?}) cut short by the --wall-ms budget at step {}",
-                idx + 1,
-                trace.steps
-            );
-            continue;
-        }
-        let verdict = compare_structures(&ref_structure, &event_structure(&d.etpn, &trace));
-        if let etpn::sim::EquivalenceVerdict::Different(diff) = verdict {
-            divergent += 1;
-            println!("policy {policy:?} diverges from MaximalStep: {diff}");
-        }
+    let seeds = parse_flag(args, "--seeds")?.unwrap_or(4);
+    let max_steps = spec.max_steps;
+    let group = BatteryGroup::policies(&SimJob::from_spec(&d.etpn, env, spec), seeds);
+    let run = battery(&Fleet::new(workers), vec![group]);
+    let v = run.verdicts.into_iter().next().expect("one group");
+    let failed = |job: usize, e: etpn::sim::SimError| {
+        let policy = FiringPolicy::battery(seeds)[job];
+        format!("job {job} ({policy:?}): {}", e.describe(&d.etpn))
+    };
+    let reference = v.reference.map_err(|e| failed(0, e))?;
+    if let Some((job, e)) = v.first_error {
+        return Err(format!(
+            "{} ({} of the compared runs failed)",
+            failed(job, e),
+            v.failed
+        ));
     }
-    let stats = &batch.stats;
     println!(
         "fleet: {} jobs on {} workers ({} stolen)",
-        stats.jobs, stats.workers, stats.stolen,
+        run.stats.jobs, run.stats.workers, run.stats.stolen,
     );
-    if let Some(db) = &batch.coverage {
-        let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
-        print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
-    }
-    let code = report_termination(&reference, spec.max_steps);
-    for v in d.etpn.dp.output_vertices() {
-        let name = &d.etpn.dp.vertex(v).name;
+    print_coverage(&d.etpn, run.coverage.as_ref());
+    let code = report_termination(&reference, max_steps);
+    for o in d.etpn.dp.output_vertices() {
+        let name = &d.etpn.dp.vertex(o).name;
         println!(
             "{name} = {:?}",
             reference.values_on_named_output(&d.etpn, name)
         );
     }
-    if divergent == 0 {
-        let compared = policies.len() - 1 - budget_cut;
-        if budget_cut > 0 {
+    if reference.termination == Termination::Budget {
+        println!("no policy compared: the deterministic reference was cut by --wall-ms");
+        return Ok(code);
+    }
+    let (all, cut) = match v.cut {
+        0 => ("all ", String::new()),
+        n => ("", format!(" ({n} cut by --wall-ms)")),
+    };
+    match v.witness {
+        None => {
             println!(
-                "{compared} policies agree with the deterministic reference ({budget_cut} cut by --wall-ms)"
+                "{all}{} policies agree with the deterministic reference{cut}",
+                v.compared
             );
-        } else {
-            println!("all {compared} policies agree with the deterministic reference");
+            Ok(code)
         }
-        Ok(code)
-    } else {
-        Err(format!("{divergent} policies diverged"))
+        Some(w) => {
+            println!("{}", w.render(&d.etpn));
+            Err(format!(
+                "{} of {} compared policies diverged{cut}",
+                v.divergent, v.compared
+            ))
+        }
     }
 }
 
@@ -952,10 +921,7 @@ fn cmd_fault(args: &[String]) -> Result<ExitCode, String> {
     };
     let report = run_campaign(&proto, &cfg, &fleet).map_err(|e| e.describe(&d.etpn))?;
     print!("{}", report.summary(&d.etpn));
-    if let Some(db) = &report.coverage {
-        let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
-        print!("{}", full_report(&d.etpn, db, &dead_p, &dead_t).text());
-    }
+    print_coverage(&d.etpn, report.coverage.as_ref());
     if let Some(path) = flag_value(args, "--dot") {
         std::fs::write(path, report.vulnerability_dot(&d.etpn))
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -973,15 +939,11 @@ fn cmd_fault(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// The five-dimension coverage report with `etpn-lint`'s statically-dead
-/// fixpoint already folded out of the denominators.
-fn full_report(
-    g: &etpn::core::Etpn,
-    db: &etpn::cov::CovDb,
-    dead_p: &[etpn::core::PlaceId],
-    dead_t: &[etpn::core::TransId],
-) -> etpn::cov::CovReport {
-    let dead = etpn::cov::StaticDead::from_ids(g, dead_p, dead_t);
-    etpn::cov::report(g, db, &dead)
+/// fixpoint folded out of the denominators: a hole in it is a genuine
+/// testing gap, never dead code.
+fn full_report(g: &etpn::core::Etpn, db: &etpn::cov::CovDb) -> etpn::cov::CovReport {
+    let (dead_p, dead_t) = etpn::lint::statically_dead(&g.ctl);
+    etpn::cov::report(g, db, &etpn::cov::StaticDead::from_ids(g, &dead_p, &dead_t))
 }
 
 /// `etpnc cov`: drive the design to **coverage saturation** — keep drawing
@@ -1036,8 +998,7 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
     let Some(db) = &outcome.coverage else {
         return Err("every job failed; no coverage collected".into());
     };
-    let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
-    let rep = full_report(&d.etpn, db, &dead_p, &dead_t);
+    let rep = full_report(&d.etpn, db);
     print!("{}", rep.text());
 
     if let Some(path) = flag_value(args, "--json") {
@@ -1045,6 +1006,7 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
         println!("wrote {path}");
     }
     if let Some(path) = flag_value(args, "--lcov") {
+        let (dead_p, dead_t) = etpn::lint::statically_dead(&d.etpn.ctl);
         let dead = etpn::cov::StaticDead::from_ids(&d.etpn, &dead_p, &dead_t);
         let line_of_place = |sp: etpn::core::PlaceId| {
             let span = d.src_map.place_span(sp);

@@ -67,7 +67,14 @@ fn mixed_sequences_survive_the_oracle_on_diffeq() {
             threads: 0,
         };
         match semantic_oracle(&g0, &g2, cfg) {
-            OracleVerdict::NoCounterexample { .. } => {}
+            // Environments whose reference hits the step limit are
+            // skipped; a pass that compared no run would be vacuous.
+            OracleVerdict::NoCounterexample { runs, skipped } => {
+                assert!(
+                    runs > 0,
+                    "seed {seed}: every environment skipped ({skipped})"
+                );
+            }
             other => panic!("seed {seed}, after {applied:?}: {other:?}"),
         }
     }

@@ -89,19 +89,19 @@ fn representative_inputs_fully_cover_the_control() {
     // exercise its own specification).
     for w in catalog() {
         let d = etpn_synth::compile_source(&w.source).unwrap();
-        let mut sim = Simulator::new(&d.etpn, w.env());
+        let mut sim = Simulator::new(&d.etpn, w.env()).with_coverage();
         for (n, v) in &d.reg_inits {
             sim = sim.init_register(n, *v);
         }
         let trace = sim.run(w.max_steps).unwrap();
-        let cov = etpn_sim::coverage(&d.etpn, &trace);
-        assert!(
-            cov.is_complete(),
-            "{}: {:?} {:?}",
-            w.name,
-            cov.unvisited_places,
-            cov.unfired_transitions
-        );
+        let db = trace.cov.as_ref().expect("the run collected coverage");
+        // Nothing is excluded as statically dead: every item counts.
+        let report = etpn_cov::report(&d.etpn, db, &etpn_cov::StaticDead::none());
+        for dim in [&report.places, &report.transitions] {
+            assert_eq!(dim.excluded, 0, "{}: {dim:?}", w.name);
+            assert_eq!(dim.covered, dim.total, "{}: {dim:?}", w.name);
+            assert!(dim.holes.is_empty(), "{}: {dim:?}", w.name);
+        }
     }
 }
 
