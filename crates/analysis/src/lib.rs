@@ -3,12 +3,13 @@
 //! The decision procedures behind the paper's restrictions and synthesis
 //! guidance:
 //!
-//! * [`reach`] — reachability graph, safeness (Def. 3.2(2)), deadlock and
-//!   termination analysis;
+//! * [`reach`] — reachability graph, deadlock and termination analysis,
+//!   and the exploration-only safeness oracle;
 //! * [`conflict`] — conflict-freedom (Def. 3.2(3)) via syntactic guard
 //!   exclusivity;
 //! * [`comb_loop`] — per-state combinational-loop detection (Def. 3.2(4));
-//! * [`proper`] — the aggregate *properly designed* report (Def. 3.2);
+//! * [`proper`] — the *properly designed* rules (Def. 3.2) and their report;
+//!   safeness tries the invariant cover, then budgeted reachability;
 //! * [`datadep`] — the data-dependence relations `↔` and `◇`
 //!   (Defs. 4.3/4.4) that bound the legal transformations;
 //! * [`mod@critical_path`] — state delays and the control critical path (§5);

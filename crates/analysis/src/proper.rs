@@ -10,6 +10,11 @@
 //! 4. no control state's subgraph contains a combinational loop;
 //! 5. every control state's associated set includes a sequential vertex.
 //!
+//! Rules (1), (2) and (5) are implemented here only — [`shared_resources`]
+//! (pair form [`shared_by`]), [`safeness`] and [`working_states`]; (3) and
+//! (4) live in [`crate::conflict`] and [`crate::comb_loop`]. The lint
+//! passes and the transforms' legality checks call these same functions.
+//!
 //! For (5) we follow the letter of the definition for states that perform
 //! work (non-empty `C(S)`), and report *idle* states (empty `C(S)` — pure
 //! synchronisation points such as join landings) as warnings rather than
@@ -18,9 +23,9 @@
 
 use crate::comb_loop::{find_all_comb_loops, CombLoop};
 use crate::conflict::{check_conflicts, ConflictFinding};
-use crate::reach::is_safe;
-use etpn_core::{ArcId, ControlRelations, Etpn, PlaceId, VertexId};
-use std::collections::HashSet;
+use crate::invariants::{cyclic_closure, p_invariants, p_semiflows};
+use crate::reach::{ExploreBudget, ReachGraph};
+use etpn_core::{ArcId, Control, ControlRelations, Etpn, PlaceId, VertexId};
 
 /// One violation of Def. 3.2(1): parallel states sharing resources.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -29,21 +34,130 @@ pub struct SharedResource {
     pub s1: PlaceId,
     /// Second state of the parallel pair.
     pub s2: PlaceId,
-    /// Shared vertices (via input-port association, Def. 2.4).
+    /// Shared vertices (via input-port association, Def. 2.4), ascending.
     pub vertices: Vec<VertexId>,
-    /// Shared arcs.
+    /// Shared arcs, ascending.
     pub arcs: Vec<ArcId>,
 }
 
-/// Safeness verdict (Def. 3.2(2)).
+/// A state's associated vertices (Def. 2.4) and controlled arcs, sorted.
+type Resources = (Vec<VertexId>, Vec<ArcId>);
+
+fn resources(g: &Etpn, s: PlaceId) -> Resources {
+    let mut arcs = g.ctl.ctrl(s).to_vec();
+    arcs.sort_unstable();
+    arcs.dedup();
+    (g.ass_vertices(s), arcs)
+}
+
+/// The rule (1) pair predicate: what `s1` and `s2` have in common.
+fn overlap(s1: PlaceId, r1: &Resources, s2: PlaceId, r2: &Resources) -> Option<SharedResource> {
+    fn common<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
+        a.iter()
+            .copied()
+            .filter(|x| b.binary_search(x).is_ok())
+            .collect()
+    }
+    let (vertices, arcs) = (common(&r1.0, &r2.0), common(&r1.1, &r2.1));
+    (!vertices.is_empty() || !arcs.is_empty()).then_some(SharedResource {
+        s1,
+        s2,
+        vertices,
+        arcs,
+    })
+}
+
+/// Def. 3.2(1) for one pair: the vertices and arcs `s1` and `s2` share,
+/// or `None` when their associated sets are disjoint. Whether the pair is
+/// parallel is the caller's question.
+pub fn shared_by(g: &Etpn, s1: PlaceId, s2: PlaceId) -> Option<SharedResource> {
+    overlap(s1, &resources(g, s1), s2, &resources(g, s2))
+}
+
+/// Def. 3.2(1) over the whole design: every pair of states parallel under
+/// `rel` that shares resources, in place-id order.
+pub fn shared_resources(g: &Etpn, rel: &ControlRelations) -> Vec<SharedResource> {
+    let places: Vec<PlaceId> = g.ctl.places().ids().collect();
+    let res: Vec<Resources> = places.iter().map(|&s| resources(g, s)).collect();
+    let mut out = Vec::new();
+    for (i, &si) in places.iter().enumerate() {
+        for (j, &sj) in places.iter().enumerate().skip(i + 1) {
+            if rel.parallel(si, sj) {
+                out.extend(overlap(si, &res[i], sj, &res[j]));
+            }
+        }
+    }
+    out
+}
+
+/// Safeness verdict (Def. 3.2(2)) with its witness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SafetyVerdict {
-    /// Exhaustively proven safe.
+    /// Proven safe, by an invariant cover or by a complete exploration.
     Safe,
-    /// A reachable unsafe marking exists.
-    Unsafe,
-    /// The exploration budget ran out first.
-    Unknown,
+    /// A reachable marking puts `tokens` (more than one) on `place`.
+    Unsafe {
+        /// The over-full place.
+        place: PlaceId,
+        /// Its token count in that marking.
+        tokens: u32,
+    },
+    /// The budget ran out before exploration found an unsafe marking.
+    Unknown {
+        /// Distinct markings explored.
+        markings: usize,
+        /// Marking-graph edges recorded.
+        edges: usize,
+    },
+}
+
+/// Def. 3.2(2): is the control net safe?
+///
+/// 1. **Invariant cover.** A place covered by a non-negative P-invariant
+///    of initial token count 1 never holds two tokens, so no enumeration
+///    is needed. The cover is sought on the [`cyclic_closure`], whose runs
+///    include the net's, so terminating designs qualify too. This settles
+///    compiler-emitted fork/join and loop nets however many markings
+///    they have.
+/// 2. **Budgeted exploration** under [`ExploreBudget::states`]. An unsafe
+///    marking anywhere in the (possibly truncated) prefix is `Unsafe`; a
+///    complete safe graph is `Safe`; a truncated safe prefix is `Unknown`.
+pub fn safeness(ctl: &Control, max_states: usize) -> SafetyVerdict {
+    let closed = cyclic_closure(ctl);
+    let inv = p_semiflows(&closed).unwrap_or_else(|| p_invariants(&closed));
+    if inv.structurally_safe(&closed) {
+        return SafetyVerdict::Safe;
+    }
+    let graph = ReachGraph::explore_budgeted(ctl, ExploreBudget::states(max_states));
+    if let Some((m, place)) = graph.first_unsafe() {
+        SafetyVerdict::Unsafe {
+            place,
+            tokens: graph.markings[m].count(place),
+        }
+    } else if graph.complete {
+        SafetyVerdict::Safe
+    } else {
+        SafetyVerdict::Unknown {
+            markings: graph.state_count(),
+            edges: graph.edges.len(),
+        }
+    }
+}
+
+/// Def. 3.2(5), in place-id order: the violations — working states
+/// (non-empty `C(S)`) that latch nothing and are invisible to the
+/// environment — and the idle states (empty `C(S)`: pure synchronisation
+/// points, noted but not violations).
+pub fn working_states(g: &Etpn) -> (Vec<PlaceId>, Vec<PlaceId>) {
+    let (mut no_sequential, mut idle) = (Vec::new(), Vec::new());
+    for s in g.ctl.places().ids() {
+        if g.ctl.ctrl(s).is_empty() {
+            idle.push(s);
+        } else if g.result_set(s).is_empty() && g.external_arcs_of(s).is_empty() {
+            no_sequential.push(s);
+        }
+    }
+    (no_sequential, idle)
 }
 
 /// Aggregate report of all five checks.
@@ -75,36 +189,30 @@ impl ProperReport {
 
     /// Human-readable multi-line summary.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "properly designed: {}\n",
-            if self.is_proper() { "YES" } else { "NO" }
-        ));
-        out.push_str(&format!(
-            "  (1) parallel resource sharing violations: {}\n",
-            self.shared_resources.len()
-        ));
-        out.push_str(&format!("  (2) safety: {:?}\n", self.safety));
-        let unproven = self
-            .conflicts
-            .iter()
-            .filter(|c| !c.proven_exclusive)
-            .count();
-        out.push_str(&format!("  (3) unproven-exclusive pairs: {unproven}\n"));
-        out.push_str(&format!(
-            "  (4) combinational loops: {}\n",
-            self.comb_loops.len()
-        ));
-        out.push_str(&format!(
-            "  (5) working states without sequential vertex: {}\n",
-            self.no_sequential.len()
-        ));
-        out.push_str(&format!(
-            "  idle states (warnings): {}\n",
-            self.idle_states.len()
-        ));
-        out
+        let unproven = self.conflicts.iter().filter(|c| !c.proven_exclusive);
+        format!(
+            "properly designed: {}\n  \
+             (1) parallel resource sharing violations: {}\n  \
+             (2) safety: {:?}\n  \
+             (3) unproven-exclusive pairs: {}\n  \
+             (4) combinational loops: {}\n  \
+             (5) working states without sequential vertex: {}\n  \
+             idle states (warnings): {}\n",
+            if self.is_proper() { "YES" } else { "NO" },
+            self.shared_resources.len(),
+            self.safety,
+            unproven.count(),
+            self.comb_loops.len(),
+            self.no_sequential.len(),
+            self.idle_states.len(),
+        )
     }
+}
+
+/// Run `f` under the `etpn-obs` span `name`.
+fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = etpn_obs::span(name);
+    f()
 }
 
 /// Run all five checks with the given reachability budget.
@@ -113,80 +221,15 @@ pub fn check_properly_designed_with(g: &Etpn, max_states: usize) -> ProperReport
     // The acyclic skeleton models same-activation concurrency: inside a
     // loop the plain `⇒` would relate every body pair and make this check
     // vacuous (see `ControlRelations::compute_acyclic`).
-    let rel = {
-        let _span = etpn_obs::span("analysis.relations");
+    let rel = timed("analysis.relations", || {
         ControlRelations::compute_acyclic(&g.ctl)
-    };
-
-    // (1) disjoint ASS for parallel states.
-    let ass_span = etpn_obs::span("analysis.ass_overlap");
-    let mut shared_resources = Vec::new();
-    let places: Vec<PlaceId> = g.ctl.places().ids().collect();
-    let ass_v: Vec<HashSet<VertexId>> = places
-        .iter()
-        .map(|&s| g.ass_vertices(s).into_iter().collect())
-        .collect();
-    let ass_a: Vec<HashSet<ArcId>> = places
-        .iter()
-        .map(|&s| g.ctl.ctrl(s).iter().copied().collect())
-        .collect();
-    for (i, &si) in places.iter().enumerate() {
-        for (j, &sj) in places.iter().enumerate().skip(i + 1) {
-            if !rel.parallel(si, sj) {
-                continue;
-            }
-            let vertices: Vec<VertexId> = ass_v[i].intersection(&ass_v[j]).copied().collect();
-            let arcs: Vec<ArcId> = ass_a[i].intersection(&ass_a[j]).copied().collect();
-            if !vertices.is_empty() || !arcs.is_empty() {
-                shared_resources.push(SharedResource {
-                    s1: si,
-                    s2: sj,
-                    vertices,
-                    arcs,
-                });
-            }
-        }
-    }
-    drop(ass_span);
-
-    // (2) safeness.
-    let safety = {
-        let _span = etpn_obs::span("analysis.safeness");
-        match is_safe(&g.ctl, max_states) {
-            Some(true) => SafetyVerdict::Safe,
-            Some(false) => SafetyVerdict::Unsafe,
-            None => SafetyVerdict::Unknown,
-        }
-    };
-
-    // (3) conflicts, (4) combinational loops.
-    let conflicts = {
-        let _span = etpn_obs::span("analysis.conflicts");
-        check_conflicts(g)
-    };
-    let comb_loops = {
-        let _span = etpn_obs::span("analysis.comb_loops");
-        find_all_comb_loops(g)
-    };
-
-    // (5) sequential vertex per working state.
-    let mut no_sequential = Vec::new();
-    let mut idle_states = Vec::new();
-    for &s in &places {
-        if g.ctl.ctrl(s).is_empty() {
-            idle_states.push(s);
-        } else if g.result_set(s).is_empty() && g.external_arcs_of(s).is_empty() {
-            // A state that opens arcs but latches nothing and is invisible
-            // to the environment does no observable work — Def. 3.2(5).
-            no_sequential.push(s);
-        }
-    }
-
+    });
+    let (no_sequential, idle_states) = working_states(g);
     ProperReport {
-        shared_resources,
-        safety,
-        conflicts,
-        comb_loops,
+        shared_resources: timed("analysis.ass_overlap", || shared_resources(g, &rel)),
+        safety: timed("analysis.safeness", || safeness(&g.ctl, max_states)),
+        conflicts: timed("analysis.conflicts", || check_conflicts(g)),
+        comb_loops: timed("analysis.comb_loops", || find_all_comb_loops(g)),
         no_sequential,
         idle_states,
     }

@@ -24,11 +24,9 @@
 //! [`lint`] runs every registered pass in parallel (one scoped thread
 //! each), times each pass (also visible as `etpn-obs` spans under
 //! `lint.*`), and returns a deterministic, deduplicated, severity-sorted
-//! [`LintReport`]. Safeness takes the **structural fast path** first:
-//! when the P-invariants already cover every place ([`etpn_analysis::
-//! PInvariants::structurally_safe`]) no marking enumeration happens at
-//! all; otherwise exploration runs under an explicit node *and* edge
-//! budget and degrades to `W390` instead of running away.
+//! [`LintReport`]. Safeness is [`etpn_analysis::proper::safeness`]: the
+//! P-invariant cover first, then exploration under a node *and* edge
+//! budget that degrades to `W390` instead of running away.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

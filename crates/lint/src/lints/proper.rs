@@ -2,18 +2,18 @@
 //! conflicts, `E204` combinational loops, `E205` non-sequential working
 //! states, plus the `W308` idle-state note.
 //!
-//! Safeness (`E202`, Def. 3.2(2)) lives in [`crate::lints::safety`]
-//! because it alone needs the exploration budget and the structural fast
-//! path. Each pass here wraps the corresponding `etpn-analysis`
-//! procedure and translates its findings into source-mapped diagnostics.
+//! Safeness (`E202`/`W390`) lives in [`crate::lints::safety`]. Each pass
+//! calls the `etpn-analysis` implementation of its rule — the same one
+//! [`etpn_analysis::check_properly_designed`] composes — and only turns
+//! its findings into source-mapped diagnostics.
 
 use super::{place_name, place_span, trans_name, trans_span, vertex_name, vertex_span};
 use crate::diag::{Diagnostic, E201, E203, E204, E205, W308};
 use crate::LintContext;
 use etpn_analysis::comb_loop::find_all_comb_loops;
 use etpn_analysis::conflict::check_conflicts;
-use etpn_core::{ControlRelations, PlaceId, VertexId};
-use std::collections::HashSet;
+use etpn_analysis::proper::working_states;
+use etpn_core::{ControlRelations, VertexId};
 
 /// `E201`: parallel states with overlapping associated sets (Def. 3.2(1)).
 ///
@@ -21,27 +21,11 @@ use std::collections::HashSet;
 /// [`etpn_analysis::proper::check_properly_designed`] does — the race lint
 /// ([`crate::lints::race`]) covers the concurrency this skeleton misses.
 pub fn shared_resources(cx: &LintContext) -> Vec<Diagnostic> {
-    let g = cx.g;
-    let rel = ControlRelations::compute_acyclic(&g.ctl);
-    let places: Vec<PlaceId> = g.ctl.places().ids().collect();
-    let ass: Vec<HashSet<VertexId>> = places
-        .iter()
-        .map(|&s| g.ass_vertices(s).into_iter().collect())
-        .collect();
-    let mut out = Vec::new();
-    for (i, &si) in places.iter().enumerate() {
-        for (j, &sj) in places.iter().enumerate().skip(i + 1) {
-            if !rel.parallel(si, sj) {
-                continue;
-            }
-            let mut shared: Vec<VertexId> = ass[i].intersection(&ass[j]).copied().collect();
-            let arcs_i: HashSet<_> = g.ctl.ctrl(si).iter().copied().collect();
-            let shared_arcs = g.ctl.ctrl(sj).iter().any(|a| arcs_i.contains(a));
-            if shared.is_empty() && !shared_arcs {
-                continue;
-            }
-            shared.sort_unstable();
-            let names: Vec<String> = shared.iter().map(|&v| vertex_name(cx, v)).collect();
+    let rel = ControlRelations::compute_acyclic(&cx.g.ctl);
+    etpn_analysis::proper::shared_resources(cx.g, &rel)
+        .into_iter()
+        .map(|sr| {
+            let names: Vec<String> = sr.vertices.iter().map(|&v| vertex_name(cx, v)).collect();
             let what = if names.is_empty() {
                 "data-path arcs".to_string()
             } else {
@@ -52,22 +36,21 @@ pub fn shared_resources(cx: &LintContext) -> Vec<Diagnostic> {
                 format!(
                     "parallel states `{}` and `{}` share {what}: concurrent activations \
                      drive the same resource",
-                    place_name(cx, si),
-                    place_name(cx, sj),
+                    place_name(cx, sr.s1),
+                    place_name(cx, sr.s2),
                 ),
             )
-            .with_label(place_span(cx, si), "first parallel state")
-            .with_label(place_span(cx, sj), "second parallel state");
-            for &v in shared.iter().take(3) {
+            .with_label(place_span(cx, sr.s1), "first parallel state")
+            .with_label(place_span(cx, sr.s2), "second parallel state");
+            for &v in sr.vertices.iter().take(3) {
                 d = d.with_label(
                     vertex_span(cx, v),
                     format!("shared vertex `{}`", vertex_name(cx, v)),
                 );
             }
-            out.push(d);
-        }
-    }
-    out
+            d
+        })
+        .collect()
 }
 
 /// `E203`: shared-input-place transition pairs whose guard exclusivity is
@@ -129,35 +112,29 @@ pub fn comb_loops(cx: &LintContext) -> Vec<Diagnostic> {
 /// vertex or touch the environment (Def. 3.2(5)); states that open no
 /// arcs at all are pure synchronisation points and only get a note.
 pub fn sequential(cx: &LintContext) -> Vec<Diagnostic> {
-    let g = cx.g;
-    let mut out = Vec::new();
-    for s in g.ctl.places().ids() {
-        if g.ctl.ctrl(s).is_empty() {
-            out.push(
-                Diagnostic::new(
-                    W308,
-                    format!(
-                        "state `{}` opens no arcs (pure synchronisation point)",
-                        place_name(cx, s)
-                    ),
-                )
-                .with_label(place_span(cx, s), "idle state"),
-            );
-        } else if g.result_set(s).is_empty() && g.external_arcs_of(s).is_empty() {
-            out.push(
-                Diagnostic::new(
-                    E205,
-                    format!(
-                        "state `{}` opens arcs but latches nothing and is invisible \
-                         to the environment",
-                        place_name(cx, s)
-                    ),
-                )
-                .with_label(place_span(cx, s), "state doing no observable work"),
-            );
-        }
-    }
-    out
+    let (no_sequential, idle) = working_states(cx.g);
+    let errors = no_sequential.into_iter().map(|s| {
+        Diagnostic::new(
+            E205,
+            format!(
+                "state `{}` opens arcs but latches nothing and is invisible \
+                 to the environment",
+                place_name(cx, s)
+            ),
+        )
+        .with_label(place_span(cx, s), "state doing no observable work")
+    });
+    let notes = idle.into_iter().map(|s| {
+        Diagnostic::new(
+            W308,
+            format!(
+                "state `{}` opens no arcs (pure synchronisation point)",
+                place_name(cx, s)
+            ),
+        )
+        .with_label(place_span(cx, s), "idle state")
+    });
+    errors.chain(notes).collect()
 }
 
 #[cfg(test)]

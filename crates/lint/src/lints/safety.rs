@@ -1,62 +1,37 @@
-//! `E202` safeness (Def. 3.2(2)) with a structural fast path, plus the
-//! explicit `W390` *unknown* verdict when the budget runs out.
+//! `E202` safeness (Def. 3.2(2)), plus the explicit `W390` *unknown*
+//! verdict when the budget runs out.
 //!
-//! Order of attack:
-//!
-//! 1. **Structural fast path** — compute P-invariants and try
-//!    [`PInvariants::structurally_safe`]: every place covered by a
-//!    non-negative invariant of initial token count 1 is bounded by 1 in
-//!    *every* reachable marking, with no enumeration at all. This settles
-//!    all compiler-emitted (fork/join + structured-loop) nets.
-//! 2. **Budgeted exploration** — otherwise explore the marking graph
-//!    under a node *and* edge budget. An unsafe marking anywhere in the
-//!    (possibly truncated) prefix is a definitive `E202`; a complete safe
-//!    graph is a definitive pass; a truncated safe prefix is `W390` — a
-//!    warning, not an error, so a clean-but-huge design is not condemned
-//!    by the budget, while `--deny warnings` still refuses to certify it.
+//! The verdict is [`etpn_analysis::proper::safeness`], as in
+//! `check_properly_designed`: the P-invariant cover first, then budgeted
+//! exploration; this pass only formats it. `W390` is a warning, not an
+//! error, so a clean-but-huge design is not condemned by the budget,
+//! while `--deny warnings` still refuses to certify it.
 
 use super::{place_name, place_span};
 use crate::diag::{Diagnostic, E202, W390};
 use crate::LintContext;
-use etpn_analysis::invariants::{cyclic_closure, p_invariants, p_semiflows};
-use etpn_analysis::reach::{ExploreBudget, ReachGraph};
+use etpn_analysis::proper::SafetyVerdict;
 
 /// Run the safeness check (see module docs for the strategy).
 pub fn safeness(cx: &LintContext) -> Vec<Diagnostic> {
-    let ctl = &cx.g.ctl;
-    // Invariant coverage is computed on the cyclic closure so that
-    // terminating designs (whose sink transition kills every invariant)
-    // still take the fast path; safeness of the closure implies safeness
-    // of the original net, whose runs are a subset.
-    let closed = cyclic_closure(ctl);
-    let inv = p_semiflows(&closed).unwrap_or_else(|| p_invariants(&closed));
-    if inv.structurally_safe(&closed) {
-        return Vec::new();
-    }
-    let graph = ReachGraph::explore_budgeted(ctl, ExploreBudget::states(cx.cfg.max_states));
-    if let Some((marking, s)) = graph.first_unsafe() {
-        let tokens = graph.markings[marking].count(s);
-        return vec![Diagnostic::new(
+    match etpn_analysis::proper::safeness(&cx.g.ctl, cx.cfg.max_states) {
+        SafetyVerdict::Safe => Vec::new(),
+        SafetyVerdict::Unsafe { place, tokens } => vec![Diagnostic::new(
             E202,
             format!(
                 "place `{}` holds {tokens} tokens in a reachable marking: the net is unsafe",
-                place_name(cx, s)
+                place_name(cx, place)
             ),
         )
-        .with_label(place_span(cx, s), "place exceeding one token")];
+        .with_label(place_span(cx, place), "place exceeding one token")],
+        SafetyVerdict::Unknown { markings, edges } => vec![Diagnostic::new(
+            W390,
+            format!(
+                "safeness is unknown: exploration stopped after {markings} markings and \
+                 {edges} edges without finding an unsafe marking or exhausting the state space",
+            ),
+        )],
     }
-    if graph.complete {
-        return Vec::new();
-    }
-    vec![Diagnostic::new(
-        W390,
-        format!(
-            "safeness is unknown: exploration stopped after {} markings and {} edges \
-             without finding an unsafe marking or exhausting the state space",
-            graph.state_count(),
-            graph.edges.len(),
-        ),
-    )]
 }
 
 #[cfg(test)]

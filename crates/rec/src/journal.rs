@@ -530,48 +530,49 @@ impl Recording {
             other => return Err(c.corrupt(format!("bad ring tag {other}"))),
         };
         meta.repeat_last = c.u8()? != 0;
-        let n_streams = c.varint()? as usize;
+        let n_streams = c.count()?;
         for _ in 0..n_streams {
-            let len = c.varint()? as usize;
+            let len = c.count()?;
+            let at = c.pos;
             let name = String::from_utf8(c.take(len)?.to_vec()).map_err(|e| RecError::Corrupt {
-                offset: 0,
+                offset: at + e.utf8_error().valid_up_to(),
                 detail: format!("stream name not UTF-8: {e}"),
             })?;
-            let n = c.varint()? as usize;
-            let mut values = Vec::with_capacity(n.min(1 << 20));
+            let n = c.count()?;
+            let mut values = Vec::with_capacity(n);
             for _ in 0..n {
                 values.push(c.value()?);
             }
             meta.streams.push((name, values));
         }
-        let n_faults = c.varint()? as usize;
+        let n_faults = c.count()?;
         for _ in 0..n_faults {
             meta.faults.push(RecFault {
                 site_kind: c.u8()?,
-                site: c.varint()? as u32,
+                site: c.u32("fault site")?,
                 kind: c.u8()?,
-                bit: c.varint()? as u32,
+                bit: c.u32("fault bit")?,
                 window_kind: c.u8()?,
                 at: c.varint()?,
             });
         }
         let first_step = c.varint()?;
-        let n_ck = c.varint()? as usize;
-        let mut checkpoints = Vec::with_capacity(n_ck.min(1 << 20));
+        let n_ck = c.count()?;
+        let mut checkpoints = Vec::with_capacity(n_ck);
         for _ in 0..n_ck {
             let step = c.varint()?;
-            let n = c.varint()? as usize;
-            let mut marking = Vec::with_capacity(n.min(1 << 20));
+            let n = c.count()?;
+            let mut marking = Vec::with_capacity(n);
             for _ in 0..n {
-                marking.push(c.varint()? as u32);
+                marking.push(c.u32("token count")?);
             }
-            let n = c.varint()? as usize;
-            let mut state = Vec::with_capacity(n.min(1 << 20));
+            let n = c.count()?;
+            let mut state = Vec::with_capacity(n);
             for _ in 0..n {
                 state.push(c.value()?);
             }
-            let n = c.varint()? as usize;
-            let mut cursors = Vec::with_capacity(n.min(1 << 20));
+            let n = c.count()?;
+            let mut cursors = Vec::with_capacity(n);
             for _ in 0..n {
                 cursors.push(c.varint()?);
             }
@@ -588,16 +589,16 @@ impl Recording {
                 digest,
             });
         }
-        let n_rec = c.varint()? as usize;
+        let n_rec = c.count()?;
         let mut rec = Self {
             meta,
             first_step,
             checkpoints,
-            rows: Vec::with_capacity(n_rec.min(1 << 20)),
+            rows: Vec::with_capacity(n_rec),
             ..Self::default()
         };
         for _ in 0..n_rec {
-            let n = c.varint()? as usize;
+            let n = c.count()?;
             let mut prev: i64 = 0;
             for _ in 0..n {
                 let cur = prev + unzigzag(c.varint()?);
@@ -607,20 +608,20 @@ impl Recording {
                 rec.fired.push(TransId::new(cur as u32));
                 prev = cur;
             }
-            let n = c.varint()? as usize;
+            let n = c.count()?;
             for _ in 0..n {
-                let p = PortId::new(c.varint()? as u32);
+                let p = PortId::new(c.u32("port id")?);
                 rec.latched.push((p, c.value()?));
             }
-            let n = c.varint()? as usize;
+            let n = c.count()?;
             for _ in 0..n {
-                rec.advanced.push(VertexId::new(c.varint()? as u32));
+                rec.advanced.push(VertexId::new(c.u32("vertex id")?));
             }
-            let n = c.varint()? as usize;
+            let n = c.count()?;
             for _ in 0..n {
-                let a = ArcId::new(c.varint()? as u32);
+                let a = ArcId::new(c.u32("arc id")?);
                 let v = c.value()?;
-                rec.events.push((a, v, PlaceId::new(c.varint()? as u32)));
+                rec.events.push((a, v, PlaceId::new(c.u32("place id")?)));
             }
             rec.rows.push(RowEnds {
                 fired_end: rec.fired.len(),
@@ -728,6 +729,23 @@ impl<'a> Cursor<'a> {
             }
         }
         Err(self.corrupt("varint longer than 10 bytes".to_string()))
+    }
+
+    /// An element count. Every element takes at least one byte, so a count
+    /// above the bytes left is corrupt: preallocations stay input-sized.
+    fn count(&mut self) -> Result<usize, RecError> {
+        let n = self.varint()?;
+        let left = self.bytes.len() - self.pos;
+        match usize::try_from(n) {
+            Ok(n) if n <= left => Ok(n),
+            _ => Err(self.corrupt(format!("claims {n} elements, only {left} bytes left"))),
+        }
+    }
+
+    /// A varint that must fit an id or bit index (`u32`).
+    fn u32(&mut self, what: &str) -> Result<u32, RecError> {
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| self.corrupt(format!("{what} {v} exceeds u32")))
     }
 
     fn value(&mut self) -> Result<Value, RecError> {

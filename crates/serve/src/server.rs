@@ -47,6 +47,7 @@ use etpn_core::json::{self, Json};
 use etpn_core::{EventKey, StructureDiff, Value};
 use etpn_cov::CovDb;
 use etpn_obs as obs;
+use etpn_sim::fleet::panic_message;
 use etpn_sim::{
     battery, Backend, BatteryGroup, BatteryVerdict, FiringPolicy, Fleet, RetryPolicy, RunSpec,
     ScriptedEnv, SimError, SimJob, Termination, Witness,
@@ -623,14 +624,14 @@ fn route(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMeta) 
         }
         ("GET", "/stats") => {
             meta.verb = "stats";
-            refresh_gauges_shared(shared);
+            refresh_gauges(shared);
             let mut r = Response::text(200, obs::export::stats_json(&shared.stats));
             r.content_type = "application/json";
             r
         }
         ("GET", "/metrics") => {
             meta.verb = "metrics";
-            refresh_gauges_shared(shared);
+            refresh_gauges(shared);
             Response::text(200, obs::export::prometheus_text(&shared.stats))
         }
         ("GET", "/v1/designs") => {
@@ -1065,7 +1066,7 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
             Ok(result) => break Some(result),
             Err(payload) => {
                 shared.stats.counter("serve.job_panics").inc();
-                last_panic = panic_text(&payload);
+                last_panic = panic_message(payload.as_ref());
                 if backend == Backend::Compiled {
                     // Degrade to the reference interpreter before spending
                     // the retry budget: a compiled-backend fault should
@@ -1394,7 +1395,10 @@ fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         Err(payload) => {
             ticket.failure();
             shared.stats.counter("serve.failures").inc();
-            Response::error(500, &format!("campaign panicked: {}", panic_text(&payload)))
+            Response::error(
+                500,
+                &format!("campaign panicked: {}", panic_message(payload.as_ref())),
+            )
         }
         Ok(Err(e)) => {
             ticket.success();
@@ -1507,17 +1511,6 @@ fn forensics(
     }
 }
 
-/// Text of a panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Human name of a termination.
 fn termination_name(t: Termination) -> &'static str {
     match t {
@@ -1530,7 +1523,7 @@ fn termination_name(t: Termination) -> &'static str {
 }
 
 /// Refresh the point-in-time gauges before an export.
-fn refresh_gauges_shared(shared: &Shared) {
+fn refresh_gauges(shared: &Shared) {
     let depth = shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
     shared.stats.gauge("serve.queue_depth").set(depth as i64);
     shared
@@ -1548,10 +1541,6 @@ fn refresh_gauges_shared(shared: &Shared) {
         }
     }
     shared.stats.gauge("serve.breakers_open").set(open);
-}
-
-fn refresh_gauges(shared: &Arc<Shared>) {
-    refresh_gauges_shared(shared);
 }
 
 #[cfg(test)]

@@ -42,8 +42,10 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Render a caught panic payload as a message (best effort).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// Render a caught panic payload as a message (best effort). Pass the
+/// payload's contents (`payload.as_ref()`), not `&payload`: a `&Box<dyn
+/// Any>` coerces to `&dyn Any` as the box itself and never downcasts.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

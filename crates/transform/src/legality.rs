@@ -1,6 +1,7 @@
 //! Shared legality predicates for the semantics-preserving rewrites.
 
 use crate::error::{TransformError, TransformResult};
+use etpn_analysis::proper::shared_by;
 use etpn_analysis::DataDependence;
 use etpn_core::{ControlRelations, Etpn, PlaceId, VertexId};
 use std::collections::HashSet;
@@ -29,15 +30,7 @@ pub fn require_independent(dd: &DataDependence, sa: PlaceId, sb: PlaceId) -> Tra
 /// Check that `sa` and `sb` have disjoint associated sets, so making them
 /// parallel preserves Def. 3.2(1).
 pub fn require_disjoint_resources(g: &Etpn, sa: PlaceId, sb: PlaceId) -> TransformResult<()> {
-    let va: HashSet<VertexId> = g.ass_vertices(sa).into_iter().collect();
-    let vb: HashSet<VertexId> = g.ass_vertices(sb).into_iter().collect();
-    let arcs_a: HashSet<_> = g.ctl.ctrl(sa).iter().copied().collect();
-    let arcs_b: HashSet<_> = g.ctl.ctrl(sb).iter().copied().collect();
-    if va.is_disjoint(&vb) && arcs_a.is_disjoint(&arcs_b) {
-        Ok(())
-    } else {
-        Err(TransformError::SharedResources(sa, sb))
-    }
+    shared_by(g, sa, sb).map_or(Ok(()), |_| Err(TransformError::SharedResources(sa, sb)))
 }
 
 /// The control states *using* a vertex: those whose control set contains an

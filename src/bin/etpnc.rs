@@ -331,6 +331,8 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         println!("check: {errors} errors, {warnings} warnings, {notes} notes");
         if errors > 0 {
             println!("design is NOT properly designed (Def. 3.2)");
+        } else if report.diagnostics.iter().any(|d| d.code.id == "W390") {
+            println!("design is not proven properly designed (Def. 3.2): safeness is unknown");
         } else if report
             .diagnostics
             .iter()

@@ -180,6 +180,31 @@ fn deadline_expiry_is_408_not_a_design_fault() {
     handle.shutdown();
 }
 
+/// A job that panics through every retry answers 500 with the panic's
+/// own message, not a placeholder.
+#[test]
+fn panic_responses_carry_the_panic_message() {
+    let cfg = ServerConfig {
+        allow_chaos: true,
+        ..ServerConfig::default()
+    };
+    let handle = start(cfg).unwrap();
+    let addr = handle.addr;
+    assert_eq!(post(&addr, "/v1/designs", &src_body(ADDER)).status, 201);
+    let r = post(
+        &addr,
+        "/v1/run",
+        r#"{"design":"adder","chaos":"panic","inputs":{"a":[1],"b":[2]}}"#,
+    );
+    assert_eq!(r.status, 500, "{}", r.body);
+    assert!(
+        r.body.contains("chaos: injected panic before simulation"),
+        "{}",
+        r.body
+    );
+    handle.shutdown();
+}
+
 /// Injected panics exhaust the retry budget (500), trip the per-design
 /// breaker (503 + Retry-After) while diagnose-only verbs stay open, and a
 /// half-open probe after the cool-down restores service.
