@@ -13,8 +13,7 @@
 //! * [`datadep`] — the data-dependence relations `↔` and `◇`
 //!   (Defs. 4.3/4.4) that bound the legal transformations;
 //! * [`mod@critical_path`] — state delays and the control critical path (§5);
-//! * [`invariants`] — P/T-invariants and structural safeness;
-//! * [`liveness`] — transition liveness levels over the marking graph.
+//! * [`invariants`] — P/T-invariants and structural safeness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +23,6 @@ pub mod conflict;
 pub mod critical_path;
 pub mod datadep;
 pub mod invariants;
-pub mod liveness;
 pub mod proper;
 pub mod reach;
 
@@ -35,7 +33,6 @@ pub use datadep::DataDependence;
 pub use invariants::{
     cyclic_closure, p_invariants, p_semiflows, t_invariants, PInvariants, TInvariants,
 };
-pub use liveness::{liveness, LivenessReport};
 pub use proper::{
     check_properly_designed, check_properly_designed_with, ProperReport, SafetyVerdict,
 };

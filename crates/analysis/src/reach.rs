@@ -41,7 +41,8 @@ pub struct ReachGraph {
     pub markings: Vec<Marking>,
     /// Edges `(from marking index, fired transition, to marking index)`.
     pub edges: Vec<(usize, TransId, usize)>,
-    /// False when exploration stopped at the state or edge budget.
+    /// False when exploration stopped early: at the state or edge budget,
+    /// or at the caller's stop condition.
     pub complete: bool,
 }
 
@@ -56,6 +57,17 @@ impl ReachGraph {
     /// unbounded nets terminate with a truncated (`complete == false`)
     /// result instead of exhausting memory.
     pub fn explore_budgeted(control: &Control, budget: ExploreBudget) -> Self {
+        Self::explore_until(control, budget, |_| false)
+    }
+
+    /// [`ReachGraph::explore_budgeted`] that also stops, incomplete, as
+    /// soon as `stop` returns true; `stop` sees the transition of every
+    /// edge as it is recorded.
+    pub fn explore_until(
+        control: &Control,
+        budget: ExploreBudget,
+        mut stop: impl FnMut(TransId) -> bool,
+    ) -> Self {
         let m0 = Marking::initial(control);
         let mut index: HashMap<Marking, usize> = HashMap::new();
         let mut markings = vec![m0.clone()];
@@ -88,6 +100,10 @@ impl ReachGraph {
                     }
                 };
                 edges.push((i, t, j));
+                if stop(t) {
+                    complete = false;
+                    break 'explore;
+                }
             }
         }
         Self {

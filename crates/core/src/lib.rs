@@ -33,6 +33,7 @@
 pub mod arena;
 pub mod bitset;
 pub mod builder;
+pub mod bytes;
 pub mod control;
 pub mod datapath;
 pub mod dot;

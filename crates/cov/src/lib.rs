@@ -12,7 +12,8 @@
 //!   join in any order and always land on the bit-identical aggregate;
 //! * **keyed** — every DB carries the structural fingerprint of its
 //!   design ([`etpn_core::Etpn::fingerprint`]); merging DBs of different
-//!   designs is an error, not silent corruption.
+//!   designs, or a DB whose sizes do not fit its design, is an error,
+//!   not silent corruption.
 //!
 //! Five coverage dimensions are tracked:
 //!
@@ -41,6 +42,7 @@ pub mod report;
 pub use report::{lcov, report, CovReport, Dimension, StaticDead};
 
 use etpn_core::bitset::BitSet;
+use etpn_core::bytes::{put_u32, put_u64, DecodeError, Reader};
 use etpn_core::{Etpn, Marking, StableHasher, Value};
 use etpn_obs as obs;
 
@@ -75,7 +77,9 @@ pub struct CovDb {
     pub port_false: BitSet,
 }
 
-/// Fingerprint mismatch: the two DBs observe different designs.
+/// Why [`CovDb::merge`] refused a DB: the two observe different designs
+/// (`ours != theirs`), or the offered DB names our design but its index
+/// spaces do not fit it (`ours == theirs`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MergeMismatch {
     /// Fingerprint of the receiving DB.
@@ -86,11 +90,19 @@ pub struct MergeMismatch {
 
 impl std::fmt::Display for MergeMismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "coverage merge across designs: {:#018x} vs {:#018x}",
-            self.ours, self.theirs
-        )
+        if self.ours == self.theirs {
+            write!(
+                f,
+                "coverage of {:#018x} does not fit the design: vector lengths or set capacities differ",
+                self.ours
+            )
+        } else {
+            write!(
+                f,
+                "coverage merge across designs: {:#018x} vs {:#018x}",
+                self.ours, self.theirs
+            )
+        }
     }
 }
 
@@ -194,23 +206,26 @@ impl CovDb {
         }
     }
 
-    /// `self ∪= other`: counters sum, covered sets union. Associative and
-    /// commutative, so any merge tree over the same per-job DBs produces
-    /// the bit-identical aggregate. Fails on a design mismatch.
+    /// `self ∪= other`: counters sum (saturating), covered sets union.
+    /// Associative and commutative, so any merge tree over the same
+    /// per-job DBs produces the bit-identical aggregate. Fails, leaving
+    /// `self` untouched, on a design mismatch or on a DB whose vector
+    /// lengths or set capacities differ from ours (a decoded image that
+    /// does not fit the design it names).
     pub fn merge(&mut self, other: &CovDb) -> Result<(), MergeMismatch> {
-        if self.fingerprint != other.fingerprint {
+        if self.fingerprint != other.fingerprint || !self.same_shape(other) {
             return Err(MergeMismatch {
                 ours: self.fingerprint,
                 theirs: other.fingerprint,
             });
         }
-        self.runs += other.runs;
-        self.steps += other.steps;
+        self.runs = self.runs.saturating_add(other.runs);
+        self.steps = self.steps.saturating_add(other.steps);
         for (a, &b) in self.place_exits.iter_mut().zip(&other.place_exits) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (a, &b) in self.trans_fired.iter_mut().zip(&other.trans_fired) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         self.place_marked.union_with(&other.place_marked);
         self.arc_open.union_with(&other.arc_open);
@@ -221,6 +236,30 @@ impl CovDb {
         Ok(())
     }
 
+    /// The six covered sets, in image order.
+    fn sets(&self) -> [&BitSet; 6] {
+        [
+            &self.place_marked,
+            &self.arc_open,
+            &self.guard_taken,
+            &self.guard_untaken,
+            &self.port_true,
+            &self.port_false,
+        ]
+    }
+
+    /// True when both DBs size every index space alike: counter-vector
+    /// lengths and set capacities.
+    fn same_shape(&self, other: &CovDb) -> bool {
+        self.place_exits.len() == other.place_exits.len()
+            && self.trans_fired.len() == other.trans_fired.len()
+            && self
+                .sets()
+                .iter()
+                .zip(other.sets())
+                .all(|(a, b)| a.capacity() == b.capacity())
+    }
+
     /// A stable hash of the covered *sets* only — counts and run totals
     /// are deliberately excluded, so two DBs covering the same behaviour
     /// with different run counts sign identically. Saturation detection
@@ -228,14 +267,7 @@ impl CovDb {
     pub fn signature(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(self.fingerprint);
-        for set in [
-            &self.place_marked,
-            &self.arc_open,
-            &self.guard_taken,
-            &self.guard_untaken,
-            &self.port_true,
-            &self.port_false,
-        ] {
+        for set in self.sets() {
             h.write_u64(set.stable_hash64());
         }
         // Transition coverage is the fired-at-all pattern, not the counts.
@@ -275,108 +307,57 @@ impl CovDb {
     /// for journaling: fixed-width little-endian fields, each vector and
     /// bitset length-prefixed. [`CovDb::from_bytes`] round-trips it.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_counts(out: &mut Vec<u8>, v: &[u64]) {
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            for &n in v {
-                out.extend_from_slice(&n.to_le_bytes());
-            }
-        }
-        fn put_set(out: &mut Vec<u8>, s: &BitSet) {
-            out.extend_from_slice(&(s.capacity() as u32).to_le_bytes());
-            for &w in s.words() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
         let mut out = Vec::new();
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.runs.to_le_bytes());
-        out.extend_from_slice(&self.steps.to_le_bytes());
-        put_counts(&mut out, &self.place_exits);
-        put_counts(&mut out, &self.trans_fired);
-        for s in [
-            &self.place_marked,
-            &self.arc_open,
-            &self.guard_taken,
-            &self.guard_untaken,
-            &self.port_true,
-            &self.port_false,
-        ] {
-            put_set(&mut out, s);
+        put_u64(&mut out, self.fingerprint);
+        put_u64(&mut out, self.runs);
+        put_u64(&mut out, self.steps);
+        for counts in [&self.place_exits, &self.trans_fired] {
+            put_u32(&mut out, counts.len() as u32);
+            for &n in counts {
+                put_u64(&mut out, n);
+            }
+        }
+        for set in self.sets() {
+            put_u32(&mut out, set.capacity() as u32);
+            for &w in set.words() {
+                put_u64(&mut out, w);
+            }
         }
         out
     }
 
     /// Parse a [`CovDb::to_bytes`] image. Every read is bounds-checked:
-    /// truncated or corrupt input is an `Err`, never a panic, and never a
-    /// partially-initialized DB.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        struct Rd<'a> {
-            b: &'a [u8],
-            pos: usize,
+    /// truncated or corrupt input is an `Err` at its byte offset, never a
+    /// panic, and never a partially-initialized DB.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        fn counts(r: &mut Reader) -> Result<Vec<u64>, DecodeError> {
+            let n = r.u32()?;
+            let n = r.check_count(n.into(), 8)?;
+            (0..n).map(|_| r.u64()).collect()
         }
-        impl<'a> Rd<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if n > self.b.len() - self.pos {
-                    return Err(format!(
-                        "coverage image truncated at byte {} (need {n} more)",
-                        self.pos
-                    ));
-                }
-                let s = &self.b[self.pos..self.pos + n];
-                self.pos += n;
-                Ok(s)
-            }
-            fn u32(&mut self) -> Result<u32, String> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn counts(&mut self) -> Result<Vec<u64>, String> {
-                let n = self.u32()? as usize;
-                // Cheap bound before allocating: n u64s must be present.
-                if n > (self.b.len() - self.pos) / 8 {
-                    return Err(format!("coverage image claims {n} counters, too few bytes"));
-                }
-                (0..n).map(|_| self.u64()).collect()
-            }
-            fn set(&mut self) -> Result<BitSet, String> {
-                let cap = self.u32()? as usize;
-                let words = cap.div_ceil(64);
-                if words > (self.b.len() - self.pos) / 8 {
-                    return Err(format!(
-                        "coverage image claims {cap}-bit set, too few bytes"
-                    ));
-                }
-                let mut ws = Vec::with_capacity(words);
-                for _ in 0..words {
-                    ws.push(self.u64()?);
-                }
-                let mut s = BitSet::new(cap);
-                s.union_words(&ws);
-                Ok(s)
-            }
+        fn set(r: &mut Reader) -> Result<BitSet, DecodeError> {
+            let cap = r.u32()? as usize;
+            let words = r.check_count(cap.div_ceil(64) as u64, 8)?;
+            let words = (0..words).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+            let mut s = BitSet::new(cap);
+            s.union_words(&words);
+            Ok(s)
         }
-        let mut r = Rd { b: bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let db = CovDb {
             fingerprint: r.u64()?,
             runs: r.u64()?,
             steps: r.u64()?,
-            place_exits: r.counts()?,
-            trans_fired: r.counts()?,
-            place_marked: r.set()?,
-            arc_open: r.set()?,
-            guard_taken: r.set()?,
-            guard_untaken: r.set()?,
-            port_true: r.set()?,
-            port_false: r.set()?,
+            place_exits: counts(&mut r)?,
+            trans_fired: counts(&mut r)?,
+            place_marked: set(&mut r)?,
+            arc_open: set(&mut r)?,
+            guard_taken: set(&mut r)?,
+            guard_untaken: set(&mut r)?,
+            port_true: set(&mut r)?,
+            port_false: set(&mut r)?,
         };
-        if r.pos != bytes.len() {
-            return Err(format!(
-                "coverage image has {} trailing bytes",
-                bytes.len() - r.pos
-            ));
-        }
+        r.finish("coverage image")?;
         Ok(db)
     }
 
@@ -438,6 +419,31 @@ mod tests {
         let err = a.merge(&CovDb::new(&other)).unwrap_err();
         assert_ne!(err.ours, err.theirs);
         assert!(err.to_string().contains("across designs"));
+    }
+
+    #[test]
+    fn merge_refuses_misfit_shapes_and_saturates() {
+        let g = fixture();
+        let base = CovDb::new(&g);
+        let mut wide = base.clone();
+        wide.port_false = BitSet::new(base.port_false.capacity() + 1);
+        let mut short = base.clone();
+        short.trans_fired.pop();
+        for misfit in [wide, short] {
+            let mut a = base.clone();
+            let err = a.merge(&misfit).unwrap_err();
+            assert_eq!(err.ours, err.theirs);
+            assert!(err.to_string().contains("does not fit"), "{err}");
+            assert_eq!(a, base, "a refused merge changes nothing");
+        }
+        let mut a = base.clone();
+        a.runs = u64::MAX;
+        a.trans_fired[0] = u64::MAX - 1;
+        let mut b = base.clone();
+        b.runs = 2;
+        b.trans_fired[0] = 5;
+        a.merge(&b).unwrap();
+        assert_eq!((a.runs, a.trans_fired[0]), (u64::MAX, u64::MAX));
     }
 
     #[test]

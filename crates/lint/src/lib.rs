@@ -46,7 +46,8 @@ use std::time::{Duration, Instant};
 /// Tunables for the analysis-backed lints.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
-    /// Marking budget for reachability-backed checks (safeness, liveness).
+    /// Marking budget for reachability-backed checks (safeness, dead
+    /// transitions).
     /// The edge budget is derived (see [`etpn_analysis::ExploreBudget`]).
     pub max_states: usize,
     /// Diagnostic codes to suppress entirely (`--allow`).

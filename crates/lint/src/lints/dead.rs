@@ -8,11 +8,13 @@
 //! is maybe-marked — so whatever remains unmarked (or unfireable) is dead
 //! for certain, with no reachability-graph enumeration and no budget.
 //!
-//! Transition deadness is additionally *refined* through the exact
-//! liveness classification ([`etpn_analysis::liveness`]) whenever the
-//! budgeted marking graph completes: the fixpoint misses transitions that
-//! are only dead because tokens get consumed (e.g. a join whose branches
-//! can never both hold), while L0-deadness on a complete graph is exact.
+//! Transition deadness is additionally *refined* by exploring the marking
+//! graph: the fixpoint misses transitions that are only dead because
+//! tokens get consumed (e.g. a join whose branches can never both hold),
+//! while a transition that labels no edge of the complete graph is dead
+//! exactly. Exploration stops as soon as every fixpoint-fireable
+//! transition has labelled an edge, because nothing is then left to
+//! refine; a graph cut by the budget refines nothing.
 //!
 //! From dead places follow the data-path lints: an arc opened only by
 //! dead places can never conduct (`W304`), and a vertex touched by no
@@ -22,7 +24,6 @@
 use super::{arc_span, place_name, place_span, trans_name, trans_span, vertex_name, vertex_span};
 use crate::diag::{Diagnostic, W301, W302, W303, W304};
 use crate::LintContext;
-use etpn_analysis::liveness::liveness;
 use etpn_analysis::reach::{ExploreBudget, ReachGraph};
 use etpn_core::{ArcId, Control, PlaceId, TransId};
 use std::collections::HashSet;
@@ -76,6 +77,21 @@ pub fn statically_dead(ctl: &Control) -> (Vec<PlaceId>, Vec<TransId>) {
     (places, transitions)
 }
 
+/// Transitions that can never fire, in id order: those outside the
+/// fixpoint's `fireable` set, plus, when the marking graph completes
+/// within `max_states`, the fireable ones that label none of its edges.
+fn dead_transitions(ctl: &Control, fireable: &HashSet<TransId>, max_states: usize) -> Vec<TransId> {
+    let mut unfired = fireable.clone();
+    let graph = ReachGraph::explore_until(ctl, ExploreBudget::states(max_states), |t| {
+        unfired.remove(&t);
+        unfired.is_empty()
+    });
+    ctl.transitions()
+        .ids()
+        .filter(|t| !fireable.contains(t) || (graph.complete && unfired.contains(t)))
+        .collect()
+}
+
 /// Run all four dead-code lints.
 pub fn dead_code(cx: &LintContext) -> Vec<Diagnostic> {
     let g = cx.g;
@@ -98,18 +114,8 @@ pub fn dead_code(cx: &LintContext) -> Vec<Diagnostic> {
         }
     }
 
-    // W302: structurally dead transitions, refined to exact L0-deadness
-    // when the budgeted marking graph completes.
-    let graph = ReachGraph::explore_budgeted(&g.ctl, ExploreBudget::states(cx.cfg.max_states));
-    let dead_transitions: Vec<TransId> = if graph.complete {
-        liveness(&g.ctl, &graph).dead
-    } else {
-        g.ctl
-            .transitions()
-            .ids()
-            .filter(|t| !fixpoint_fireable.contains(t))
-            .collect()
-    };
+    // W302.
+    let dead_transitions = dead_transitions(&g.ctl, &fixpoint_fireable, cx.cfg.max_states);
     let live_transitions: HashSet<TransId> = g
         .ctl
         .transitions()
@@ -300,5 +306,51 @@ mod tests {
             "{:?}",
             report.diagnostics
         );
+    }
+
+    /// Stopping exploration once every fixpoint-fireable transition has
+    /// fired never changes W302: on random nets and designs, the starved
+    /// join and the floating subsystem, under budgets that complete the
+    /// graph and budgets that cut it, the result equals the one read off a
+    /// full exploration (no edge label on a complete graph, the fixpoint
+    /// otherwise).
+    #[test]
+    fn early_stop_matches_full_exploration() {
+        let mut nets = vec![with_dead_subsystem()];
+        for seed in 0..24 {
+            nets.push(etpn_workloads::random_net(seed, 6 + seed as usize % 20));
+            nets.push(etpn_workloads::random_design(seed, 10, 2));
+        }
+        let mut b = EtpnBuilder::new();
+        let s0 = b.place("s0");
+        let sa = b.place("sa");
+        let s_end = b.place("send");
+        b.seq(s0, sa, "t0");
+        b.seq(sa, s_end, "t_a");
+        let join = b.transition("join");
+        b.flow_st(sa, join);
+        b.flow_st(s_end, join);
+        b.mark(s0);
+        nets.push(b.finish().unwrap());
+        for (i, g) in nets.iter().enumerate() {
+            let (_, fireable) = maybe_marked(&g.ctl);
+            for max_states in [1, 3, 16, 4096] {
+                let full = ReachGraph::explore(&g.ctl, max_states);
+                let want: Vec<TransId> = g
+                    .ctl
+                    .transitions()
+                    .ids()
+                    .filter(|&t| {
+                        if full.complete {
+                            !full.edges.iter().any(|&(_, e, _)| e == t)
+                        } else {
+                            !fireable.contains(&t)
+                        }
+                    })
+                    .collect();
+                let got = dead_transitions(&g.ctl, &fireable, max_states);
+                assert_eq!(got, want, "net {i}, max_states {max_states}");
+            }
+        }
     }
 }

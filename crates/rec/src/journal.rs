@@ -5,8 +5,8 @@
 //! window of [`StepRecord`]s starting at [`Recording::first_step`], and a
 //! sorted list of [`Checkpoint`]s. The encoding is a small, fully
 //! self-contained binary format — magic + version, LEB128 varints, zigzag
-//! deltas for the fired-transition sets — with no external serialisation
-//! dependency, decodable with an exact byte offset on corruption.
+//! deltas for the fired-transition sets — written and read through
+//! [`etpn_core::bytes`], so corrupt input fails with its exact byte offset.
 //!
 //! ## Invariants
 //!
@@ -22,6 +22,7 @@
 //!   collision) equal configurations — the divergence engine bisects on
 //!   them without decoding full state vectors.
 
+use etpn_core::bytes::{put_u64, put_value, put_varint, unzigzag, zigzag, DecodeError, Reader};
 use etpn_core::{ArcId, PlaceId, PortId, StableHasher, TransId, Value, VertexId};
 
 /// Step-record flag: a control fault (token loss/dup) perturbed the
@@ -348,72 +349,6 @@ impl Recording {
         self.checkpoints.iter().rev().find(|c| c.step <= step)
     }
 
-    /// A stable digest of the whole recording (all metadata — including
-    /// embedded streams and injected faults — records and checkpoints):
-    /// two byte-identical recordings share it.
-    pub fn digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.meta.design_fp);
-        h.write_u64(self.meta.env_fp.unwrap_or(u64::MAX));
-        h.write_u64(u64::from(self.meta.policy_tag));
-        h.write_u64(self.meta.policy_seed);
-        h.write_u64(self.meta.every);
-        match self.meta.ring {
-            Some(cap) => {
-                h.write_bool(true);
-                h.write_usize(cap);
-            }
-            None => h.write_bool(false),
-        }
-        h.write_bool(self.meta.repeat_last);
-        h.write_usize(self.meta.streams.len());
-        for (name, values) in &self.meta.streams {
-            h.write_str(name);
-            h.write_usize(values.len());
-            for &v in values {
-                hash_value(&mut h, v);
-            }
-        }
-        h.write_usize(self.meta.faults.len());
-        for f in &self.meta.faults {
-            h.write_u64(u64::from(f.site_kind));
-            h.write_u32(f.site);
-            h.write_u64(u64::from(f.kind));
-            h.write_u32(f.bit);
-            h.write_u64(u64::from(f.window_kind));
-            h.write_u64(f.at);
-        }
-        h.write_u64(self.first_step);
-        h.write_usize(self.rows.len());
-        for r in (0..self.rows.len()).map(|i| self.view_at(i)) {
-            h.write_usize(r.fired.len());
-            for &t in r.fired {
-                h.write_u32(t.0);
-            }
-            h.write_usize(r.latched.len());
-            for &(p, v) in r.latched {
-                h.write_u32(p.0);
-                hash_value(&mut h, v);
-            }
-            h.write_usize(r.advanced.len());
-            for &v in r.advanced {
-                h.write_u32(v.0);
-            }
-            h.write_usize(r.events.len());
-            for &(a, v, s) in r.events {
-                h.write_u32(a.0);
-                hash_value(&mut h, v);
-                h.write_u32(s.0);
-            }
-            h.write_u64(u64::from(r.flags));
-        }
-        h.write_usize(self.checkpoints.len());
-        for c in &self.checkpoints {
-            h.write_u64(c.digest);
-        }
-        h.finish()
-    }
-
     /// Serialise to the compact binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024 + self.rows.len() * 16);
@@ -507,7 +442,7 @@ impl Recording {
 
     /// Decode from the binary format.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RecError> {
-        let mut c = Cursor::new(bytes);
+        let mut c = Reader::new(bytes);
         let magic = c.take(MAGIC.len())?;
         if magic != MAGIC {
             return Err(RecError::BadMagic);
@@ -519,7 +454,7 @@ impl Recording {
         meta.env_fp = match c.u8()? {
             0 => None,
             1 => Some(c.u64()?),
-            other => return Err(c.corrupt(format!("bad env-fp tag {other}"))),
+            other => return Err(c.error(format!("bad env-fp tag {other}")).into()),
         };
         meta.policy_tag = c.u8()?;
         meta.policy_seed = c.varint()?;
@@ -527,13 +462,13 @@ impl Recording {
         meta.ring = match c.u8()? {
             0 => None,
             1 => Some(c.varint()? as usize),
-            other => return Err(c.corrupt(format!("bad ring tag {other}"))),
+            other => return Err(c.error(format!("bad ring tag {other}")).into()),
         };
         meta.repeat_last = c.u8()? != 0;
         let n_streams = c.count()?;
         for _ in 0..n_streams {
             let len = c.count()?;
-            let at = c.pos;
+            let at = c.pos();
             let name = String::from_utf8(c.take(len)?.to_vec()).map_err(|e| RecError::Corrupt {
                 offset: at + e.utf8_error().valid_up_to(),
                 detail: format!("stream name not UTF-8: {e}"),
@@ -549,9 +484,9 @@ impl Recording {
         for _ in 0..n_faults {
             meta.faults.push(RecFault {
                 site_kind: c.u8()?,
-                site: c.u32("fault site")?,
+                site: c.varint_u32("fault site")?,
                 kind: c.u8()?,
-                bit: c.u32("fault bit")?,
+                bit: c.varint_u32("fault bit")?,
                 window_kind: c.u8()?,
                 at: c.varint()?,
             });
@@ -564,7 +499,7 @@ impl Recording {
             let n = c.count()?;
             let mut marking = Vec::with_capacity(n);
             for _ in 0..n {
-                marking.push(c.u32("token count")?);
+                marking.push(c.varint_u32("token count")?);
             }
             let n = c.count()?;
             let mut state = Vec::with_capacity(n);
@@ -579,7 +514,9 @@ impl Recording {
             let digest = c.u64()?;
             let expect = Checkpoint::compute_digest(step, &marking, &state, &cursors);
             if digest != expect {
-                return Err(c.corrupt(format!("checkpoint digest mismatch at step {step}")));
+                return Err(c
+                    .error(format!("checkpoint digest mismatch at step {step}"))
+                    .into());
             }
             checkpoints.push(Checkpoint {
                 step,
@@ -603,25 +540,26 @@ impl Recording {
             for _ in 0..n {
                 let cur = prev + unzigzag(c.varint()?);
                 if cur < 0 || cur > i64::from(u32::MAX) {
-                    return Err(c.corrupt(format!("fired-delta out of range: {cur}")));
+                    return Err(c.error(format!("fired-delta out of range: {cur}")).into());
                 }
                 rec.fired.push(TransId::new(cur as u32));
                 prev = cur;
             }
             let n = c.count()?;
             for _ in 0..n {
-                let p = PortId::new(c.u32("port id")?);
+                let p = PortId::new(c.varint_u32("port id")?);
                 rec.latched.push((p, c.value()?));
             }
             let n = c.count()?;
             for _ in 0..n {
-                rec.advanced.push(VertexId::new(c.u32("vertex id")?));
+                rec.advanced.push(VertexId::new(c.varint_u32("vertex id")?));
             }
             let n = c.count()?;
             for _ in 0..n {
-                let a = ArcId::new(c.u32("arc id")?);
+                let a = ArcId::new(c.varint_u32("arc id")?);
                 let v = c.value()?;
-                rec.events.push((a, v, PlaceId::new(c.u32("place id")?)));
+                rec.events
+                    .push((a, v, PlaceId::new(c.varint_u32("place id")?)));
             }
             rec.rows.push(RowEnds {
                 fired_end: rec.fired.len(),
@@ -631,131 +569,13 @@ impl Recording {
                 flags: c.u8()?,
             });
         }
-        if c.pos != bytes.len() {
-            return Err(c.corrupt("trailing bytes after recording".to_string()));
-        }
+        c.finish("recording")?;
         Ok(rec)
     }
 }
 
 /// Magic + format version. Bump the final byte on breaking changes.
 const MAGIC: &[u8] = b"ETPNREC\x01";
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, v: Value) {
-    match v {
-        Value::Undef => out.push(0),
-        Value::Def(x) => {
-            out.push(1);
-            put_varint(out, zigzag(x));
-        }
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn corrupt(&self, detail: String) -> RecError {
-        RecError::Corrupt {
-            offset: self.pos,
-            detail,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.corrupt(format!("truncated: wanted {n} bytes")))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, RecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, RecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn varint(&mut self) -> Result<u64, RecError> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            // The 10th byte (shift 63) can only contribute its low bit:
-            // higher payload bits would overflow u64, so they mark
-            // corrupt or non-canonical input, not a value to truncate.
-            if shift == 63 && byte & 0x7E != 0 {
-                return Err(self.corrupt(format!("varint overflows u64 (final byte {byte:#04x})")));
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(self.corrupt("varint longer than 10 bytes".to_string()))
-    }
-
-    /// An element count. Every element takes at least one byte, so a count
-    /// above the bytes left is corrupt: preallocations stay input-sized.
-    fn count(&mut self) -> Result<usize, RecError> {
-        let n = self.varint()?;
-        let left = self.bytes.len() - self.pos;
-        match usize::try_from(n) {
-            Ok(n) if n <= left => Ok(n),
-            _ => Err(self.corrupt(format!("claims {n} elements, only {left} bytes left"))),
-        }
-    }
-
-    /// A varint that must fit an id or bit index (`u32`).
-    fn u32(&mut self, what: &str) -> Result<u32, RecError> {
-        let v = self.varint()?;
-        u32::try_from(v).map_err(|_| self.corrupt(format!("{what} {v} exceeds u32")))
-    }
-
-    fn value(&mut self) -> Result<Value, RecError> {
-        match self.u8()? {
-            0 => Ok(Value::Undef),
-            1 => Ok(Value::Def(unzigzag(self.varint()?))),
-            other => Err(self.corrupt(format!("bad value tag {other}"))),
-        }
-    }
-}
 
 /// Failures of the recording layer.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -812,6 +632,15 @@ impl std::fmt::Display for RecError {
 
 impl std::error::Error for RecError {}
 
+impl From<DecodeError> for RecError {
+    fn from(e: DecodeError) -> Self {
+        RecError::Corrupt {
+            offset: e.offset,
+            detail: e.detail,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -865,67 +694,6 @@ mod tests {
         let bytes = rec.to_bytes();
         let back = Recording::from_bytes(&bytes).unwrap();
         assert_eq!(rec, back);
-        assert_eq!(rec.digest(), back.digest());
-    }
-
-    #[test]
-    fn zigzag_roundtrips_extremes() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, -123456] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn varint_roundtrips_extremes_and_rejects_overflow() {
-        for v in [0u64, 1, 127, 128, u64::from(u32::MAX), u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            assert_eq!(Cursor::new(&buf).varint(), Ok(v));
-        }
-        // Ten continuation bytes followed by anything is too long.
-        let long = [0x80u8; 10];
-        assert!(matches!(
-            Cursor::new(&long).varint(),
-            Err(RecError::Corrupt { .. })
-        ));
-        // A 10th byte with payload beyond u64's last bit must be rejected
-        // as corrupt, not silently truncated: 0x02 << 63 has no room.
-        let mut overflow = vec![0xFFu8; 9];
-        overflow.push(0x02);
-        assert!(matches!(
-            Cursor::new(&overflow).varint(),
-            Err(RecError::Corrupt { .. })
-        ));
-        // The canonical u64::MAX encoding (10th byte 0x01) still decodes.
-        let mut max = vec![0xFFu8; 9];
-        max.push(0x01);
-        assert_eq!(Cursor::new(&max).varint(), Ok(u64::MAX));
-    }
-
-    #[test]
-    fn digest_covers_every_metadata_field() {
-        let base = sample();
-        let mut variants: Vec<Recording> = Vec::new();
-        let mut with = |f: &dyn Fn(&mut RecMeta)| {
-            let mut r = base.clone();
-            f(&mut r.meta);
-            variants.push(r);
-        };
-        with(&|m| m.every = 17);
-        with(&|m| m.ring = None);
-        with(&|m| m.repeat_last = false);
-        with(&|m| m.streams[0].1[0] = Value::Def(6));
-        with(&|m| m.streams.clear());
-        with(&|m| m.faults[0].at = 10);
-        with(&|m| m.faults.clear());
-        for v in &variants {
-            assert_ne!(
-                v.digest(),
-                base.digest(),
-                "metadata change left the digest unchanged: {:?}",
-                v.meta
-            );
-        }
     }
 
     #[test]

@@ -18,6 +18,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use etpn_core::bytes::{put_u128, put_u32, put_u64, DecodeError, Reader};
+
 /// Journal magic: identifies the format and pins the frame layout version.
 pub const MAGIC: &[u8; 8] = b"ETPNJNL\x01";
 
@@ -73,23 +75,12 @@ impl Journal {
             .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let existed = !bytes.is_empty();
-        let mut recovery = Recovery {
-            existed,
-            ..Recovery::default()
+        let (frames, valid_end) = scan(&bytes);
+        let recovery = Recovery {
+            frames: frames.into_iter().map(<[u8]>::to_vec).collect(),
+            truncated: (bytes.len() - valid_end) as u64,
+            existed: !bytes.is_empty(),
         };
-        let valid_end = if bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC {
-            let mut pos = MAGIC.len();
-            while let Some((payload, next)) = read_frame(&bytes, pos) {
-                recovery.frames.push(payload.to_vec());
-                pos = next;
-            }
-            pos
-        } else {
-            // Missing or foreign header: recover nothing and start fresh.
-            0
-        };
-        recovery.truncated = (bytes.len() - valid_end) as u64;
         if valid_end == 0 {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -119,8 +110,8 @@ impl Journal {
             ));
         }
         let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum64(payload).to_le_bytes());
+        put_u32(&mut frame, payload.len() as u32);
+        put_u64(&mut frame, checksum64(payload));
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
         self.file.flush()
@@ -146,7 +137,7 @@ const TRACE_TAG: &[u8; 4] = b"TRC1";
 pub fn stamp_trace_frame(trace_id: u128, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(TRACE_TAG.len() + 16 + payload.len());
     frame.extend_from_slice(TRACE_TAG);
-    frame.extend_from_slice(&trace_id.to_le_bytes());
+    put_u128(&mut frame, trace_id);
     frame.extend_from_slice(payload);
     frame
 }
@@ -155,28 +146,45 @@ pub fn stamp_trace_frame(trace_id: u128, payload: &[u8]) -> Vec<u8> {
 /// `(trace_id, payload)`. Frames written before trace stamping existed (or
 /// by other producers) have no tag and come back as `(None, frame)`.
 pub fn split_trace_frame(frame: &[u8]) -> (Option<u128>, &[u8]) {
-    if frame.len() >= TRACE_TAG.len() + 16 && &frame[..TRACE_TAG.len()] == TRACE_TAG {
-        let id = u128::from_le_bytes(frame[4..20].try_into().unwrap());
-        (Some(id), &frame[20..])
-    } else {
-        (None, frame)
+    let mut r = Reader::new(frame);
+    if r.take(TRACE_TAG.len()) == Ok(TRACE_TAG) {
+        if let Ok(id) = r.u128() {
+            return (Some(id), &frame[r.pos()..]);
+        }
     }
+    (None, frame)
 }
 
-/// Parse the frame starting at `pos`; `None` when the bytes from `pos` do
-/// not form one complete, checksum-valid frame.
-fn read_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let header = bytes.get(pos..pos + 12)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+/// Decode a journal image: the payloads of its longest prefix of
+/// complete, checksum-valid frames, and the byte length of that prefix
+/// (0 when the magic header is missing or foreign).
+pub fn scan(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
+    let mut r = Reader::new(bytes);
+    if r.take(MAGIC.len()) != Ok(MAGIC) {
+        return (Vec::new(), 0);
+    }
+    let mut frames = Vec::new();
+    let mut end = r.pos();
+    while let Ok(payload) = read_frame(&mut r) {
+        frames.push(payload);
+        end = r.pos();
+    }
+    (frames, end)
+}
+
+/// Read one frame; fails where the bytes do not form a complete,
+/// checksum-valid frame.
+fn read_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
+    let len = r.u32()? as usize;
     if len > MAX_FRAME {
-        return None;
+        return Err(r.error(format!("frame of {len} bytes exceeds MAX_FRAME")));
     }
-    let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    let payload = bytes.get(pos + 12..pos + 12 + len)?;
+    let sum = r.u64()?;
+    let payload = r.take(len)?;
     if checksum64(payload) != sum {
-        return None;
+        return Err(r.error("frame checksum mismatch"));
     }
-    Some((payload, pos + 12 + len))
+    Ok(payload)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use etpn_cov::CovDb;
+use etpn_cov::{CovDb, MergeMismatch};
 use etpn_synth::CompiledDesign;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -126,7 +126,8 @@ impl Registry {
         }
         // Attach coverage recovered from a previous process life — only
         // now, after every refusal path, so a rejected registration can
-        // never swallow parked journal frames.
+        // never swallow parked journal frames. Parked coverage that does
+        // not fit the compiled design is refused by the merge and dropped.
         if let Some(recovered) = self
             .orphan_cov
             .lock()
@@ -176,8 +177,9 @@ impl Registry {
 
     /// Absorb one recovered coverage frame. If the design is already
     /// registered the frame merges straight into its live DB; otherwise it
-    /// parks under the fingerprint until registration.
-    pub fn absorb_recovered_cov(&self, db: CovDb) {
+    /// parks under the fingerprint until registration. Fails, absorbing
+    /// nothing, when the frame does not fit the DB it would merge into.
+    pub fn absorb_recovered_cov(&self, db: CovDb) -> Result<(), MergeMismatch> {
         let fp = db.fingerprint;
         if let Some(entry) = self
             .designs
@@ -185,17 +187,18 @@ impl Registry {
             .unwrap_or_else(|e| e.into_inner())
             .get(&fp)
         {
-            let mut cov = entry.cov.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = cov.merge(&db);
-            return;
+            return entry
+                .cov
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .merge(&db);
         }
         let mut orphans = self.orphan_cov.lock().unwrap_or_else(|e| e.into_inner());
         match orphans.get_mut(&fp) {
-            Some(acc) => {
-                let _ = acc.merge(&db);
-            }
+            Some(acc) => acc.merge(&db),
             None => {
                 orphans.insert(fp, db);
+                Ok(())
             }
         }
     }
@@ -292,14 +295,41 @@ mod tests {
         db.steps = 17;
 
         let r = Registry::new(BreakerConfig::default());
-        r.absorb_recovered_cov(db.clone());
-        r.absorb_recovered_cov(db);
+        r.absorb_recovered_cov(db.clone()).unwrap();
+        r.absorb_recovered_cov(db).unwrap();
         assert_eq!(r.orphan_cov_count(), 1);
         let (e, _) = r.register(SRC).unwrap();
         assert_eq!(r.orphan_cov_count(), 0);
         let cov = e.cov.lock().unwrap();
         assert_eq!(cov.runs, 8, "both frames merged");
         assert_eq!(cov.steps, 34);
+    }
+
+    #[test]
+    fn coverage_that_does_not_fit_its_design_is_refused() {
+        let staging = Registry::new(BreakerConfig::default());
+        let (entry, _) = staging.register(SRC).unwrap();
+        let db = CovDb::new(&entry.design.etpn);
+        let mut wide = db.clone();
+        wide.arc_open = etpn_core::bitset::BitSet::new(db.arc_open.capacity() + 64);
+        wide.runs = 9;
+
+        // Parked, then refused by the parked DB.
+        let r = Registry::new(BreakerConfig::default());
+        r.absorb_recovered_cov(db.clone()).unwrap();
+        assert!(r.absorb_recovered_cov(wide.clone()).is_err());
+        // Registered, then refused by the live DB, which stays untouched.
+        let (e, _) = r.register(SRC).unwrap();
+        assert!(r.absorb_recovered_cov(wide.clone()).is_err());
+        assert_eq!(*e.cov.lock().unwrap(), db);
+
+        // A misfit parked alone is dropped at registration.
+        let r = Registry::new(BreakerConfig::default());
+        r.absorb_recovered_cov(wide).unwrap();
+        let (e, fresh) = r.register(SRC).unwrap();
+        assert!(fresh);
+        assert_eq!(r.orphan_cov_count(), 0);
+        assert_eq!(*e.cov.lock().unwrap(), db);
     }
 
     #[test]

@@ -262,13 +262,15 @@ fn open_cov_journal(
         // Frames written since tracing landed carry the originating
         // request's trace id; recovery strips it (and tolerates the old
         // bare format).
+        // A frame that does not decode, or does not fit the coverage it
+        // would merge into, is counted and skipped.
         let (_trace, payload) = split_trace_frame(frame);
-        match CovDb::from_bytes(payload) {
-            Ok(db) => {
-                registry.absorb_recovered_cov(db);
-                cov_frames += 1;
-            }
-            Err(_) => bad += 1,
+        let absorbed =
+            CovDb::from_bytes(payload).is_ok_and(|db| registry.absorb_recovered_cov(db).is_ok());
+        if absorbed {
+            cov_frames += 1;
+        } else {
+            bad += 1;
         }
     }
     stats

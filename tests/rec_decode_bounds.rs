@@ -165,3 +165,224 @@ fn ids_and_bits_above_u32_are_rejected_not_truncated() {
     varint(&mut b, u64::from(u32::MAX) + 1); // its arc id
     assert!(corrupt(&b).1.contains("arc id"));
 }
+
+// The decode fuzz battery: seeded, deterministic mutants of real
+// encodings go through every binary decoder, and each must decode or
+// return its typed error, without a panic and without one allocation
+// beyond a stated multiple of the mutant's length plus 4 KiB.
+//
+// Inputs: recordings of catalogue runs (a full journal, a ring and a
+// faulty run), coverage images of catalogue runs, and the etpnd journal
+// in `tests/golden/etpnd_legacy_data`, both whole and frame by frame.
+// Mutants: every truncation, a single-byte xor at every offset of inputs
+// under 4 KiB, and `SEEDED_MUTANTS` seeded multi-byte overwrites. A
+// coverage image that decodes must then merge into the unmutated DB it
+// came from, or be refused with an error, again without a panic.
+
+use etpn::cov::CovDb;
+use etpn::rec::{Checkpoint, RecordConfig};
+use etpn::serve::persist::{scan, split_trace_frame};
+use etpn::sim::{Fault, FaultKind, FaultPlan, FaultSite, FaultWindow, Simulator};
+use etpn::workloads::by_name;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Seeded multi-byte mutants per input.
+const SEEDED_MUTANTS: usize = 256;
+
+/// A splitmix64 stream: the battery's only source of randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Call `f` with a name and the bytes of every mutant of `input`.
+fn for_each_mutant(input: &[u8], seed: u64, mut f: impl FnMut(&str, &[u8])) {
+    for n in 0..input.len() {
+        f(&format!("cut at {n}"), &input[..n]);
+    }
+    let mut rng = Rng(seed);
+    let mut buf = input.to_vec();
+    if input.len() < 4096 {
+        for i in 0..input.len() {
+            let mask = 1 + rng.below(255) as u8;
+            buf[i] ^= mask;
+            f(&format!("xor {mask:#04x} at {i}"), &buf);
+            buf[i] ^= mask;
+        }
+    }
+    for k in 0..SEEDED_MUTANTS {
+        buf.copy_from_slice(input);
+        for _ in 0..2 + rng.below(7) {
+            let at = rng.below(buf.len());
+            buf[at] = match rng.below(3) {
+                0 => 0xFF,
+                1 => 0x00,
+                _ => rng.next() as u8,
+            };
+        }
+        f(&format!("seeded mutant {k}"), &buf);
+    }
+}
+
+/// Run `decode` on `input`: it must not panic, and no single allocation
+/// may exceed `multiple` × the input length + 4 KiB.
+fn decode_bounded<T>(what: &str, input: &[u8], multiple: usize, decode: impl FnOnce() -> T) -> T {
+    PEAK.with(|p| p.set(0));
+    let out = catch_unwind(AssertUnwindSafe(decode));
+    let peak = PEAK.with(Cell::get);
+    let out = out.unwrap_or_else(|_| panic!("{what}: the decoder panicked"));
+    let bound = multiple * input.len() + 4096;
+    assert!(
+        peak <= bound,
+        "{what}: a {}-byte input asked for a {peak}-byte allocation (bound {bound})",
+        input.len()
+    );
+    out
+}
+
+/// Merge a decoded DB into the DB it was mutated from: success or a
+/// refusal, never a panic.
+fn merges_or_refuses(what: &str, base: &CovDb, db: &CovDb) {
+    let mut acc = base.clone();
+    if catch_unwind(AssertUnwindSafe(|| acc.merge(db))).is_err() {
+        panic!("{what}: merging the decoded DB panicked");
+    }
+}
+
+/// Recordings of catalogue runs: a full journal, a ring, and a run with
+/// a stuck-at fault; plus the golden recording of a faulty `etpnc record`.
+fn recordings() -> Vec<(&'static str, Vec<u8>)> {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/rec/gcd_fault.etpnrec"
+    );
+    let record = |name: &str, cfg: RecordConfig, steps: u64, faulty: bool| -> Vec<u8> {
+        let w = by_name(name).expect("catalogue workload");
+        let d = etpn::synth::compile_source(&w.source).expect("workload compiles");
+        let mut sim = Simulator::new(&d.etpn, w.env()).with_recorder(cfg);
+        for (reg, v) in &d.reg_inits {
+            sim = sim.init_register(reg, *v);
+        }
+        if faulty {
+            let x = d.etpn.dp.vertex_by_name("x").expect("gcd has register x");
+            sim = sim.with_faults(FaultPlan::single(Fault {
+                site: FaultSite::Port(d.etpn.dp.vertex(x).outputs[0]),
+                kind: FaultKind::StuckAt0,
+                window: FaultWindow::Permanent(3),
+            }));
+        }
+        let trace = sim.run(steps).expect("recorded run succeeds");
+        trace.recording.expect("recording captured").to_bytes()
+    };
+    vec![
+        (
+            "full gcd",
+            record("gcd", RecordConfig::full(8), 10_000, false),
+        ),
+        (
+            "ring diffeq",
+            record("diffeq", RecordConfig::ring(16, 4), 10_000, false),
+        ),
+        (
+            "faulty gcd",
+            record("gcd", RecordConfig::full(8), 120, true),
+        ),
+        ("golden", std::fs::read(golden).expect("golden recording")),
+    ]
+}
+
+#[test]
+fn mutated_recordings_decode_or_fail_typed() {
+    // A count is bounded by the bytes left at one element per byte, so
+    // the widest preallocated element, a checkpoint, sets the multiple.
+    let multiple = std::mem::size_of::<Checkpoint>();
+    for (seed, (name, bytes)) in recordings().into_iter().enumerate() {
+        assert!(Recording::from_bytes(&bytes).is_ok(), "{name} decodes");
+        for_each_mutant(&bytes, seed as u64, |what, input| {
+            let what = format!("{name}, {what}");
+            // Either outcome is fine; reaching here means no panic.
+            let _ = decode_bounded(&what, input, multiple, || Recording::from_bytes(input));
+        });
+    }
+}
+
+/// Coverage images of catalogue runs with coverage on.
+fn coverage_images() -> Vec<(&'static str, Vec<u8>)> {
+    ["gcd", "diffeq", "fir16"]
+        .into_iter()
+        .map(|name| {
+            let w = by_name(name).expect("catalogue workload");
+            let d = etpn::synth::compile_source(&w.source).expect("workload compiles");
+            let mut sim = Simulator::new(&d.etpn, w.env()).with_coverage();
+            for (reg, v) in &d.reg_inits {
+                sim = sim.init_register(reg, *v);
+            }
+            let trace = sim.run(w.max_steps).expect("covered run succeeds");
+            (name, trace.cov.expect("coverage collected").to_bytes())
+        })
+        .collect()
+}
+
+#[test]
+fn mutated_coverage_images_decode_and_merge_or_fail_typed() {
+    for (seed, (name, bytes)) in coverage_images().into_iter().enumerate() {
+        let base = CovDb::from_bytes(&bytes).expect("image decodes");
+        for_each_mutant(&bytes, 100 + seed as u64, |what, input| {
+            let what = format!("{name}, {what}");
+            if let Ok(db) = decode_bounded(&what, input, 1, || CovDb::from_bytes(input)) {
+                merges_or_refuses(&what, &base, &db);
+            }
+        });
+    }
+}
+
+#[test]
+fn mutated_journal_frames_decode_and_merge_or_fail_typed() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/etpnd_legacy_data/cov.journal"
+    );
+    let journal = std::fs::read(path).expect("legacy coverage journal");
+    let decode_frame = |frame: &[u8]| CovDb::from_bytes(split_trace_frame(frame).1);
+    let (frames, end) = scan(&journal);
+    assert_eq!((frames.len(), end), (2, journal.len()));
+    let bases: Vec<CovDb> = frames
+        .iter()
+        .map(|f| decode_frame(f).expect("legacy frame decodes"))
+        .collect();
+
+    // Each frame payload on its own.
+    for (i, frame) in frames.iter().enumerate() {
+        for_each_mutant(frame, 200 + i as u64, |what, input| {
+            let what = format!("frame {i}, {what}");
+            if let Ok(db) = decode_bounded(&what, input, 1, || decode_frame(input)) {
+                merges_or_refuses(&what, &bases[i], &db);
+            }
+        });
+    }
+    // The whole journal image: frame recovery, then every recovered frame.
+    for_each_mutant(&journal, 300, |what, input| {
+        let what = format!("journal, {what}");
+        let dbs = decode_bounded(&what, input, 4, || {
+            let (frames, _) = scan(input);
+            frames
+                .into_iter()
+                .filter_map(|f| decode_frame(f).ok())
+                .collect::<Vec<_>>()
+        });
+        for db in &dbs {
+            merges_or_refuses(&what, &bases[0], db);
+        }
+    });
+}

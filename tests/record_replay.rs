@@ -199,9 +199,41 @@ fn wire_format_round_trips() {
         let rec = trace.recording.as_ref().expect("recording captured");
         let bytes = rec.to_bytes();
         let back = Recording::from_bytes(&bytes).expect("decodes");
-        assert_eq!(rec.digest(), back.digest());
         assert_eq!(format!("{rec:?}"), format!("{back:?}"));
         assert_eq!(bytes, back.to_bytes(), "re-encoding is not canonical");
+    }
+}
+
+/// `tests/golden/rec/gcd_fault.etpnrec` pins the wire format. It was
+/// written by `etpnc record examples/gcd.hdl --set a=3528 --set b=3780
+/// --steps 200 --every 8 --fault x:stuck0@3 -o …`, so it holds embedded
+/// streams, checkpoints, an injected fault and fault flags. It decodes,
+/// re-encodes byte for byte, and replays to its last step on both engines
+/// without divergence.
+#[test]
+fn golden_recording_round_trips_and_replays() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/rec/gcd_fault.etpnrec"
+    );
+    let bytes = std::fs::read(path).expect("golden recording");
+    let rec = Recording::from_bytes(&bytes).expect("golden recording decodes");
+    assert_eq!(rec.to_bytes(), bytes, "re-encoding changed the bytes");
+    let window = (rec.first_step, rec.end_step(), rec.checkpoints.len());
+    assert_eq!(window, (0, 200, 25));
+    assert_eq!(rec.meta.faults.len(), 1);
+    let stream_names: Vec<&str> = rec.meta.streams.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(stream_names, ["a", "b"]);
+    assert!(
+        (0..200).any(|s| rec.record(s).is_some_and(|r| r.flags != 0)),
+        "no step carries a fault flag"
+    );
+    let d = etpn_synth::compile_source(include_str!("../examples/gcd.hdl")).expect("gcd compiles");
+    for backend in [Backend::Interp, Backend::Compiled] {
+        let trace = replay_recording(&d.etpn, &rec, rec.end_step(), backend)
+            .unwrap_or_else(|e| panic!("{backend:?}: {}", e.describe(&d.etpn)));
+        assert_eq!(trace.steps, 200, "{backend:?}");
+        assert_eq!(trace.termination, Termination::StepLimit, "{backend:?}");
     }
 }
 

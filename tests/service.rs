@@ -852,6 +852,57 @@ fn old_data_dir_recovers_coverage_and_keeps_other_files() {
     }
 }
 
+/// A coverage journal whose checksum-valid frames name one design but
+/// disagree on its set capacities used to panic the server at boot, in
+/// the bitset union, on every restart. The frame that does not fit is
+/// counted as bad, the server boots, and the design still registers with
+/// the coverage that fits.
+#[test]
+fn misfit_coverage_frames_are_counted_not_fatal() {
+    use etpn::core::bitset::BitSet;
+    use etpn::cov::CovDb;
+    use etpn::serve::persist::Journal;
+
+    let dir = scratch("misfit");
+    let design = etpn::synth::compile_source(ADDER).unwrap();
+    let mut fits = CovDb::new(&design.etpn);
+    fits.runs = 1;
+    let mut misfit = fits.clone();
+    misfit.arc_open = BitSet::new(fits.arc_open.capacity() + 64);
+    {
+        let (mut j, _) = Journal::open(&dir.join("cov.journal")).unwrap();
+        j.append(&fits.to_bytes()).unwrap();
+        j.append(&misfit.to_bytes()).unwrap();
+        j.sync().unwrap();
+    }
+
+    let handle = start(ServerConfig {
+        data_dir: Some(dir),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr;
+    let stats = handle.stats_json();
+    assert!(
+        stats.contains("\"serve.recovered.cov_frames\": 1"),
+        "{stats}"
+    );
+    assert!(
+        stats.contains("\"serve.recovered.bad_frames\": 1"),
+        "{stats}"
+    );
+    assert_eq!(post(&addr, "/v1/designs", &src_body(ADDER)).status, 201);
+    let cov = post(&addr, "/v1/cov", r#"{"design":"adder"}"#);
+    assert!(cov.body.contains("\"runs\": 1"), "{}", cov.body);
+    let r = post(
+        &addr,
+        "/v1/run",
+        r#"{"design":"adder","inputs":{"a":[3],"b":[4]}}"#,
+    );
+    assert_eq!(r.status, 200, "{}", r.body);
+    handle.shutdown();
+}
+
 /// Graceful shutdown drains: requests admitted before the drain complete,
 /// the listener closes, and the final stats export is returned.
 #[test]
