@@ -3,8 +3,8 @@
 //! The decision procedures behind the paper's restrictions and synthesis
 //! guidance:
 //!
-//! * [`reach`] — reachability graph, deadlock and termination analysis,
-//!   and the exploration-only safeness oracle;
+//! * [`reach`] — reachability graph and the exploration-only safeness
+//!   oracle;
 //! * [`conflict`] — conflict-freedom (Def. 3.2(3)) via syntactic guard
 //!   exclusivity;
 //! * [`comb_loop`] — per-state combinational-loop detection (Def. 3.2(4));

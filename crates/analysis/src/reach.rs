@@ -2,9 +2,9 @@
 //!
 //! Explores the marking graph under the *structural* firing rule — guards
 //! are ignored, i.e. treated as free nondeterminism — which over-approximates
-//! every guarded behaviour. Properties established here (safeness, absence
-//! of deadlock, termination possibility) therefore hold for all runs.
-//! Used by the Def. 3.2(2) safeness check and by experiment E7.
+//! every guarded behaviour. Properties established here (safeness, place
+//! concurrency) therefore hold for all runs. Used by the Def. 3.2(2)
+//! safeness check and by experiment E7.
 
 use etpn_core::{Control, Marking, PlaceId, TransId};
 use std::collections::HashMap;
@@ -118,13 +118,6 @@ impl ReachGraph {
         self.markings.len()
     }
 
-    /// True when every explored marking is safe (≤ 1 token per place).
-    ///
-    /// Combined with `complete == true` this establishes Def. 3.2(2).
-    pub fn all_safe(&self) -> bool {
-        self.markings.iter().all(Marking::is_safe)
-    }
-
     /// The first unsafe marking found, with an over-full place.
     pub fn first_unsafe(&self) -> Option<(usize, PlaceId)> {
         self.markings.iter().enumerate().find_map(|(i, m)| {
@@ -135,22 +128,6 @@ impl ReachGraph {
         })
     }
 
-    /// Markings where tokens remain but nothing is enabled (deadlocks under
-    /// the structural rule; guarded systems may also block earlier).
-    pub fn deadlocks(&self, control: &Control) -> Vec<usize> {
-        self.markings
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.is_terminated() && m.enabled_transitions(control).is_empty())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// True when some explored marking is fully terminated (Def. 3.1(6)).
-    pub fn can_terminate(&self) -> bool {
-        self.markings.iter().any(Marking::is_terminated)
-    }
-
     /// True when some explored marking marks both places at once. On a
     /// complete graph this decides place concurrency exactly — the ground
     /// truth the invariant-based over-approximation is compared against.
@@ -159,16 +136,6 @@ impl ReachGraph {
             .iter()
             .any(|m| m.count(a) > 0 && m.count(b) > 0)
     }
-
-    /// The maximum token count any place attains over explored markings
-    /// (the bound of the net, when exploration is complete).
-    pub fn bound(&self) -> u32 {
-        self.markings
-            .iter()
-            .flat_map(|m| m.marked_places().into_iter().map(move |s| m.count(s)))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Convenience: is the control net safe, established by exhaustive
@@ -176,7 +143,7 @@ impl ReachGraph {
 /// before the question could be settled.
 pub fn is_safe(control: &Control, max_states: usize) -> Option<bool> {
     let g = ReachGraph::explore(control, max_states);
-    if !g.all_safe() {
+    if g.first_unsafe().is_some() {
         Some(false) // an unsafe marking is a definitive counterexample
     } else if g.complete {
         Some(true)
@@ -207,22 +174,8 @@ mod tests {
         let g = ReachGraph::explore(&c, 1000);
         assert!(g.complete);
         assert_eq!(g.state_count(), 5);
-        assert!(g.all_safe());
-        assert!(!g.can_terminate(), "last place has no outgoing transition");
-        assert_eq!(g.deadlocks(&c).len(), 1);
-        assert_eq!(g.bound(), 1);
+        assert!(g.first_unsafe().is_none());
         assert_eq!(is_safe(&c, 1000), Some(true));
-    }
-
-    #[test]
-    fn terminating_net_detected() {
-        let mut c = chain(2);
-        let s1 = c.place_by_name("s1").unwrap();
-        let t = c.add_transition("sink");
-        c.flow_st(s1, t).unwrap();
-        let g = ReachGraph::explore(&c, 1000);
-        assert!(g.can_terminate());
-        assert!(g.deadlocks(&c).is_empty());
     }
 
     #[test]
@@ -243,7 +196,6 @@ mod tests {
         assert_eq!(is_safe(&c, 100), Some(false));
         let g = ReachGraph::explore(&c, 100);
         assert!(g.first_unsafe().is_some());
-        assert!(g.bound() > 1);
     }
 
     #[test]
@@ -286,7 +238,7 @@ mod tests {
         assert!(!g.complete);
         assert!(g.edges.len() <= 64);
         // The truncated prefix already witnesses unsafeness.
-        assert!(!g.all_safe());
+        assert!(g.first_unsafe().is_some());
     }
 
     #[test]
@@ -324,7 +276,6 @@ mod tests {
         let g = ReachGraph::explore(&c, 100);
         assert!(g.complete);
         assert_eq!(g.state_count(), 2);
-        assert!(g.all_safe());
-        assert!(g.deadlocks(&c).is_empty());
+        assert!(g.first_unsafe().is_none());
     }
 }

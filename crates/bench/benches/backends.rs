@@ -4,30 +4,13 @@
 //! (`--quick E9C`) produces the same comparison as a steps/s table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use etpn_core::Etpn;
 use etpn_sim::{Backend, ScriptedEnv, Simulator};
-use etpn_workloads::random_net;
-
-/// A cyclic random net of `n` places (the E9 sustained-stepping shape:
-/// the terminal transition feeds the initial place back).
-fn cyclic(n: usize) -> Etpn {
-    let mut g = random_net(23, n);
-    let t_end = g
-        .ctl
-        .transitions()
-        .iter()
-        .find(|(_, tr)| tr.post.is_empty())
-        .map(|(t, _)| t)
-        .unwrap();
-    let first = g.ctl.initial_places()[0];
-    g.ctl.flow_ts(t_end, first).unwrap();
-    g
-}
+use etpn_workloads::cyclic_net;
 
 fn bench_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9c_backends");
     for &n in &[32usize, 256] {
-        let g = cyclic(n);
+        let g = cyclic_net(23, n);
         // Warm the global compile cache so timed iterations measure
         // stepping, not compilation.
         let _ = etpn_sim::get_or_compile(&g);

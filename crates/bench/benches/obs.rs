@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etpn_obs as obs;
-use etpn_sim::Simulator;
 use etpn_workloads::by_name;
 
 fn bench_primitives(c: &mut Criterion) {
@@ -33,13 +32,7 @@ fn bench_sim_at_levels(c: &mut Criterion) {
     ] {
         obs::set_level(level);
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut sim = Simulator::new(&d.etpn, w.env());
-                for (n, v) in &d.reg_inits {
-                    sim = sim.init_register(n, *v);
-                }
-                sim.run(w.max_steps).unwrap()
-            })
+            b.iter(|| d.simulator(w.env()).run(w.max_steps).unwrap())
         });
         obs::set_level(obs::Level::Off);
     }

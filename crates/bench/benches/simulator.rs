@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use etpn_sim::{event_structure, ScriptedEnv, Simulator};
-use etpn_workloads::{by_name, random_net};
+use etpn_workloads::{by_name, cyclic_net};
 
 fn bench_workload_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_workload_runs");
@@ -12,13 +12,7 @@ fn bench_workload_runs(c: &mut Criterion) {
         let w = by_name(name).unwrap();
         let d = etpn_synth::compile_source(&w.source).unwrap();
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut sim = Simulator::new(&d.etpn, w.env());
-                for (n, v) in &d.reg_inits {
-                    sim = sim.init_register(n, *v);
-                }
-                sim.run(w.max_steps).unwrap()
-            })
+            b.iter(|| d.simulator(w.env()).run(w.max_steps).unwrap())
         });
     }
     group.finish();
@@ -27,16 +21,7 @@ fn bench_workload_runs(c: &mut Criterion) {
 fn bench_sustained_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_sustained_steps");
     for &n in &[32usize, 256] {
-        let mut g = random_net(23, n);
-        let t_end = g
-            .ctl
-            .transitions()
-            .iter()
-            .find(|(_, tr)| tr.post.is_empty())
-            .map(|(t, _)| t)
-            .unwrap();
-        let first = g.ctl.initial_places()[0];
-        g.ctl.flow_ts(t_end, first).unwrap();
+        let g = cyclic_net(23, n);
         group.bench_with_input(BenchmarkId::new("cyclic_1k_steps", n), &g, |b, g| {
             b.iter(|| Simulator::new(g, ScriptedEnv::new()).run(1_000).unwrap())
         });
@@ -48,11 +33,7 @@ fn bench_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_event_extraction");
     let w = by_name("fir16").unwrap();
     let d = etpn_synth::compile_source(&w.source).unwrap();
-    let mut sim = Simulator::new(&d.etpn, w.env());
-    for (n, v) in &d.reg_inits {
-        sim = sim.init_register(n, *v);
-    }
-    let trace = sim.run(w.max_steps).unwrap();
+    let trace = d.simulator(w.env()).run(w.max_steps).unwrap();
     group.bench_function("fir16_structure", |b| {
         b.iter(|| event_structure(&d.etpn, &trace))
     });

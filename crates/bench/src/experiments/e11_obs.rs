@@ -14,10 +14,10 @@
 //! indistinguishable from noise against an uninstrumented build (the
 //! always-on counters are four relaxed adds per step).
 
+use crate::measure::measure;
 use crate::table::Table;
 use crate::Scale;
 use etpn_obs as obs;
-use etpn_sim::Simulator;
 use etpn_workloads::by_name;
 use std::time::Instant;
 
@@ -30,39 +30,36 @@ pub fn run(scale: Scale) -> Table {
     );
     let w = by_name("gcd").expect("gcd workload exists");
     let d = etpn_synth::compile_source(&w.source).expect("gcd compiles");
-    let reps = scale.n(20, 500) as u64;
-
-    let measure = |level: obs::Level| -> (u64, f64) {
-        obs::set_level(level);
-        let mut steps = 0u64;
+    let levels = [
+        ("off", obs::Level::Off),
+        ("stats", obs::Level::Stats),
+        ("trace", obs::Level::Trace),
+    ];
+    // A sample runs gcd `reps` times at the arm's level.
+    let reps = scale.n(20, 500);
+    let mut steps = [0u64; 3];
+    let m = measure(levels.len(), scale.n(3, 5), |arm| {
+        obs::set_level(levels[arm].1);
         let t0 = Instant::now();
-        for _ in 0..reps {
-            let mut sim = Simulator::new(&d.etpn, w.env());
-            for (n, v) in &d.reg_inits {
-                sim = sim.init_register(n, *v);
-            }
-            steps += sim.run(w.max_steps).expect("gcd runs").steps;
-        }
-        let dt = t0.elapsed().as_secs_f64();
+        steps[arm] = (0..reps)
+            .map(|_| {
+                d.simulator(w.env())
+                    .run(w.max_steps)
+                    .expect("gcd runs")
+                    .steps
+            })
+            .sum();
+        let dt = t0.elapsed();
         // Lowering the level drops the profile root and its spans.
         obs::set_level(obs::Level::Off);
-        (steps, steps as f64 / dt)
-    };
-
-    // One warm-up sweep so the first measured level pays no cold-cache tax.
-    let _ = measure(obs::Level::Off);
-    let (steps, off) = measure(obs::Level::Off);
-    let levels = [
-        ("off", off),
-        ("stats", measure(obs::Level::Stats).1),
-        ("trace", measure(obs::Level::Trace).1),
-    ];
-    for (name, sps) in levels {
+        (steps[arm], dt)
+    });
+    for (arm, (name, _)) in levels.iter().enumerate() {
         table.row([
             name.to_string(),
-            steps.to_string(),
-            format!("{sps:.0}"),
-            format!("{:+.1}", (off / sps - 1.0) * 100.0),
+            steps[arm].to_string(),
+            format!("{:.0}", m.rate(arm)),
+            format!("{:+.1}", (m.ratio(0, arm) - 1.0) * 100.0),
         ]);
     }
     table.interpret(

@@ -6,10 +6,9 @@
 //!    consecutive batches stop adding coverage, and what do the saturated
 //!    place/transition percentages look like once `etpn-lint`'s
 //!    statically-dead fixpoint is folded out of the denominators?
-//! 2. *Overhead*: what does `with_coverage` cost per step, measured the
-//!    E11 way (repeated runs, instrumented vs. baseline, interleaved) on
-//!    long GCD runs under the interpreter and on the 1024-place cyclic
-//!    net under the compiled backend? The acceptance bound is ≤ 5%. After
+//! 2. *Overhead*: what does `with_coverage` cost per step on long GCD
+//!    runs under the interpreter and on the 1024-place cyclic net under
+//!    the compiled backend? The acceptance bound is ≤ 5%. After
 //!    a full evaluation walk (every interpreter step) collection is one
 //!    word-parallel arc-set OR plus one value check per not-yet-toggled
 //!    output port; on the compiled backend's incremental steps it reads
@@ -18,23 +17,13 @@
 //!    transition, and the per-place/-transition counters are absorbed
 //!    from the engine's existing counts at run end.
 
-use super::e9_throughput::cyclic_net;
+use crate::measure::{measure, Measurement};
 use crate::table::Table;
 use crate::Scale;
 use etpn_cov::{report, StaticDead};
-use etpn_sim::{FiringPolicy, Fleet, RunSpec, SaturationConfig, SimJob, Simulator};
-use etpn_workloads::by_name;
-use std::time::{Duration, Instant};
-
-/// The seed → policy mapping `etpnc cov` uses: seed 0 is the
-/// deterministic reference, then the randomized policies alternate.
-fn policy_of(seed: u64) -> FiringPolicy {
-    match seed {
-        0 => FiringPolicy::MaximalStep,
-        s if s % 2 == 1 => FiringPolicy::RandomMaximal { seed: s },
-        s => FiringPolicy::SingleRandom { seed: s },
-    }
-}
+use etpn_sim::{Fleet, RunSpec, SaturationConfig, SimJob, Simulator};
+use etpn_workloads::{by_name, cyclic_net};
+use std::time::Instant;
 
 /// Run E13.
 pub fn run(scale: Scale) -> Table {
@@ -59,18 +48,12 @@ pub fn run(scale: Scale) -> Table {
     for name in ["gcd", "diffeq", "ewf"] {
         let w = by_name(name).expect("workload exists");
         let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
-        let outcome = Fleet::new(0).run_saturation(
-            |seed| {
-                let spec = RunSpec {
-                    policy: policy_of(seed),
-                    max_steps: w.max_steps,
-                    registers: d.reg_inits.clone(),
-                    ..RunSpec::default()
-                };
-                SimJob::from_spec(&d.etpn, w.env(), spec)
-            },
-            cfg,
-        );
+        let spec = RunSpec {
+            max_steps: w.max_steps,
+            registers: d.reg_inits.clone(),
+            ..RunSpec::default()
+        };
+        let outcome = Fleet::new(0).run_saturation(SimJob::from_spec(&d.etpn, w.env(), spec), cfg);
         let db = outcome.coverage.expect("workloads simulate successfully");
         let (dead_p, dead_t) = etpn_lint::statically_dead(&d.etpn.ctl);
         let rep = report(
@@ -89,52 +72,43 @@ pub fn run(scale: Scale) -> Table {
         ]);
     }
 
-    // Collection overhead, E11-style: repeated GCD runs with and without
-    // the collector attached. Two measurement choices matter on a noisy
-    // box: the variants are *interleaved* run by run so clock drift hits
-    // both timers equally, and the inputs (99991, 7) force tens of
-    // thousands of subtraction steps per run so the timed window is
+    // Collection overhead: repeated GCD runs without (arm 0) and with
+    // (arm 1) the collector attached. The inputs (99991, 7) force tens of
+    // thousands of subtraction steps per run, so the timed window is
     // steady-state per-step work, not per-run setup inside the noise
     // floor.
     let w = by_name("gcd").expect("gcd workload exists");
     let d = etpn_synth::compile_source(&w.source).expect("gcd compiles");
-    let reps = scale.n(3, 25) as u64;
-    let gcd_run = |coverage: bool| -> (u64, Duration) {
+    let reps = scale.n(3, 25);
+    let gcd = measure(2, reps, |arm| {
         let env = etpn_sim::ScriptedEnv::new()
             .with_stream("a", [99_991])
             .with_stream("b", [7]);
-        let mut sim = Simulator::new(&d.etpn, env);
-        for (n, v) in &d.reg_inits {
-            sim = sim.init_register(n, *v);
-        }
-        if coverage {
+        let mut sim = d.simulator(env);
+        if arm == 1 {
             sim = sim.with_coverage();
         }
         let t0 = Instant::now();
         let steps = sim.run(1_000_000).expect("gcd runs").steps;
         (steps, t0.elapsed())
-    };
-    table.row(overhead_row("gcd overhead", reps, gcd_run));
+    });
+    table.row(overhead_row("gcd overhead", reps, &gcd));
 
     // The same on a large net under the compiled backend, where a step
     // touches a handful of ports out of thousands: the E9c 1024-place
     // cyclic net, where event-driven collection matters most.
     let net = cyclic_net(23, 1024);
     let budget = scale.n(8_192, 65_536) as u64;
-    let net_run = |coverage: bool| -> (u64, Duration) {
+    let big = measure(2, reps, |arm| {
         let mut sim = Simulator::new(&net, etpn_sim::ScriptedEnv::new()).compiled();
-        if coverage {
+        if arm == 1 {
             sim = sim.with_coverage();
         }
         let t0 = Instant::now();
         let steps = sim.run(budget).expect("random1024 runs").steps;
         (steps, t0.elapsed())
-    };
-    table.row(overhead_row(
-        "random1024 overhead (compiled)",
-        reps,
-        net_run,
-    ));
+    });
+    table.row(overhead_row("random1024 overhead (compiled)", reps, &big));
     table.interpret(
         "every workload saturates place/transition/arc/guard coverage from \
          a handful of policy seeds once statically-dead items leave the \
@@ -143,42 +117,16 @@ pub fn run(scale: Scale) -> Table {
     table
 }
 
-/// Collection overhead of one subject as a table row: `one_run(coverage)`
-/// runs the subject once and returns `(steps, wall time)`. Runs with and
-/// without coverage alternate after a warm-up of both, and the reported
-/// overhead is the median of the per-pair ratios, so a scheduler spike
-/// that lands on one run distorts that pair only.
-fn overhead_row(label: &str, reps: u64, one_run: impl Fn(bool) -> (u64, Duration)) -> [String; 7] {
-    for _ in 0..2 {
-        let _ = one_run(false);
-        let _ = one_run(true);
-    }
-    let mut base_rates = Vec::new();
-    let mut cov_rates = Vec::new();
-    let mut ratios = Vec::new();
-    for _ in 0..reps {
-        let (s, t) = one_run(false);
-        let base = s as f64 / t.as_secs_f64();
-        let (s, t) = one_run(true);
-        let cov = s as f64 / t.as_secs_f64();
-        base_rates.push(base);
-        cov_rates.push(cov);
-        ratios.push(base / cov);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let base = median(&mut base_rates);
-    let with_cov = median(&mut cov_rates);
-    let overhead = (median(&mut ratios) - 1.0) * 100.0;
+/// The table row of one subject's collection overhead: arm 0 runs
+/// without coverage, arm 1 with it.
+fn overhead_row(label: &str, reps: usize, m: &Measurement) -> [String; 7] {
     [
         label.to_string(),
         format!("{reps} pairs"),
         "-".to_string(),
-        format!("{base:.0}/s"),
-        format!("{with_cov:.0}/s"),
-        format!("{overhead:+.1}%"),
+        format!("{:.0}/s", m.rate(0)),
+        format!("{:.0}/s", m.rate(1)),
+        format!("{:+.1}%", (m.ratio(0, 1) - 1.0) * 100.0),
         "≤5% bound".to_string(),
     ]
 }

@@ -8,10 +8,7 @@
 //! full-journal mode differs only in never evicting. The acceptance bound
 //! is ≤ 5% steps/s overhead for the default ring settings.
 //!
-//! Measured the E11/E13 way: instrumented and baseline runs are
-//! *interleaved* rep by rep so clock drift hits all timers equally, and
-//! the per-pair ratio median is reported so a scheduler spike on one run
-//! distorts that pair only. Three subjects:
+//! Three subjects:
 //!
 //! * the whole benchmark catalogue, aggregated (representative inputs —
 //!   short control-dominated runs),
@@ -20,85 +17,36 @@
 //! * `random512`, the E9c 512-place cyclic net (wide concurrent markings,
 //!   so the per-step fired/latch deltas are as fat as they get).
 
+use super::compiled_catalog;
+use crate::measure::{measure, Measurement};
 use crate::table::Table;
 use crate::Scale;
-use etpn_core::Etpn;
 use etpn_rec::RecordConfig;
 use etpn_sim::{ScriptedEnv, Simulator};
-use etpn_synth::CompiledDesign;
-use etpn_workloads::{by_name, catalog, random_net};
-use std::time::Instant;
+use etpn_workloads::{by_name, cyclic_net};
+use std::time::{Duration, Instant};
 
-/// Make a random net cyclic, exactly as E9/E9c do.
-fn cyclic_net(seed: u64, n: usize) -> Etpn {
-    let mut g = random_net(seed, n);
-    let t_end = g
-        .ctl
-        .transitions()
-        .iter()
-        .find(|(_, tr)| tr.post.is_empty())
-        .map(|(t, _)| t)
-        .expect("random nets have a terminal transition");
-    let first = g.ctl.initial_places()[0];
-    g.ctl.flow_ts(t_end, first).expect("fresh flow edge");
-    g
+/// The recorder configuration of each measured arm: arm 0 is the
+/// unrecorded baseline, arm 1 the default ring, arm 2 the full journal.
+fn mode(arm: usize) -> Option<RecordConfig> {
+    match arm {
+        0 => None,
+        1 => Some(RecordConfig::default()),
+        _ => Some(RecordConfig::full(1024)),
+    }
 }
 
-/// A named recorder mode: `None` is the unrecorded baseline.
-type Mode = (&'static str, Option<fn() -> RecordConfig>);
-
-/// The three measured recorder modes, in row order.
-const MODES: [Mode; 3] = [
-    ("baseline", None),
-    ("ring", Some(RecordConfig::default)),
-    ("full", Some(|| RecordConfig::full(1024))),
-];
-
-/// Steps/s for one run of `subject` under the given recorder mode.
-type RunFn<'a> = dyn Fn(Option<RecordConfig>) -> (u64, std::time::Duration) + 'a;
-
-/// Interleaved median-of-pairs overhead measurement for one subject.
-/// Returns `(baseline steps/s, ring steps/s, full steps/s, ring %, full %)`.
-fn measure(one_run: &RunFn<'_>, reps: u64) -> (f64, f64, f64, f64, f64) {
-    for _ in 0..2 {
-        for (_, cfg) in MODES {
-            let _ = one_run(cfg.map(|f| f()));
-        }
-    }
-    let mut rates: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut ratios: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for _ in 0..reps {
-        let mut pair = [0.0f64; 3];
-        for (i, (_, cfg)) in MODES.iter().enumerate() {
-            let (steps, dt) = one_run(cfg.map(|f| f()));
-            pair[i] = steps as f64 / dt.as_secs_f64();
-            rates[i].push(pair[i]);
-        }
-        ratios[0].push(pair[0] / pair[1]);
-        ratios[1].push(pair[0] / pair[2]);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (
-        median(&mut rates[0]),
-        median(&mut rates[1]),
-        median(&mut rates[2]),
-        (median(&mut ratios[0]) - 1.0) * 100.0,
-        (median(&mut ratios[1]) - 1.0) * 100.0,
-    )
-}
-
-/// A simulator for a compiled workload design, with registers initialised
-/// and the design fingerprint precomputed — batch drivers (the fleet, this
-/// harness) derive the fingerprint once per design, not once per run.
-fn sim<'a>(d: &'a CompiledDesign, fp: u64, env: ScriptedEnv) -> Simulator<'a, ScriptedEnv> {
-    let mut sim = Simulator::new(&d.etpn, env).with_design_fingerprint(fp);
-    for (n, v) in &d.reg_inits {
-        sim = sim.init_register(n, *v);
-    }
-    sim
+/// The table row of one subject, measured over the three [`mode`]s.
+fn row(subject: String, reps: usize, m: &Measurement) -> [String; 7] {
+    [
+        subject,
+        format!("{reps} pairs"),
+        format!("{:.0}", m.rate(0)),
+        format!("{:.0}", m.rate(1)),
+        format!("{:.0}", m.rate(2)),
+        format!("{:+.1}%", (m.ratio(0, 1) - 1.0) * 100.0),
+        format!("{:+.1}%", (m.ratio(0, 2) - 1.0) * 100.0),
+    ]
 }
 
 /// Run E14.
@@ -116,22 +64,18 @@ pub fn run(scale: Scale) -> Table {
             "full ovh",
         ],
     );
-    let reps = scale.n(3, 25) as u64;
+    let reps = scale.n(3, 25);
 
     // 1. The whole catalogue, aggregated: every workload once per rep, on
     //    its representative inputs.
-    let compiled: Vec<CompiledDesign> = catalog()
-        .iter()
-        .map(|w| etpn_synth::compile_source(&w.source).expect("workload compiles"))
-        .collect();
-    let cat = catalog();
-    let fps: Vec<u64> = compiled.iter().map(|d| d.etpn.fingerprint()).collect();
-    let catalogue_run = |cfg: Option<RecordConfig>| -> (u64, std::time::Duration) {
+    let designs = compiled_catalog();
+    let fps: Vec<u64> = designs.iter().map(|(_, d)| d.etpn.fingerprint()).collect();
+    let m = measure(3, reps, |arm| {
         let mut steps = 0u64;
-        let mut total = std::time::Duration::ZERO;
-        for ((w, d), &fp) in cat.iter().zip(&compiled).zip(&fps) {
-            let mut s = sim(d, fp, w.env());
-            if let Some(cfg) = cfg {
+        let mut total = Duration::ZERO;
+        for ((w, d), &fp) in designs.iter().zip(&fps) {
+            let mut s = d.simulator(w.env()).with_design_fingerprint(fp);
+            if let Some(cfg) = mode(arm) {
                 s = s.with_recorder(cfg);
             }
             let t0 = Instant::now();
@@ -139,66 +83,39 @@ pub fn run(scale: Scale) -> Table {
             total += t0.elapsed();
         }
         (steps, total)
-    };
-    let (b, r, f, ro, fo) = measure(&catalogue_run, reps);
-    table.row([
-        format!("catalogue ({})", cat.len()),
-        format!("{reps} pairs"),
-        format!("{b:.0}"),
-        format!("{r:.0}"),
-        format!("{f:.0}"),
-        format!("{ro:+.1}%"),
-        format!("{fo:+.1}%"),
-    ]);
+    });
+    table.row(row(format!("catalogue ({})", designs.len()), reps, &m));
 
     // 2. Long steady-state GCD: per-step cost dominates, setup vanishes.
     let w = by_name("gcd").expect("gcd workload exists");
     let d = etpn_synth::compile_source(&w.source).expect("gcd compiles");
     let gcd_fp = d.etpn.fingerprint();
-    let gcd_run = |cfg: Option<RecordConfig>| -> (u64, std::time::Duration) {
+    let m = measure(3, reps, |arm| {
         let env = ScriptedEnv::new()
             .with_stream("a", [99_991])
             .with_stream("b", [7]);
-        let mut s = sim(&d, gcd_fp, env);
-        if let Some(cfg) = cfg {
+        let mut s = d.simulator(env).with_design_fingerprint(gcd_fp);
+        if let Some(cfg) = mode(arm) {
             s = s.with_recorder(cfg);
         }
         let t0 = Instant::now();
         (s.run(1_000_000).expect("gcd runs").steps, t0.elapsed())
-    };
-    let (b, r, f, ro, fo) = measure(&gcd_run, reps);
-    table.row([
-        "gcd (long)".to_string(),
-        format!("{reps} pairs"),
-        format!("{b:.0}"),
-        format!("{r:.0}"),
-        format!("{f:.0}"),
-        format!("{ro:+.1}%"),
-        format!("{fo:+.1}%"),
-    ]);
+    });
+    table.row(row("gcd (long)".to_string(), reps, &m));
 
     // 3. The E9c 512-place cyclic net: maximally wide per-step deltas.
     let g = cyclic_net(23, 512);
     let g_fp = g.fingerprint();
     let budget = scale.n(2_000, 50_000) as u64;
-    let rand_run = |cfg: Option<RecordConfig>| -> (u64, std::time::Duration) {
+    let m = measure(3, reps, |arm| {
         let mut s = Simulator::new(&g, ScriptedEnv::new()).with_design_fingerprint(g_fp);
-        if let Some(cfg) = cfg {
+        if let Some(cfg) = mode(arm) {
             s = s.with_recorder(cfg);
         }
         let t0 = Instant::now();
         (s.run(budget).expect("net runs").steps, t0.elapsed())
-    };
-    let (b, r, f, ro, fo) = measure(&rand_run, reps);
-    table.row([
-        "random512".to_string(),
-        format!("{reps} pairs"),
-        format!("{b:.0}"),
-        format!("{r:.0}"),
-        format!("{f:.0}"),
-        format!("{ro:+.1}%"),
-        format!("{fo:+.1}%"),
-    ]);
+    });
+    table.row(row("random512".to_string(), reps, &m));
 
     table.interpret(
         "the default ring recorder stays within the 5% always-on budget: \

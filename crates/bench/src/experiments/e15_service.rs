@@ -8,17 +8,17 @@
 //! disabled (`tracing: false` — trace ids and status-plane metrics stay
 //! on either way, they predate this plane's knob).
 //!
-//! Measured the E14 way: two in-process servers (tracing off / on) are
-//! started once per subject, the same request batch is replayed against
-//! both *interleaved* rep by rep so clock drift hits both timers equally,
-//! and the per-pair ratio median is reported. Two subjects, both from
-//! the behavioural workload catalogue on their representative inputs:
+//! Two in-process servers (tracing off / on) are started once per
+//! subject, and the same request batch is replayed against both. Two
+//! subjects, both from the behavioural workload catalogue on their
+//! representative inputs:
 //!
 //! * `gcd` — a short control-dominated run, so per-request service cost
 //!   (parse, dispatch, trace bookkeeping) is a large slice of the total;
 //! * `diffeq` — the HAL differential-equation solver, a longer
 //!   datapath-heavy run where engine time dilutes fixed per-request cost.
 
+use crate::measure::measure;
 use crate::table::Table;
 use crate::Scale;
 use etpn_core::json::Json;
@@ -63,10 +63,10 @@ fn run_body(w: &Workload) -> String {
     .pretty()
 }
 
-/// Requests/s for one sequential batch of `n` runs against `addr`. Every
+/// One sequential batch of `n` runs against `addr`: `(n, elapsed)`. Every
 /// response must be a 200 carrying a trace id — the id is issued whether
 /// or not span collection is on, so this also pins the header contract.
-fn throughput(addr: &str, body: &str, n: usize) -> f64 {
+fn batch(addr: &str, body: &str, n: usize) -> (u64, Duration) {
     let t0 = Instant::now();
     for _ in 0..n {
         let r = request(addr, "POST", "/v1/run", Some(body), T).expect("run transport");
@@ -78,7 +78,7 @@ fn throughput(addr: &str, body: &str, n: usize) -> f64 {
             "response without a trace id"
         );
     }
-    n as f64 / t0.elapsed().as_secs_f64()
+    (n as u64, t0.elapsed())
 }
 
 /// Run E15.
@@ -88,42 +88,25 @@ pub fn run(scale: Scale) -> Table {
         "service tracing overhead: requests/s, span collection off vs on",
         &["design", "reps", "off /s", "on /s", "overhead"],
     );
-    let reps = scale.n(3, 15) as u64;
-    let batch = scale.n(4, 40);
+    let reps = scale.n(3, 15);
+    let size = scale.n(4, 40);
 
     for name in ["gcd", "diffeq"] {
         let w = by_name(name).expect("catalogue workload exists");
         let body = run_body(&w);
         let off = server(false);
         let on = server(true);
-        let (off_addr, on_addr) = (off.addr.to_string(), on.addr.to_string());
-        register(&off_addr, &w);
-        register(&on_addr, &w);
-
-        for _ in 0..2 {
-            let _ = throughput(&off_addr, &body, batch);
-            let _ = throughput(&on_addr, &body, batch);
+        let addrs = [off.addr.to_string(), on.addr.to_string()];
+        for addr in &addrs {
+            register(addr, &w);
         }
-        let mut offs = Vec::new();
-        let mut ons = Vec::new();
-        let mut ratios = Vec::new();
-        for _ in 0..reps {
-            let a = throughput(&off_addr, &body, batch);
-            let b = throughput(&on_addr, &body, batch);
-            offs.push(a);
-            ons.push(b);
-            ratios.push(a / b);
-        }
-        let median = |v: &mut Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
+        let m = measure(2, reps, |arm| batch(&addrs[arm], &body, size));
         table.row([
             name.to_string(),
             format!("{reps} pairs"),
-            format!("{:.0}", median(&mut offs)),
-            format!("{:.0}", median(&mut ons)),
-            format!("{:+.1}%", (median(&mut ratios) - 1.0) * 100.0),
+            format!("{:.0}", m.rate(0)),
+            format!("{:.0}", m.rate(1)),
+            format!("{:+.1}%", (m.ratio(0, 1) - 1.0) * 100.0),
         ]);
         off.shutdown();
         on.shutdown();

@@ -6,28 +6,21 @@
 //! execution). Shape: per-step cost scales with the active-port count;
 //! steps/s falls roughly linearly in design size.
 
+use super::compiled_catalog;
+use crate::measure::measure;
 use crate::table::Table;
 use crate::Scale;
-use etpn_core::Etpn;
 use etpn_sim::{Backend, FiringPolicy, Fleet, RunSpec, ScriptedEnv, SimJob, Simulator};
-use etpn_workloads::{catalog, random_net};
+use etpn_synth::CompiledDesign;
+use etpn_workloads::{cyclic_net, Workload};
 use std::time::Instant;
 
-/// Make a random net cyclic: loop the terminal transition back to start.
-pub(crate) fn cyclic_net(seed: u64, n: usize) -> Etpn {
-    let mut g = random_net(seed, n);
-    // `random_net` ends with a token-consuming `t_end`; wire it back to the
-    // first place to keep the net running forever.
-    let t_end = g
-        .ctl
-        .transitions()
-        .iter()
-        .find(|(_, tr)| tr.post.is_empty())
-        .map(|(t, _)| t)
-        .expect("random nets have a terminal transition");
-    let first = g.ctl.initial_places()[0];
-    g.ctl.flow_ts(t_end, first).expect("fresh flow edge");
-    g
+/// The random cyclic net sizes of E9 and E9c.
+fn sizes(scale: Scale) -> &'static [usize] {
+    match scale {
+        Scale::Quick => &[32, 128],
+        Scale::Full => &[32, 128, 512, 1024],
+    }
 }
 
 /// Run E9.
@@ -37,50 +30,46 @@ pub fn run(scale: Scale) -> Table {
         "simulator throughput",
         &["design", "|S|", "ports", "steps", "steps/s", "events/s"],
     );
-    // Benchmarks: run their representative input repeatedly.
-    let reps = scale.n(3, 20) as u64;
-    for w in catalog() {
-        let d = etpn_synth::compile_source(&w.source).unwrap();
-        let mut steps = 0u64;
-        let mut events = 0u64;
+    // One arm per row. A benchmark arm runs its representative input
+    // `reps` times; a random cyclic net arm steps `budget` steps once.
+    let designs = compiled_catalog();
+    let sizes = sizes(scale);
+    let nets: Vec<_> = sizes.iter().map(|&n| cyclic_net(23, n)).collect();
+    let reps = scale.n(3, 20);
+    let budget = scale.n(2_000, 50_000) as u64;
+    // Every sample of an arm does the same deterministic work: keep its
+    // step and event counts.
+    let mut counts = vec![(0u64, 0u64); designs.len() + nets.len()];
+    let m = measure(counts.len(), scale.n(3, 5), |arm| {
+        let one_run = || match designs.get(arm) {
+            Some((w, d)) => d.simulator(w.env()).run(w.max_steps),
+            None => Simulator::new(&nets[arm - designs.len()], ScriptedEnv::new()).run(budget),
+        };
+        let runs = if arm < designs.len() { reps } else { 1 };
+        let (mut steps, mut events) = (0, 0);
         let t0 = Instant::now();
-        for _ in 0..reps {
-            let mut sim = Simulator::new(&d.etpn, w.env());
-            for (n, v) in &d.reg_inits {
-                sim = sim.init_register(n, *v);
-            }
-            let trace = sim.run(w.max_steps).unwrap();
+        for _ in 0..runs {
+            let trace = one_run().unwrap();
             steps += trace.steps;
             events += trace.event_count() as u64;
         }
-        let dt = t0.elapsed().as_secs_f64();
+        let dt = t0.elapsed();
+        counts[arm] = (steps, events);
+        (steps, dt)
+    });
+    let names = designs.iter().map(|(w, _)| w.name.to_string());
+    let names = names.chain(sizes.iter().map(|n| format!("random{n}")));
+    let graphs = designs.iter().map(|(_, d)| &d.etpn).chain(&nets);
+    for (arm, (name, g)) in names.zip(graphs).enumerate() {
+        let (steps, events) = counts[arm];
+        let sps = m.rate(arm);
         table.row([
-            w.name.to_string(),
-            d.etpn.ctl.places().len().to_string(),
-            d.etpn.dp.ports().len().to_string(),
-            steps.to_string(),
-            format!("{:.0}", steps as f64 / dt),
-            format!("{:.0}", events as f64 / dt),
-        ]);
-    }
-    // Random cyclic nets: sustained stepping.
-    let sizes: &[usize] = match scale {
-        Scale::Quick => &[32, 128],
-        Scale::Full => &[32, 128, 512, 1024],
-    };
-    let budget = scale.n(2_000, 50_000) as u64;
-    for &n in sizes {
-        let g = cyclic_net(23, n);
-        let t0 = Instant::now();
-        let trace = Simulator::new(&g, ScriptedEnv::new()).run(budget).unwrap();
-        let dt = t0.elapsed().as_secs_f64();
-        table.row([
-            format!("random{n}"),
+            name,
             g.ctl.places().len().to_string(),
             g.dp.ports().len().to_string(),
-            trace.steps.to_string(),
-            format!("{:.0}", trace.steps as f64 / dt),
-            format!("{:.0}", trace.event_count() as f64 / dt),
+            steps.to_string(),
+            format!("{sps:.0}"),
+            format!("{:.0}", sps * events as f64 / steps as f64),
         ]);
     }
     table.interpret("steps/s falls roughly linearly with design size");
@@ -90,10 +79,7 @@ pub fn run(scale: Scale) -> Table {
 /// The E9b policy battery: one deterministic run plus seeded sweeps of the
 /// two randomized policies for every benchmark design, on the fleet's
 /// default backend.
-fn battery_jobs<'a>(
-    designs: &'a [(etpn_workloads::Workload, etpn_synth::CompiledDesign)],
-    seeds: u64,
-) -> Vec<SimJob<'a>> {
+fn battery_jobs<'a>(designs: &'a [(Workload, CompiledDesign)], seeds: u64) -> Vec<SimJob<'a>> {
     let mut jobs = Vec::new();
     for (w, d) in designs {
         for policy in FiringPolicy::battery(seeds) {
@@ -123,45 +109,40 @@ pub fn run_fleet(scale: Scale) -> Table {
             "speedup",
         ],
     );
-    let designs: Vec<(etpn_workloads::Workload, etpn_synth::CompiledDesign)> = catalog()
-        .into_iter()
-        .map(|w| {
-            let d = etpn_synth::compile_source(&w.source).unwrap();
-            (w, d)
-        })
-        .collect();
+    let designs = compiled_catalog();
     // 1 + 2·seeds jobs per design; seeds=4 ⇒ 9 × |catalog| ≥ 64 jobs.
     let seeds = 4;
-    let repeats = scale.n(1, 5) as u32;
+    let n_jobs = battery_jobs(&designs, seeds).len();
 
-    // Sequential baseline: the plain loop over the same jobs.
-    let t0 = Instant::now();
-    for _ in 0..repeats {
-        for job in battery_jobs(&designs, seeds) {
-            job.run().unwrap();
-        }
-    }
-    let seq = t0.elapsed().as_secs_f64() / f64::from(repeats);
-
-    for workers in [1usize, 8] {
-        let fleet = Fleet::new(workers);
-        let mut n_jobs = 0;
+    // Arm 0 is the sequential baseline, the plain loop over the same
+    // jobs; arm i > 0 runs them on `fleets[i - 1]`.
+    let workers = [1usize, 8];
+    let fleets = workers.map(Fleet::new);
+    let m = measure(1 + fleets.len(), scale.n(3, 25), |arm| {
+        let jobs = battery_jobs(&designs, seeds);
         let t0 = Instant::now();
-        for _ in 0..repeats {
-            let batch = fleet.run_batch(battery_jobs(&designs, seeds));
-            n_jobs = batch.stats.jobs;
-            for r in &batch.results {
-                r.as_ref().unwrap();
+        match arm.checked_sub(1) {
+            None => {
+                for job in jobs {
+                    job.run().unwrap();
+                }
+            }
+            Some(f) => {
+                for r in &fleets[f].run_batch(jobs).results {
+                    r.as_ref().unwrap();
+                }
             }
         }
-        let dt = t0.elapsed().as_secs_f64() / f64::from(repeats);
+        (1, t0.elapsed())
+    });
+    for (i, w) in workers.iter().enumerate() {
         table.row([
             "policy-battery".to_string(),
             n_jobs.to_string(),
-            workers.to_string(),
-            format!("{:.1}", seq * 1e3),
-            format!("{:.1}", dt * 1e3),
-            format!("{:.2}x", seq / dt),
+            w.to_string(),
+            format!("{:.1}", 1e3 / m.rate(0)),
+            format!("{:.1}", 1e3 / m.rate(i + 1)),
+            format!("{:.2}x", m.ratio(i + 1, 0)),
         ]);
     }
     table.interpret(
@@ -182,38 +163,33 @@ pub fn run_backends(scale: Scale) -> Table {
         "step engines: interp vs compiled vs compiled-no-dirty",
         &["design", "backend", "steps", "steps/s", "vs interp"],
     );
-    let sizes: &[usize] = match scale {
-        Scale::Quick => &[32, 128],
-        Scale::Full => &[32, 128, 512, 1024],
-    };
+    let backends = [
+        (Backend::Interp, "interp"),
+        (Backend::Compiled, "compiled"),
+        (Backend::CompiledNoDirty, "compiled-nodirty"),
+    ];
     let budget = scale.n(2_000, 50_000) as u64;
-    for &n in sizes {
+    for &n in sizes(scale) {
+        // The compiled arms' first warm-up run fills the process-wide
+        // compile cache, so no measured run pays the compilation.
         let g = cyclic_net(23, n);
-        // Compile outside the timed region: the process-wide cache means
-        // real fleets pay this once per design, not once per run.
-        etpn_sim::get_or_compile(&g);
-        let mut interp_sps = f64::NAN;
-        for (backend, label) in [
-            (Backend::Interp, "interp"),
-            (Backend::Compiled, "compiled"),
-            (Backend::CompiledNoDirty, "compiled-nodirty"),
-        ] {
+        let mut steps = [0u64; 3];
+        let m = measure(backends.len(), scale.n(3, 5), |arm| {
             let t0 = Instant::now();
             let trace = Simulator::new(&g, ScriptedEnv::new())
-                .with_backend(backend)
+                .with_backend(backends[arm].0)
                 .run(budget)
                 .unwrap();
-            let dt = t0.elapsed().as_secs_f64();
-            let sps = trace.steps as f64 / dt;
-            if backend == Backend::Interp {
-                interp_sps = sps;
-            }
+            steps[arm] = trace.steps;
+            (trace.steps, t0.elapsed())
+        });
+        for (arm, (_, label)) in backends.iter().enumerate() {
             table.row([
                 format!("random{n}"),
                 label.to_string(),
-                trace.steps.to_string(),
-                format!("{:.0}", sps),
-                format!("{:.2}x", sps / interp_sps),
+                steps[arm].to_string(),
+                format!("{:.0}", m.rate(arm)),
+                format!("{:.2}x", m.ratio(arm, 0)),
             ]);
         }
     }
@@ -263,12 +239,5 @@ mod tests {
                 assert!(sps > 0.0, "{row:?}");
             }
         }
-    }
-
-    #[test]
-    fn cyclic_net_runs_to_budget() {
-        let g = cyclic_net(1, 16);
-        let trace = Simulator::new(&g, ScriptedEnv::new()).run(500).unwrap();
-        assert_eq!(trace.steps, 500);
     }
 }

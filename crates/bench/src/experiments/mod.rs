@@ -19,6 +19,8 @@ pub mod e8_ablation;
 pub mod e9_throughput;
 
 use crate::table::Table;
+use etpn_synth::CompiledDesign;
+use etpn_workloads::{catalog, Workload};
 
 /// Experiment scale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,6 +39,17 @@ impl Scale {
             Scale::Full => full,
         }
     }
+}
+
+/// Every catalogue workload with its compiled design.
+pub(crate) fn compiled_catalog() -> Vec<(Workload, CompiledDesign)> {
+    catalog()
+        .into_iter()
+        .map(|w| {
+            let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
+            (w, d)
+        })
+        .collect()
 }
 
 /// Run every experiment in order.

@@ -15,6 +15,8 @@
 //! cargo run -p etpn-bench --release --bin experiments -- --json out.json
 //! ```
 //!
+//! Every timed row goes through [`measure::measure`]: a warm-up, then
+//! rounds that rotate which arm runs first, reported as medians.
 //! Criterion micro-benchmarks for the computational kernels live in
 //! `benches/`.
 
@@ -22,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod measure;
 pub mod seqgen;
 pub mod table;
 

@@ -4,7 +4,7 @@
 //! policy-invariance story to thread count — worker count and work-stealing
 //! order must be unobservable in the results.
 
-use etpn_sim::{event_structure, FiringPolicy, Fleet, RunSpec, SimJob, Simulator};
+use etpn_sim::{event_structure, FiringPolicy, Fleet, RunSpec, SimJob};
 use etpn_workloads::catalog;
 
 #[test]
@@ -21,11 +21,11 @@ fn fleet_matches_sequential_simulator_for_every_workload() {
         // rendering, so byte-comparing it is the strictest check available.
         let mut expected = Vec::new();
         for &policy in &policies {
-            let mut sim = Simulator::new(&d.etpn, w.env()).with_policy(policy);
-            for (n, v) in &d.reg_inits {
-                sim = sim.init_register(n, *v);
-            }
-            let trace = sim.run(w.max_steps).unwrap();
+            let trace = d
+                .simulator(w.env())
+                .with_policy(policy)
+                .run(w.max_steps)
+                .unwrap();
             let structure = event_structure(&d.etpn, &trace);
             expected.push((format!("{trace:?}"), format!("{structure:?}")));
         }

@@ -492,7 +492,12 @@ impl Recording {
             });
         }
         let first_step = c.varint()?;
-        let n_ck = c.count()?;
+        // A checkpoint takes at least 12 bytes (three empty counts, a
+        // one-byte step and the digest), a row at least 5 (four empty
+        // counts and its flags): the preallocations below stay within a
+        // small multiple of the input.
+        let n_ck = c.varint()?;
+        let n_ck = c.check_count(n_ck, 12)?;
         let mut checkpoints = Vec::with_capacity(n_ck);
         for _ in 0..n_ck {
             let step = c.varint()?;
@@ -526,7 +531,8 @@ impl Recording {
                 digest,
             });
         }
-        let n_rec = c.count()?;
+        let n_rec = c.varint()?;
+        let n_rec = c.check_count(n_rec, 5)?;
         let mut rec = Self {
             meta,
             first_step,

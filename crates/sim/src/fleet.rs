@@ -487,17 +487,16 @@ impl Fleet {
     /// [`CovDb::signature`] stops changing) or
     /// [`SaturationConfig::max_batches`] is hit.
     ///
-    /// `make_job` maps a seed to a job; coverage collection is forced on
-    /// regardless of how the job was built. Seeds are drawn sequentially
+    /// Seed `s` runs a copy of `proto` under [`FiringPolicy::for_seed`]`(s)`
+    /// with coverage collection forced on. Seeds are drawn sequentially
     /// from 0, so the sweep — and its merged coverage — is reproducible.
-    pub fn run_saturation<'g, E, F>(
+    pub fn run_saturation<'g, E>(
         &self,
-        mut make_job: F,
+        proto: SimJob<'g, E>,
         cfg: SaturationConfig,
     ) -> SaturationOutcome
     where
         E: Environment + Clone + Send,
-        F: FnMut(u64) -> SimJob<'g, E>,
     {
         let mut merged: Option<CovDb> = None;
         let mut seeds_used = Vec::new();
@@ -517,7 +516,8 @@ impl Fleet {
             let jobs: Vec<SimJob<'g, E>> = seeds
                 .iter()
                 .map(|&seed| {
-                    let mut job = make_job(seed);
+                    let mut job = proto.clone();
+                    job.spec.policy = FiringPolicy::for_seed(seed);
                     job.spec.coverage = true;
                     job
                 })

@@ -66,6 +66,19 @@ impl FiringPolicy {
         policies
     }
 
+    /// The policy of seed `seed` in a coverage sweep: seed 0 is the
+    /// deterministic [`FiringPolicy::MaximalStep`] reference, then odd
+    /// seeds run [`FiringPolicy::RandomMaximal`] and even seeds
+    /// [`FiringPolicy::SingleRandom`], so the sweep explores both
+    /// maximal-step and interleaved schedules.
+    pub fn for_seed(seed: u64) -> FiringPolicy {
+        match seed {
+            0 => FiringPolicy::MaximalStep,
+            s if s % 2 == 1 => FiringPolicy::RandomMaximal { seed: s },
+            s => FiringPolicy::SingleRandom { seed: s },
+        }
+    }
+
     /// Build the per-run RNG (None for the deterministic policy).
     pub(crate) fn rng(&self) -> Option<SmallRng> {
         match self {

@@ -30,5 +30,5 @@ pub mod workload;
 
 pub use catalog::{by_name, catalog};
 pub use interp::{interpret, InterpError};
-pub use random::{random_design, random_net, random_program, ProgramShape};
+pub use random::{cyclic_net, random_design, random_net, random_program, ProgramShape};
 pub use workload::Workload;

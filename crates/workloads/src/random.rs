@@ -5,7 +5,9 @@
 //!   introduce genuine control concurrency;
 //! * [`random_net`] — random ETPN control skeletons built directly (serial
 //!   chains with nested fork/join diamonds over a register file), for
-//!   analysis benchmarks that need nets far larger than realistic programs;
+//!   analysis benchmarks that need nets far larger than realistic programs,
+//!   and [`cyclic_net`], the same skeleton looped back for sustained
+//!   stepping;
 //! * [`random_design`] — small full designs (data-path expression trees,
 //!   guarded branches, an input stream and an external output) for the
 //!   property-based backend cross-checks: shrinking-friendly in the sense
@@ -148,6 +150,23 @@ pub fn random_net(seed: u64, n_places: usize) -> Etpn {
     let t_end = b.transition("t_end");
     b.flow_st(current, t_end);
     b.finish().expect("generated net is valid")
+}
+
+/// [`random_net`] made cyclic for sustained stepping: the terminal
+/// transition `t_end` feeds the initial place back, so the net never
+/// terminates.
+pub fn cyclic_net(seed: u64, n_places: usize) -> Etpn {
+    let mut g = random_net(seed, n_places);
+    let t_end = g
+        .ctl
+        .transitions()
+        .iter()
+        .find(|(_, tr)| tr.post.is_empty())
+        .map(|(t, _)| t)
+        .expect("random nets have a terminal transition");
+    let first = g.ctl.initial_places()[0];
+    g.ctl.flow_ts(t_end, first).expect("fresh flow edge");
+    g
 }
 
 /// Generate a random small *full* design: expression trees over a register
@@ -331,6 +350,15 @@ mod tests {
             .run(100)
             .unwrap();
         assert_eq!(trace.termination, etpn_sim::Termination::Terminated);
+    }
+
+    #[test]
+    fn cyclic_net_runs_to_budget() {
+        let g = cyclic_net(1, 16);
+        let trace = etpn_sim::Simulator::new(&g, etpn_sim::ScriptedEnv::new())
+            .run(500)
+            .unwrap();
+        assert_eq!(trace.steps, 500);
     }
 
     #[test]

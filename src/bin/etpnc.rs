@@ -953,7 +953,7 @@ fn full_report(g: &etpn::core::Etpn, db: &etpn::cov::CovDb) -> etpn::cov::CovRep
 /// then report, optionally gate (`--fail-under`, exit 6), and export
 /// JSON / lcov / DOT renderings.
 fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
-    use etpn::sim::{FiringPolicy, Fleet, SaturationConfig};
+    use etpn::sim::{Fleet, SaturationConfig};
 
     let _span = obs::span("cov.cmd");
     let (design_path, src) = read_source(args)?;
@@ -967,24 +967,7 @@ fn cmd_cov(args: &[String]) -> Result<ExitCode, String> {
     };
 
     let fleet = Fleet::new(parse_flag(args, "--jobs")?.unwrap_or(0));
-    let outcome = fleet.run_saturation(
-        |seed| {
-            // Seed 0 is the deterministic reference; odd/even seeds then
-            // alternate the two randomized policies so the sweep explores
-            // both maximal-step and interleaved schedules.
-            let policy = match seed {
-                0 => FiringPolicy::MaximalStep,
-                s if s % 2 == 1 => FiringPolicy::RandomMaximal { seed: s },
-                s => FiringPolicy::SingleRandom { seed: s },
-            };
-            let spec = RunSpec {
-                policy,
-                ..spec.clone()
-            };
-            SimJob::from_spec(&d.etpn, env.clone(), spec)
-        },
-        cfg,
-    );
+    let outcome = fleet.run_saturation(SimJob::from_spec(&d.etpn, env, spec), cfg);
     println!(
         "saturation: {} batches × {} seeds = {} jobs, {} failures — {}",
         outcome.batches,

@@ -22,11 +22,7 @@ fn gcd_env(a: i64, b: i64) -> ScriptedEnv {
 
 /// The seed → policy mapping `etpnc cov` uses.
 fn policy_of(seed: u64) -> FiringPolicy {
-    match seed {
-        0 => FiringPolicy::MaximalStep,
-        s if s % 2 == 1 => FiringPolicy::RandomMaximal { seed: s },
-        s => FiringPolicy::SingleRandom { seed: s },
-    }
+    FiringPolicy::for_seed(seed)
 }
 
 /// A 5 000-step job under seed `seed`'s policy.
@@ -91,7 +87,7 @@ fn saturation_converges_and_covers_gcd_completely() {
         stable_batches: 3,
         max_batches: 64,
     };
-    let outcome = Fleet::new(4).run_saturation(|seed| seed_job(&d, gcd_env(3528, 3780), seed), cfg);
+    let outcome = Fleet::new(4).run_saturation(seed_job(&d, gcd_env(3528, 3780), 0), cfg);
     assert!(outcome.saturated, "gcd saturates well inside 64 batches");
     assert_eq!(outcome.failures, 0);
     assert_eq!(outcome.seeds_used.len() as u64, outcome.jobs);
@@ -117,7 +113,7 @@ fn saturation_is_reproducible() {
         stable_batches: 2,
         max_batches: 32,
     };
-    let run = || Fleet::new(2).run_saturation(|seed| seed_job(&d, gcd_env(12, 18), seed), cfg);
+    let run = || Fleet::new(2).run_saturation(seed_job(&d, gcd_env(12, 18), 0), cfg);
     let (a, b) = (run(), run());
     assert_eq!(a.seeds_used, b.seeds_used);
     assert_eq!(a.coverage, b.coverage);

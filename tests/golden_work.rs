@@ -20,7 +20,7 @@
 
 use etpn_core::Etpn;
 use etpn_sim::{Backend, ScriptedEnv, Simulator, WorkCounts};
-use etpn_workloads::{by_name, catalog, Workload};
+use etpn_workloads::{by_name, catalog, cyclic_net, Workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -28,22 +28,6 @@ use std::path::PathBuf;
 const PLACES: usize = 1024;
 /// Steps of the cyclic net's golden run.
 const NET_STEPS: u64 = 4096;
-
-/// A seeded `random_net` made cyclic, as the E9c benchmarks do: the
-/// terminal transition loops back to the initial place.
-fn cyclic_net(seed: u64, places: usize) -> Etpn {
-    let mut g = etpn_workloads::random_net(seed, places);
-    let t_end = g
-        .ctl
-        .transitions()
-        .iter()
-        .find(|(_, tr)| tr.post.is_empty())
-        .map(|(t, _)| t)
-        .unwrap();
-    let first = g.ctl.initial_places()[0];
-    g.ctl.flow_ts(t_end, first).unwrap();
-    g
-}
 
 /// The work of one catalogue workload's run on `backend`.
 fn workload_work(w: &Workload, backend: Backend) -> WorkCounts {

@@ -114,6 +114,24 @@ fn huge_claimed_counts_fail_without_large_allocations() {
     }
 }
 
+#[test]
+fn counts_are_bounded_by_the_least_width_of_their_elements() {
+    // 4 096 checkpoints, then 4 096 rows, each claimed over 4 096 zero
+    // bytes: one byte per element would fit, but a checkpoint takes at
+    // least 12 bytes and a row at least 5.
+    for (what, prefix) in [("checkpoints", &[0u8, 0, 0][..]), ("rows", &[0, 0, 0, 0])] {
+        let mut b = header();
+        b.extend(prefix);
+        varint(&mut b, 4096);
+        b.resize(b.len() + 4096, 0);
+        let result = decode_bounded(what, &b, 16, || Recording::from_bytes(&b));
+        assert!(
+            matches!(result, Err(RecError::Corrupt { .. })),
+            "{what}: {result:?}"
+        );
+    }
+}
+
 fn corrupt(bytes: &[u8]) -> (usize, String) {
     match Recording::from_bytes(bytes) {
         Err(RecError::Corrupt { offset, detail }) => (offset, detail),
@@ -158,6 +176,7 @@ fn ids_and_bits_above_u32_are_rejected_not_truncated() {
     let mut b = header();
     b.extend([0, 0, 0, 1, 0, 1]); // one checkpoint at step 0 over one place
     varint(&mut b, 1 << 32); // its token count
+    b.extend([0; 5]); // padding to a checkpoint's 12-byte minimum
     assert!(corrupt(&b).1.contains("token count"));
 
     let mut b = header();

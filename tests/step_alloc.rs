@@ -8,8 +8,8 @@
 //! The test binary installs a counting global allocator. Counts are kept
 //! per thread, so tests running in parallel do not disturb each other.
 
-use etpn_core::Etpn;
 use etpn_sim::{CompiledDesign, FiringPolicy, ScriptedEnv, Simulator};
+use etpn_workloads::cyclic_net;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -54,22 +54,6 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
-}
-
-/// A seeded `random_net` made cyclic, as the E9c benchmarks do: the
-/// terminal transition loops back to the initial place.
-fn cyclic_net(seed: u64, places: usize) -> Etpn {
-    let mut g = etpn_workloads::random_net(seed, places);
-    let t_end = g
-        .ctl
-        .transitions()
-        .iter()
-        .find(|(_, tr)| tr.post.is_empty())
-        .map(|(t, _)| t)
-        .unwrap();
-    let first = g.ctl.initial_places()[0];
-    g.ctl.flow_ts(t_end, first).unwrap();
-    g
 }
 
 #[test]
