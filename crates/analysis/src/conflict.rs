@@ -8,7 +8,7 @@
 //! `==` vs `!=`, `<=` vs `>`). Anything else is reported as a *potential*
 //! conflict for the designer (or the randomized oracle) to discharge.
 
-use etpn_core::{Etpn, Op, PlaceId, PortId, TransId};
+use etpn_core::{Etpn, PlaceId, PortId, TransId};
 
 /// Verdict for one shared-input-place transition pair.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -25,19 +25,6 @@ pub struct ConflictFinding {
     pub reason: String,
 }
 
-/// True when `a` and `b` are complementary comparison operations.
-fn complementary(a: Op, b: Op) -> bool {
-    matches!(
-        (a, b),
-        (Op::Lt, Op::Ge)
-            | (Op::Ge, Op::Lt)
-            | (Op::Le, Op::Gt)
-            | (Op::Gt, Op::Le)
-            | (Op::Eq, Op::Ne)
-            | (Op::Ne, Op::Eq)
-    )
-}
-
 /// True when the two guard port sets are provably mutually exclusive.
 fn guards_exclusive(g: &Etpn, g1: &[PortId], g2: &[PortId]) -> bool {
     // Multi-guard transitions OR their guards (Def. 3.1(4)); proving
@@ -49,7 +36,8 @@ fn guards_exclusive(g: &Etpn, g1: &[PortId], g2: &[PortId]) -> bool {
     g1.iter().all(|&p1| {
         g2.iter().all(|&p2| {
             let (port1, port2) = (g.dp.port(p1), g.dp.port(p2));
-            port1.vertex == port2.vertex && complementary(port1.operation(), port2.operation())
+            port1.vertex == port2.vertex
+                && port1.operation().complement() == Some(port2.operation())
         })
     })
 }
@@ -84,15 +72,10 @@ pub fn check_conflicts(g: &Etpn) -> Vec<ConflictFinding> {
     findings
 }
 
-/// True when every shared-input-place pair is provably exclusive.
-pub fn is_conflict_free(g: &Etpn) -> bool {
-    check_conflicts(g).iter().all(|f| f.proven_exclusive)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etpn_core::EtpnBuilder;
+    use etpn_core::{EtpnBuilder, Op};
 
     /// A branch place with two transitions guarded by `r < 0` and `r >= 0`.
     fn branch(complement: bool) -> Etpn {
@@ -151,13 +134,18 @@ mod tests {
         let findings = check_conflicts(&g);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].proven_exclusive, "{findings:?}");
-        assert!(is_conflict_free(&g));
+        assert_eq!(findings[0].reason, "complementary predicates on one vertex");
     }
 
     #[test]
     fn different_vertices_not_provable() {
         let g = branch(true);
-        assert!(!is_conflict_free(&g), "distinct comparators: not provable");
+        let findings = check_conflicts(&g);
+        assert_eq!(findings.len(), 1);
+        assert!(
+            !findings[0].proven_exclusive,
+            "distinct comparators: not provable"
+        );
     }
 
     #[test]
@@ -192,6 +180,5 @@ mod tests {
         b.mark(s);
         let g = b.finish().unwrap();
         assert!(check_conflicts(&g).is_empty());
-        assert!(is_conflict_free(&g));
     }
 }

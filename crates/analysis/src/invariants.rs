@@ -301,94 +301,6 @@ impl PInvariants {
                 && y.iter().zip(&m0).map(|(w, m)| w * m).sum::<i64>() == 1
         })
     }
-
-    /// The weighted initial token count of each basis invariant.
-    pub fn initial_counts(&self, control: &Control) -> Vec<i64> {
-        let m0: Vec<i64> = self
-            .places
-            .iter()
-            .map(|&s| i64::from(control.place(s).marked0))
-            .collect();
-        self.basis
-            .iter()
-            .map(|y| y.iter().zip(&m0).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-}
-
-/// A basis of T-invariants: firing-count vectors `x` with `N·x = 0` — a
-/// multiset of firings that reproduces the marking it started from. Every
-/// steady-state loop of a design (one iteration of a `while` body) shows up
-/// as a T-invariant; a net with no non-trivial T-invariant can only
-/// terminate.
-#[derive(Clone, Debug)]
-pub struct TInvariants {
-    /// Live transitions, defining the component order of the vectors.
-    pub transitions: Vec<etpn_core::TransId>,
-    /// Basis vectors (integer firing counts, not necessarily non-negative).
-    pub basis: Vec<Vec<i64>>,
-}
-
-/// Compute a basis of T-invariants (right null space of the incidence
-/// matrix) by the same fraction-free elimination as [`p_invariants`].
-pub fn t_invariants(control: &Control) -> TInvariants {
-    let places: Vec<PlaceId> = control.places().ids().collect();
-    let trans: Vec<etpn_core::TransId> = control.transitions().ids().collect();
-    let np = places.len();
-    let nt = trans.len();
-    let pidx = |s: PlaceId| places.iter().position(|&p| p == s).expect("live place");
-
-    // Rows are transitions: [Nᵀ | I]; eliminate the place columns.
-    let mut rows: Vec<(Vec<i128>, Vec<i128>)> = (0..nt)
-        .map(|i| {
-            let n = vec![0i128; np];
-            let mut id = vec![0i128; nt];
-            id[i] = 1;
-            (n, id)
-        })
-        .collect();
-    for (ti, &t) in trans.iter().enumerate() {
-        let tr = control.transition(t);
-        for &s in &tr.pre {
-            rows[ti].0[pidx(s)] -= 1;
-        }
-        for &s in &tr.post {
-            rows[ti].0[pidx(s)] += 1;
-        }
-    }
-    let mut pivot_rows: Vec<usize> = Vec::new();
-    for col in 0..np {
-        let Some(pr) = (0..rows.len()).find(|&r| !pivot_rows.contains(&r) && rows[r].0[col] != 0)
-        else {
-            continue;
-        };
-        pivot_rows.push(pr);
-        let (pn, pid) = rows[pr].clone();
-        let pv = pn[col];
-        for r in 0..rows.len() {
-            if r == pr || rows[r].0[col] == 0 {
-                continue;
-            }
-            let rv = rows[r].0[col];
-            for c in 0..np {
-                rows[r].0[c] = rows[r].0[c] * pv - pn[c] * rv;
-            }
-            for c in 0..nt {
-                rows[r].1[c] = rows[r].1[c] * pv - pid[c] * rv;
-            }
-            normalise(&mut rows[r]);
-        }
-    }
-    let basis = rows
-        .iter()
-        .enumerate()
-        .filter(|(r, (n, _))| !pivot_rows.contains(r) && n.iter().all(|&x| x == 0))
-        .map(|(_, (_, id))| id.iter().map(|&x| x as i64).collect())
-        .collect();
-    TInvariants {
-        transitions: trans,
-        basis,
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +330,6 @@ mod tests {
         assert_eq!(inv.basis.len(), 1);
         assert_eq!(inv.basis[0], vec![1, 1]);
         assert!(inv.structurally_safe(&c));
-        assert_eq!(inv.initial_counts(&c), vec![1]);
     }
 
     #[test]
@@ -571,27 +482,6 @@ mod tests {
         let inv = p_invariants(&closed);
         assert!(inv.structurally_safe(&closed));
         assert!(inv.excludes(&closed, s0, s1));
-    }
-
-    #[test]
-    fn t_invariant_of_a_cycle() {
-        let c = two_cycle();
-        let ti = t_invariants(&c);
-        assert_eq!(ti.basis.len(), 1);
-        assert_eq!(ti.basis[0], vec![1, 1], "fire both once to return");
-    }
-
-    #[test]
-    fn terminating_chain_has_no_t_invariant() {
-        let mut c = Control::new();
-        let s0 = c.add_place("s0");
-        let s1 = c.add_place("s1");
-        let t = c.add_transition("t");
-        c.flow_st(s0, t).unwrap();
-        c.flow_ts(t, s1).unwrap();
-        c.set_marked0(s0, true);
-        let ti = t_invariants(&c);
-        assert!(ti.basis.is_empty(), "{:?}", ti.basis);
     }
 
     #[test]

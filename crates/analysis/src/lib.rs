@@ -13,7 +13,8 @@
 //! * [`datadep`] — the data-dependence relations `↔` and `◇`
 //!   (Defs. 4.3/4.4) that bound the legal transformations;
 //! * [`mod@critical_path`] — state delays and the control critical path (§5);
-//! * [`invariants`] — P/T-invariants and structural safeness.
+//! * [`invariants`] — P-invariants, structural safeness and mutual
+//!   exclusion.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,12 +28,10 @@ pub mod proper;
 pub mod reach;
 
 pub use comb_loop::{find_all_comb_loops, find_comb_loop, CombLoop};
-pub use conflict::{check_conflicts, is_conflict_free, ConflictFinding};
+pub use conflict::{check_conflicts, ConflictFinding};
 pub use critical_path::{critical_path, default_delay, state_delay, CriticalPath};
 pub use datadep::DataDependence;
-pub use invariants::{
-    cyclic_closure, p_invariants, p_semiflows, t_invariants, PInvariants, TInvariants,
-};
+pub use invariants::{cyclic_closure, p_invariants, p_semiflows, PInvariants};
 pub use proper::{
     check_properly_designed, check_properly_designed_with, ProperReport, SafetyVerdict,
 };

@@ -1,10 +1,10 @@
-//! Criterion benches for the E9c step-engine comparison: the interpreter,
-//! the event-driven compiled engine, and the compiled-no-dirty ablation,
-//! on sustained stepping over cyclic random nets. The `experiments` binary
-//! (`--quick E9C`) produces the same comparison as a steps/s table.
+//! Criterion benches for the E9c step-engine comparison: the interpreter
+//! and the event-driven compiled engine, on sustained stepping over cyclic
+//! random nets. The `experiments` binary (`--quick E9C`) produces the same
+//! comparison as a steps/s table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use etpn_sim::{Backend, ScriptedEnv, Simulator};
+use etpn_sim::{Backend, RunSpec, ScriptedEnv, Simulator};
 use etpn_workloads::cyclic_net;
 
 fn bench_backends(c: &mut Criterion) {
@@ -14,15 +14,14 @@ fn bench_backends(c: &mut Criterion) {
         // Warm the global compile cache so timed iterations measure
         // stepping, not compilation.
         let _ = etpn_sim::get_or_compile(&g);
-        for (backend, label) in [
-            (Backend::Interp, "interp"),
-            (Backend::Compiled, "compiled"),
-            (Backend::CompiledNoDirty, "compiled-nodirty"),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &g, |b, g| {
+        for backend in [Backend::Interp, Backend::Compiled] {
+            let spec = RunSpec {
+                backend,
+                ..RunSpec::default()
+            };
+            group.bench_with_input(BenchmarkId::new(backend.name(), n), &g, |b, g| {
                 b.iter(|| {
-                    Simulator::new(g, ScriptedEnv::new())
-                        .with_backend(backend)
+                    Simulator::from_spec(g, ScriptedEnv::new(), &spec)
                         .run(1_000)
                         .unwrap()
                 })

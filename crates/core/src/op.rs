@@ -102,6 +102,23 @@ impl Op {
         matches!(self, Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge)
     }
 
+    /// The comparison that is true exactly when `self` is false (`<` and
+    /// `>=`, `<=` and `>`, `==` and `!=`), or `None` for an operation that
+    /// is not a comparison. Two guards on one vertex carrying
+    /// complementary comparisons are mutually exclusive and jointly
+    /// complete.
+    pub fn complement(self) -> Option<Op> {
+        Some(match self {
+            Op::Lt => Op::Ge,
+            Op::Ge => Op::Lt,
+            Op::Le => Op::Gt,
+            Op::Gt => Op::Le,
+            Op::Eq => Op::Ne,
+            Op::Ne => Op::Eq,
+            _ => return None,
+        })
+    }
+
     /// True when two output ports carrying `self` and `other` have "the same
     /// operational definition" for the purpose of vertex merger (Def. 4.6).
     pub fn same_definition(self, other: Op) -> bool {

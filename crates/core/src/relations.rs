@@ -159,19 +159,6 @@ impl ControlRelations {
         &self.live_places
     }
 
-    /// All unordered parallel pairs `{Si, Sj}`, `i < j`.
-    pub fn parallel_pairs(&self) -> Vec<(PlaceId, PlaceId)> {
-        let mut out = Vec::new();
-        for (i, &si) in self.live_places.iter().enumerate() {
-            for &sj in &self.live_places[i + 1..] {
-                if self.parallel(si, sj) {
-                    out.push((si, sj));
-                }
-            }
-        }
-        out
-    }
-
     /// The raw index bound separating places from transitions in the
     /// underlying matrix (diagnostic use).
     pub fn place_bound(&self) -> usize {
@@ -240,7 +227,8 @@ mod tests {
         let r = ControlRelations::compute(&c);
         assert!(r.parallel(s0, s2));
         assert!(r.parallel(s2, s1));
-        assert_eq!(r.parallel_pairs(), vec![(s0, s2), (s1, s2)]);
+        // The loop's own states are the only ordered pair.
+        assert!(!r.parallel(s0, s1));
     }
 
     #[test]

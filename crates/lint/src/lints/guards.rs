@@ -20,19 +20,6 @@ use crate::diag::{Diagnostic, W305};
 use crate::LintContext;
 use etpn_core::{Op, PortId};
 
-/// True when `a` and `b` are complementary comparison operations.
-pub(crate) fn complementary(a: Op, b: Op) -> bool {
-    matches!(
-        (a, b),
-        (Op::Lt, Op::Ge)
-            | (Op::Ge, Op::Lt)
-            | (Op::Le, Op::Gt)
-            | (Op::Gt, Op::Le)
-            | (Op::Eq, Op::Ne)
-            | (Op::Ne, Op::Eq)
-    )
-}
-
 /// Run the guard-completeness lint.
 pub fn guard_completeness(cx: &LintContext) -> Vec<Diagnostic> {
     let g = cx.g;
@@ -59,10 +46,10 @@ pub fn guard_completeness(cx: &LintContext) -> Vec<Diagnostic> {
             ports[i + 1..].iter().any(|&p2| {
                 let (port1, port2) = (g.dp.port(p1), g.dp.port(p2));
                 port1.vertex == port2.vertex
-                    && match (port1.op, port2.op) {
-                        (Some(o1), Some(o2)) => complementary(o1, o2),
-                        _ => false,
-                    }
+                    && port1
+                        .op
+                        .and_then(Op::complement)
+                        .is_some_and(|c| port2.op == Some(c))
             })
         });
         if covered {

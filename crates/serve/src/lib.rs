@@ -17,8 +17,8 @@
 //! * **deadlines** — per-request budgets measured from admission, threaded
 //!   into the engine's `wall_budget` and every fleet job; expiry is `408`;
 //! * **bounded retries** — panicked jobs retry under the deterministic
-//!   decorrelated-jitter [`etpn_sim::RetryPolicy`], with compiled→interp
-//!   backend fallback first;
+//!   decorrelated-jitter [`etpn_sim::RetryPolicy`]; a `/v1/run` job first
+//!   falls back from the compiled engine to the interpreter;
 //! * **circuit breaking** — per-design breakers ([`breaker`]) degrade a
 //!   failing design to diagnose-only (`/v1/lint`, `/v1/cov`) with `503`
 //!   until a half-open probe succeeds;

@@ -15,8 +15,10 @@
 //!    counts — into the engine's `wall_budget` (and each fleet job's).
 //!    An expired deadline is `408`.
 //! 3. Simulation verbs run under the shared [`RetryPolicy`]: a panicked
-//!    job is retried after a deterministic decorrelated-jitter delay, with
-//!    a compiled→interpreter **backend fallback** on the first panic.
+//!    job is retried after a deterministic decorrelated-jitter delay.
+//!    `/v1/run` first takes a compiled→interpreter **backend fallback** on
+//!    its first panic; `/v1/check` and `/v1/fault` jobs retry on their own
+//!    engine under the fleet's per-job isolation.
 //! 4. Outcomes feed the design's **circuit breaker**: retry exhaustion
 //!    trips it, after which simulation verbs answer `503` (+`Retry-After`)
 //!    while the diagnose-only verbs (`/v1/lint`, `/v1/cov`) stay open;
@@ -974,9 +976,10 @@ fn run_spec(
     };
     // `interp` selects the reference interpreter.
     let backend = match text("backend") {
-        None | Some("compiled") => Backend::Compiled,
-        Some("interp") => Backend::Interp,
-        Some(other) => return Err(Response::error(400, &format!("unknown backend `{other}`"))),
+        None => Backend::default(),
+        Some(name) => name
+            .parse()
+            .map_err(|()| Response::error(400, &format!("unknown backend `{name}`")))?,
     };
     let mut env = ScriptedEnv::new();
     if let Some(Json::Obj(pairs)) = body.get("inputs") {
@@ -1140,17 +1143,7 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
                     ("steps", Json::Num(trace.steps as i64)),
                     ("firings", Json::Num(trace.firings as i64)),
                     ("events", Json::Num(trace.events.len() as i64)),
-                    (
-                        "backend",
-                        Json::Str(
-                            if backend == Backend::Compiled {
-                                "compiled"
-                            } else {
-                                "interp"
-                            }
-                            .into(),
-                        ),
-                    ),
+                    ("backend", Json::Str(backend.name().into())),
                     ("coverage_recorded", Json::Bool(want_cov)),
                     ("outputs", Json::Obj(outputs)),
                 ]),

@@ -35,22 +35,44 @@ use etpn_core::{ArcId, Etpn, Marking, Op, PlaceId, PortId, TransId, Value, Verte
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Which step engine a [`crate::Simulator`] uses ([`crate::RunSpec::backend`]
-/// for jobs, where the default is [`Backend::Compiled`]).
+/// Which step engine a [`crate::Simulator`] uses. Every constructor
+/// builds [`Backend::Compiled`] unless told otherwise
+/// ([`crate::Simulator::with_backend`], [`crate::RunSpec::backend`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Backend {
-    /// The reference interpreter: re-walk every place, arc and vertex on
-    /// each control step. Always available; the semantic baseline.
-    #[default]
-    Interp,
     /// The compiled event-driven engine: per-design flat tables plus a
     /// dirty set, bit-identical to [`Backend::Interp`] (enforced by the
     /// differential battery).
+    #[default]
     Compiled,
-    /// Ablation for E9c: compiled dispatch tables but a full re-evaluation
-    /// every step (the dirty set is never trusted). Isolates how much of
-    /// the speedup the event-driven part contributes.
-    CompiledNoDirty,
+    /// The reference interpreter: re-walk every place, arc and vertex on
+    /// each control step. The semantic baseline the compiled engine is
+    /// checked against, and its panic fallback in `etpnd`.
+    Interp,
+}
+
+impl Backend {
+    /// The engine's name on every interface: `etpnc --backend`, the
+    /// `"backend"` field of `etpnd` requests and replies, and the
+    /// experiment tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Compiled => "compiled",
+            Backend::Interp => "interp",
+        }
+    }
+}
+
+impl std::str::FromStr for Backend {
+    type Err = ();
+
+    /// The inverse of [`Backend::name`]; any other spelling is an error.
+    fn from_str(s: &str) -> Result<Self, ()> {
+        [Backend::Compiled, Backend::Interp]
+            .into_iter()
+            .find(|b| b.name() == s)
+            .ok_or(())
+    }
 }
 
 /// How one port's value is recomputed (the "bytecode" of the backend —
@@ -375,6 +397,17 @@ pub fn get_or_compile(g: &Etpn) -> Arc<CompiledDesign> {
     Arc::clone(map.entry(fp).or_insert(cd))
 }
 
+/// True when the process-wide cache holds a compilation of `g`.
+#[cfg(test)]
+pub(crate) fn is_cached(g: &Etpn) -> bool {
+    COMPILE_CACHE.get().is_some_and(|cache| {
+        cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .contains_key(&g.fingerprint())
+    })
+}
+
 /// Per-run mutable state of the compiled engine: the persistent step-value
 /// array plus incremental mirrors of everything the marking implies
 /// (open arcs, per-port open-arc counts, enabled transitions), and the
@@ -407,8 +440,6 @@ pub(crate) struct CompiledState {
     /// Full walk required at the next evaluation (first step, fault-mutated
     /// marking, or the step after a forced evaluation).
     pub(crate) resync: bool,
-    /// Ablation: never trust the dirty set (Backend::CompiledNoDirty).
-    pub(crate) no_dirty: bool,
     /// Cross-check every incremental step against a fresh full walk
     /// (property-test hook; see `Simulator::compiled_verified`).
     pub(crate) verify: bool,
@@ -441,7 +472,6 @@ impl CompiledState {
             enabled: BitSet::new(tb),
             dirty: DirtyQueue::new(positions),
             resync: true,
-            no_dirty: false,
             verify: false,
             args_scratch: Vec::with_capacity(4),
             touched: Vec::new(),
@@ -579,50 +609,6 @@ impl CompiledState {
             }
         }
         fired
-    }
-
-    /// Re-evaluate *every* live port through the compiled tables in
-    /// topological order, ignoring the dirty set (the
-    /// [`Backend::CompiledNoDirty`] ablation: compiled dispatch without
-    /// event-driven selectivity). Open-arc/enabled mirrors are still
-    /// maintained incrementally by [`Self::sync_after_commit`]; the dirty
-    /// seeds it queued are discarded here. Returns the number of ports
-    /// evaluated.
-    pub(crate) fn recompute_all(
-        &mut self,
-        state: &DpState,
-        mut input_value: impl FnMut(VertexId) -> Value,
-    ) -> u64 {
-        self.dirty.clear();
-        let cd = &*self.cd;
-        let vals = &mut self.vals;
-        for &p in &cd.topo_order {
-            let p = p as usize;
-            vals.port_values[p] = match cd.task[p] {
-                PortTask::Hole => continue,
-                PortTask::In => {
-                    let mut v = Value::Undef;
-                    for &a in cd.in_arcs.row(p) {
-                        if vals.open_arcs.contains(a as usize) {
-                            v = vals.port_values[cd.arc_from[a as usize] as usize];
-                            break;
-                        }
-                    }
-                    v
-                }
-                PortTask::OutInput(vx) => input_value(vx),
-                PortTask::OutSeq => state.get(PortId::new(p as u32)),
-                PortTask::OutComb(op) => {
-                    self.args_scratch.clear();
-                    for &ip in cd.comb_args.row(p) {
-                        self.args_scratch.push(vals.port_values[ip as usize]);
-                    }
-                    op.eval(&self.args_scratch)
-                        .expect("combinatorial op evaluates")
-                }
-            };
-        }
-        cd.topo_order.len() as u64
     }
 
     /// The current step values (empty while they are lent out).

@@ -159,7 +159,6 @@ pub struct Simulator<'g, E: Environment> {
     /// Flight-recorder configuration; turned into a live [`Recorder`] when
     /// the run starts.
     rec_cfg: Option<RecordConfig>,
-    design_fp: Option<u64>,
     rec: Option<Recorder>,
     script: Option<ReplayScript>,
     /// Scratch: latches committed this step (fed to recorder/replay check).
@@ -175,9 +174,16 @@ pub struct Simulator<'g, E: Environment> {
 }
 
 impl<'g, E: Environment> Simulator<'g, E> {
-    /// A simulator with the deterministic [`FiringPolicy::MaximalStep`]
-    /// policy, safeness enforcement on, and all registers undefined.
+    /// A simulator on the compiled engine ([`Backend::default`]) with the
+    /// deterministic [`FiringPolicy::MaximalStep`] policy, safeness
+    /// enforcement on, and all registers undefined.
     pub fn new(g: &'g Etpn, env: E) -> Self {
+        Self::on(g, env, Backend::default())
+    }
+
+    /// [`Simulator::new`] on `backend`: builds only that engine, so an
+    /// interpreter run never compiles the design.
+    pub(crate) fn on(g: &'g Etpn, env: E, backend: Backend) -> Self {
         Self {
             g,
             env,
@@ -187,7 +193,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
             cursors: InputCursors::new(g),
             evaluator: Evaluator::new(g),
             marking: Marking::initial(&g.ctl),
-            compiled: None,
+            compiled: Self::engine(g, backend),
             rng: None,
             faults: None,
             wall_budget: None,
@@ -209,7 +215,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
             metrics: SimMetrics::new(),
             rec_cfg: None,
             rec: None,
-            design_fp: None,
             script: None,
             rec_latched: Vec::new(),
             ready: Vec::new(),
@@ -218,26 +223,24 @@ impl<'g, E: Environment> Simulator<'g, E> {
         }
     }
 
-    /// Run on the chosen step engine (see [`Backend`]). Switching backends
-    /// never changes observable behaviour — the differential battery in
-    /// `tests/backend_differential.rs` holds them bit-identical.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.compiled = match backend {
+    /// The compiled engine's state for `backend`, `None` for the
+    /// interpreter.
+    fn engine(g: &Etpn, backend: Backend) -> Option<CompiledState> {
+        match backend {
+            Backend::Compiled => Some(CompiledState::new(compiled::get_or_compile(g))),
             Backend::Interp => None,
-            Backend::Compiled => Some(CompiledState::new(compiled::get_or_compile(self.g))),
-            Backend::CompiledNoDirty => {
-                let mut cs = CompiledState::new(compiled::get_or_compile(self.g));
-                cs.no_dirty = true;
-                Some(cs)
-            }
-        };
-        self
+        }
     }
 
-    /// Run on the compiled event-driven backend
-    /// (`self.with_backend(Backend::Compiled)`).
-    pub fn compiled(self) -> Self {
-        self.with_backend(Backend::Compiled)
+    /// Run on the chosen step engine (see [`Backend`]). Switching backends
+    /// never changes observable behaviour — the differential battery in
+    /// `tests/backend_differential.rs` holds them bit-identical. Choosing
+    /// the engine already built keeps it.
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        if (backend == Backend::Compiled) != self.compiled.is_some() {
+            self.compiled = Self::engine(self.g, backend);
+        }
+        self
     }
 
     /// The compiled backend with every incremental step cross-checked
@@ -291,10 +294,9 @@ impl<'g, E: Environment> Simulator<'g, E> {
     /// ports whose value changed and the arcs that opened since the
     /// previous step. After a full evaluation walk — every interpreter
     /// step, and on the compiled backend the first step, resyncs, forced
-    /// and fallback steps, and the no-dirty ablation — it scans the whole
-    /// open-arc set and every output port not yet observed at both
-    /// polarities. Guard outcomes cost a byte-mask test per enabled
-    /// guarded transition.
+    /// and fallback steps — it scans the whole open-arc set and every
+    /// output port not yet observed at both polarities. Guard outcomes
+    /// cost a byte-mask test per enabled guarded transition.
     pub fn with_coverage(mut self) -> Self {
         let mut ports = Vec::new();
         let mut seen = vec![3u8; self.g.dp.ports().capacity_bound()];
@@ -353,17 +355,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self
     }
 
-    /// Supply the design's precomputed [`Etpn::fingerprint`] so a recorded
-    /// run does not re-derive it. The fingerprint is one full pass over
-    /// the design — negligible for a long run, but the dominant recording
-    /// cost for short ones — so batch drivers (the fleet, experiment
-    /// harnesses) compute it once per design and pass it to every job.
-    /// The caller must not mutate the design afterwards.
-    pub fn with_design_fingerprint(mut self, fp: u64) -> Self {
-        self.design_fp = Some(fp);
-        self
-    }
-
     /// Treat a committed read past the end of a finite input stream as
     /// [`SimError::InputExhausted`] (naming the dry vertex) instead of
     /// silently propagating `⊥`.
@@ -382,12 +373,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
         }
         self
-    }
-
-    /// The fingerprint of the compiled backend's design, when a compiled
-    /// backend is selected.
-    pub(crate) fn compiled_fingerprint(&self) -> Option<u64> {
-        self.compiled.as_ref().map(|cs| cs.cd.fingerprint())
     }
 
     /// Current marking (diagnostics / single-stepping).
@@ -505,10 +490,9 @@ impl<'g, E: Environment> Simulator<'g, E> {
 
     /// Step phase 2: evaluate the data path under the current marking.
     /// Returns the step's values, and `true` when they came from a full
-    /// walk or the no-dirty ablation rather than from
-    /// incremental propagation — which decides how [`Self::observe`]
-    /// reads them. On the compiled backend the caller must hand the
-    /// values back to the compiled state before sync.
+    /// walk rather than from incremental propagation — which decides how
+    /// [`Self::observe`] reads them. On the compiled backend the caller
+    /// must hand the values back to the compiled state before sync.
     fn evaluate(&mut self, forced: bool) -> Result<(StepValues, bool), SimError> {
         let _eval_span = obs::span("sim.eval");
         let g = self.g;
@@ -518,11 +502,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self.metrics.work.evaluations += 1;
         if let Some(cs) = self.compiled.as_mut().filter(|cs| !cs.needs_full(forced)) {
             cs.check_conflict(step_no)?;
-            let fired = if cs.no_dirty {
-                cs.recompute_all(&self.state, input)
-            } else {
-                cs.propagate(&self.state, input)
-            };
+            let fired = cs.propagate(&self.state, input);
             self.metrics.work.port_evals += fired;
             let ports = cs.cd.port_count() as u64;
             self.metrics
@@ -542,25 +522,24 @@ impl<'g, E: Environment> Simulator<'g, E> {
                      port's value differs from a full evaluation"
                 );
             }
-            let no_dirty = cs.no_dirty;
-            return Ok((cs.lend_values(), no_dirty));
+            return Ok((cs.lend_values(), false));
         }
         self.metrics.work.full_walks += 1;
         let walked = self.walk(forced)?;
-        let Some(cs) = &mut self.compiled else {
-            return Ok((walked, true));
-        };
-        // Conservative path: first step, fault-mutated marking, forced
-        // values, or a statically cyclic port graph — rebuild every
-        // incremental mirror; the walk's values come home at the end of
-        // the step.
-        cs.resync_full(g, &self.marking);
-        // A forced walk leaves forced values behind: the next step must
-        // walk again to restore the pure values before incremental
-        // stepping resumes.
-        cs.resync = forced;
-        self.metrics.work.port_evals += cs.cd.port_count() as u64;
+        // A walk evaluates every live port, on either engine.
+        self.metrics.work.port_evals += g.dp.ports().len() as u64;
         self.metrics.record_dirty_frac(|| Some(1000));
+        if let Some(cs) = &mut self.compiled {
+            // Conservative path: first step, fault-mutated marking, forced
+            // values, or a statically cyclic port graph — rebuild every
+            // incremental mirror; the walk's values come home at the end
+            // of the step.
+            cs.resync_full(g, &self.marking);
+            // A forced walk leaves forced values behind: the next step
+            // must walk again to restore the pure values before
+            // incremental stepping resumes.
+            cs.resync = forced;
+        }
         Ok((walked, true))
     }
 
@@ -665,7 +644,13 @@ impl<'g, E: Environment> Simulator<'g, E> {
             self.rec = Some(Recorder::new(
                 cfg,
                 RecMeta {
-                    design_fp: self.design_fp.unwrap_or_else(|| self.g.fingerprint()),
+                    // The compiled engine's shared compilation already
+                    // hashed the design; only the interpreter hashes it
+                    // here, one full pass over the design.
+                    design_fp: self
+                        .compiled
+                        .as_ref()
+                        .map_or_else(|| self.g.fingerprint(), |cs| cs.cd.fingerprint()),
                     env_fp: self.env.fingerprint(),
                     policy_tag,
                     policy_seed,
@@ -1104,6 +1089,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
 mod tests {
     use super::*;
     use crate::env::ScriptedEnv;
+    use crate::RunSpec;
     use etpn_core::{EtpnBuilder, Op};
 
     /// s0: load r := a + b;  s1: emit r to y;  then terminate.
@@ -1486,7 +1472,6 @@ mod tests {
     fn steady_state_compiled_steps_update_values_in_place() {
         let g = ring(16);
         let mut sim = Simulator::new(&g, ScriptedEnv::new())
-            .compiled()
             .with_coverage()
             .init_register("laps", 0);
         // Where the persistent value buffer lives between steps; each step
@@ -1506,6 +1491,26 @@ mod tests {
                 "steady-state step {step} copied StepValues"
             );
         }
+    }
+
+    #[test]
+    fn only_the_chosen_engine_is_built() {
+        // A ring no other test builds, so nothing else compiles it.
+        let g = ring(5);
+        let interp = RunSpec {
+            backend: Backend::Interp,
+            ..RunSpec::default()
+        };
+        let sim = Simulator::from_spec(&g, ScriptedEnv::new(), &interp);
+        assert!(sim.compiled.is_none());
+        assert!(!compiled::is_cached(&g), "an interpreter spec compiled");
+        // Choosing the engine already built keeps it: a compiled state
+        // past its first step needs no resync, a fresh one does.
+        let mut sim = Simulator::new(&g, ScriptedEnv::new());
+        sim.step_once().unwrap();
+        let sim = sim.with_backend(Backend::Compiled);
+        assert!(!sim.compiled.as_ref().unwrap().resync);
+        assert!(sim.with_backend(Backend::Interp).compiled.is_none());
     }
 
     #[test]
@@ -1529,9 +1534,7 @@ mod tests {
         b.control(s1, [lhs, rhs]);
         b.mark(s0);
         let g = b.finish().unwrap();
-        let mut sim = Simulator::new(&g, ScriptedEnv::new())
-            .compiled()
-            .with_coverage();
+        let mut sim = Simulator::new(&g, ScriptedEnv::new()).with_coverage();
         assert_eq!(sim.step_once().unwrap(), Some(1));
         match sim.step_once() {
             Err(SimError::UnsafeMarking {

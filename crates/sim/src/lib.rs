@@ -12,10 +12,10 @@
 //!   updates once per control-state activation;
 //! * [`trace`] / [`extract`] — run records and extraction of the external
 //!   event structure `S(Γ)` (Def. 3.5);
-//! * [`compiled`] / [`dirty`] — the compile-once, simulate-many backend:
-//!   per-design flat dispatch tables plus an event-driven dirty set,
-//!   bit-identical to the interpreter (selected via
-//!   [`engine::Simulator::with_backend`]);
+//! * [`compiled`] / [`dirty`] — the compile-once, simulate-many engine
+//!   every simulator runs by default: per-design flat dispatch tables plus
+//!   an event-driven dirty set, bit-identical to the interpreter (which
+//!   [`engine::Simulator::with_backend`] selects as the reference);
 //! * [`mod@battery`] — one fleet batch of reference and compared runs, and
 //!   one verdict per group with a typed [`Witness`] for the first
 //!   divergence (Defs. 3.2 and 4.1);

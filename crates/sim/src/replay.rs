@@ -130,9 +130,8 @@ pub fn replay_recording(
             }
         })?;
     let from = rec.checkpoints.first().map_or(rec.first_step, |ck| ck.step);
-    Simulator::new(g, env_from_recording(rec))
+    Simulator::on(g, env_from_recording(rec), backend)
         .with_policy(policy)
-        .with_backend(backend)
         .replay_between(rec, from, target)
 }
 

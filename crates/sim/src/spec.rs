@@ -22,10 +22,10 @@ use std::time::Duration;
 /// policy and a 10 000-step budget, with everything optional off.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    /// Step engine. The compiled engine is bit-identical to the
-    /// interpreter (`tests/backend_differential.rs`), and jobs over one
-    /// design share its compilation; [`Backend::Interp`] selects the
-    /// reference.
+    /// Step engine, [`Backend::Compiled`] by default. The compiled engine
+    /// is bit-identical to the interpreter
+    /// (`tests/backend_differential.rs`), and jobs over one design share
+    /// its compilation; [`Backend::Interp`] selects the reference.
     pub backend: Backend,
     /// Firing policy (the seed lives inside the policy).
     pub policy: FiringPolicy,
@@ -52,7 +52,7 @@ pub struct RunSpec {
 impl Default for RunSpec {
     fn default() -> Self {
         Self {
-            backend: Backend::Compiled,
+            backend: Backend::default(),
             policy: FiringPolicy::MaximalStep,
             max_steps: 10_000,
             registers: Vec::new(),
@@ -66,15 +66,12 @@ impl Default for RunSpec {
 }
 
 impl<'g, E: Environment> Simulator<'g, E> {
-    /// A simulator over `g` and `env` configured by `spec`. The step
-    /// budget is not part of the simulator: pass `spec.max_steps` to
-    /// [`Simulator::run`]. A recorded run on a compiled backend takes its
-    /// design fingerprint from the shared compilation instead of hashing
-    /// the design again.
+    /// A simulator over `g` and `env` configured by `spec`, on the spec's
+    /// engine only (an [`Backend::Interp`] spec compiles nothing). The
+    /// step budget is not part of the simulator: pass `spec.max_steps` to
+    /// [`Simulator::run`].
     pub fn from_spec(g: &'g Etpn, env: E, spec: &RunSpec) -> Self {
-        let mut sim = Simulator::new(g, env)
-            .with_backend(spec.backend)
-            .with_policy(spec.policy);
+        let mut sim = Simulator::on(g, env, spec.backend).with_policy(spec.policy);
         for (name, v) in &spec.registers {
             sim = sim.init_register(name, *v);
         }
@@ -92,9 +89,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
         }
         if let Some(cfg) = spec.record {
             sim = sim.with_recorder(cfg);
-            if let Some(fp) = sim.compiled_fingerprint() {
-                sim = sim.with_design_fingerprint(fp);
-            }
         }
         sim
     }

@@ -52,9 +52,9 @@ pub struct WorkCounts {
     /// Data-path evaluations begun, one per step that got past
     /// perturbation (`sim.evals`).
     pub evaluations: u64,
-    /// Ports the compiled engine evaluated (`sim.events.fired`):
-    /// dirty-queue pops on an incremental step, every live port on a walk
-    /// or a no-dirty recompute. The interpreter backend counts none.
+    /// Ports evaluated (`sim.events.fired`): every live port on a full
+    /// walk, on either engine, and the dirty-queue pops of a compiled
+    /// incremental step.
     pub port_evals: u64,
     /// Evaluations done by the interpreter's full walk: the compiled
     /// engine's first step, resyncs, forced data faults and statically

@@ -82,7 +82,8 @@ pub struct CompiledDesign {
 }
 
 impl CompiledDesign {
-    /// Build a simulator with register reset values applied.
+    /// Build a simulator on the compiled engine with register reset values
+    /// applied.
     pub fn simulator<'g, E: etpn_sim::Environment>(&'g self, env: E) -> etpn_sim::Simulator<'g, E> {
         let mut sim = etpn_sim::Simulator::new(&self.etpn, env);
         for (name, value) in &self.reg_inits {
@@ -283,7 +284,8 @@ impl Compiler {
     fn compile_cond(&mut self, cond: &Expr) -> SynthResult<(PortId, PortId, Vec<ArcId>)> {
         let mut arcs = Vec::new();
         if let Expr::Binary(op, a, b) = cond {
-            if let Some((o, comp)) = predicate_pair(*op) {
+            let o = compile_binop(*op);
+            if let Some(comp) = o.complement() {
                 let pa = self.compile_expr(a, &mut arcs)?;
                 let pb = self.compile_expr(b, &mut arcs)?;
                 let name = self.fresh("cmp");
@@ -477,19 +479,6 @@ pub(crate) fn compile_binop(op: BinOp) -> Op {
         BinOp::Gt => Op::Gt,
         BinOp::Ge => Op::Ge,
     }
-}
-
-/// The complementary predicate pair for comparison conditions, if any.
-fn predicate_pair(op: BinOp) -> Option<(Op, Op)> {
-    Some(match op {
-        BinOp::Eq => (Op::Eq, Op::Ne),
-        BinOp::Ne => (Op::Ne, Op::Eq),
-        BinOp::Lt => (Op::Lt, Op::Ge),
-        BinOp::Le => (Op::Le, Op::Gt),
-        BinOp::Gt => (Op::Gt, Op::Le),
-        BinOp::Ge => (Op::Ge, Op::Lt),
-        _ => return None,
-    })
 }
 
 /// Elide idle glue places: an unmarked place with no controlled arcs, one

@@ -444,10 +444,11 @@ fn run_spec(
     for (name, values) in parse_streams(args)? {
         env = env.with_stream(&name, values);
     }
-    let backend = match flag_values(args, "--backend").last().map(String::as_str) {
-        None | Some("compiled") => Backend::Compiled,
-        Some("interp") => Backend::Interp,
-        Some(other) => return Err(format!("--backend {other}: expected compiled or interp")),
+    let backend = match flag_values(args, "--backend").last() {
+        None => Backend::default(),
+        Some(name) => name
+            .parse()
+            .map_err(|()| format!("--backend {name}: expected compiled or interp"))?,
     };
     let spec = RunSpec {
         backend,
@@ -728,9 +729,12 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     let (spec, _) = run_spec(args, &d)?;
     let policy = etpn::sim::FiringPolicy::decode(rec.meta.policy_tag, rec.meta.policy_seed)
         .ok_or("recording carries an unknown firing-policy tag")?;
-    let mut sim = Simulator::new(&d.etpn, etpn::sim::env_from_recording(&rec))
-        .with_policy(policy)
-        .with_backend(spec.backend);
+    let spec = RunSpec {
+        backend: spec.backend,
+        policy,
+        ..RunSpec::default()
+    };
+    let mut sim = Simulator::from_spec(&d.etpn, etpn::sim::env_from_recording(&rec), &spec);
     let vcd_path = flag_value(args, "--vcd");
     if vcd_path.is_some() {
         sim = sim.watch_registers().watch_control();

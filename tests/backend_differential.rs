@@ -73,21 +73,6 @@ fn full_battery_is_byte_identical() {
     }
 }
 
-/// The no-dirty ablation engine is also exact (it shares the compiled
-/// tables but re-evaluates everything, so it cross-checks the tables
-/// independently of the dirty set).
-#[test]
-fn no_dirty_ablation_is_byte_identical() {
-    for name in ["gcd", "diffeq", "fir16"] {
-        let w = by_name(name).unwrap();
-        let d = etpn_synth::compile_source(&w.source).unwrap();
-        let interp = sim(&w, &d, Backend::Interp, FiringPolicy::MaximalStep).run(w.max_steps);
-        let nodirty =
-            sim(&w, &d, Backend::CompiledNoDirty, FiringPolicy::MaximalStep).run(w.max_steps);
-        assert_eq!(format!("{interp:?}"), format!("{nodirty:?}"), "{name}");
-    }
-}
-
 /// Coverage DBs (place/transition/arc/guard-outcome hits) must be equal —
 /// the PR 5 coverage hooks observe the same step stream on both engines.
 #[test]
@@ -111,8 +96,11 @@ fn coverage_dbs_are_identical() {
 #[test]
 fn termination_variants_agree() {
     let run_both = |g: &Etpn, env: etpn_sim::ScriptedEnv, steps: u64| {
-        let ti = Simulator::new(g, env.clone()).run(steps).unwrap();
-        let tc = Simulator::new(g, env).compiled().run(steps).unwrap();
+        let ti = Simulator::new(g, env.clone())
+            .with_backend(Backend::Interp)
+            .run(steps)
+            .unwrap();
+        let tc = Simulator::new(g, env).run(steps).unwrap();
         assert_eq!(ti.termination, tc.termination);
         ti.termination
     };
@@ -164,11 +152,11 @@ fn termination_variants_agree() {
         window: FaultWindow::Transient(1),
     });
     let ti = Simulator::new(&g, etpn_sim::ScriptedEnv::new())
+        .with_backend(Backend::Interp)
         .with_faults(plan.clone())
         .run(200)
         .unwrap();
     let tc = Simulator::new(&g, etpn_sim::ScriptedEnv::new())
-        .compiled()
         .with_faults(plan)
         .run(200)
         .unwrap();

@@ -21,7 +21,7 @@ fn run_flags_are_parsed_alike_by_every_subcommand() {
     let rec = rec.to_str().unwrap();
 
     // An unknown backend is a usage error everywhere, not a silent default.
-    // The no-dirty ablation is a bench-only backend, not a CLI value.
+    // The `Debug` name of an engine is not its CLI spelling.
     for cmd in [
         &["run"][..],
         &["run", "--jobs", "2"],
@@ -30,7 +30,7 @@ fn run_flags_are_parsed_alike_by_every_subcommand() {
         &["cov"],
         &["dot", "--heat"],
     ] {
-        for backend in ["bogus", "compiled-nodirty"] {
+        for backend in ["bogus", "Compiled"] {
             let out = etpnc(&[cmd, &[GCD], &INPUTS, &["--backend", backend]]);
             let err = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{cmd:?} {backend}: {err}");

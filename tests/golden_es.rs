@@ -29,7 +29,7 @@ fn golden_path(name: &str) -> PathBuf {
 fn digest(name: &str) -> String {
     let w = by_name(name).unwrap_or_else(|| panic!("workload `{name}` not in catalog"));
     let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
-    let mut sim = Simulator::new(&d.etpn, w.env()).compiled();
+    let mut sim = Simulator::new(&d.etpn, w.env());
     for (n, v) in &d.reg_inits {
         sim = sim.init_register(n, *v);
     }

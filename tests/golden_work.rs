@@ -109,9 +109,7 @@ fn work_counts_are_golden_and_published() {
     // ...and a simulator driven by `step_once` adds its work when dropped,
     // not before.
     let before = published();
-    let mut sim = Simulator::new(&net, ScriptedEnv::new())
-        .compiled()
-        .with_coverage();
+    let mut sim = Simulator::new(&net, ScriptedEnv::new()).with_coverage();
     for _ in 0..1000 {
         assert!(matches!(sim.step_once(), Ok(Some(_))));
     }
@@ -121,11 +119,13 @@ fn work_counts_are_golden_and_published() {
     drop(sim);
     assert_eq!(increase(before, published()), as_published(work));
 
-    // Negative control: forcing a full recompute on every step (the
-    // no-dirty ablation) must show in the counts.
-    let full = "a full recompute per step must change the port evaluations";
-    let no_dirty = workload_work(&gcd, Backend::CompiledNoDirty);
-    assert_ne!(no_dirty.port_evals, gcd_work.port_evals, "gcd: {full}");
-    let no_dirty = net_work(&net, Backend::CompiledNoDirty);
-    assert_ne!(no_dirty.port_evals, net_golden.port_evals, "net: {full}");
+    // Negative control: the interpreter walks every live port on every
+    // step, and that must show in both counts.
+    let full = "a full walk per step must change the counts";
+    let interp = workload_work(&gcd, Backend::Interp);
+    assert_ne!(interp.port_evals, gcd_work.port_evals, "gcd: {full}");
+    assert_ne!(interp.full_walks, gcd_work.full_walks, "gcd: {full}");
+    let interp = net_work(&net, Backend::Interp);
+    assert_ne!(interp.port_evals, net_golden.port_evals, "net: {full}");
+    assert_ne!(interp.full_walks, net_golden.full_walks, "net: {full}");
 }

@@ -226,29 +226,20 @@ proptest! {
             };
             let interp = run(etpn_sim::Backend::Interp);
             let compiled = run(etpn_sim::Backend::Compiled);
-            let nodirty = run(etpn_sim::Backend::CompiledNoDirty);
-            match (&interp, &compiled, &nodirty) {
-                (Ok(ti), Ok(tc), Ok(tn)) => {
+            match (&interp, &compiled) {
+                (Ok(ti), Ok(tc)) => {
                     let si = etpn_sim::event_structure(&g, ti);
                     let sc = etpn_sim::event_structure(&g, tc);
-                    let sn = etpn_sim::event_structure(&g, tn);
                     prop_assert_eq!(&si, &sc, "policy {:?}: {:?}", policy, si.first_difference(&sc));
-                    prop_assert_eq!(&si, &sn, "no-dirty, policy {:?}: {:?}", policy, si.first_difference(&sn));
                     prop_assert_eq!(ti.termination, tc.termination, "policy {:?}", policy);
-                    prop_assert_eq!(ti.termination, tn.termination, "policy {:?}", policy);
                     prop_assert_eq!((ti.steps, ti.firings), (tc.steps, tc.firings), "policy {:?}", policy);
                 }
                 _ => {
                     // Errors (if the generator ever produces one) must be
-                    // identical across all three engines.
+                    // identical on both engines.
                     prop_assert_eq!(
                         format!("{interp:?}"),
                         format!("{compiled:?}"),
-                        "policy {:?}", policy
-                    );
-                    prop_assert_eq!(
-                        format!("{interp:?}"),
-                        format!("{nodirty:?}"),
                         "policy {:?}", policy
                     );
                 }
@@ -272,7 +263,10 @@ proptest! {
         let env = ScriptedEnv::new().with_stream("x", xs.clone());
         let verified = Simulator::new(&g, env).compiled_verified().with_coverage().run(300);
         let env = ScriptedEnv::new().with_stream("x", xs);
-        let interp = Simulator::new(&g, env).with_coverage().run(300);
+        let interp = Simulator::new(&g, env)
+            .with_backend(etpn_sim::Backend::Interp)
+            .with_coverage()
+            .run(300);
         prop_assert_eq!(format!("{verified:?}"), format!("{interp:?}"));
     }
 }

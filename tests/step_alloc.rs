@@ -65,7 +65,6 @@ fn steady_state_compiled_steps_do_not_allocate() {
         FiringPolicy::SingleRandom { seed: 3 },
     ] {
         let mut sim = Simulator::new(&g, ScriptedEnv::new())
-            .compiled()
             .with_policy(policy)
             .with_coverage();
         // Several laps, so every scratch list has reached its working size.

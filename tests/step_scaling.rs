@@ -51,9 +51,7 @@ fn dead_places_do_not_slow_compiled_steps() {
     let (plain, padded) = (ring(0), ring(15));
     assert_eq!(padded.ctl.places().len(), 16 * LIVE);
     let mut sims = [&plain, &padded].map(|g| {
-        let mut sim = Simulator::new(g, ScriptedEnv::new())
-            .compiled()
-            .with_coverage();
+        let mut sim = Simulator::new(g, ScriptedEnv::new()).with_coverage();
         time_per_step(&mut sim, 2_000);
         sim
     });
@@ -76,9 +74,7 @@ fn dead_places_do_not_slow_compiled_steps() {
 fn dead_places_add_no_counted_work() {
     let (plain, padded) = (ring(0), ring(15));
     let [plain_work, padded_work] = [&plain, &padded].map(|g| {
-        let mut sim = Simulator::new(g, ScriptedEnv::new())
-            .compiled()
-            .with_coverage();
+        let mut sim = Simulator::new(g, ScriptedEnv::new()).with_coverage();
         time_per_step(&mut sim, 2_000);
         let before = sim.work();
         time_per_step(&mut sim, 5_000);
