@@ -2,11 +2,13 @@
 //!
 //! The recorder is meant to be *always on* in its default ring
 //! configuration (8192-step ring, checkpoint every 1024 steps), so its
-//! per-step cost is the whole ballgame. Per step it appends one delta
-//! record (fired set, latches, advanced inputs, events, fault flags) into
-//! a recycled ring slot, plus a full state checkpoint every K steps; the
-//! full-journal mode differs only in never evicting. The acceptance bound
-//! is ≤ 5% steps/s overhead for the default ring settings.
+//! per-step cost is the whole ballgame. Per step the engine fills one
+//! reused row (fired set, latches, advanced inputs, events, fault flags)
+//! and the recorder appends it to its recording's columns, plus a full
+//! state checkpoint every K steps. The ring drops its oldest 8192 rows in
+//! one front trim whenever it holds 16384; the full-journal mode differs
+//! only in never trimming. The acceptance bound is ≤ 5% steps/s overhead
+//! for the default ring settings.
 //!
 //! Three subjects, each on the default compiled engine (a recorded run
 //! takes its design fingerprint from the shared compilation):
@@ -116,10 +118,11 @@ pub fn run(scale: Scale) -> Table {
     table.row(row("random512".to_string(), reps, &m));
 
     table.interpret(
-        "on the compiled engine a recorded step's appends are a large share \
+        "on the compiled engine appending each step's row is a large share \
          of a sub-microsecond step: the default ring costs more than the 5% \
          always-on budget on every subject, most on the wide random512 net, \
-         and the full journal adds allocation growth on the long runs",
+         and the full journal, which never trims, adds allocation growth on \
+         the long runs",
     );
     table
 }

@@ -193,13 +193,6 @@ impl BitMatrix {
         self.rows[i * self.words_per_row + j / 64] |= 1 << (j % 64);
     }
 
-    /// Clear entry `(i, j)`.
-    #[inline]
-    pub fn unset(&mut self, i: usize, j: usize) {
-        debug_assert!(i < self.n && j < self.n);
-        self.rows[i * self.words_per_row + j / 64] &= !(1 << (j % 64));
-    }
-
     /// Read entry `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> bool {

@@ -151,11 +151,6 @@ impl EtpnBuilder {
         &self.dp
     }
 
-    /// Read-only view of the control structure under construction.
-    pub fn control_net(&self) -> &Control {
-        &self.ctl
-    }
-
     /// Validate and return the assembled system.
     pub fn finish(self) -> CoreResult<Etpn> {
         let g = Etpn::new(self.dp, self.ctl);

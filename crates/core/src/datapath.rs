@@ -277,11 +277,6 @@ impl DataPath {
         &self.arcs[a]
     }
 
-    /// The operation `B(O)` of an output port.
-    pub fn op_of(&self, p: PortId) -> Op {
-        self.ports[p].operation()
-    }
-
     /// All arcs pending on an input port.
     pub fn incoming_arcs(&self, p: PortId) -> &[ArcId] {
         &self.incoming[p.idx()]

@@ -30,12 +30,6 @@ impl Value {
         matches!(self, Value::Def(_))
     }
 
-    /// True iff the value is the undefined element.
-    #[inline]
-    pub fn is_undef(self) -> bool {
-        matches!(self, Value::Undef)
-    }
-
     /// The defined integer, if any.
     #[inline]
     pub fn as_i64(self) -> Option<i64> {

@@ -76,26 +76,24 @@ pub struct Divergence {
     pub right: Option<StepRecord>,
 }
 
-fn step_diff(step: u64, l: StepView<'_>, r: StepView<'_>) -> Option<Divergence> {
-    let reason = if l.fired != r.fired {
-        DivergenceReason::FiredDiffer
+/// The first component in which two rows of one step differ, in the
+/// order fired → latched → events → advanced → flags; `None` when they
+/// agree. [`first_divergence`] and the engine's replay verification both
+/// judge a step with this one function.
+pub fn step_diff(l: StepView<'_>, r: StepView<'_>) -> Option<DivergenceReason> {
+    if l.fired != r.fired {
+        Some(DivergenceReason::FiredDiffer)
     } else if l.latched != r.latched {
-        DivergenceReason::LatchDiffer
+        Some(DivergenceReason::LatchDiffer)
     } else if l.events != r.events {
-        DivergenceReason::EventDiffer
+        Some(DivergenceReason::EventDiffer)
     } else if l.advanced != r.advanced {
-        DivergenceReason::InputDiffer
+        Some(DivergenceReason::InputDiffer)
     } else if l.flags != r.flags {
-        DivergenceReason::FlagsDiffer
+        Some(DivergenceReason::FlagsDiffer)
     } else {
-        return None;
-    };
-    Some(Divergence {
-        step,
-        reason,
-        left: Some(l.to_owned()),
-        right: Some(r.to_owned()),
-    })
+        None
+    }
 }
 
 /// Locate the first step at which two recordings of the same design
@@ -137,8 +135,13 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Result<Option<Divergenc
         let (Some(l), Some(r)) = (a.record(step), b.record(step)) else {
             continue;
         };
-        if let Some(d) = step_diff(step, l, r) {
-            return Ok(Some(d));
+        if let Some(reason) = step_diff(l, r) {
+            return Ok(Some(Divergence {
+                step,
+                reason,
+                left: Some(l.to_owned()),
+                right: Some(r.to_owned()),
+            }));
         }
     }
 
@@ -166,6 +169,30 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Result<Option<Divergenc
     Ok(None)
 }
 
+/// Refuse a journaled row that names an id `g` lacks (dead or out of
+/// range): a recording decoded from bytes carries any ids at all.
+fn check_ids(g: &Etpn, step: u64, row: &StepRecord) -> Result<(), RecError> {
+    let (dp, ctl) = (&g.dp, &g.ctl);
+    let unknown = |id: &dyn std::fmt::Display| RecError::UnknownId {
+        step,
+        id: id.to_string(),
+    };
+    for &t in &row.fired {
+        ctl.transitions().get(t).ok_or_else(|| unknown(&t))?;
+    }
+    for &(p, _) in &row.latched {
+        dp.ports().get(p).ok_or_else(|| unknown(&p))?;
+    }
+    for &v in &row.advanced {
+        dp.vertices().get(v).ok_or_else(|| unknown(&v))?;
+    }
+    for &(a, _, s) in &row.events {
+        dp.arcs().get(a).ok_or_else(|| unknown(&a))?;
+        ctl.places().get(s).ok_or_else(|| unknown(&s))?;
+    }
+    Ok(())
+}
+
 /// The cone of model elements that could have influenced a divergent
 /// decision. All lists are sorted and deduplicated.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -185,11 +212,6 @@ impl CausalSlice {
     /// True when the slice touches the given port.
     pub fn contains_port(&self, p: PortId) -> bool {
         self.ports.binary_search(&p).is_ok()
-    }
-
-    /// True when the slice touches the given vertex.
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.vertices.binary_search(&v).is_ok()
     }
 }
 
@@ -341,17 +363,33 @@ pub struct DivergenceReport {
 impl DivergenceReport {
     /// Locate the first divergence of `a` vs `b` and slice it; `Ok(None)`
     /// when the recordings agree.
+    ///
+    /// Both recordings must be of `g` ([`RecError::DesignMismatch`]
+    /// otherwise), and the divergent rows may name only ids `g` has
+    /// ([`RecError::UnknownId`]): the slice and its renderings index `g`
+    /// with them.
     pub fn between(
         g: &Etpn,
         a: &Recording,
         b: &Recording,
     ) -> Result<Option<DivergenceReport>, RecError> {
-        Ok(first_divergence(a, b)?.map(|d| {
-            let slice = causal_slice(g, &d);
-            DivergenceReport {
-                divergence: d,
-                slice,
-            }
+        let fp = g.fingerprint();
+        if a.meta.design_fp != fp {
+            return Err(RecError::DesignMismatch {
+                left: fp,
+                right: a.meta.design_fp,
+            });
+        }
+        let Some(d) = first_divergence(a, b)? else {
+            return Ok(None);
+        };
+        for row in d.left.iter().chain(&d.right) {
+            check_ids(g, d.step, row)?;
+        }
+        let slice = causal_slice(g, &d);
+        Ok(Some(DivergenceReport {
+            divergence: d,
+            slice,
         }))
     }
 
@@ -484,7 +522,7 @@ impl DivergenceReport {
     /// DOT heat overlay of the data path: vertices in the slice glow by
     /// how many of their ports the cone touches.
     pub fn dot_heat(&self, g: &Etpn) -> String {
-        let mut counts = vec![0u64; g.dp.vertices().len()];
+        let mut counts = vec![0u64; g.dp.vertices().capacity_bound()];
         for &v in &self.slice.vertices {
             counts[v.idx()] += 1;
         }
@@ -641,6 +679,78 @@ mod tests {
         }
         let d = first_divergence(&a, &b).unwrap().unwrap();
         assert_eq!((d.step, d.reason), (30, DivergenceReason::CheckpointDiffer));
+    }
+
+    /// `a → r` under place `s0`, `t0: s0 → s1`, with the unconnected
+    /// register `dead` removed after building: `r` keeps raw id 2 while
+    /// the design has only two live vertices.
+    fn design_with_a_removed_vertex() -> (Etpn, VertexId) {
+        let mut b = etpn_core::EtpnBuilder::new();
+        let a = b.input("a");
+        let dead = b.register("dead");
+        let r = b.register("r");
+        let load = b.connect(b.out_port(a, 0), b.in_port(r, 0));
+        let s0 = b.place("s0");
+        let s1 = b.place("s1");
+        b.control(s0, [load]);
+        b.seq(s0, s1, "t0");
+        b.mark(s0);
+        let mut g = b.finish().unwrap();
+        g.dp.remove_vertex(dead).unwrap();
+        (g, r)
+    }
+
+    #[test]
+    fn between_refuses_other_designs_and_ids_the_design_lacks() {
+        let (g, _) = design_with_a_removed_vertex();
+        let fp = g.fingerprint();
+        let other = rec_with(fp ^ 1, vec![vec![0]]);
+        assert_eq!(
+            DivergenceReport::between(&g, &other, &other),
+            Err(RecError::DesignMismatch {
+                left: fp,
+                right: fp ^ 1
+            })
+        );
+        let golden = rec_with(fp, vec![vec![0]]);
+        let foreign = rec_with(fp, vec![vec![9]]);
+        assert_eq!(
+            DivergenceReport::between(&g, &golden, &foreign),
+            Err(RecError::UnknownId {
+                step: 0,
+                id: "t9".to_string()
+            })
+        );
+        let mut rows = fired_rows(vec![vec![0]]);
+        rows[0].advanced = vec![VertexId::new(1)];
+        assert_eq!(
+            DivergenceReport::between(&g, &golden, &rec_of(fp, &rows)),
+            Err(RecError::UnknownId {
+                step: 0,
+                id: "v1".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn dot_heat_indexes_counts_by_raw_vertex_id() {
+        let (g, r) = design_with_a_removed_vertex();
+        assert!(r.idx() >= g.dp.vertices().len());
+        let rep = DivergenceReport {
+            divergence: Divergence {
+                step: 0,
+                reason: DivergenceReason::LatchDiffer,
+                left: None,
+                right: None,
+            },
+            slice: CausalSlice {
+                ports: vec![g.dp.vertex(r).outputs[0]],
+                vertices: vec![r],
+                ..CausalSlice::default()
+            },
+        };
+        let dot = rep.dot_heat(&g);
+        assert!(dot.contains("r\\n[reg]\\n2"), "{dot}");
     }
 
     #[test]

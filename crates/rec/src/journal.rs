@@ -15,8 +15,10 @@
 //!   `s` executes (before control-fault perturbation), so replaying from
 //!   it re-derives step `s` exactly.
 //! * Checkpoints are strictly increasing in `step` and never precede
-//!   `first_step` (ring eviction drops checkpoints that lose their record
-//!   window).
+//!   `first_step`: ring eviction drops every checkpoint that loses its
+//!   record window. Nothing guarantees one at `first_step`, so a ring
+//!   recording replays from its first checkpoint, and the records before
+//!   it are kept only for forensics.
 //! * `digest` is a [`etpn_core::StableHasher`] hash of the checkpointed
 //!   configuration: equal digests at equal steps mean (up to 64-bit
 //!   collision) equal configurations — the divergence engine bisects on
@@ -24,6 +26,8 @@
 
 use etpn_core::bytes::{put_u64, put_value, put_varint, unzigzag, zigzag, DecodeError, Reader};
 use etpn_core::{ArcId, PlaceId, PortId, StableHasher, TransId, Value, VertexId};
+
+use crate::fault::{Fault, FaultKind, FaultSite, FaultWindow};
 
 /// Step-record flag: a control fault (token loss/dup) perturbed the
 /// marking before this step's evaluation.
@@ -39,12 +43,14 @@ pub const FLAG_DATA_FAULT: u8 = 2;
 /// (a) re-apply the firing decision without re-deciding, and (b) verify
 /// that the re-derived effects match what was recorded.
 ///
-/// Inside a [`Recording`] the rows are stored column-wise (one shared
-/// array per field) so building and dropping a journal costs a handful of
-/// allocations, not four per step; [`Recording::record`] hands out
-/// borrowed [`StepView`]s. This owned form is the construction and
-/// forensics currency ([`Recording::push_record`],
-/// [`crate::divergence::Divergence`]).
+/// The simulation engine fills one reused `StepRecord` per journaled
+/// step and hands it to the [`crate::Recorder`], which appends it to its
+/// [`Recording`]. Inside a recording the rows are stored column-wise (one
+/// shared array per field) so building and dropping a journal costs a
+/// handful of allocations, not four per step; [`Recording::record`] hands
+/// out borrowed [`StepView`]s, and [`StepRecord::view`] lends the same
+/// view of an owned row, so one comparator
+/// ([`crate::divergence::step_diff`]) checks both.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StepRecord {
     /// Transitions fired this step, in firing order (the policy's order
@@ -73,6 +79,17 @@ impl StepRecord {
         self.advanced.clear();
         self.events.clear();
         self.flags = 0;
+    }
+
+    /// The borrowed view of this row.
+    pub fn view(&self) -> StepView<'_> {
+        StepView {
+            fired: &self.fired,
+            latched: &self.latched,
+            advanced: &self.advanced,
+            events: &self.events,
+            flags: self.flags,
+        }
     }
 }
 
@@ -181,8 +198,9 @@ pub enum RecordMode {
     /// Keep every step record (bounded runs, forensics, CI).
     Full,
     /// Keep only the most recent `capacity` step records — the
-    /// always-on flight-recorder mode. Evicted records are recycled, so
-    /// steady-state recording allocates nothing.
+    /// always-on flight-recorder mode. The live window holds up to
+    /// `2 × capacity` rows and drops the oldest `capacity` at once, so
+    /// steady-state recording allocates nothing (see [`crate::Recorder`]).
     Ring(usize),
 }
 
@@ -221,26 +239,6 @@ impl Default for RecordConfig {
     }
 }
 
-/// One injected fault, in design-independent raw form (the `etpn-sim`
-/// fault plan round-trips through this so a recording of a faulty run can
-/// be replayed without out-of-band context).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RecFault {
-    /// `0` = data-path port site, `1` = control-place site.
-    pub site_kind: u8,
-    /// Raw id of the site (port or place).
-    pub site: u32,
-    /// `0` = stuck-at-0, `1` = stuck-at-1, `2` = bit-flip, `3` = token
-    /// loss, `4` = token dup.
-    pub kind: u8,
-    /// Bit index for bit-flip kinds.
-    pub bit: u32,
-    /// `0` = transient, `1` = permanent.
-    pub window_kind: u8,
-    /// Strike step (transient) or start step (permanent).
-    pub at: u64,
-}
-
 /// Run metadata: everything needed to rebuild an equivalent simulator.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RecMeta {
@@ -265,7 +263,7 @@ pub struct RecMeta {
     /// The environment's repeat-last-value flag.
     pub repeat_last: bool,
     /// Faults injected during the recorded run.
-    pub faults: Vec<RecFault>,
+    pub faults: Vec<Fault>,
 }
 
 /// A complete recording: metadata + step records + checkpoints.
@@ -330,18 +328,50 @@ impl Recording {
     }
 
     /// Append the next step's record (step `end_step()`).
+    #[inline]
     pub fn push_record(&mut self, r: &StepRecord) {
-        self.fired.extend_from_slice(&r.fired);
-        self.latched.extend_from_slice(&r.latched);
-        self.advanced.extend_from_slice(&r.advanced);
-        self.events.extend_from_slice(&r.events);
+        /// Append `items`, skipping the copy call for the many empty
+        /// fields of a typical row; returns the column's new end.
+        #[inline]
+        fn append<T: Copy>(col: &mut Vec<T>, items: &[T]) -> usize {
+            if !items.is_empty() {
+                col.extend_from_slice(items);
+            }
+            col.len()
+        }
         self.rows.push(RowEnds {
-            fired_end: self.fired.len(),
-            latched_end: self.latched.len(),
-            advanced_end: self.advanced.len(),
-            events_end: self.events.len(),
+            fired_end: append(&mut self.fired, &r.fired),
+            latched_end: append(&mut self.latched, &r.latched),
+            advanced_end: append(&mut self.advanced, &r.advanced),
+            events_end: append(&mut self.events, &r.events),
             flags: r.flags,
         });
+    }
+
+    /// Drop the oldest `n` rows (`n ≤ len()`) and every checkpoint that
+    /// falls before the new `first_step`. Keeps every column's capacity,
+    /// so a ring that trims in place allocates nothing.
+    pub(crate) fn drop_front(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let cut = self.rows[n - 1];
+        self.rows.drain(..n);
+        for r in &mut self.rows {
+            r.fired_end -= cut.fired_end;
+            r.latched_end -= cut.latched_end;
+            r.advanced_end -= cut.advanced_end;
+            r.events_end -= cut.events_end;
+        }
+        self.fired.drain(..cut.fired_end);
+        self.latched.drain(..cut.latched_end);
+        self.advanced.drain(..cut.advanced_end);
+        self.events.drain(..cut.events_end);
+        self.first_step += n as u64;
+        let stale = self
+            .checkpoints
+            .partition_point(|c| c.step < self.first_step);
+        self.checkpoints.drain(..stale);
     }
 
     /// The latest checkpoint at or before `step`.
@@ -383,12 +413,7 @@ impl Recording {
         }
         put_varint(&mut out, self.meta.faults.len() as u64);
         for f in &self.meta.faults {
-            out.push(f.site_kind);
-            put_varint(&mut out, u64::from(f.site));
-            out.push(f.kind);
-            put_varint(&mut out, u64::from(f.bit));
-            out.push(f.window_kind);
-            put_varint(&mut out, f.at);
+            put_fault(&mut out, f);
         }
         put_varint(&mut out, self.first_step);
         put_varint(&mut out, self.checkpoints.len() as u64);
@@ -482,14 +507,7 @@ impl Recording {
         }
         let n_faults = c.count()?;
         for _ in 0..n_faults {
-            meta.faults.push(RecFault {
-                site_kind: c.u8()?,
-                site: c.varint_u32("fault site")?,
-                kind: c.u8()?,
-                bit: c.varint_u32("fault bit")?,
-                window_kind: c.u8()?,
-                at: c.varint()?,
-            });
+            meta.faults.push(read_fault(&mut c)?);
         }
         let first_step = c.varint()?;
         // A checkpoint takes at least 12 bytes (three empty counts, a
@@ -580,6 +598,64 @@ impl Recording {
     }
 }
 
+/// Write one fault as six fields: site tag (`0` port, `1` place), raw
+/// site id, kind tag (`0` stuck-at-0, `1` stuck-at-1, `2` bit-flip, `3`
+/// token loss, `4` token dup), bit index (`0` unless a bit flip), window
+/// tag (`0` transient, `1` permanent) and the window's step.
+fn put_fault(out: &mut Vec<u8>, f: &Fault) {
+    let (site_tag, site) = match f.site {
+        FaultSite::Port(p) => (0, p.0),
+        FaultSite::Place(s) => (1, s.0),
+    };
+    let (kind_tag, bit) = match f.kind {
+        FaultKind::StuckAt0 => (0, 0),
+        FaultKind::StuckAt1 => (1, 0),
+        FaultKind::BitFlip(b) => (2, b),
+        FaultKind::TokenLoss => (3, 0),
+        FaultKind::TokenDup => (4, 0),
+    };
+    let (window_tag, at) = match f.window {
+        FaultWindow::Transient(s) => (0, s),
+        FaultWindow::Permanent(s) => (1, s),
+    };
+    out.push(site_tag);
+    put_varint(out, u64::from(site));
+    out.push(kind_tag);
+    put_varint(out, u64::from(bit));
+    out.push(window_tag);
+    put_varint(out, at);
+}
+
+/// Read one fault written by [`put_fault`]. An unknown tag, or a bit
+/// index on a kind that has none, is corrupt at the tag's offset.
+fn read_fault(c: &mut Reader<'_>) -> Result<Fault, RecError> {
+    let corrupt = |offset, detail: String| RecError::Corrupt { offset, detail };
+    let at = c.pos();
+    let site = match c.u8()? {
+        0 => FaultSite::Port(PortId::new(c.varint_u32("fault site")?)),
+        1 => FaultSite::Place(PlaceId::new(c.varint_u32("fault site")?)),
+        tag => return Err(corrupt(at, format!("unknown fault site tag {tag}"))),
+    };
+    let at = c.pos();
+    let (tag, bit) = (c.u8()?, c.varint_u32("fault bit")?);
+    let kind = match (tag, bit) {
+        (0, 0) => FaultKind::StuckAt0,
+        (1, 0) => FaultKind::StuckAt1,
+        (2, b) => FaultKind::BitFlip(b),
+        (3, 0) => FaultKind::TokenLoss,
+        (4, 0) => FaultKind::TokenDup,
+        (0..=4, b) => return Err(corrupt(at, format!("fault kind {tag} carries bit {b}"))),
+        _ => return Err(corrupt(at, format!("unknown fault kind tag {tag}"))),
+    };
+    let at = c.pos();
+    let window = match c.u8()? {
+        0 => FaultWindow::Transient(c.varint()?),
+        1 => FaultWindow::Permanent(c.varint()?),
+        tag => return Err(corrupt(at, format!("unknown fault window tag {tag}"))),
+    };
+    Ok(Fault { site, kind, window })
+}
+
 /// Magic + format version. Bump the final byte on breaking changes.
 const MAGIC: &[u8] = b"ETPNREC\x01";
 
@@ -595,12 +671,21 @@ pub enum RecError {
         /// What went wrong.
         detail: String,
     },
-    /// Two recordings of *different designs* were compared.
+    /// A recording was compared with a recording, or read against a
+    /// design, of a *different design*.
     DesignMismatch {
-        /// Left design fingerprint.
+        /// The expected design fingerprint (the left recording's, or the
+        /// design's).
         left: u64,
-        /// Right design fingerprint.
+        /// The fingerprint the (right) recording carries.
         right: u64,
+    },
+    /// A journaled row names an id the design lacks.
+    UnknownId {
+        /// The step of the row.
+        step: u64,
+        /// The id, as the model prints it (`t9`, `s9`, …).
+        id: String,
     },
     /// No checkpoint at or before the requested step is retained (ring
     /// eviction, or the step precedes the recording).
@@ -622,10 +707,15 @@ impl std::fmt::Display for RecError {
             RecError::Corrupt { offset, detail } => {
                 write!(f, "corrupt recording at byte {offset}: {detail}")
             }
-            RecError::DesignMismatch { left, right } => write!(
-                f,
-                "recordings are of different designs ({left:#018x} vs {right:#018x})"
-            ),
+            RecError::DesignMismatch { left, right } => {
+                write!(f, "recording is of design {right:#018x}, not {left:#018x}")
+            }
+            RecError::UnknownId { step, id } => {
+                write!(
+                    f,
+                    "the record of step {step} names {id}, which the design lacks"
+                )
+            }
             RecError::NoCheckpoint { target } => {
                 write!(f, "no retained checkpoint at or before step {target}")
             }
@@ -665,14 +755,23 @@ mod tests {
                     ("b".to_string(), vec![Value::Def(i64::MAX)]),
                 ],
                 repeat_last: true,
-                faults: vec![RecFault {
-                    site_kind: 0,
-                    site: 3,
-                    kind: 2,
-                    bit: 5,
-                    window_kind: 0,
-                    at: 9,
-                }],
+                faults: vec![
+                    Fault {
+                        site: FaultSite::Port(PortId::new(3)),
+                        kind: FaultKind::BitFlip(17),
+                        window: FaultWindow::Transient(5),
+                    },
+                    Fault {
+                        site: FaultSite::Place(PlaceId::new(1)),
+                        kind: FaultKind::TokenDup,
+                        window: FaultWindow::Permanent(2),
+                    },
+                    Fault {
+                        site: FaultSite::Port(PortId::new(0)),
+                        kind: FaultKind::StuckAt0,
+                        window: FaultWindow::Permanent(0),
+                    },
+                ],
             },
             first_step: 3,
             checkpoints: vec![Checkpoint::new(
@@ -720,6 +819,51 @@ mod tests {
         let off = bad.len() - 40;
         bad[off] ^= 0xFF;
         assert!(Recording::from_bytes(&bad).is_err());
+    }
+
+    /// The offset of the `k`-th fault's field `field` (0 = site tag, 2 =
+    /// kind tag, 4 = window tag) in `sample()`'s encoding: every field of
+    /// its faults is one byte long.
+    fn fault_field_offset(bytes: &[u8], k: usize, field: usize) -> usize {
+        let faults = sample().meta.faults;
+        let mut tail = Vec::new();
+        put_varint(&mut tail, faults.len() as u64);
+        for f in &faults {
+            put_fault(&mut tail, f);
+        }
+        let start = bytes
+            .windows(tail.len())
+            .position(|w| w == tail.as_slice())
+            .expect("fault list is in the encoding");
+        start + 1 + 6 * k + field
+    }
+
+    #[test]
+    fn an_unknown_fault_tag_is_refused_at_its_offset() {
+        let bytes = sample().to_bytes();
+        for (k, field, what) in [
+            (0, 0, "unknown fault site tag 9"),
+            (1, 2, "unknown fault kind tag 9"),
+            (2, 4, "unknown fault window tag 9"),
+        ] {
+            let at = fault_field_offset(&bytes, k, field);
+            let mut bad = bytes.clone();
+            bad[at] = 9;
+            let want = RecError::Corrupt {
+                offset: at,
+                detail: what.to_string(),
+            };
+            assert_eq!(Recording::from_bytes(&bad), Err(want));
+        }
+        // A bit index on a kind without one is not read past either.
+        let at = fault_field_offset(&bytes, 2, 2);
+        let mut bad = bytes.clone();
+        bad[at + 1] = 4;
+        let detail = "fault kind 0 carries bit 4".to_string();
+        assert_eq!(
+            Recording::from_bytes(&bad),
+            Err(RecError::Corrupt { offset: at, detail })
+        );
     }
 
     #[test]

@@ -12,30 +12,39 @@
 //! * [`journal`] — the data model ([`StepRecord`], [`Checkpoint`],
 //!   [`Recording`]) and its compact binary encoding (LEB128 varints,
 //!   zigzag deltas, stable digests);
-//! * [`recorder`] — the live [`Recorder`] the engine drives: full-journal
-//!   mode for bounded runs, fixed-capacity ring mode for always-on
-//!   recording at near-zero steady-state allocation;
+//! * [`fault`] — the engine's fault model ([`Fault`]), which a
+//!   recording's metadata holds as is;
+//! * [`recorder`] — the live [`Recorder`] the engine drives: it appends
+//!   the engine's one row per step to the [`Recording`] it returns, in
+//!   full-journal mode for bounded runs or a fixed-capacity ring, trimmed
+//!   in batches, for always-on recording without steady-state allocation;
 //! * [`divergence`] — forensics over two recordings of the same design:
-//!   checkpoint-digest bisection to the first divergent step, and a causal
-//!   slice (the cone of ports/places feeding the divergent decision)
-//!   rendered as text, JSON, or a DOT heat overlay.
+//!   one step comparator ([`step_diff`]) that replay verification shares,
+//!   the first divergent step with a checkpoint-digest fallback, and a
+//!   causal slice (the cone of ports/places feeding the divergent
+//!   decision) rendered as text, JSON, or a DOT heat overlay.
 //!
-//! The crate deliberately knows nothing about the simulator: `etpn-sim`
-//! depends on it (the engine holds a [`Recorder`] and replays
-//! [`Recording`]s), never the reverse.
+//! The crate knows nothing about the step loop: `etpn-sim` depends on it
+//! (the engine holds a [`Recorder`] and replays [`Recording`]s), never
+//! the reverse. The firing policy stays a tag and a seed in [`RecMeta`],
+//! because ordering a policy's choices needs `rand`, which this crate
+//! does not depend on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod divergence;
+pub mod fault;
 pub mod journal;
 pub mod recorder;
 
 pub use divergence::{
-    causal_slice, first_divergence, CausalSlice, Divergence, DivergenceReason, DivergenceReport,
+    causal_slice, first_divergence, step_diff, CausalSlice, Divergence, DivergenceReason,
+    DivergenceReport,
 };
+pub use fault::{Fault, FaultKind, FaultSite, FaultWindow};
 pub use journal::{
-    Checkpoint, RecError, RecFault, RecMeta, RecordConfig, RecordMode, Recording, StepRecord,
+    Checkpoint, RecError, RecMeta, RecordConfig, RecordMode, Recording, StepRecord,
     FLAG_CONTROL_FAULT, FLAG_DATA_FAULT,
 };
 pub use recorder::Recorder;

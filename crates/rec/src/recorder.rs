@@ -4,54 +4,33 @@
 //!
 //! 1. [`Recorder::wants_checkpoint`] / [`Recorder::checkpoint`] — before
 //!    anything else mutates the configuration;
-//! 2. [`Recorder::begin_step`];
-//! 3. [`Recorder::fired`] / [`Recorder::latched`] / [`Recorder::advanced`]
-//!    / [`Recorder::event`] as decisions and effects happen;
-//! 4. [`Recorder::set_flags`] then [`Recorder::end_step`] once the step
-//!    committed.
+//! 2. [`Recorder::push`] with the step's [`StepRecord`] once the step
+//!    committed. The engine fills one reused row per step, so the
+//!    recorder sees each step exactly once, as a whole.
 //!
-//! Storage is column-wise: each journaled field lives in one shared deque
-//! (`fired`, `latched`, …) and a per-step row holds only the counts. A
-//! step therefore costs a few deque pushes — no per-step allocation once
-//! the columns have grown to their working sizes (a handful of amortised
-//! doublings even in full mode), and ring eviction is a front drain.
+//! The recorder appends each row to the [`Recording`] it will return, so
+//! finishing is a move, not a copy. In ring mode the live window holds
+//! between `capacity` and `2 × capacity` rows: when it reaches
+//! `2 × capacity` the oldest `capacity` rows, and the checkpoints before
+//! the new window, go in one front trim. Each trim moves the retained
+//! rows once, so a step costs a few column appends plus amortised O(1)
+//! trimming, and no allocation once the columns reach their working
+//! size. [`Recorder::into_recording`] trims to the last `capacity` rows.
 
-use std::collections::VecDeque;
-
-use etpn_core::{ArcId, PlaceId, PortId, TransId, Value, VertexId};
+use etpn_core::Value;
 use etpn_obs as obs;
 
-use crate::journal::{Checkpoint, RecMeta, RecordConfig, RecordMode, Recording, RowEnds};
-
-/// Per-step column counts (the live analogue of the immutable
-/// [`RowEnds`] offsets).
-#[derive(Clone, Copy, Debug, Default)]
-struct RowCounts {
-    fired: u32,
-    latched: u32,
-    advanced: u32,
-    events: u32,
-    flags: u8,
-}
+use crate::journal::{Checkpoint, RecMeta, RecordConfig, RecordMode, Recording, StepRecord};
 
 /// Incremental journal builder fed by the simulation engine.
 #[derive(Debug)]
 pub struct Recorder {
     cfg: RecordConfig,
-    meta: RecMeta,
-    first_step: u64,
-    rows: VecDeque<RowCounts>,
-    fired: VecDeque<TransId>,
-    latched: VecDeque<(PortId, Value)>,
-    advanced: VecDeque<VertexId>,
-    events: VecDeque<(ArcId, Value, PlaceId)>,
-    checkpoints: Vec<Checkpoint>,
+    rec: Recording,
     /// Next step on the checkpoint cadence, lazily anchored on the first
     /// [`Recorder::wants_checkpoint`] query so recording can start at any
     /// step while checkpoints stay on absolute multiples of `every`.
     next_checkpoint: Option<u64>,
-    cur: RowCounts,
-    in_step: bool,
     steps: u64,
     evictions: u64,
 }
@@ -70,25 +49,14 @@ impl Recorder {
         };
         Self {
             cfg,
-            meta,
-            first_step: 0,
-            rows: VecDeque::new(),
-            fired: VecDeque::new(),
-            latched: VecDeque::new(),
-            advanced: VecDeque::new(),
-            events: VecDeque::new(),
-            checkpoints: Vec::new(),
+            rec: Recording {
+                meta,
+                ..Recording::default()
+            },
             next_checkpoint: None,
-            cur: RowCounts::default(),
-            in_step: false,
             steps: 0,
             evictions: 0,
         }
-    }
-
-    /// The configuration this recorder runs with.
-    pub fn config(&self) -> RecordConfig {
-        self.cfg
     }
 
     /// True when `step` is on the checkpoint cadence and not yet
@@ -105,10 +73,10 @@ impl Recorder {
     /// Snapshot the configuration *before* step `step` executes.
     pub fn checkpoint(&mut self, step: u64, marking: &[u32], state: &[Value], cursors: &[u64]) {
         debug_assert!(
-            self.checkpoints.last().is_none_or(|c| c.step < step),
+            self.rec.checkpoints.last().is_none_or(|c| c.step < step),
             "checkpoints must be strictly increasing"
         );
-        self.checkpoints.push(Checkpoint::new(
+        self.rec.checkpoints.push(Checkpoint::new(
             step,
             marking.to_vec(),
             state.to_vec(),
@@ -117,140 +85,48 @@ impl Recorder {
         self.next_checkpoint = Some(step + self.cfg.every);
     }
 
-    /// Start journaling step `step`. On the very first call this anchors
-    /// [`Recording::first_step`].
-    pub fn begin_step(&mut self, step: u64) {
-        if self.rows.is_empty() && !self.in_step {
-            self.first_step = step;
+    /// Journal the committed step `step`. The first row anchors
+    /// [`Recording::first_step`]; later rows must follow densely. In ring
+    /// mode a full window sheds its oldest `capacity` rows.
+    #[inline]
+    pub fn push(&mut self, step: u64, row: &StepRecord) {
+        if self.rec.is_empty() {
+            self.rec.first_step = step;
         }
-        debug_assert_eq!(
-            step,
-            self.first_step + self.rows.len() as u64,
-            "steps must be journaled densely"
-        );
-        self.cur = RowCounts::default();
-        self.in_step = true;
-    }
-
-    /// Journal a transition firing (in firing order).
-    #[inline]
-    pub fn fired(&mut self, t: TransId) {
-        self.fired.push_back(t);
-        self.cur.fired += 1;
-    }
-
-    /// Journal a register latch committed this step.
-    #[inline]
-    pub fn latched(&mut self, port: PortId, value: Value) {
-        self.latched.push_back((port, value));
-        self.cur.latched += 1;
-    }
-
-    /// Journal an input-cursor advance committed this step.
-    #[inline]
-    pub fn advanced(&mut self, vertex: VertexId) {
-        self.advanced.push_back(vertex);
-        self.cur.advanced += 1;
-    }
-
-    /// Journal an external event appended this step.
-    #[inline]
-    pub fn event(&mut self, arc: ArcId, value: Value, place: PlaceId) {
-        self.events.push_back((arc, value, place));
-        self.cur.events += 1;
-    }
-
-    /// Set the fault-activity flags for the current step.
-    #[inline]
-    pub fn set_flags(&mut self, flags: u8) {
-        self.cur.flags = flags;
-    }
-
-    /// Commit the current step's record. In ring mode this may evict the
-    /// oldest record (a front drain of each column) and drop the
-    /// checkpoint that fell out of the retained window.
-    pub fn end_step(&mut self) {
-        debug_assert!(self.in_step, "end_step without begin_step");
-        self.in_step = false;
+        debug_assert_eq!(step, self.rec.end_step(), "steps must be journaled densely");
+        self.rec.push_record(row);
         self.steps += 1;
         if let RecordMode::Ring(cap) = self.cfg.mode {
-            if self.rows.len() == cap {
-                let old = self.rows.pop_front().expect("ring is non-empty");
-                fn pop_n<T>(dq: &mut VecDeque<T>, n: u32) {
-                    if n > 0 {
-                        dq.drain(..n as usize);
-                    }
-                }
-                pop_n(&mut self.fired, old.fired);
-                pop_n(&mut self.latched, old.latched);
-                pop_n(&mut self.advanced, old.advanced);
-                pop_n(&mut self.events, old.events);
-                self.first_step += 1;
-                self.evictions += 1;
-                // A checkpoint is only useful while the records it feeds
-                // replay through are retained. Since `first_step` advances
-                // one step per eviction, at most the oldest checkpoint can
-                // have gone stale — no full scan needed.
-                if self
-                    .checkpoints
-                    .first()
-                    .is_some_and(|c| c.step < self.first_step)
-                {
-                    self.checkpoints.remove(0);
-                }
+            if self.rec.len() >= cap.saturating_mul(2) {
+                self.shed(self.rec.len() - cap);
             }
         }
-        self.rows.push_back(self.cur);
     }
 
-    /// Number of steps journaled so far (including evicted ones).
-    pub fn steps_recorded(&self) -> u64 {
-        self.steps
+    fn shed(&mut self, n: usize) {
+        self.rec.drop_front(n);
+        self.evictions += n as u64;
     }
 
-    /// Finish recording and produce the immutable [`Recording`]: each
-    /// column deque is copied out contiguously and the per-row counts are
-    /// prefix-summed into [`RowEnds`] — one pass, five allocations.
+    /// Finish recording and produce the immutable [`Recording`]: a ring
+    /// keeps its last `capacity` rows and the checkpoints among them.
     ///
     /// Emits the recorder's own observability: counters `rec.steps`,
     /// `rec.evictions`, `rec.checkpoints` and gauge `rec.ring.occupancy`
     /// (retained records at finish).
-    pub fn into_recording(self) -> Recording {
+    pub fn into_recording(mut self) -> Recording {
+        if let RecordMode::Ring(cap) = self.cfg.mode {
+            self.shed(self.rec.len().saturating_sub(cap));
+        }
         obs::global().counter("rec.steps").add(self.steps);
         obs::global().counter("rec.evictions").add(self.evictions);
         obs::global()
             .counter("rec.checkpoints")
-            .add(self.checkpoints.len() as u64);
+            .add(self.rec.checkpoints.len() as u64);
         obs::global()
             .gauge("rec.ring.occupancy")
-            .set(self.rows.len() as i64);
-        fn contig<T: Copy>(dq: &VecDeque<T>) -> Vec<T> {
-            let (a, b) = dq.as_slices();
-            let mut v = Vec::with_capacity(a.len() + b.len());
-            v.extend_from_slice(a);
-            v.extend_from_slice(b);
-            v
-        }
-        let mut rows = Vec::with_capacity(self.rows.len());
-        let mut ends = RowEnds::default();
-        for c in &self.rows {
-            ends.fired_end += c.fired as usize;
-            ends.latched_end += c.latched as usize;
-            ends.advanced_end += c.advanced as usize;
-            ends.events_end += c.events as usize;
-            ends.flags = c.flags;
-            rows.push(ends);
-        }
-        Recording {
-            meta: self.meta,
-            first_step: self.first_step,
-            checkpoints: self.checkpoints,
-            rows,
-            fired: contig(&self.fired),
-            latched: contig(&self.latched),
-            advanced: contig(&self.advanced),
-            events: contig(&self.events),
-        }
+            .set(self.rec.len() as i64);
+        self.rec
     }
 }
 
@@ -258,6 +134,7 @@ impl Recorder {
 mod tests {
     use super::*;
     use crate::journal::Recording;
+    use etpn_core::TransId;
 
     fn meta() -> RecMeta {
         RecMeta {
@@ -270,9 +147,11 @@ mod tests {
         if rec.wants_checkpoint(step) {
             rec.checkpoint(step, &[1], &[Value::Def(step as i64)], &[step]);
         }
-        rec.begin_step(step);
-        rec.fired(TransId::new((step % 3) as u32));
-        rec.end_step();
+        let row = StepRecord {
+            fired: vec![TransId::new((step % 3) as u32)],
+            ..StepRecord::default()
+        };
+        rec.push(step, &row);
     }
 
     #[test]

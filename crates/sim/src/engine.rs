@@ -33,10 +33,13 @@ use crate::fault::FaultPlan;
 use crate::policy::FiringPolicy;
 use crate::trace::{Termination, Trace, WorkCounts};
 use etpn_core::bitset::BitSet;
-use etpn_core::{Etpn, ExternalEvent, Marking, Op, PlaceId, PortId, TransId, Value, VertexId};
+use etpn_core::{Etpn, ExternalEvent, Marking, Op, PlaceId, PortId, TransId, Value};
 use etpn_cov::CovDb;
 use etpn_obs as obs;
-use etpn_rec::{RecMeta, RecordConfig, Recorder, Recording, FLAG_CONTROL_FAULT, FLAG_DATA_FAULT};
+use etpn_rec::{
+    step_diff, DivergenceReason, RecMeta, RecordConfig, Recorder, Recording, StepRecord,
+    FLAG_CONTROL_FAULT, FLAG_DATA_FAULT,
+};
 use rand::rngs::SmallRng;
 use std::time::{Duration, Instant};
 
@@ -112,13 +115,6 @@ fn observe_toggle(db: &mut CovDb, seen: &mut [u8], p: usize, v: Value) -> u8 {
     seen[p]
 }
 
-/// A replay in progress: the journal whose firing decisions are
-/// re-applied (never re-decided) and whose committed effects every
-/// re-derived step is verified against.
-struct ReplayScript {
-    rec: Recording,
-}
-
 /// A configured simulation run over one design.
 pub struct Simulator<'g, E: Environment> {
     g: &'g Etpn,
@@ -160,17 +156,20 @@ pub struct Simulator<'g, E: Environment> {
     /// the run starts.
     rec_cfg: Option<RecordConfig>,
     rec: Option<Recorder>,
-    script: Option<ReplayScript>,
-    /// Scratch: latches committed this step (fed to recorder/replay check).
-    rec_latched: Vec<(PortId, Value)>,
+    /// A replay in progress: the journal whose firing decisions are
+    /// re-applied (never re-decided) and whose rows every re-derived step
+    /// is verified against.
+    script: Option<Recording>,
     // --- per-step scratch, reused so a steady-state step allocates nothing ---
     /// Token-enabled transitions, filtered in place to the ready ones and
     /// then ordered by the policy.
     ready: Vec<TransId>,
     /// Places whose tokens this step consumed (activation intervals ended).
     exited: Vec<PlaceId>,
-    /// Input vertices whose stream cursors this step advanced.
-    advanced: Vec<VertexId>,
+    /// This step's journal row. Its input vertices whose stream cursors
+    /// advanced are listed on every step; fired transitions, latches,
+    /// events and fault flags only while recording or replaying.
+    row: StepRecord,
 }
 
 impl<'g, E: Environment> Simulator<'g, E> {
@@ -216,10 +215,9 @@ impl<'g, E: Environment> Simulator<'g, E> {
             rec_cfg: None,
             rec: None,
             script: None,
-            rec_latched: Vec::new(),
             ready: Vec::new(),
             exited: Vec::new(),
-            advanced: Vec::new(),
+            row: StepRecord::default(),
         }
     }
 
@@ -455,7 +453,6 @@ impl<'g, E: Environment> Simulator<'g, E> {
                     self.cursors.positions(),
                 );
             }
-            rec.begin_step(self.step);
         }
         let mut fault_flags: u8 = 0;
         if let Some(plan) = &self.faults {
@@ -661,7 +658,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
                     faults: self
                         .faults
                         .as_ref()
-                        .map(crate::replay::faults_to_rec)
+                        .map(|plan| plan.faults().to_vec())
                         .unwrap_or_default(),
                 },
             ));
@@ -812,7 +809,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
         }
         if self.faults.is_none() && !recording.meta.faults.is_empty() {
-            self.faults = Some(crate::replay::faults_from_rec(&recording.meta.faults));
+            let faults = recording.meta.faults.iter().copied();
+            self.faults = Some(faults.fold(FaultPlan::new(), FaultPlan::with));
         }
         self.marking = Marking::from_counts(ck.marking.clone());
         self.state.restore(&ck.state);
@@ -823,73 +821,38 @@ impl<'g, E: Environment> Simulator<'g, E> {
             // mirror; the next step rebuilds them from a full walk.
             cs.resync = true;
         }
-        self.script = Some(ReplayScript {
-            rec: recording.clone(),
-        });
+        self.script = Some(recording.clone());
         self.run(target)
     }
 
-    /// Verify this step's committed effects against the replay journal
-    /// (if replaying) and feed them to the recorder (if recording).
-    /// `events_before` marks where this step's events start in
-    /// `self.events`; `self.rec_latched` holds this step's latches and
-    /// `self.advanced` its consumed inputs.
+    /// Complete this step's row with its events and fault flags, verify
+    /// it against the replay journal (if replaying) and hand it to the
+    /// recorder (if recording). `events_before` marks where this step's
+    /// events start in `self.events`.
     fn finish_step_journal(
         &mut self,
         events_before: usize,
         fault_flags: u8,
     ) -> Result<(), SimError> {
-        let advanced = self.advanced.as_slice();
-        if let Some(script) = &self.script {
-            if let Some(r) = script.rec.record(self.step) {
-                if r.latched != self.rec_latched {
-                    return Err(SimError::ReplayDivergence {
-                        step: self.step,
-                        detail: format!(
-                            "latched registers differ: journal has {:?}, replay produced {:?}",
-                            r.latched, self.rec_latched
-                        ),
-                    });
-                }
-                if r.advanced != advanced {
-                    return Err(SimError::ReplayDivergence {
-                        step: self.step,
-                        detail: format!(
-                            "consumed inputs differ: journal has {:?}, replay produced {advanced:?}",
-                            r.advanced
-                        ),
-                    });
-                }
-                let evs = &self.events[events_before..];
-                if r.events.len() != evs.len()
-                    || r.events
-                        .iter()
-                        .zip(evs)
-                        .any(|(&(a, v, s), e)| a != e.arc || v != e.value || s != e.place)
-                {
-                    return Err(SimError::ReplayDivergence {
-                        step: self.step,
-                        detail: format!(
-                            "external events differ: journal has {} events, replay produced {}",
-                            r.events.len(),
-                            evs.len()
-                        ),
-                    });
-                }
+        let row = &mut self.row;
+        let events = &self.events[events_before..];
+        row.events
+            .extend(events.iter().map(|e| (e.arc, e.value, e.place)));
+        row.flags = fault_flags;
+        let journal = self.script.as_ref().and_then(|s| s.record(self.step));
+        if let Some(journal) = journal {
+            if let Some(reason) = step_diff(journal, row.view()) {
+                return Err(SimError::ReplayDivergence {
+                    step: self.step,
+                    detail: format!(
+                        "{reason}: journal has {:?}, replay produced {row:?}",
+                        journal.to_owned()
+                    ),
+                });
             }
         }
         if let Some(rec) = &mut self.rec {
-            for &(p, v) in &self.rec_latched {
-                rec.latched(p, v);
-            }
-            for &v in advanced {
-                rec.advanced(v);
-            }
-            for e in &self.events[events_before..] {
-                rec.event(e.arc, e.value, e.place);
-            }
-            rec.set_flags(fault_flags);
-            rec.end_step();
+            rec.push(self.step, row);
         }
         Ok(())
     }
@@ -938,15 +901,16 @@ impl<'g, E: Environment> Simulator<'g, E> {
         match self
             .script
             .as_ref()
-            .and_then(|script| script.rec.record(self.step))
+            .and_then(|script| script.record(self.step))
         {
             Some(r) => {
                 if let Some(&t) = r.fired.iter().find(|t| !ready.contains(t)) {
                     return Err(SimError::ReplayDivergence {
                         step: self.step,
                         detail: format!(
-                            "journal fires {t} but it is not ready (enabled and guard-true) \
-                             in the replay"
+                            "{}: journal fires {t} but it is not ready (enabled and \
+                             guard-true) in the replay",
+                            DivergenceReason::FiredDiffer
                         ),
                     });
                 }
@@ -957,12 +921,14 @@ impl<'g, E: Environment> Simulator<'g, E> {
         }
         let mut fired = 0usize;
         self.exited.clear();
+        self.row.clear();
+        let journaling = scripted || self.rec.is_some();
         for &t in &ready {
             if self.marking.enabled(&g.ctl, t) {
                 self.marking.fire(&g.ctl, t);
                 self.fire_counts[t.idx()] += 1;
-                if let Some(rec) = &mut self.rec {
-                    rec.fired(t);
+                if journaling {
+                    self.row.fired.push(t);
                 }
                 let tr = g.ctl.transition(t);
                 if let Some(cs) = &mut self.compiled {
@@ -979,7 +945,10 @@ impl<'g, E: Environment> Simulator<'g, E> {
                 // differs.
                 return Err(SimError::ReplayDivergence {
                     step: self.step,
-                    detail: format!("journaled transition {t} lost enablement during the step"),
+                    detail: format!(
+                        "{}: journaled transition {t} lost enablement during the step",
+                        DivergenceReason::FiredDiffer
+                    ),
                 });
             }
         }
@@ -1014,8 +983,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
 
     /// Step phase 5: commit the effects of the control states whose
     /// activation ended (`self.exited`). The input vertices whose cursors
-    /// advanced land in `self.advanced`; the latches performed land in
-    /// `self.rec_latched` when recording or replaying.
+    /// advanced land in the step's row; so do the latches performed, when
+    /// recording or replaying.
     fn commit_exits(&mut self, vals: &StepValues) -> Result<(), SimError> {
         let g = self.g;
         let exited = self.exited.as_slice();
@@ -1036,13 +1005,11 @@ impl<'g, E: Environment> Simulator<'g, E> {
             }
         }
         // Register latching (rule 9), logged when the journal needs it.
-        self.rec_latched.clear();
-        let log = (self.rec.is_some() || self.script.is_some()).then_some(&mut self.rec_latched);
+        let log = (self.rec.is_some() || self.script.is_some()).then_some(&mut self.row.latched);
         self.evaluator
             .latch_for_places_logged(g, exited, vals, &mut self.state, log);
         // Input stream consumption: one value per completed read interval.
-        let advanced = &mut self.advanced;
-        advanced.clear();
+        let advanced = &mut self.row.advanced;
         for &s in exited {
             for &a in g.ctl.ctrl(s) {
                 let from_v = g.dp.port(g.dp.arc(a).from).vertex;
@@ -1053,7 +1020,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
                 }
             }
         }
-        for &v in &self.advanced {
+        for &v in &self.row.advanced {
             let position = self.cursors.position(v);
             if self.strict && self.env.ran_dry(v, &g.dp.vertex(v).name, position) {
                 return Err(SimError::InputExhausted {

@@ -10,7 +10,7 @@
 use crate::error::SimError;
 use etpn_core::bitset::BitSet;
 use etpn_core::port::Dir;
-use etpn_core::{ArcId, Etpn, Marking, Op, PortId, Value, VertexId};
+use etpn_core::{Etpn, Marking, Op, PortId, Value, VertexId};
 
 /// The persistent data-path state: one latched value per sequential output
 /// port (registers start undefined unless seeded).
@@ -66,12 +66,6 @@ impl StepValues {
     #[inline]
     pub fn value(&self, p: PortId) -> Value {
         self.port_values[p.idx()]
-    }
-
-    /// True iff the arc was open during this step.
-    #[inline]
-    pub fn is_open(&self, a: ArcId) -> bool {
-        self.open_arcs.contains(a.idx())
     }
 }
 

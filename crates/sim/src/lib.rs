@@ -30,9 +30,9 @@
 //!   fleet-backed fault-simulation campaigns classifying each fault as
 //!   masked / silent corruption / detected / hang against a golden run;
 //! * [`replay`] — flight-recorder glue: always-on step journaling
-//!   ([`engine::Simulator::with_recorder`]), checkpointed time-travel
-//!   replay ([`engine::Simulator::replay_to`], [`replay::replay_recording`])
-//!   and fault-plan serialisation into recordings.
+//!   ([`engine::Simulator::with_recorder`]) and checkpointed time-travel
+//!   replay ([`engine::Simulator::replay_to`], [`replay::replay_recording`]);
+//!   a recording holds the engine's own [`Fault`]s.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -70,7 +70,7 @@ pub use fault::{
 };
 pub use fleet::{Fleet, FleetBatch, FleetStats, SaturationConfig, SaturationOutcome, SimJob};
 pub use policy::FiringPolicy;
-pub use replay::{env_from_recording, faults_from_rec, faults_to_rec, replay_recording};
+pub use replay::{env_from_recording, replay_recording};
 pub use retry::{Backoff, RetryPolicy};
 pub use spec::RunSpec;
 pub use trace::{Termination, Trace, WorkCounts};

@@ -127,7 +127,8 @@
 //!
 //! exit codes:
 //!   0   success
-//!   1   error (bad usage, compile failure, simulation fault, …)
+//!   1   error (bad usage, compile failure, simulation fault, a
+//!       recording that does not fit the design, …)
 //!   2   check found denied diagnostics (errors, or warnings under --deny)
 //!   3   simulation hit the step limit
 //!   4   deadlock: no transition is token-enabled but tokens remain

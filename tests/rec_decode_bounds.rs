@@ -195,11 +195,15 @@ fn ids_and_bits_above_u32_are_rejected_not_truncated() {
 // in `tests/golden/etpnd_legacy_data`, both whole and frame by frame.
 // Mutants: every truncation, a single-byte xor at every offset of inputs
 // under 4 KiB, and `SEEDED_MUTANTS` seeded multi-byte overwrites. A
-// coverage image that decodes must then merge into the unmutated DB it
-// came from, or be refused with an error, again without a panic.
+// recording that decodes must then compare with the unmutated recording
+// it came from as `etpnc why` does (`DivergenceReport::between` and its
+// renderings against the design), and a coverage image that decodes must
+// merge into the unmutated DB it came from; either may be refused with
+// an error, again without a panic.
 
+use etpn::core::Etpn;
 use etpn::cov::CovDb;
-use etpn::rec::{Checkpoint, RecordConfig};
+use etpn::rec::{Checkpoint, DivergenceReport, RecordConfig};
 use etpn::serve::persist::{scan, split_trace_frame};
 use etpn::sim::{Fault, FaultKind, FaultPlan, FaultSite, FaultWindow, Simulator};
 use etpn::workloads::by_name;
@@ -279,14 +283,28 @@ fn merges_or_refuses(what: &str, base: &CovDb, db: &CovDb) {
     }
 }
 
+/// Compare a decoded mutant with its source as `etpnc why` does: a
+/// report, or a refusal, never a panic.
+fn compares_or_refuses(what: &str, g: &Etpn, source: &Recording, mutant: &Recording) {
+    let why = || {
+        if let Ok(Some(rep)) = DivergenceReport::between(g, source, mutant) {
+            let _ = (rep.text(g), rep.json(g), rep.dot_heat(g));
+        }
+    };
+    if catch_unwind(AssertUnwindSafe(why)).is_err() {
+        panic!("{what}: comparing the decoded recording with its source panicked");
+    }
+}
+
 /// Recordings of catalogue runs: a full journal, a ring, and a run with
 /// a stuck-at fault; plus the golden recording of a faulty `etpnc record`.
-fn recordings() -> Vec<(&'static str, Vec<u8>)> {
+/// Each comes with the design it was recorded on.
+fn recordings() -> Vec<(&'static str, Etpn, Vec<u8>)> {
     let golden = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/rec/gcd_fault.etpnrec"
     );
-    let record = |name: &str, cfg: RecordConfig, steps: u64, faulty: bool| -> Vec<u8> {
+    let record = |name: &str, cfg: RecordConfig, steps: u64, faulty: bool| {
         let w = by_name(name).expect("catalogue workload");
         let d = etpn::synth::compile_source(&w.source).expect("workload compiles");
         let mut sim = Simulator::new(&d.etpn, w.env()).with_recorder(cfg);
@@ -302,22 +320,24 @@ fn recordings() -> Vec<(&'static str, Vec<u8>)> {
             }));
         }
         let trace = sim.run(steps).expect("recorded run succeeds");
-        trace.recording.expect("recording captured").to_bytes()
+        let bytes = trace.recording.expect("recording captured").to_bytes();
+        (d.etpn, bytes)
     };
+    let (gcd, full) = record("gcd", RecordConfig::full(8), 10_000, false);
+    let (diffeq, ring) = record("diffeq", RecordConfig::ring(16, 4), 10_000, false);
+    let (_, faulty) = record("gcd", RecordConfig::full(8), 120, true);
+    let example = etpn::synth::compile_source(include_str!("../examples/gcd.hdl"))
+        .expect("gcd compiles")
+        .etpn;
     vec![
+        ("full gcd", gcd.clone(), full),
+        ("ring diffeq", diffeq, ring),
+        ("faulty gcd", gcd, faulty),
         (
-            "full gcd",
-            record("gcd", RecordConfig::full(8), 10_000, false),
+            "golden",
+            example,
+            std::fs::read(golden).expect("golden recording"),
         ),
-        (
-            "ring diffeq",
-            record("diffeq", RecordConfig::ring(16, 4), 10_000, false),
-        ),
-        (
-            "faulty gcd",
-            record("gcd", RecordConfig::full(8), 120, true),
-        ),
-        ("golden", std::fs::read(golden).expect("golden recording")),
     ]
 }
 
@@ -326,12 +346,14 @@ fn mutated_recordings_decode_or_fail_typed() {
     // A count is bounded by the bytes left at one element per byte, so
     // the widest preallocated element, a checkpoint, sets the multiple.
     let multiple = std::mem::size_of::<Checkpoint>();
-    for (seed, (name, bytes)) in recordings().into_iter().enumerate() {
-        assert!(Recording::from_bytes(&bytes).is_ok(), "{name} decodes");
+    for (seed, (name, g, bytes)) in recordings().into_iter().enumerate() {
+        let source = Recording::from_bytes(&bytes).expect("source decodes");
         for_each_mutant(&bytes, seed as u64, |what, input| {
             let what = format!("{name}, {what}");
-            // Either outcome is fine; reaching here means no panic.
-            let _ = decode_bounded(&what, input, multiple, || Recording::from_bytes(input));
+            let decoded = decode_bounded(&what, input, multiple, || Recording::from_bytes(input));
+            if let Ok(mutant) = decoded {
+                compares_or_refuses(&what, &g, &source, &mutant);
+            }
         });
     }
 }

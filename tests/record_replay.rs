@@ -10,7 +10,11 @@
 //! events, termination, step/firing counts, watched waveforms, marking
 //! rows, coverage DBs — plus the rendered VCD documents.
 
-use etpn_rec::{Checkpoint, DivergenceReport, RecordConfig, Recording};
+use etpn_core::{Value, VertexId};
+use etpn_rec::{
+    Checkpoint, DivergenceReason, DivergenceReport, RecordConfig, Recording, StepRecord,
+    FLAG_DATA_FAULT,
+};
 use etpn_sim::{
     replay_recording, vcd, Backend, Fault, FaultKind, FaultPlan, FaultSite, FaultWindow,
     ScriptedEnv, SimError, Simulator, Termination, Trace,
@@ -277,6 +281,94 @@ fn replay_rejects_a_checkpoint_that_does_not_fit_the_design() {
             let detail = format!("checkpoint {what} has {keep} entries, the design needs {want}");
             let want_err = SimError::ReplayDivergence { step: 4, detail };
             assert_eq!(err, want_err, "{backend:?}");
+        }
+    }
+}
+
+/// `rec` rebuilt row by row with `edit` applied to the row of `step`.
+fn with_edited_row(rec: &Recording, step: u64, edit: impl FnOnce(&mut StepRecord)) -> Recording {
+    let mut out = Recording::default();
+    out.meta = rec.meta.clone();
+    out.first_step = rec.first_step;
+    out.checkpoints = rec.checkpoints.clone();
+    let mut edit = Some(edit);
+    for s in rec.first_step..rec.end_step() {
+        let mut row = rec.record(s).expect("row in the window").to_owned();
+        if s == step {
+            (edit.take().expect("one edited row"))(&mut row);
+        }
+        out.push_record(&row);
+    }
+    out
+}
+
+/// Replay refuses a journal with one field of one step changed: a
+/// latched value, an advanced input, an event value, the fault flags or
+/// a fired transition. On both engines the divergence is at exactly
+/// that step and names the field as `etpnc why` does.
+#[test]
+fn replay_refuses_a_journal_with_one_field_of_one_step_changed() {
+    let w = by_name("gcd").expect("catalogue workload");
+    let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
+    let trace = recorded_sim(&w, &d, Backend::Interp, RecordConfig::full(16))
+        .run(w.max_steps)
+        .expect("recorded run succeeds");
+    let rec = trace.recording.as_ref().expect("recording captured");
+    let first_step_with = |has: &dyn Fn(&StepRecord) -> bool| -> u64 {
+        (rec.first_step..rec.end_step())
+            .find(|&s| has(&rec.record(s).unwrap().to_owned()))
+            .expect("some step has the field")
+    };
+    let unfired = |row: &StepRecord| {
+        d.etpn
+            .ctl
+            .transitions()
+            .ids()
+            .find(|t| !row.fired.contains(t))
+            .expect("a transition this step does not fire")
+    };
+    type Edit<'a> = Box<dyn Fn(&mut StepRecord) + 'a>;
+    let cases: [(DivergenceReason, u64, Edit); 5] = [
+        (
+            DivergenceReason::LatchDiffer,
+            first_step_with(&|r| !r.latched.is_empty()),
+            Box::new(|r| r.latched[0].1 = Value::Def(r.latched[0].1.as_i64().unwrap() + 1)),
+        ),
+        (
+            DivergenceReason::InputDiffer,
+            first_step_with(&|r| !r.advanced.is_empty()),
+            Box::new(|r| r.advanced[0] = VertexId::new(r.advanced[0].0 + 1)),
+        ),
+        (
+            DivergenceReason::EventDiffer,
+            first_step_with(&|r| !r.events.is_empty()),
+            Box::new(|r| r.events[0].1 = Value::Def(-1)),
+        ),
+        (
+            DivergenceReason::FlagsDiffer,
+            first_step_with(&|r| r.flags == 0 && !r.fired.is_empty()),
+            Box::new(|r| r.flags = FLAG_DATA_FAULT),
+        ),
+        (
+            DivergenceReason::FiredDiffer,
+            first_step_with(&|r| !r.fired.is_empty()),
+            Box::new(|r| r.fired[0] = unfired(r)),
+        ),
+    ];
+    for (reason, step, edit) in cases {
+        let bad = with_edited_row(rec, step, edit);
+        for backend in [Backend::Interp, Backend::Compiled] {
+            let err = recorded_sim(&w, &d, backend, RecordConfig::full(16))
+                .replay_between(&bad, bad.first_step, bad.end_step())
+                .expect_err("an edited journal must not replay");
+            let SimError::ReplayDivergence { step: at, detail } = err else {
+                panic!("{reason} / {backend:?}: {err:?}");
+            };
+            assert_eq!(at, step, "{reason} / {backend:?}: {detail}");
+            assert!(
+                detail.starts_with(&format!("{reason}: ")),
+                "{reason} / {backend:?}: {detail}"
+            );
         }
     }
 }

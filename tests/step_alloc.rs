@@ -1,13 +1,15 @@
 //! A steady-state step of the compiled engine allocates nothing: its
 //! scratch lists are reused across steps and the persistent step values
 //! are updated in place, so step cost follows the step's activity rather
-//! than the heap. Building, compiling and cloning a design allocate per
+//! than the heap. The same holds with a ring recording on: the ring trims
+//! its columns in place. Building, compiling and cloning a design allocate per
 //! named object and arena, not per relation list: the model's id lists
 //! hold up to three ids inline.
 //!
 //! The test binary installs a counting global allocator. Counts are kept
 //! per thread, so tests running in parallel do not disturb each other.
 
+use etpn_rec::RecordConfig;
 use etpn_sim::{CompiledDesign, FiringPolicy, ScriptedEnv, Simulator};
 use etpn_workloads::cyclic_net;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,6 +83,44 @@ fn steady_state_compiled_steps_do_not_allocate() {
             "{policy:?}: 1024 steady-state steps allocated {made} times"
         );
     }
+}
+
+/// Allocations made by `run(steps)` on the net, from construction on.
+fn allocations_of_a_run(g: &etpn_core::Etpn, steps: u64, record: Option<RecordConfig>) -> u64 {
+    let before = allocations();
+    let mut sim = Simulator::new(g, ScriptedEnv::new());
+    if let Some(cfg) = record {
+        sim = sim.with_recorder(cfg);
+    }
+    let trace = sim.run(steps).expect("the net runs");
+    assert_eq!(trace.steps, steps);
+    drop(trace);
+    allocations() - before
+}
+
+/// A ring recording stays bounded and allocation-free once it has
+/// trimmed a few times: doubling the run adds exactly the allocations
+/// it adds to an unrecorded run. The cadence checkpoints only at step 0.
+#[test]
+fn steady_state_ring_recording_does_not_allocate() {
+    let g = cyclic_net(7, 256);
+    let ring = Some(RecordConfig::ring(64, 1 << 20));
+    let growth = |record: Option<RecordConfig>| {
+        // A first run registers the run's metrics in the global registry.
+        allocations_of_a_run(&g, 64, record);
+        allocations_of_a_run(&g, 8192, record) - allocations_of_a_run(&g, 4096, record)
+    };
+    assert_eq!(growth(ring), growth(None));
+    let trace = Simulator::new(&g, ScriptedEnv::new())
+        .with_recorder(RecordConfig::ring(64, 1 << 20))
+        .run(4096)
+        .expect("the net runs");
+    let rec = trace.recording.expect("recording captured");
+    assert_eq!((rec.first_step, rec.len()), (4096 - 64, 64));
+    assert!(
+        rec.checkpoints.is_empty(),
+        "the step-0 checkpoint was evicted"
+    );
 }
 
 #[test]
