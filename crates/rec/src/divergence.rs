@@ -364,22 +364,16 @@ impl DivergenceReport {
     /// Locate the first divergence of `a` vs `b` and slice it; `Ok(None)`
     /// when the recordings agree.
     ///
-    /// Both recordings must be of `g` ([`RecError::DesignMismatch`]
-    /// otherwise), and the divergent rows may name only ids `g` has
-    /// ([`RecError::UnknownId`]): the slice and its renderings index `g`
-    /// with them.
+    /// Both recordings must fit `g` ([`Recording::fits`]), and the
+    /// divergent rows may name only ids `g` has ([`RecError::UnknownId`]):
+    /// the slice and its renderings index `g` with them.
     pub fn between(
         g: &Etpn,
         a: &Recording,
         b: &Recording,
     ) -> Result<Option<DivergenceReport>, RecError> {
-        let fp = g.fingerprint();
-        if a.meta.design_fp != fp {
-            return Err(RecError::DesignMismatch {
-                left: fp,
-                right: a.meta.design_fp,
-            });
-        }
+        a.fits(g)?;
+        b.fits(g)?;
         let Some(d) = first_divergence(a, b)? else {
             return Ok(None);
         };

@@ -25,7 +25,7 @@
 //!   them without decoding full state vectors.
 
 use etpn_core::bytes::{put_u64, put_value, put_varint, unzigzag, zigzag, DecodeError, Reader};
-use etpn_core::{ArcId, PlaceId, PortId, StableHasher, TransId, Value, VertexId};
+use etpn_core::{ArcId, Etpn, PlaceId, PortId, StableHasher, TransId, Value, VertexId};
 
 use crate::fault::{Fault, FaultKind, FaultSite, FaultWindow};
 
@@ -302,6 +302,32 @@ impl Recording {
     /// One past the last journaled step index.
     pub fn end_step(&self) -> u64 {
         self.first_step + self.rows.len() as u64
+    }
+
+    /// Refuses a recording of another design, or one with a checkpoint
+    /// whose marking, state or cursor vector is not as long as `g` needs
+    /// (restoring it would index out of bounds or silently drop places).
+    /// Replay and [`crate::DivergenceReport::between`] both check this.
+    pub fn fits(&self, g: &Etpn) -> Result<(), RecError> {
+        let (left, right) = (g.fingerprint(), self.meta.design_fp);
+        if left != right {
+            return Err(RecError::DesignMismatch { left, right });
+        }
+        let (dp, ctl) = (&g.dp, &g.ctl);
+        for ck in &self.checkpoints {
+            for (what, got, want) in [
+                ("marking", ck.marking.len(), ctl.places().capacity_bound()),
+                ("state", ck.state.len(), dp.ports().capacity_bound()),
+                ("cursors", ck.cursors.len(), dp.vertices().capacity_bound()),
+            ] {
+                if got != want {
+                    let step = ck.step;
+                    let detail = format!("{what} has {got} entries, the design needs {want}");
+                    return Err(RecError::CheckpointMisfit { step, detail });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The view of row `i` (callers have bounds-checked `i`).
@@ -687,16 +713,25 @@ pub enum RecError {
         /// The id, as the model prints it (`t9`, `s9`, …).
         id: String,
     },
+    /// A checkpoint's vector is not as long as the design needs.
+    CheckpointMisfit {
+        /// The checkpoint's step.
+        step: u64,
+        /// Which vector, its length and the design's.
+        detail: String,
+    },
     /// No checkpoint at or before the requested step is retained (ring
     /// eviction, or the step precedes the recording).
     NoCheckpoint {
         /// The requested step.
         target: u64,
     },
-    /// The requested step is outside the retained record window.
-    NoRecord {
+    /// The requested step lies beyond the journal's end.
+    BeyondEnd {
         /// The requested step.
-        step: u64,
+        target: u64,
+        /// One past the last journaled step.
+        end: u64,
     },
 }
 
@@ -716,11 +751,14 @@ impl std::fmt::Display for RecError {
                     "the record of step {step} names {id}, which the design lacks"
                 )
             }
+            RecError::CheckpointMisfit { step, detail } => {
+                write!(f, "the checkpoint at step {step} does not fit: {detail}")
+            }
             RecError::NoCheckpoint { target } => {
                 write!(f, "no retained checkpoint at or before step {target}")
             }
-            RecError::NoRecord { step } => {
-                write!(f, "step {step} is outside the retained record window")
+            RecError::BeyondEnd { target, end } => {
+                write!(f, "target step {target} is beyond the journal end ({end})")
             }
         }
     }

@@ -14,11 +14,13 @@
 //!    `min(deadline_ms, max)` measured from *admission*, so queueing time
 //!    counts — into the engine's `wall_budget` (and each fleet job's).
 //!    An expired deadline is `408`.
-//! 3. Simulation verbs run under the shared [`RetryPolicy`]: a panicked
-//!    job is retried after a deterministic decorrelated-jitter delay.
-//!    `/v1/run` first takes a compiled→interpreter **backend fallback** on
-//!    its first panic; `/v1/check` and `/v1/fault` jobs retry on their own
-//!    engine under the fleet's per-job isolation.
+//! 3. Every simulation job runs inside the fleet's one isolation boundary
+//!    ([`Fleet::run_contained`]): its first compiled-engine panic takes a
+//!    **backend fallback** to the interpreter, later panics are retried
+//!    under the shared [`RetryPolicy`] after a deterministic
+//!    decorrelated-jitter delay, and each attempt's wall budget is clamped
+//!    to the request deadline. One function ([`settle`]) maps the job's
+//!    outcome to a status, a breaker outcome and counters for every verb.
 //! 4. Outcomes feed the design's **circuit breaker**: retry exhaustion
 //!    trips it, after which simulation verbs answer `503` (+`Retry-After`)
 //!    while the diagnose-only verbs (`/v1/lint`, `/v1/cov`) stay open;
@@ -52,7 +54,7 @@ use etpn_obs as obs;
 use etpn_sim::fleet::panic_message;
 use etpn_sim::{
     battery, Backend, BatteryGroup, BatteryVerdict, FiringPolicy, Fleet, RetryPolicy, RunSpec,
-    ScriptedEnv, SimError, SimJob, Termination, Witness,
+    ScriptedEnv, SimError, SimJob, Termination, Trace, Witness,
 };
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
@@ -91,9 +93,6 @@ pub struct ServerConfig {
     pub cov_shed_depth: usize,
     /// Honour `"chaos"` request fields (tests only).
     pub allow_chaos: bool,
-    /// Poll [`signal::term_requested`] in the accept loop (`etpnd` sets
-    /// this; embedded/test servers use [`ServerHandle::shutdown`]).
-    pub watch_term_signal: bool,
     /// Record request-scoped span trees (trace ids are issued either way;
     /// disabling skips span collection, the trace store and tail capture).
     pub tracing: bool,
@@ -128,7 +127,6 @@ impl Default for ServerConfig {
             ),
             cov_shed_depth: 32,
             allow_chaos: false,
-            watch_term_signal: false,
             tracing: true,
             debug_ring: 256,
             trace_store: 32,
@@ -164,9 +162,6 @@ pub struct ServerHandle {
 /// Start a server. Binds, recovers journals, and spawns the acceptor and
 /// worker threads; returns once the listener is live.
 pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    if cfg.watch_term_signal {
-        signal::install_term_handler();
-    }
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -233,9 +228,10 @@ impl ServerHandle {
         obs::export::stats_json(&self.shared.stats)
     }
 
-    /// Block until a termination signal arrives, then drain. Returns the
-    /// final stats-JSON export.
+    /// Install the `SIGTERM`/`SIGINT` handler, block until a termination
+    /// signal arrives, then drain. Returns the final stats-JSON export.
     pub fn run_until_term(self) -> String {
+        signal::install_term_handler();
         while !signal::term_requested() {
             std::thread::sleep(Duration::from_millis(50));
         }
@@ -290,11 +286,6 @@ fn open_cov_journal(
 fn accept_loop(shared: &Shared, listener: TcpListener) {
     loop {
         if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.cfg.watch_term_signal && signal::term_requested() {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.available.notify_all();
             break;
         }
         match listener.accept() {
@@ -479,16 +470,16 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
             let route_span = ctx.span("route");
             meta.ctx = route_span.ctx();
             // A panic in routing must never take the worker down: contain
-            // it and convert to a 500. If a design had been admitted, the
-            // verb's BreakerTicket reports the failure as it unwinds;
-            // before admission there is no design to blame.
+            // it and convert to a 500 carrying its message. If a design had
+            // been admitted, the verb's BreakerTicket reports the failure as
+            // it unwinds; before admission there is no design to blame.
             let resp = match catch_unwind(AssertUnwindSafe(|| {
                 route(shared, &req, admitted, &mut meta)
             })) {
                 Ok(resp) => resp,
-                Err(_) => {
+                Err(payload) => {
                     shared.stats.counter("serve.route_panics").inc();
-                    Response::error(500, "internal error")
+                    Response::error(500, &panic_message(payload.as_ref()))
                 }
             };
             (resp, target)
@@ -1041,115 +1032,75 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
 
     let token = shared.request_seq.fetch_add(1, Ordering::Relaxed);
     let deadline_at = Instant::now() + spec.wall_budget.unwrap_or_default();
-    let mut backend = spec.backend;
-    let mut delays = shared.cfg.retry.schedule(token);
-    let mut last_panic = String::new();
-    let mut attempt_no = 0i64;
-    let outcome = loop {
-        let attempt = {
-            let _s = meta.ctx.span_arg("engine.run", "attempt", attempt_no);
-            catch_unwind(AssertUnwindSafe(|| {
-                let strike = chaos == Some("panic")
-                    || (chaos == Some("panic_compiled") && backend == Backend::Compiled);
-                if strike {
-                    panic!("chaos: injected panic before simulation");
-                }
-                let left = deadline_at
-                    .checked_duration_since(Instant::now())
-                    .unwrap_or(Duration::from_millis(1));
-                let spec = RunSpec {
-                    backend,
-                    wall_budget: Some(left),
-                    coverage: want_cov,
-                    ..spec.clone()
-                };
-                SimJob::from_spec(&entry.design.etpn, env.clone(), spec).run()
-            }))
-        };
-        attempt_no += 1;
-        match attempt {
-            Ok(result) => break Some(result),
-            Err(payload) => {
-                shared.stats.counter("serve.job_panics").inc();
-                last_panic = panic_message(payload.as_ref());
-                if backend == Backend::Compiled {
-                    // Degrade to the reference interpreter before spending
-                    // the retry budget: a compiled-backend fault should
-                    // not take the design down.
-                    backend = Backend::Interp;
-                    shared.stats.counter("serve.backend_fallbacks").inc();
-                    continue;
-                }
-                match delays.next() {
-                    Some(delay) => {
-                        shared.stats.counter("serve.retries").inc();
-                        std::thread::sleep(delay.min(Duration::from_millis(100)));
-                    }
-                    None => break None,
-                }
+    let job = SimJob::from_spec(
+        &entry.design.etpn,
+        env,
+        RunSpec {
+            coverage: want_cov,
+            ..spec
+        },
+    );
+    let done = Fleet::new(1)
+        .with_retry_policy(shared.cfg.retry)
+        .with_deadline_at(deadline_at)
+        .run_contained(&job.spec, token, |attempt, spec| {
+            let _s = meta.ctx.span_arg("engine.run", "attempt", attempt as i64);
+            let strike = chaos == Some("panic")
+                || (chaos == Some("panic_compiled") && spec.backend == Backend::Compiled);
+            if strike {
+                panic!("chaos: injected panic before simulation");
             }
-        }
-    };
-
-    match outcome {
-        None => {
-            ticket.failure();
-            shared.stats.counter("serve.failures").inc();
-            forensics(shared, &entry, req, &last_panic, token, meta.trace_id);
-            Response::error(500, &format!("job panicked after retries: {last_panic}"))
-        }
-        Some(Err(e)) => {
-            // A structured SimError is a property of the request (bad
-            // environment, unsafe design): client-class, breaker resets.
-            ticket.success();
-            Response::error(422, &e.describe(&entry.design.etpn))
-        }
-        Some(Ok(trace)) => {
-            ticket.success();
-            if let Some(cov) = &trace.cov {
-                absorb_coverage(shared, &entry, cov, meta.trace_id);
-            }
-            if trace.termination == Termination::Budget {
-                shared.stats.counter("serve.deadline_expired").inc();
-                return Response::json(
-                    408,
-                    &Json::obj([
-                        ("error", Json::Str("deadline exceeded mid-run".into())),
-                        ("status", Json::Num(408)),
-                        ("termination", Json::Str("budget".into())),
-                        ("steps", Json::Num(trace.steps as i64)),
-                    ]),
-                );
-            }
-            let outputs: Vec<(String, Json)> = entry
-                .design
-                .etpn
-                .dp
-                .output_vertices()
-                .into_iter()
-                .map(|v| {
-                    let name = entry.design.etpn.dp.vertex(v).name.clone();
-                    let values = trace.values_on_named_output(&entry.design.etpn, &name);
-                    (name, Json::Arr(values.into_iter().map(Json::Num).collect()))
-                })
-                .collect();
-            Response::json(
-                200,
-                &Json::obj([
-                    (
-                        "termination",
-                        Json::Str(termination_name(trace.termination).into()),
-                    ),
-                    ("steps", Json::Num(trace.steps as i64)),
-                    ("firings", Json::Num(trace.firings as i64)),
-                    ("events", Json::Num(trace.events.len() as i64)),
-                    ("backend", Json::Str(backend.name().into())),
-                    ("coverage_recorded", Json::Bool(want_cov)),
-                    ("outputs", Json::Obj(outputs)),
-                ]),
-            )
+            job.run_with(spec)
+        });
+    for (name, n) in [
+        ("serve.job_panics", done.panics),
+        ("serve.retries", done.retries),
+        ("serve.backend_fallbacks", done.fallbacks),
+    ] {
+        if n > 0 {
+            shared.stats.counter(name).add(n);
         }
     }
+    if let Err(SimError::Panicked { message, .. }) = &done.result {
+        forensics(shared, &entry, req, &job, message, token, meta.trace_id);
+    }
+    if let Ok(Trace { cov: Some(cov), .. }) = &done.result {
+        absorb_coverage(shared, &entry, cov, meta.trace_id);
+    }
+    let outcome = done.result.as_ref().map(Some);
+    if let Some(r) = settle(shared, &entry.design.etpn, ticket, outcome, false) {
+        return r;
+    }
+    let Ok(trace) = done.result else {
+        unreachable!("settle answers every error")
+    };
+    let outputs: Vec<(String, Json)> = entry
+        .design
+        .etpn
+        .dp
+        .output_vertices()
+        .into_iter()
+        .map(|v| {
+            let name = entry.design.etpn.dp.vertex(v).name.clone();
+            let values = trace.values_on_named_output(&entry.design.etpn, &name);
+            (name, Json::Arr(values.into_iter().map(Json::Num).collect()))
+        })
+        .collect();
+    Response::json(
+        200,
+        &Json::obj([
+            (
+                "termination",
+                Json::Str(termination_name(trace.termination).into()),
+            ),
+            ("steps", Json::Num(trace.steps as i64)),
+            ("firings", Json::Num(trace.firings as i64)),
+            ("events", Json::Num(trace.events.len() as i64)),
+            ("backend", Json::Str(done.backend.name().into())),
+            ("coverage_recorded", Json::Bool(want_cov)),
+            ("outputs", Json::Obj(outputs)),
+        ]),
+    )
 }
 
 /// `POST /v1/check` — the policy-invariance battery over a deadline-bounded
@@ -1174,9 +1125,9 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         n.filter(|&n| n >= min).unwrap_or(default).min(max)
     };
     let (seeds, workers) = (int("seeds", 0, 2, 16) as u64, int("jobs", 1, 2, 8) as usize);
-    // One *absolute* deadline for the whole battery: each job's budget is
-    // the time left when it starts, so queueing the battery on the fleet
-    // workers cannot multiply the request deadline job-by-job.
+    // One *absolute* deadline for the whole battery: each attempt's budget
+    // is the time left when it starts, so queueing the battery on the
+    // fleet workers cannot multiply the request deadline job-by-job.
     let fleet = Fleet::new(workers)
         .with_retry_policy(shared.cfg.retry)
         .with_deadline_at(Instant::now() + spec.wall_budget.unwrap_or_default());
@@ -1191,37 +1142,11 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     let v = battery(&fleet, vec![group]).verdicts.remove(0);
     drop(batch_span);
 
-    match &v.reference {
-        // Mirror /v1/run's classification: a retry-exhausted panic is an
-        // internal fault; any structured SimError is a property of the
-        // request (bad environment, unsafe design) and must not let a
-        // client degrade a healthy design for every tenant.
-        Err(e @ SimError::Panicked { .. }) => {
-            ticket.failure();
-            shared.stats.counter("serve.failures").inc();
-            return Response::error(
-                500,
-                &format!("reference job failed: {}", e.describe(&entry.design.etpn)),
-            );
-        }
-        Err(e) => {
-            ticket.success();
-            return Response::error(422, &e.describe(&entry.design.etpn));
-        }
-        Ok(t) if t.termination == Termination::Budget => {
-            ticket.success();
-            shared.stats.counter("serve.deadline_expired").inc();
-            return Response::error(408, "deadline exceeded during the reference run");
-        }
-        Ok(_) => {}
-    }
-    if v.panicked > 0 {
-        // At least one battery job exhausted its retries on a panic: an
-        // internal fault even though the battery as a whole completed.
-        shared.stats.counter("serve.failures").inc();
-        ticket.failure();
-    } else {
-        ticket.success();
+    // A compared job that panicked through its retries is an internal
+    // fault even though the battery as a whole completed.
+    let outcome = v.reference.as_ref().map(Some);
+    if let Some(r) = settle(shared, &entry.design.etpn, ticket, outcome, v.panicked > 0) {
+        return r;
     }
     // A disagreeing battery (`agree` false) is tail-captured like a 5xx.
     meta.capture |= v.divergent > 0 || v.failed > 0;
@@ -1367,11 +1292,10 @@ fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         Ok(r) => r,
         Err(r) => return r,
     };
-    // The spec's wall budget bounds the golden run too: a burner design
-    // must not hold a worker past the request deadline before the sweep
-    // even starts. The fleet's deadline is absolute across the whole sweep
-    // (a deep fault queue cannot multiply it); jobs cut by it classify as
-    // hangs.
+    // The fleet's deadline is absolute across the whole campaign, golden
+    // runs included: a burner design must not hold a worker past the
+    // request deadline, and a deep fault queue cannot multiply it. Jobs
+    // cut by it classify as hangs.
     let fleet = Fleet::new(2)
         .with_retry_policy(shared.cfg.retry)
         .with_deadline_at(Instant::now() + spec.wall_budget.unwrap_or_default());
@@ -1382,45 +1306,73 @@ fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     };
     let result = {
         let _s = meta.ctx.span("fault.campaign");
-        catch_unwind(AssertUnwindSafe(|| {
-            etpn_sim::run_campaign(&proto, &cfg, &fleet)
-        }))
+        etpn_sim::run_campaign(&proto, &cfg, &fleet)
     };
-    match result {
-        Err(payload) => {
-            ticket.failure();
-            shared.stats.counter("serve.failures").inc();
-            Response::error(
-                500,
-                &format!("campaign panicked: {}", panic_message(payload.as_ref())),
-            )
-        }
-        Ok(Err(e)) => {
-            ticket.success();
-            Response::error(422, &e.describe(&entry.design.etpn))
-        }
-        Ok(Ok(report)) => {
-            ticket.success();
-            use etpn_sim::FaultClass;
-            Response::json(
-                200,
-                &Json::obj([
-                    ("faults", Json::Num(report.outcomes.len() as i64)),
-                    ("masked", Json::Num(report.count(FaultClass::Masked) as i64)),
-                    (
-                        "silent",
-                        Json::Num(report.count(FaultClass::SilentCorruption) as i64),
-                    ),
-                    (
-                        "detected",
-                        Json::Num(report.count(FaultClass::Detected) as i64),
-                    ),
-                    ("hangs", Json::Num(report.count(FaultClass::Hang) as i64)),
-                    ("golden_unchanged", Json::Bool(report.golden_unchanged)),
-                ]),
-            )
-        }
+    let outcome = result.as_ref().map(|_| None);
+    if let Some(r) = settle(shared, &entry.design.etpn, ticket, outcome, false) {
+        return r;
     }
+    let Ok(report) = result else {
+        unreachable!("settle answers every error")
+    };
+    use etpn_sim::FaultClass;
+    Response::json(
+        200,
+        &Json::obj([
+            ("faults", Json::Num(report.outcomes.len() as i64)),
+            ("masked", Json::Num(report.count(FaultClass::Masked) as i64)),
+            (
+                "silent",
+                Json::Num(report.count(FaultClass::SilentCorruption) as i64),
+            ),
+            (
+                "detected",
+                Json::Num(report.count(FaultClass::Detected) as i64),
+            ),
+            ("hangs", Json::Num(report.count(FaultClass::Hang) as i64)),
+            ("golden_unchanged", Json::Bool(report.golden_unchanged)),
+        ]),
+    )
+}
+
+/// How a simulating verb's job ended, classified once for every verb: the
+/// response unless the job completed (`None`), the breaker outcome and
+/// the counters. A job that panicked through its retries is an internal
+/// fault: `500`, and the breaker counts a failure. Any other `SimError` is
+/// a property of the request (bad environment, unsafe design): `422`, and
+/// the breaker counts a success, so a client cannot degrade a healthy
+/// design for every tenant. A run the wall budget cut is `408`, also a
+/// success. A completed job counts as a failure only when `panicked`
+/// says another job of the verb panicked through its retries.
+fn settle(
+    shared: &Shared,
+    g: &etpn_core::Etpn,
+    ticket: BreakerTicket<'_>,
+    outcome: Result<Option<&Trace>, &SimError>,
+    panicked: bool,
+) -> Option<Response> {
+    let (failed, response) = match outcome {
+        Err(e @ SimError::Panicked { .. }) => (true, Some(Response::error(500, &e.describe(g)))),
+        Err(e) => (false, Some(Response::error(422, &e.describe(g)))),
+        Ok(Some(trace)) if trace.termination == Termination::Budget => {
+            shared.stats.counter("serve.deadline_expired").inc();
+            let doc = Json::obj([
+                ("error", Json::Str("deadline exceeded mid-run".into())),
+                ("status", Json::Num(408)),
+                ("termination", Json::Str("budget".into())),
+                ("steps", Json::Num(trace.steps as i64)),
+            ]);
+            (false, Some(Response::json(408, &doc)))
+        }
+        Ok(_) => (panicked, None),
+    };
+    if failed {
+        shared.stats.counter("serve.failures").inc();
+        ticket.failure();
+    } else {
+        ticket.success();
+    }
+    response
 }
 
 /// Merge run coverage into the design's DB and journal the delta frame,
@@ -1456,6 +1408,7 @@ fn forensics(
     shared: &Shared,
     entry: &DesignEntry,
     req: &Request,
+    job: &SimJob,
     panic_msg: &str,
     token: u64,
     trace_id: TraceId,
@@ -1483,26 +1436,23 @@ fn forensics(
         ),
     ]);
     let _ = std::fs::write(dir.join(format!("{stem}.json")), doc.pretty());
-    // Best-effort flight recording of a short reference re-run: when the
-    // failure is backend- or load-specific the interp journal is the
-    // divergence baseline `etpnc why` wants.
-    if let Ok(Ok(trace)) = catch_unwind(AssertUnwindSafe(|| {
-        let body = body_json(req).map_err(|_| ())?;
-        let (spec, env) = run_spec(shared, entry, &body, Instant::now()).map_err(|_| ())?;
-        let spec = RunSpec {
-            backend: Backend::Interp,
-            max_steps: spec.max_steps.min(4096),
-            wall_budget: Some(Duration::from_millis(250)),
-            record: Some(etpn_rec::RecordConfig::full(256)),
-            ..spec
-        };
-        SimJob::from_spec(&entry.design.etpn, env, spec)
-            .run()
-            .map_err(|_| ())
-    })) {
-        if let Some(rec) = &trace.recording {
-            let _ = std::fs::write(dir.join(format!("{stem}.etpnrec")), rec.to_bytes());
-        }
+    // Best-effort flight recording of a short reference re-run, contained
+    // like any job but never retried: when the failure is backend- or
+    // load-specific the interp journal is the divergence baseline `etpnc
+    // why` wants.
+    let spec = RunSpec {
+        backend: Backend::Interp,
+        max_steps: job.spec.max_steps.min(4096),
+        coverage: false,
+        wall_budget: Some(Duration::from_millis(250)),
+        record: Some(etpn_rec::RecordConfig::full(256)),
+        ..job.spec.clone()
+    };
+    let rerun = Fleet::new(1)
+        .with_retry_policy(RetryPolicy::immediate(0))
+        .run_contained(&spec, token, |_, spec| job.run_with(spec));
+    if let Some(rec) = rerun.result.ok().and_then(|t| t.recording) {
+        let _ = std::fs::write(dir.join(format!("{stem}.etpnrec")), rec.to_bytes());
     }
 }
 

@@ -37,7 +37,7 @@ use etpn_core::{Etpn, ExternalEvent, Marking, Op, PlaceId, PortId, TransId, Valu
 use etpn_cov::CovDb;
 use etpn_obs as obs;
 use etpn_rec::{
-    step_diff, DivergenceReason, RecMeta, RecordConfig, Recorder, Recording, StepRecord,
+    step_diff, DivergenceReason, RecError, RecMeta, RecordConfig, Recorder, Recording, StepRecord,
     FLAG_CONTROL_FAULT, FLAG_DATA_FAULT,
 };
 use rand::rngs::SmallRng;
@@ -745,7 +745,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
     /// returned trace covers the steps from the restored checkpoint to
     /// `target`; replaying from step 0 with the same watch configuration
     /// reproduces the original run bit-for-bit (events, waveforms, VCD).
-    /// Any disagreement surfaces as [`SimError::ReplayDivergence`].
+    /// Any disagreement surfaces as [`SimError::ReplayDivergence`]; a
+    /// recording that cannot be replayed here is [`SimError::ReplayRefused`].
     pub fn replay_to(self, recording: &Recording, target: u64) -> Result<Trace, SimError> {
         self.replay_between(recording, target, target)
     }
@@ -762,52 +763,17 @@ impl<'g, E: Environment> Simulator<'g, E> {
         from: u64,
         target: u64,
     ) -> Result<Trace, SimError> {
-        let fp = self.g.fingerprint();
-        if recording.meta.design_fp != fp {
-            return Err(SimError::ReplayDivergence {
-                step: recording.first_step,
-                detail: format!(
-                    "recording is of design {:#018x}, not {fp:#018x}",
-                    recording.meta.design_fp
-                ),
-            });
-        }
-        if target > recording.end_step() {
-            return Err(SimError::ReplayDivergence {
-                step: target,
-                detail: format!(
-                    "target step {target} is beyond the journal end ({})",
-                    recording.end_step()
-                ),
-            });
+        recording.fits(self.g).map_err(SimError::ReplayRefused)?;
+        let end = recording.end_step();
+        if target > end {
+            return Err(SimError::ReplayRefused(RecError::BeyondEnd { target, end }));
         }
         let from = from.min(target);
         let Some(ck) = recording.checkpoint_at_or_before(from) else {
-            return Err(SimError::ReplayDivergence {
-                step: from,
-                detail: format!(
-                    "no retained checkpoint at or before step {from} \
-                     (retained window starts at {})",
-                    recording.first_step
-                ),
-            });
+            return Err(SimError::ReplayRefused(RecError::NoCheckpoint {
+                target: from,
+            }));
         };
-        // A checkpoint decoded from bytes may not fit this design even when
-        // the fingerprints agree; restoring it would index out of bounds
-        // or silently drop places.
-        let (dp, ctl) = (&self.g.dp, &self.g.ctl);
-        for (what, got, want) in [
-            ("marking", ck.marking.len(), ctl.places().capacity_bound()),
-            ("state", ck.state.len(), dp.ports().capacity_bound()),
-            ("cursors", ck.cursors.len(), dp.vertices().capacity_bound()),
-        ] {
-            if got != want {
-                return Err(SimError::ReplayDivergence {
-                    step: ck.step,
-                    detail: format!("checkpoint {what} has {got} entries, the design needs {want}"),
-                });
-            }
-        }
         if self.faults.is_none() && !recording.meta.faults.is_empty() {
             let faults = recording.meta.faults.iter().copied();
             self.faults = Some(faults.fold(FaultPlan::new(), FaultPlan::with));
@@ -1592,11 +1558,20 @@ mod tests {
         let err = Simulator::new(&other, ScriptedEnv::new())
             .replay_to(&rec, 1)
             .unwrap_err();
-        assert!(matches!(err, SimError::ReplayDivergence { .. }), "{err}");
+        let mismatch = RecError::DesignMismatch {
+            left: other.fingerprint(),
+            right: g.fingerprint(),
+        };
+        assert_eq!(err, SimError::ReplayRefused(mismatch), "{err}");
 
         // A target beyond the journal is refused, not silently clamped.
-        let err = crate::replay::replay_recording(&g, &rec, rec.end_step() + 1, Backend::Interp)
-            .unwrap_err();
+        let end = rec.end_step();
+        let err = crate::replay::replay_recording(&g, &rec, end + 1, Backend::Interp).unwrap_err();
+        let beyond = RecError::BeyondEnd {
+            target: end + 1,
+            end,
+        };
+        assert_eq!(err, SimError::ReplayRefused(beyond), "{err}");
         assert!(format!("{err}").contains("beyond the journal end"), "{err}");
     }
 

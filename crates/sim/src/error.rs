@@ -12,6 +12,7 @@
 //! design entirely): unresolvable ids fall back to their raw form.
 
 use etpn_core::{ArcId, Etpn, PlaceId, PortId, VertexId};
+use etpn_rec::RecError;
 
 /// Errors raised during execution of the operational semantics.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -59,8 +60,9 @@ pub enum SimError {
         /// The step at which the dry read was committed.
         step: u64,
     },
-    /// The job panicked and the panic was contained by the fleet's per-job
-    /// isolation boundary (`Fleet::run_batch`). The panic never reached the
+    /// The job panicked on every attempt its isolation boundary
+    /// (`Fleet::run_contained`) allowed: the compiled engine, the
+    /// interpreter fallback and each retry. The panic never reached the
     /// other jobs of the batch.
     Panicked {
         /// The panic payload, if it was a string.
@@ -69,16 +71,19 @@ pub enum SimError {
         retries: u64,
     },
     /// A replayed run disagreed with its journal: the re-derived firing
-    /// set, committed effects, or design did not match the recording. This
-    /// means the recording belongs to a different design/environment, or
-    /// determinism itself is broken — either way the replay cannot
-    /// continue.
+    /// set or committed effects did not match the recording. This means
+    /// the recording was made against another environment, or determinism
+    /// itself is broken — either way the replay cannot continue.
     ReplayDivergence {
         /// The step at which the replay disagreed with the journal.
         step: u64,
         /// What disagreed.
         detail: String,
     },
+    /// A recording refused before any step was replayed: it does not fit
+    /// the design (`Recording::fits`), the target lies beyond its journal
+    /// end, or no checkpoint is retained at or before the start.
+    ReplayRefused(RecError),
 }
 
 impl SimError {
@@ -92,7 +97,7 @@ impl SimError {
             | SimError::UnsafeMarking { step, .. }
             | SimError::InputExhausted { step, .. }
             | SimError::ReplayDivergence { step, .. } => Some(*step),
-            SimError::Panicked { .. } => None,
+            SimError::Panicked { .. } | SimError::ReplayRefused(_) => None,
         }
     }
 
@@ -171,6 +176,7 @@ impl SimError {
             SimError::ReplayDivergence { step, detail } => {
                 format!("replay diverged from journal at step {step}: {detail}")
             }
+            SimError::ReplayRefused(e) => format!("replay refused: {e}"),
         }
     }
 }
@@ -212,6 +218,7 @@ impl std::fmt::Display for SimError {
             SimError::ReplayDivergence { step, detail } => {
                 write!(f, "replay diverged from journal at step {step}: {detail}")
             }
+            SimError::ReplayRefused(e) => write!(f, "replay refused: {e}"),
         }
     }
 }
@@ -301,6 +308,7 @@ mod tests {
                 step: 5,
                 detail: "fired t9999, journal says t0".into(),
             },
+            SimError::ReplayRefused(RecError::NoCheckpoint { target: 6 }),
         ];
         for err in &all {
             let described = err.describe(&g);

@@ -277,25 +277,15 @@ impl Evaluator {
         })
     }
 
-    /// Latch the registers loaded by the given control states (rule 9).
+    /// Latch the registers loaded by the given control states (rule 9),
+    /// appending every latch actually performed to `log` when there is
+    /// one — the flight-recorder hook.
     ///
     /// Called when a control state's token is consumed — the end of its
     /// holding interval, the moment its load-enables take effect. For each
     /// arc in `C(s)` targeting a register's data input, the register stores
     /// the value present at that input this step, provided it is *defined*
     /// ("the last **defined** value of the expression").
-    pub fn latch_for_places(
-        &self,
-        g: &Etpn,
-        places: &[etpn_core::PlaceId],
-        vals: &StepValues,
-        state: &mut DpState,
-    ) {
-        self.latch_for_places_logged(g, places, vals, state, None);
-    }
-
-    /// [`Evaluator::latch_for_places`], optionally appending every latch
-    /// actually performed to `log` — the flight-recorder hook.
     pub fn latch_for_places_logged(
         &self,
         g: &Etpn,
@@ -404,12 +394,12 @@ mod tests {
         let rp = g.dp.out_port(r, 0);
 
         let vals = ev.step(&g, &m, &state, 0, |_| Value::Def(5)).unwrap();
-        ev.latch_for_places(&g, &[s], &vals, &mut state);
+        ev.latch_for_places_logged(&g, &[s], &vals, &mut state, None);
         assert_eq!(state.get(rp), Value::Def(10));
 
         // Undefined inputs do not clobber the register.
         let vals = ev.step(&g, &m, &state, 1, |_| Value::Undef).unwrap();
-        ev.latch_for_places(&g, &[s], &vals, &mut state);
+        ev.latch_for_places_logged(&g, &[s], &vals, &mut state, None);
         assert_eq!(state.get(rp), Value::Def(10), "last *defined* value kept");
         // But during the step the register output presents the old value.
         assert_eq!(vals.value(rp), Value::Def(10));
@@ -488,7 +478,7 @@ mod tests {
         let mut ev = Evaluator::new(&g);
         for step in 0..3 {
             let vals = ev.step(&g, &m, &state, step, |_| Value::Undef).unwrap();
-            ev.latch_for_places(&g, &[s], &vals, &mut state);
+            ev.latch_for_places_logged(&g, &[s], &vals, &mut state, None);
         }
         assert_eq!(state.get(rp), Value::Def(3), "accumulator counts steps");
     }

@@ -429,8 +429,8 @@ impl CampaignReport {
         if self.fleet.panics > 0 {
             let _ = writeln!(
                 s,
-                "  contained panics: {} ({} retried)",
-                self.fleet.panics, self.fleet.retried
+                "  contained panics: {} ({} retried, {} fell back)",
+                self.fleet.panics, self.fleet.retried, self.fleet.fallbacks
             );
         }
         s
@@ -475,7 +475,9 @@ fn classify(
 /// probe of reachable-but-untested behaviour. The fleet supplies workers,
 /// retries and an optional absolute deadline
 /// ([`Fleet::with_deadline_at`]), under which jobs cut short also
-/// classify as hangs.
+/// classify as hangs. The golden runs go through the fleet's boundary
+/// ([`Fleet::run_contained`]) too, so a golden run that panics through
+/// its retries ends the campaign with [`SimError::Panicked`].
 pub fn run_campaign<'g, E>(
     proto: &SimJob<'g, E>,
     cfg: &CampaignConfig,
@@ -492,7 +494,12 @@ where
         // regardless of trace length, so no ring eviction here.
         instrumented.spec.record = Some(RecordConfig::full(256));
     }
-    let golden_trace = instrumented.clone().run()?;
+    let golden = |job: &SimJob<'g, E>| {
+        fleet
+            .run_contained(&job.spec, 0, |_, spec| job.run_with(spec))
+            .result
+    };
+    let golden_trace = golden(&instrumented)?;
     let golden_es = event_structure(g, &golden_trace);
 
     let mut faults = FaultPlan::sweep_data_ports(g, &cfg.kinds, cfg.transient_step);
@@ -555,7 +562,7 @@ where
 
     // Prove the clean path unperturbed: the golden run, repeated after the
     // sweep, must reproduce the identical observation.
-    let golden_again = proto.clone().run()?;
+    let golden_again = golden(proto)?;
     let golden_unchanged = golden_again.termination == golden_trace.termination
         && golden_es
             .first_difference(&event_structure(g, &golden_again))

@@ -8,11 +8,16 @@
 //! back of their neighbours'). A job is a design, an environment and a
 //! [`RunSpec`]; it runs on the compiled engine by default, so all jobs over
 //! one design share its single compilation
-//! ([`crate::compiled::get_or_compile`]). Every job runs inside a
-//! panic-isolation boundary with bounded retries. Results come back
-//! indexed by submission order, so the output is deterministic regardless
-//! of how the jobs were scheduled or stolen.
+//! ([`crate::compiled::get_or_compile`]). Results come back indexed by
+//! submission order, so the output is deterministic regardless of how the
+//! jobs were scheduled or stolen.
+//!
+//! Every simulation job — the fleet's, `etpnd`'s `/v1/run` and its
+//! forensics re-run, a fault campaign's golden runs — runs inside one
+//! isolation boundary, [`Fleet::run_contained`], the one place a job's wall
+//! budget is clamped to the fleet's deadline: when each *attempt* starts.
 
+use crate::compiled::Backend;
 use crate::engine::Simulator;
 use crate::env::{Environment, ScriptedEnv};
 use crate::error::SimError;
@@ -106,6 +111,15 @@ impl<'g, E: Environment> SimJob<'g, E> {
         Simulator::from_spec(self.g, self.env, &self.spec).run(self.spec.max_steps)
     }
 
+    /// Execute this job's design and environment under `spec` in place of
+    /// its own: one attempt of [`Fleet::run_contained`].
+    pub fn run_with(&self, spec: &RunSpec) -> Result<Trace, SimError>
+    where
+        E: Clone,
+    {
+        Simulator::from_spec(self.g, self.env.clone(), spec).run(spec.max_steps)
+    }
+
     // The four methods below are kept only because `perfbench/src/battery.rs`
     // calls them; delete them once it builds its jobs with `from_spec`.
 
@@ -165,6 +179,8 @@ pub struct FleetStats {
     pub panics: u64,
     /// Retry attempts made for panicked jobs.
     pub retried: u64,
+    /// Jobs re-run on the interpreter after a compiled-engine panic.
+    pub fallbacks: u64,
     /// Always empty (see [`CacheStats`]).
     #[doc(hidden)]
     pub cache: CacheStats,
@@ -180,7 +196,24 @@ impl FleetStats {
         reg.gauge("fleet.stolen").set(self.stolen as i64);
         reg.gauge("fleet.panics").set(self.panics as i64);
         reg.gauge("fleet.retried").set(self.retried as i64);
+        reg.gauge("fleet.fallbacks").set(self.fallbacks as i64);
     }
+}
+
+/// One job's run through [`Fleet::run_contained`]: its result, the engine
+/// that produced it, and what containing it took.
+pub struct Contained {
+    /// The job's result; [`SimError::Panicked`] when the retries ran out.
+    pub result: Result<Trace, SimError>,
+    /// The engine of the last attempt ([`Backend::Interp`] after a
+    /// fallback).
+    pub backend: Backend,
+    /// Attempts that panicked.
+    pub panics: u64,
+    /// Retries spent under the fleet's [`RetryPolicy`].
+    pub retries: u64,
+    /// Compiled-to-interpreter fallbacks (0 or 1).
+    pub fallbacks: u64,
 }
 
 /// Everything a batch run returns: per-job outcomes in submission order
@@ -281,54 +314,69 @@ impl Fleet {
         self
     }
 
-    /// An **absolute** deadline for the whole batch: when each job
-    /// starts, its [`RunSpec::wall_budget`] is clamped to the time left
-    /// until `at` (jobs starting after `at` terminate almost immediately
-    /// with `Termination::Budget`). Unlike a per-job budget, queueing time
-    /// counts, so a deep queue cannot multiply the batch's wall time past
-    /// the deadline.
+    /// An **absolute** deadline for every job this fleet runs: when each
+    /// attempt starts, its [`RunSpec::wall_budget`] is clamped to the time
+    /// left until `at` (attempts starting after `at` terminate almost
+    /// immediately with `Termination::Budget`). Unlike a per-job budget,
+    /// queueing and retrying time counts, so neither a deep queue nor a
+    /// panicking job can stretch the batch's wall time past the deadline.
     pub fn with_deadline_at(mut self, at: Instant) -> Self {
         self.deadline_at = Some(at);
         self
     }
 
-    /// Execute one job inside a panic-isolation boundary with bounded
-    /// retries under `retry`'s deterministic backoff schedule (keyed by
-    /// the job's submission index).
-    fn run_isolated<'g, E: Environment + Clone>(
-        job: &SimJob<'g, E>,
-        token: u64,
-        retry: &RetryPolicy,
-        panics: (&AtomicU64, &obs::Counter),
-        retried: (&AtomicU64, &obs::Counter),
-    ) -> Result<Trace, SimError> {
-        let retries = retry.max_retries();
-        let mut backoff = retry.schedule(token);
-        let mut message = String::new();
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                if let Some(delay) = backoff.next() {
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
+    /// Run one job inside the isolation boundary every simulation job
+    /// shares. `attempt(n, spec)` runs attempt `n` (0-based) under the
+    /// job's `spec`, with its `wall_budget` clamped to the time left until
+    /// the fleet's deadline when the attempt starts. A panic on
+    /// [`Backend::Compiled`] re-runs the job on [`Backend::Interp`] without
+    /// spending a retry (retrying a deterministic engine on the same input
+    /// recovers nothing); later panics retry on the schedule `token` keys
+    /// in the fleet's [`RetryPolicy`], and then end in
+    /// [`SimError::Panicked`] with the last panic's message.
+    pub fn run_contained<F>(&self, spec: &RunSpec, token: u64, mut attempt: F) -> Contained
+    where
+        F: FnMut(u64, &RunSpec) -> Result<Trace, SimError>,
+    {
+        let mut spec = spec.clone();
+        let budget = spec.wall_budget;
+        let mut delays = self.retry.schedule(token);
+        let (mut panics, mut retries, mut fallbacks) = (0, 0, 0);
+        let result = loop {
+            if let Some(at) = self.deadline_at {
+                let left = at
+                    .checked_duration_since(Instant::now())
+                    .unwrap_or(Duration::from_micros(1));
+                spec.wall_budget = Some(budget.map_or(left, |b| b.min(left)));
+            }
+            let payload = match panic::catch_unwind(AssertUnwindSafe(|| attempt(panics, &spec))) {
+                Ok(result) => break result,
+                Err(payload) => payload,
+            };
+            panics += 1;
+            if spec.backend == Backend::Compiled {
+                spec.backend = Backend::Interp;
+                fallbacks += 1;
+                continue;
+            }
+            match delays.next() {
+                Some(delay) => {
+                    retries += 1;
+                    std::thread::sleep(delay);
+                }
+                None => {
+                    let message = panic_message(payload.as_ref());
+                    break Err(SimError::Panicked { message, retries });
                 }
             }
-            let j = job.clone();
-            let run = panic::catch_unwind(AssertUnwindSafe(move || j.run()));
-            match run {
-                Ok(outcome) => return outcome,
-                Err(payload) => {
-                    panics.0.fetch_add(1, Ordering::Relaxed);
-                    panics.1.inc();
-                    message = panic_message(payload.as_ref());
-                    if attempt < retries {
-                        retried.0.fetch_add(1, Ordering::Relaxed);
-                        retried.1.inc();
-                    }
-                }
-            }
+        };
+        Contained {
+            result,
+            backend: spec.backend,
+            panics,
+            retries,
+            fallbacks,
         }
-        Err(SimError::Panicked { message, retries })
     }
 
     /// Run every job, returning results in submission order.
@@ -358,13 +406,23 @@ impl Fleet {
         E: Environment + Clone + Send,
         F: Fn(usize, &mut Result<Trace, SimError>) + Sync,
     {
+        self.run_batch_on(jobs, post, SimJob::run_with)
+    }
+
+    /// [`Fleet::run_batch_with`] with every attempt run by
+    /// `attempt(job, spec)` inside [`Fleet::run_contained`]: the seam the
+    /// unit tests use to substitute a panicking run.
+    fn run_batch_on<'g, E, F, A>(&self, jobs: Vec<SimJob<'g, E>>, post: F, attempt: A) -> FleetBatch
+    where
+        E: Environment + Clone + Send,
+        F: Fn(usize, &mut Result<Trace, SimError>) + Sync,
+        A: Fn(&SimJob<'g, E>, &RunSpec) -> Result<Trace, SimError> + Sync,
+    {
         type WorkQueue<'g, E> = Mutex<VecDeque<(usize, SimJob<'g, E>)>>;
         let _batch_span = obs::span_arg("fleet.batch", "jobs", jobs.len() as i64);
         let reg = obs::global();
         let jobs_done = reg.counter("fleet.jobs_done");
         let steals = reg.counter("fleet.steals");
-        let panics_ctr = reg.counter("fleet.panics");
-        let retried_ctr = reg.counter("fleet.retries");
         let n_jobs = jobs.len();
         let workers = self.workers.min(n_jobs).max(1);
         let queues: Vec<WorkQueue<'g, E>> =
@@ -375,23 +433,20 @@ impl Fleet {
         let slots: Vec<Mutex<Option<Result<Trace, SimError>>>> =
             (0..n_jobs).map(|_| Mutex::new(None)).collect();
         let stolen = AtomicU64::new(0);
-        let panics = AtomicU64::new(0);
-        let retried = AtomicU64::new(0);
+        // What the boundary spent, summed over the batch and counted live.
+        let [panics, retried, fallbacks] = ["fleet.panics", "fleet.retries", "fleet.fallbacks"]
+            .map(|name| (AtomicU64::new(0), reg.counter(name)));
 
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let queues = &queues;
                 let slots = &slots;
                 let stolen = &stolen;
-                let panics = &panics;
-                let retried = &retried;
-                let retry = &self.retry;
-                let deadline_at = self.deadline_at;
+                let spent = [&panics, &retried, &fallbacks];
                 let jobs_done = &jobs_done;
                 let steals = &steals;
-                let panics_ctr = &panics_ctr;
-                let retried_ctr = &retried_ctr;
                 let post = &post;
+                let attempt = &attempt;
                 scope.spawn(move || {
                     let _worker_span = obs::span_arg("fleet.worker", "worker", w as i64);
                     loop {
@@ -407,33 +462,19 @@ impl Fleet {
                                 }
                             }
                         }
-                        match next {
-                            Some((idx, mut job)) => {
-                                // The batch-wide absolute deadline binds
-                                // each job to the time actually left when
-                                // it *starts*, so queued jobs cannot each
-                                // spend a full budget of their own.
-                                if let Some(at) = deadline_at {
-                                    let left = at
-                                        .checked_duration_since(Instant::now())
-                                        .unwrap_or(Duration::from_micros(1));
-                                    let budget = &mut job.spec.wall_budget;
-                                    *budget = Some(budget.map_or(left, |b| b.min(left)));
-                                }
-                                let _job_span = job.trace.span_arg("fleet.job", "job", idx as i64);
-                                let mut outcome = Self::run_isolated(
-                                    &job,
-                                    idx as u64,
-                                    retry,
-                                    (panics, panics_ctr),
-                                    (retried, retried_ctr),
-                                );
-                                post(idx, &mut outcome);
-                                *lock_recover(&slots[idx]) = Some(outcome);
-                                jobs_done.inc();
-                            }
-                            None => break,
+                        let Some((idx, job)) = next else { break };
+                        let _job_span = job.trace.span_arg("fleet.job", "job", idx as i64);
+                        let done = self
+                            .run_contained(&job.spec, idx as u64, |_, spec| attempt(&job, spec));
+                        let counts = [done.panics, done.retries, done.fallbacks];
+                        for ((sum, live), n) in spent.into_iter().zip(counts) {
+                            sum.fetch_add(n, Ordering::Relaxed);
+                            live.add(n);
                         }
+                        let mut outcome = done.result;
+                        post(idx, &mut outcome);
+                        *lock_recover(&slots[idx]) = Some(outcome);
+                        jobs_done.inc();
                     }
                 });
             }
@@ -451,8 +492,9 @@ impl Fleet {
             jobs: n_jobs,
             workers,
             stolen: stolen.load(Ordering::Relaxed),
-            panics: panics.load(Ordering::Relaxed),
-            retried: retried.load(Ordering::Relaxed),
+            panics: panics.0.load(Ordering::Relaxed),
+            retried: retried.0.load(Ordering::Relaxed),
+            fallbacks: fallbacks.0.load(Ordering::Relaxed),
             cache: CacheStats,
         };
         stats.export(reg);
@@ -659,20 +701,39 @@ mod tests {
     }
 
     /// An environment that either answers from a script or detonates,
-    /// letting a batch mix healthy and panicking jobs under one type.
+    /// letting a batch mix healthy and panicking jobs under one type. A
+    /// `CompiledBomb` answers like `Healthy`; the test's attempt closure
+    /// makes it panic on the compiled engine.
     #[derive(Clone)]
     enum TestEnv {
         Healthy(ScriptedEnv),
+        CompiledBomb(ScriptedEnv),
         Bomb,
     }
 
     impl Environment for TestEnv {
         fn value_at(&self, input: etpn_core::VertexId, name: &str, k: u64) -> Value {
             match self {
-                TestEnv::Healthy(e) => e.value_at(input, name, k),
+                TestEnv::Healthy(e) | TestEnv::CompiledBomb(e) => e.value_at(input, name, k),
                 TestEnv::Bomb => panic!("injected eval panic"),
             }
         }
+    }
+
+    /// x=1 forever: `s0 → s1 → s0 …` never terminates.
+    fn spin() -> Etpn {
+        let mut b = EtpnBuilder::new();
+        let one = b.constant(1, "one");
+        let r = b.register("r");
+        let keep = b.connect(b.out_port(one, 0), b.in_port(r, 0));
+        let s0 = b.place("s0");
+        let s1 = b.place("s1");
+        b.control(s0, [keep]);
+        b.control(s1, [keep]);
+        b.seq(s0, s1, "t0");
+        b.seq(s1, s0, "t1");
+        b.mark(s0);
+        b.finish().unwrap()
     }
 
     #[test]
@@ -705,9 +766,11 @@ mod tests {
                 .values_on_named_output(&g, "y"),
             vec![7]
         );
-        // Initial attempt + DEFAULT_RETRIES retries, all panicking.
-        assert_eq!(batch.stats.panics, DEFAULT_RETRIES + 1);
+        // Compiled attempt + interpreter fallback + DEFAULT_RETRIES
+        // retries, all panicking.
+        assert_eq!(batch.stats.panics, DEFAULT_RETRIES + 2);
         assert_eq!(batch.stats.retried, DEFAULT_RETRIES);
+        assert_eq!(batch.stats.fallbacks, 1);
     }
 
     #[test]
@@ -721,8 +784,9 @@ mod tests {
             batch.results[0],
             Err(SimError::Panicked { retries: 3, .. })
         ));
-        assert_eq!(batch.stats.panics, 4, "1 attempt + 3 retries");
+        assert_eq!(batch.stats.panics, 5, "1 attempt + 1 fallback + 3 retries");
         assert_eq!(batch.stats.retried, 3);
+        assert_eq!(batch.stats.fallbacks, 1);
     }
 
     #[test]
@@ -736,8 +800,69 @@ mod tests {
             batch.results[0],
             Err(SimError::Panicked { retries: 0, .. })
         ));
-        assert_eq!(batch.stats.panics, 1);
+        assert_eq!(batch.stats.panics, 2);
         assert_eq!(batch.stats.retried, 0);
+        assert_eq!(batch.stats.fallbacks, 1);
+    }
+
+    /// A job that panics only on the compiled engine gets the
+    /// interpreter's result without spending a retry.
+    #[test]
+    fn a_compiled_engine_panic_falls_back_to_the_interpreter() {
+        let g = add_once();
+        let jobs = vec![
+            job(&g, TestEnv::Healthy(env_ab(1, 2)), 10),
+            job(&g, TestEnv::CompiledBomb(env_ab(3, 4)), 10),
+        ];
+        let batch = Fleet::new(2).run_batch_on(
+            jobs,
+            |_, _| {},
+            |job, spec| {
+                let bomb = matches!(job.env, TestEnv::CompiledBomb(_));
+                if bomb && spec.backend == Backend::Compiled {
+                    panic!("injected compiled-engine panic");
+                }
+                job.run_with(spec)
+            },
+        );
+        for (r, y) in batch.results.iter().zip([3, 7]) {
+            let t = r.as_ref().expect("both jobs succeed");
+            assert_eq!(t.values_on_named_output(&g, "y"), vec![y]);
+        }
+        let stats = batch.stats;
+        assert_eq!((stats.panics, stats.fallbacks, stats.retried), (1, 1, 0));
+    }
+
+    /// Each attempt's budget is clamped to the deadline when the attempt
+    /// starts: a job whose compiled attempt panics 150 ms into a 300 ms
+    /// deadline gets 150 ms for its interpreter attempt, not the 300 ms
+    /// left when the job started.
+    #[test]
+    fn a_retried_job_stops_at_the_batch_deadline() {
+        use crate::trace::Termination;
+        let g = spin();
+        let deadline = Instant::now() + Duration::from_millis(300);
+        let jobs = vec![job(&g, TestEnv::Healthy(ScriptedEnv::new()), u64::MAX)];
+        let fleet = Fleet::new(1).with_deadline_at(deadline);
+        let batch = fleet.run_batch_on(
+            jobs,
+            |_, _| {},
+            |job, spec| {
+                if spec.backend == Backend::Compiled {
+                    std::thread::sleep(Duration::from_millis(150));
+                    panic!("injected late panic");
+                }
+                job.run_with(spec)
+            },
+        );
+        let late = Instant::now().saturating_duration_since(deadline);
+        assert!(
+            late < Duration::from_millis(75),
+            "{late:?} past the deadline"
+        );
+        let trace = batch.results[0].as_ref().unwrap();
+        assert_eq!(trace.termination, Termination::Budget);
+        assert_eq!(batch.stats.fallbacks, 1);
     }
 
     /// A job's own wall-clock budget bounds it inside the fleet: a

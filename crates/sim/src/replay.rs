@@ -50,9 +50,10 @@ pub fn env_from_recording(rec: &Recording) -> ScriptedEnv {
 /// [`Simulator::replay_between`][crate::engine::Simulator::replay_between]
 /// directly to jump in from a later checkpoint.
 ///
-/// Fails with [`SimError::ReplayDivergence`] when the design fingerprint
-/// does not match, the target lies outside the journal, no checkpoint was
-/// retained at all (ring eviction), or any re-derived step disagrees with
+/// Refuses with [`SimError::ReplayRefused`] when the recording does not
+/// fit `g`, the target lies beyond the journal or no checkpoint was
+/// retained at all (ring eviction), and fails with
+/// [`SimError::ReplayDivergence`] when a re-derived step disagrees with
 /// the journal.
 pub fn replay_recording(
     g: &Etpn,

@@ -1,9 +1,10 @@
 //! Bounded retries with deterministic decorrelated-jitter backoff.
 //!
-//! Every retrying subsystem — the fleet's panic containment
-//! ([`crate::fleet::Fleet::with_retry_policy`]), which fault campaigns
-//! run on, and the `etpnd` service's per-request envelope — shares this one policy type, so retry behaviour
-//! is uniform and testable in a single place.
+//! Every retry goes through the fleet's one isolation boundary
+//! ([`crate::fleet::Fleet::run_contained`], configured by
+//! [`crate::fleet::Fleet::with_retry_policy`]), which fleet batches,
+//! fault campaigns and the `etpnd` service's simulating verbs all run
+//! through, so retry behaviour is uniform and testable in a single place.
 //!
 //! The backoff schedule is *decorrelated jitter* (each delay is drawn
 //! uniformly from `[base, 3 × previous]`, clamped to `cap`), which spreads
@@ -68,11 +69,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The retry budget (attempts are `1 + max_retries`).
-    pub fn max_retries(&self) -> u64 {
-        self.max_retries
-    }
-
     /// Override the retry budget, keeping the backoff shape.
     pub fn with_max_retries(mut self, max_retries: u64) -> Self {
         self.max_retries = max_retries;
@@ -80,7 +76,7 @@ impl RetryPolicy {
     }
 
     /// The deterministic delay schedule for the job identified by
-    /// `token`. Yields exactly [`RetryPolicy::max_retries`] delays.
+    /// `token`. Yields exactly one delay per retry in the budget.
     pub fn schedule(&self, token: u64) -> Backoff {
         Backoff {
             state: self.seed ^ token.wrapping_mul(0xA24B_AED4_963E_E407),
@@ -89,17 +85,6 @@ impl RetryPolicy {
             cap: self.cap,
             remaining: self.max_retries,
         }
-    }
-
-    /// The delay before retry number `attempt` (1-based) of job `token`;
-    /// `Duration::ZERO` past the budget.
-    pub fn delay(&self, token: u64, attempt: u64) -> Duration {
-        if attempt == 0 {
-            return Duration::ZERO;
-        }
-        self.schedule(token)
-            .nth(attempt as usize - 1)
-            .unwrap_or(Duration::ZERO)
     }
 }
 
@@ -147,7 +132,6 @@ mod tests {
         let p = RetryPolicy::immediate(3);
         let delays: Vec<Duration> = p.schedule(7).collect();
         assert_eq!(delays, vec![Duration::ZERO; 3]);
-        assert_eq!(p.delay(7, 1), Duration::ZERO);
     }
 
     #[test]
@@ -178,7 +162,7 @@ mod tests {
         let p = RetryPolicy::decorrelated(2, Duration::from_millis(1), Duration::from_millis(4), 9);
         assert_eq!(p.schedule(0).count(), 2);
         assert_eq!(p.with_max_retries(0).schedule(0).count(), 0);
-        assert_eq!(p.delay(0, 3), Duration::ZERO, "past-budget delay is zero");
+        assert_eq!(p.schedule(0).nth(2), None, "no delay past the budget");
     }
 
     #[test]

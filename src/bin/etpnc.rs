@@ -163,8 +163,8 @@ const EXIT_BUDGET: u8 = 5;
 const EXIT_COVERAGE: u8 = 6;
 /// Exit code for a located divergence: `why` found the two recordings
 /// disagree, or a `replay` departed from its journal (which means the
-/// recording belongs to a different design/environment, or determinism
-/// itself broke).
+/// recording was made against another environment, or determinism itself
+/// broke). A recording of another design is refused with `1` instead.
 const EXIT_DIVERGED: u8 = 7;
 
 fn main() -> ExitCode {

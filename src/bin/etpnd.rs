@@ -105,7 +105,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             .with_max_retries(parse_flag(args, "--retries", 2u64)?),
         cov_shed_depth: parse_flag(args, "--cov-shed-depth", defaults.cov_shed_depth)?,
         allow_chaos: args.iter().any(|a| a == "--allow-chaos"),
-        watch_term_signal: true,
         tracing: !args.iter().any(|a| a == "--no-tracing"),
         // The standalone daemon logs each request by default (the library
         // default stays quiet for embedded/test servers).

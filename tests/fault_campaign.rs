@@ -133,7 +133,11 @@ fn environment_panics_are_contained_per_job() {
     let batch = Fleet::new(2)
         .with_retry_policy(RetryPolicy::immediate(2))
         .run_batch(jobs);
-    assert_eq!(batch.stats.panics, 3, "initial attempt + 2 retries");
+    assert_eq!(
+        batch.stats.panics, 4,
+        "initial attempt + interpreter fallback + 2 retries"
+    );
+    assert_eq!(batch.stats.fallbacks, 1);
     assert!(batch.results[0].is_ok(), "healthy neighbour survives");
     assert!(batch.results[2].is_ok(), "healthy neighbour survives");
     match &batch.results[1] {
@@ -142,6 +146,24 @@ fn environment_panics_are_contained_per_job() {
             assert_eq!(*retries, 2);
         }
         other => panic!("expected a contained panic, got {other:?}"),
+    }
+}
+
+/// A golden run that panics through its retries ends the campaign with
+/// `SimError::Panicked` instead of unwinding into the caller.
+#[test]
+fn a_panicking_golden_run_is_contained() {
+    let w = by_name("gcd").expect("gcd exists");
+    let d = etpn::synth::compile_source(&w.source).expect("gcd compiles");
+    let proto = SimJob::from_spec(&d.etpn, BombEnv::Bomb, RunSpec::default());
+    let fleet = Fleet::new(1).with_retry_policy(RetryPolicy::immediate(1));
+    match run_campaign(&proto, &CampaignConfig::default(), &fleet) {
+        Err(SimError::Panicked { message, retries }) => {
+            assert!(message.contains("injected environment panic"), "{message}");
+            assert_eq!(retries, 1);
+        }
+        Err(e) => panic!("expected a contained golden-run panic, got {e:?}"),
+        Ok(_) => panic!("a golden run that always panics cannot complete"),
     }
 }
 

@@ -12,7 +12,7 @@
 
 use etpn_core::{Value, VertexId};
 use etpn_rec::{
-    Checkpoint, DivergenceReason, DivergenceReport, RecordConfig, Recording, StepRecord,
+    Checkpoint, DivergenceReason, DivergenceReport, RecError, RecordConfig, Recording, StepRecord,
     FLAG_DATA_FAULT,
 };
 use etpn_sim::{
@@ -241,8 +241,8 @@ fn golden_recording_round_trips_and_replays() {
     }
 }
 
-/// A checkpoint whose vectors do not fit the design is refused with a
-/// divergence at its step on both engines, even after a clean wire
+/// A checkpoint whose vectors do not fit the design is refused, naming
+/// the first such checkpoint, on both engines, even after a clean wire
 /// round-trip. A marking cut to 6 of 16 places used to index out of
 /// bounds; one cut to a single place replayed 4 steps and reported
 /// termination although the journal runs to step 13.
@@ -278,9 +278,9 @@ fn replay_rejects_a_checkpoint_that_does_not_fit_the_design() {
                 .with_backend(backend)
                 .replay_between(&cut, 4, cut.end_step())
                 .expect_err("a checkpoint that does not fit must not replay");
-            let detail = format!("checkpoint {what} has {keep} entries, the design needs {want}");
-            let want_err = SimError::ReplayDivergence { step: 4, detail };
-            assert_eq!(err, want_err, "{backend:?}");
+            let detail = format!("{what} has {keep} entries, the design needs {want}");
+            let misfit = RecError::CheckpointMisfit { step: 0, detail };
+            assert_eq!(err, SimError::ReplayRefused(misfit), "{backend:?}");
         }
     }
 }
