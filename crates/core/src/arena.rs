@@ -148,22 +148,10 @@ impl<I: Id, T> TypedVec<I, T> {
 
     /// Iterate over *all* slots in id order, dead ones as `None`.
     ///
-    /// Persistence layers use this to serialise tombstones so ids stay
-    /// stable across a save/load round-trip.
+    /// [`Etpn::fingerprint`](crate::Etpn::fingerprint) hashes dead slots
+    /// too, so that equal fingerprints bind equal ids.
     pub fn slots(&self) -> impl Iterator<Item = Option<&T>> + '_ {
         self.items.iter().map(Slot::as_ref)
-    }
-
-    /// Append a slot verbatim: `Some` becomes a live entry, `None` a
-    /// tombstone. The inverse of [`TypedVec::slots`].
-    pub fn push_slot(&mut self, value: Option<T>) {
-        match value {
-            Some(t) => {
-                self.items.push(Slot::Live(t));
-                self.live += 1;
-            }
-            None => self.items.push(Slot::Dead),
-        }
     }
 }
 

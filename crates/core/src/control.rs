@@ -101,18 +101,6 @@ impl Control {
         Ok(())
     }
 
-    /// Reassemble a control structure from raw arenas (the persistence
-    /// layer's decoder); the caller validates afterwards.
-    pub(crate) fn from_raw(
-        places: TypedVec<PlaceId, Place>,
-        transitions: TypedVec<TransId, Transition>,
-    ) -> Self {
-        Self {
-            places,
-            transitions,
-        }
-    }
-
     /// Guard transition `t` with output port `p` (extends `G(p)` by `t`).
     pub fn add_guard(&mut self, t: TransId, p: PortId) {
         self.transitions[t].guards.push(p);

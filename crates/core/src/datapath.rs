@@ -138,30 +138,6 @@ impl DataPath {
         Ok(v)
     }
 
-    /// Reassemble a data path from raw arenas and adjacency lists (the
-    /// persistence layer's decoder). The caller is expected to run
-    /// [`DataPath::validate`] afterwards; this only checks the shape.
-    pub(crate) fn from_raw(
-        vertices: TypedVec<VertexId, Vertex>,
-        ports: TypedVec<PortId, Port>,
-        arcs: TypedVec<ArcId, DpArc>,
-        incoming: Vec<IdList<ArcId>>,
-        outgoing: Vec<IdList<ArcId>>,
-    ) -> CoreResult<Self> {
-        if incoming.len() != ports.capacity_bound() || outgoing.len() != ports.capacity_bound() {
-            return Err(CoreError::Invalid(
-                "adjacency lists do not match the port arena".into(),
-            ));
-        }
-        Ok(Self {
-            vertices,
-            ports,
-            arcs,
-            incoming,
-            outgoing,
-        })
-    }
-
     fn grow_adj(&mut self, p: PortId) {
         while self.incoming.len() <= p.idx() {
             self.incoming.push(IdList::new());

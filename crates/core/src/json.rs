@@ -1,8 +1,9 @@
 //! A minimal JSON document model with an emitter and a recursive-descent
 //! parser — no external dependencies.
 //!
-//! The persistence layer ([`crate::io`]) encodes designs into this document
-//! model; everything the model needs is integer numbers, strings, booleans,
+//! etpnd's request and response bodies, lint's JSON and SARIF renderings,
+//! the trace exporters and the experiment tables all use this document
+//! model; everything they need is integer numbers, strings, booleans,
 //! nulls, arrays, and objects. Objects preserve insertion order so emitted
 //! documents are deterministic.
 

@@ -43,7 +43,6 @@ pub mod event;
 pub mod hash;
 pub mod idlist;
 pub mod ids;
-pub mod io;
 pub mod json;
 pub mod marking;
 pub mod op;

@@ -1067,7 +1067,7 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
     if let Ok(Trace { cov: Some(cov), .. }) = &done.result {
         absorb_coverage(shared, &entry, cov, meta.trace_id);
     }
-    let outcome = done.result.as_ref().map(Some);
+    let outcome = done.result.as_ref().map(|t| (t.termination, t.steps));
     if let Some(r) = settle(shared, &entry.design.etpn, ticket, outcome, false) {
         return r;
     }
@@ -1089,10 +1089,7 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
     Response::json(
         200,
         &Json::obj([
-            (
-                "termination",
-                Json::Str(termination_name(trace.termination).into()),
-            ),
+            ("termination", Json::Str(trace.termination.name().into())),
             ("steps", Json::Num(trace.steps as i64)),
             ("firings", Json::Num(trace.firings as i64)),
             ("events", Json::Num(trace.events.len() as i64)),
@@ -1144,7 +1141,7 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
 
     // A compared job that panicked through its retries is an internal
     // fault even though the battery as a whole completed.
-    let outcome = v.reference.as_ref().map(Some);
+    let outcome = v.reference.as_ref().map(|t| (t.termination, t.steps));
     if let Some(r) = settle(shared, &entry.design.etpn, ticket, outcome, v.panicked > 0) {
         return r;
     }
@@ -1294,8 +1291,9 @@ fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
     };
     // The fleet's deadline is absolute across the whole campaign, golden
     // runs included: a burner design must not hold a worker past the
-    // request deadline, and a deep fault queue cannot multiply it. Jobs
-    // cut by it classify as hangs.
+    // request deadline, and a deep fault queue cannot multiply it. Faulty
+    // jobs cut by it classify as hangs; a golden run cut by it settles as
+    // `/v1/run` does.
     let fleet = Fleet::new(2)
         .with_retry_policy(shared.cfg.retry)
         .with_deadline_at(Instant::now() + spec.wall_budget.unwrap_or_default());
@@ -1308,7 +1306,9 @@ fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         let _s = meta.ctx.span("fault.campaign");
         etpn_sim::run_campaign(&proto, &cfg, &fleet)
     };
-    let outcome = result.as_ref().map(|_| None);
+    let outcome = result
+        .as_ref()
+        .map(|r| (r.golden_termination, r.golden_steps));
     if let Some(r) = settle(shared, &entry.design.etpn, ticket, outcome, false) {
         return r;
     }
@@ -1337,30 +1337,32 @@ fn fault_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
 
 /// How a simulating verb's job ended, classified once for every verb: the
 /// response unless the job completed (`None`), the breaker outcome and
-/// the counters. A job that panicked through its retries is an internal
-/// fault: `500`, and the breaker counts a failure. Any other `SimError` is
-/// a property of the request (bad environment, unsafe design): `422`, and
-/// the breaker counts a success, so a client cannot degrade a healthy
-/// design for every tenant. A run the wall budget cut is `408`, also a
-/// success. A completed job counts as a failure only when `panicked`
-/// says another job of the verb panicked through its retries.
+/// the counters. `outcome` is the job's error, or how its run ended and
+/// after how many steps (for `/v1/fault`, the golden run). A job that
+/// panicked through its retries is an internal fault: `500`, and the
+/// breaker counts a failure. Any other `SimError` is a property of the
+/// request (bad environment, unsafe design): `422`, and the breaker counts
+/// a success, so a client cannot degrade a healthy design for every
+/// tenant. A run the wall budget cut is `408`, also a success. A completed
+/// job counts as a failure only when `panicked` says another job of the
+/// verb panicked through its retries.
 fn settle(
     shared: &Shared,
     g: &etpn_core::Etpn,
     ticket: BreakerTicket<'_>,
-    outcome: Result<Option<&Trace>, &SimError>,
+    outcome: Result<(Termination, u64), &SimError>,
     panicked: bool,
 ) -> Option<Response> {
     let (failed, response) = match outcome {
         Err(e @ SimError::Panicked { .. }) => (true, Some(Response::error(500, &e.describe(g)))),
         Err(e) => (false, Some(Response::error(422, &e.describe(g)))),
-        Ok(Some(trace)) if trace.termination == Termination::Budget => {
+        Ok((termination @ Termination::Budget, steps)) => {
             shared.stats.counter("serve.deadline_expired").inc();
             let doc = Json::obj([
                 ("error", Json::Str("deadline exceeded mid-run".into())),
                 ("status", Json::Num(408)),
-                ("termination", Json::Str("budget".into())),
-                ("steps", Json::Num(trace.steps as i64)),
+                ("termination", Json::Str(termination.name().into())),
+                ("steps", Json::Num(steps as i64)),
             ]);
             (false, Some(Response::json(408, &doc)))
         }
@@ -1453,17 +1455,6 @@ fn forensics(
         .run_contained(&spec, token, |_, spec| job.run_with(spec));
     if let Some(rec) = rerun.result.ok().and_then(|t| t.recording) {
         let _ = std::fs::write(dir.join(format!("{stem}.etpnrec")), rec.to_bytes());
-    }
-}
-
-/// Human name of a termination.
-fn termination_name(t: Termination) -> &'static str {
-    match t {
-        Termination::Terminated => "terminated",
-        Termination::Quiescent => "quiescent",
-        Termination::Deadlock => "deadlock",
-        Termination::StepLimit => "step-limit",
-        Termination::Budget => "budget",
     }
 }
 

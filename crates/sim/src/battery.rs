@@ -7,7 +7,9 @@
 //! group whose [`Witness`] names the first event that differed and the two
 //! policies it differed under. `etpnc run --jobs`, etpnd's `/v1/check`,
 //! [`crate::check_determinism`] and the transform crate's semantic oracle
-//! each map this verdict to their own output.
+//! each map this verdict to their own output. [`comparable`] is the one
+//! rule for which runs a budget cut can be compared; fault campaigns ask
+//! it too.
 
 use crate::env::Environment;
 use crate::error::SimError;
@@ -78,18 +80,39 @@ fn arc_name(g: &Etpn, arc: ArcId) -> String {
     }
 }
 
+/// Whether two runs' external event structures can be compared, given how
+/// each run ended and whether the two share design, firing policy and step
+/// budget (`same_cut`). Defs. 3.2 and 4.1 compare whole runs; a run a
+/// budget cut observed only a prefix, and a prefix compares only with one
+/// cut at the same point of the same behaviour:
+///
+/// * a run that ended on its own (terminated, quiescent or deadlocked) is
+///   comparable;
+/// * a run its wall budget cut is never comparable, not even with itself,
+///   because the step the cut falls on depends on the host;
+/// * a run its step budget cut is comparable only when `same_cut` holds,
+///   because then that budget cuts both at the same point of one behaviour.
+pub fn comparable(a: Termination, b: Termination, same_cut: bool) -> bool {
+    match (a, b) {
+        (Termination::Budget, _) | (_, Termination::Budget) => false,
+        (Termination::StepLimit, _) | (_, Termination::StepLimit) => same_cut,
+        _ => true,
+    }
+}
+
 /// One group's outcome.
 #[derive(Clone, Debug)]
 pub struct BatteryVerdict {
-    /// The reference job's result. When it failed, or was stopped by its
-    /// wall budget, nothing was compared and every count is 0.
+    /// The reference job's result. When it failed, nothing was compared
+    /// and every count is 0.
     pub reference: Result<Trace, SimError>,
     /// Compared runs whose structure was checked against the reference.
     pub compared: usize,
     /// Of those, the runs whose structure differs from the reference's.
     pub divergent: usize,
-    /// Compared runs stopped by their wall budget: a truncated structure
-    /// would report a spurious divergence, so these are not compared.
+    /// Compared runs that [`comparable`] refuses to compare with the
+    /// reference, because a budget cut one of them: a truncated structure
+    /// would report a spurious divergence.
     pub cut: usize,
     /// Compared runs that ended in an error.
     pub failed: usize,
@@ -121,7 +144,8 @@ pub fn battery<'g, E>(fleet: &Fleet, groups: Vec<BatteryGroup<'g, E>>) -> Batter
 where
     E: Environment + Clone + Send,
 {
-    // The batch consumes the jobs: keep each one's policy and design.
+    // The batch consumes the jobs: keep each one's design, policy and step
+    // budget.
     let mut designs: Vec<(&Etpn, ControlRelations)> = Vec::new();
     let (mut sizes, mut jobs, mut shape) = (Vec::new(), Vec::new(), Vec::new());
     for group in groups {
@@ -133,7 +157,7 @@ where
                 designs.push((g, ControlRelations::compute(&g.ctl)));
                 designs.len() - 1
             });
-            shape.push((d, job.spec.policy));
+            shape.push((d, job.spec.policy, job.spec.max_steps));
             jobs.push(job);
         }
     }
@@ -143,11 +167,7 @@ where
     let mut results = batch.results.into_iter().zip(shape);
     let mut verdicts = Vec::with_capacity(sizes.len());
     for n in sizes {
-        let (reference, (d, ref_policy)) = results.next().expect("one result per job");
-        let ref_structure = match &reference {
-            Ok(t) if t.termination != Termination::Budget => Some(structure(d, t)),
-            _ => None,
-        };
+        let (reference, ref_shape) = results.next().expect("one result per job");
         let mut v = BatteryVerdict {
             reference,
             compared: 0,
@@ -158,21 +178,25 @@ where
             first_error: None,
             witness: None,
         };
-        for (job, (result, (d, policy))) in (1..=n).zip(results.by_ref()) {
-            let Some(ref_structure) = &ref_structure else {
+        let mut ref_structure = None;
+        for (job, (result, shape)) in (1..=n).zip(results.by_ref()) {
+            let Ok(r) = &v.reference else {
                 continue;
             };
             match result {
-                Ok(t) if t.termination == Termination::Budget => v.cut += 1,
+                Ok(t) if !comparable(r.termination, t.termination, shape == ref_shape) => {
+                    v.cut += 1;
+                }
                 Ok(t) => {
                     v.compared += 1;
-                    if let Some(diff) = ref_structure.first_difference(&structure(d, &t)) {
+                    let ref_structure =
+                        ref_structure.get_or_insert_with(|| structure(ref_shape.0, r));
+                    if let Some(diff) = ref_structure.first_difference(&structure(shape.0, &t)) {
                         v.divergent += 1;
-                        let (reference, compared) = (ref_policy, policy);
                         v.witness.get_or_insert(Witness {
                             job,
-                            reference,
-                            compared,
+                            reference: ref_shape.1,
+                            compared: shape.1,
                             diff,
                         });
                     }
@@ -275,6 +299,11 @@ mod tests {
         cut.spec.wall_budget = Some(std::time::Duration::ZERO);
         let mut strict = job(ScriptedEnv::new());
         strict.spec.strict_inputs = true;
+        // One step reads `x` but does not yet emit `y`.
+        let mut short = job(env());
+        short.spec.max_steps = 1;
+        let mut short_random = short.clone();
+        short_random.spec.policy = FiringPolicy::SingleRandom { seed: 0 };
         let groups = vec![
             BatteryGroup {
                 reference: job(env()),
@@ -285,21 +314,32 @@ mod tests {
                 reference: cut,
                 compared: vec![job(env())],
             },
+            // A run under another policy that its step budget cut is not
+            // a divergence.
+            BatteryGroup {
+                reference: job(env()),
+                compared: vec![short_random.clone()],
+            },
+            // Runs of one design, policy and step budget are cut at the
+            // same point: they compare, and only with each other.
+            BatteryGroup {
+                reference: short.clone(),
+                compared: vec![short, short_random],
+            },
         ];
         let run = battery(&Fleet::new(2), groups);
+        let counts = |v: &BatteryVerdict| (v.compared, v.divergent, v.cut, v.failed);
         let v = &run.verdicts[0];
-        assert_eq!((v.compared, v.cut, v.failed, v.panicked), (1, 1, 2, 0));
+        assert_eq!(counts(v), (1, 0, 1, 2));
+        assert_eq!(v.panicked, 0);
         let first = &v.first_error;
         assert!(
             matches!(first, Some((3, SimError::InputExhausted { .. }))),
             "{first:?}"
         );
-        let v = &run.verdicts[1];
-        assert_eq!(
-            v.reference.as_ref().unwrap().termination,
-            Termination::Budget
-        );
-        assert_eq!((v.compared, v.cut, v.failed), (0, 0, 0));
+        let cut_counts: Vec<_> = run.verdicts[1..].iter().map(counts).collect();
+        assert_eq!(cut_counts, [(0, 0, 1, 0), (0, 0, 1, 0), (1, 0, 1, 0)]);
+        assert_eq!(run.verdicts[3].reference.as_ref().unwrap().steps, 1);
     }
 
     #[test]

@@ -16,9 +16,13 @@ use etpn_core::{ArcId, Etpn, EtpnBuilder};
 /// Result of a determinism battery.
 #[derive(Clone, Debug)]
 pub enum DeterminismReport {
-    /// All runs produced the same external event structure.
+    /// Every compared run produced the reference's external event
+    /// structure.
     Deterministic {
-        /// Number of runs compared (including the reference run).
+        /// Number of runs compared (including the reference run). Runs
+        /// that [`comparable`](crate::battery::comparable) refuses to
+        /// compare, because a budget cut them or the reference, are not
+        /// counted: when a budget cut every run, `runs` is 1.
         runs: usize,
     },
     /// A run diverged from the reference (maximal-step) run.

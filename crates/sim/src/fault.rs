@@ -26,6 +26,7 @@
 //!   [`FaultClass::Hang`], with a per-vertex vulnerability map renderable
 //!   as a heat-graded DOT graph.
 
+use crate::battery::comparable;
 use crate::env::Environment;
 use crate::error::SimError;
 use crate::extract::event_structure;
@@ -227,8 +228,9 @@ pub enum FaultClass {
     /// monitor fired (unsafe marking, input conflict, combinational loop),
     /// or the job panicked / ran an input dry and the fleet contained it.
     Detected,
-    /// The run was cut short or stuck: deadlock, step limit, or wall-clock
-    /// budget (and the golden run was not).
+    /// The run deadlocked or hit a budget where the golden run terminated
+    /// or quiesced, or a wall budget cut it, which [`comparable`] refuses
+    /// to compare.
     Hang,
 }
 
@@ -312,15 +314,18 @@ impl Default for CampaignConfig {
 /// The resilience report of one campaign.
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
-    /// One verdict per planned fault, in sweep order.
+    /// One verdict per planned fault, in sweep order; empty when the
+    /// campaign [classified](CampaignReport::classified) nothing.
     pub outcomes: Vec<FaultOutcome>,
     /// How the golden run ended.
     pub golden_termination: Termination,
+    /// Steps the golden run took.
+    pub golden_steps: u64,
     /// External events of the golden run.
     pub golden_events: usize,
     /// The golden run re-executed after the sweep produced the identical
     /// event structure — i.e. no faulty job leaked state into the clean
-    /// path.
+    /// path. True when nothing was swept.
     pub golden_unchanged: bool,
     /// Fleet scheduling/panic counters for the faulty batch.
     pub fleet: FleetStats,
@@ -332,6 +337,13 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Whether the campaign classified its faults: false when the golden
+    /// run is not [`comparable`] with itself (a wall budget cut it), so no
+    /// faulty run can be judged against it and none was run.
+    pub fn classified(&self) -> bool {
+        comparable(self.golden_termination, self.golden_termination, true)
+    }
+
     /// Number of faults classified as `class`.
     pub fn count(&self, class: FaultClass) -> usize {
         self.outcomes.iter().filter(|o| o.class == class).count()
@@ -382,6 +394,15 @@ impl CampaignReport {
     pub fn summary(&self, g: &Etpn) -> String {
         use std::fmt::Write;
         let mut s = String::new();
+        if !self.classified() {
+            let _ = writeln!(
+                s,
+                "fault campaign: golden {:?} after {} steps with {} events is not comparable \
+                 with itself: no fault classified",
+                self.golden_termination, self.golden_steps, self.golden_events
+            );
+            return s;
+        }
         let _ = writeln!(
             s,
             "fault campaign: {} faults, golden {:?} with {} events",
@@ -441,7 +462,11 @@ impl CampaignReport {
 /// and the (already bisected) divergence report.
 type JobVerdict = (FaultClass, String, Option<DivergenceReport>);
 
-/// Classify one faulty result against the golden event structure.
+/// Classify one faulty result against the golden event structure. Golden
+/// and faulty runs share design, policy and step budget, so their step
+/// cuts fall at the same point; a run [`comparable`] still refuses is a
+/// hang, as is one that deadlocked or hit a budget where the golden run
+/// terminated or quiesced.
 fn classify(
     g: &Etpn,
     golden: &EventStructure,
@@ -450,10 +475,15 @@ fn classify(
 ) -> (FaultClass, String) {
     match result {
         Err(e) => (FaultClass::Detected, e.describe(g)),
-        Ok(t) if t.termination.is_hang() && !golden_termination.is_hang() => (
-            FaultClass::Hang,
-            format!("{:?} after {} steps", t.termination, t.steps),
-        ),
+        Ok(t)
+            if !comparable(golden_termination, t.termination, true)
+                || t.termination.is_hang() && !golden_termination.is_hang() =>
+        {
+            (
+                FaultClass::Hang,
+                format!("{:?} after {} steps", t.termination, t.steps),
+            )
+        }
         Ok(t) => match golden.first_difference(&event_structure(g, t)) {
             None => (FaultClass::Masked, String::new()),
             Some(d) => (FaultClass::SilentCorruption, d.to_string()),
@@ -475,9 +505,12 @@ fn classify(
 /// probe of reachable-but-untested behaviour. The fleet supplies workers,
 /// retries and an optional absolute deadline
 /// ([`Fleet::with_deadline_at`]), under which jobs cut short also
-/// classify as hangs. The golden runs go through the fleet's boundary
-/// ([`Fleet::run_contained`]) too, so a golden run that panics through
-/// its retries ends the campaign with [`SimError::Panicked`].
+/// classify as hangs. A golden run that the wall budget or the deadline
+/// cut is not [`comparable`] with itself: the campaign then runs no fault
+/// and reports itself not [classified](CampaignReport::classified). The
+/// golden runs go through the fleet's boundary ([`Fleet::run_contained`])
+/// too, so a golden run that panics through its retries ends the campaign
+/// with [`SimError::Panicked`].
 pub fn run_campaign<'g, E>(
     proto: &SimJob<'g, E>,
     cfg: &CampaignConfig,
@@ -499,14 +532,28 @@ where
             .run_contained(&job.spec, 0, |_, spec| job.run_with(spec))
             .result
     };
-    let golden_trace = golden(&instrumented)?;
+    let mut golden_trace = golden(&instrumented)?;
+    let golden_termination = golden_trace.termination;
+    let mut report = CampaignReport {
+        outcomes: Vec::new(),
+        golden_termination,
+        golden_steps: golden_trace.steps,
+        golden_events: golden_trace.event_count(),
+        golden_unchanged: true,
+        fleet: FleetStats::default(),
+        coverage: golden_trace.cov.take(),
+        planned: 0,
+    };
+    if !report.classified() {
+        return Ok(report);
+    }
     let golden_es = event_structure(g, &golden_trace);
 
     let mut faults = FaultPlan::sweep_data_ports(g, &cfg.kinds, cfg.transient_step);
     if cfg.include_control {
         faults.extend(FaultPlan::sweep_control_places(g, cfg.transient_step));
     }
-    let planned = faults.len();
+    report.planned = faults.len();
 
     let jobs: Vec<SimJob<'g, E>> = faults
         .iter()
@@ -521,7 +568,6 @@ where
     // exists, so the batch retains at most one full journal per worker
     // (plus the golden one) rather than one per planned fault.
     let golden_rec: Option<&Recording> = golden_trace.recording.as_ref();
-    let golden_termination = golden_trace.termination;
     let verdicts: Vec<Mutex<Option<JobVerdict>>> =
         (0..jobs.len()).map(|_| Mutex::new(None)).collect();
     let batch = fleet.run_batch_with(jobs, |idx, result| {
@@ -543,7 +589,7 @@ where
         *lock_recover(&verdicts[idx]) = Some((class, detail, divergence));
     });
 
-    let outcomes: Vec<FaultOutcome> = faults
+    report.outcomes = faults
         .into_iter()
         .zip(verdicts)
         .map(|(fault, verdict)| {
@@ -559,37 +605,27 @@ where
             }
         })
         .collect();
+    report.fleet = batch.stats;
 
     // Prove the clean path unperturbed: the golden run, repeated after the
-    // sweep, must reproduce the identical observation.
+    // sweep, must end the same way and classify as masked.
     let golden_again = golden(proto)?;
-    let golden_unchanged = golden_again.termination == golden_trace.termination
-        && golden_es
-            .first_difference(&event_structure(g, &golden_again))
-            .is_none();
+    report.golden_unchanged = golden_again.termination == golden_termination
+        && classify(g, &golden_es, golden_termination, &Ok(golden_again)).0 == FaultClass::Masked;
 
     // Campaign coverage: the golden DB merged with the faulty batch's.
-    let coverage = match (golden_trace.cov.clone(), batch.coverage) {
-        (Some(mut db), faulty) => {
-            if let Some(f) = &faulty {
-                let _ = db.merge(f);
+    if let Some(faulty) = batch.coverage {
+        match &mut report.coverage {
+            Some(db) => {
+                let _ = db.merge(&faulty);
             }
-            Some(db)
+            None => report.coverage = Some(faulty),
         }
-        (None, faulty) => faulty,
-    };
-    let report = CampaignReport {
-        outcomes,
-        golden_termination: golden_trace.termination,
-        golden_events: golden_trace.event_count(),
-        golden_unchanged,
-        fleet: batch.stats,
-        coverage,
-        planned,
-    };
+    }
     let reg = obs::global();
     reg.counter("fault.campaign.runs").inc();
-    reg.counter("fault.campaign.faults").add(planned as u64);
+    reg.counter("fault.campaign.faults")
+        .add(report.planned as u64);
     reg.counter("fault.campaign.masked")
         .add(report.count(FaultClass::Masked) as u64);
     reg.counter("fault.campaign.sdc")
@@ -825,6 +861,40 @@ mod tests {
         for class in FaultClass::ALL {
             assert!(summary.contains(&class.to_string()), "{summary}");
         }
+    }
+
+    /// A golden run its wall budget cut is not comparable with itself, so
+    /// the campaign runs no fault and classifies none.
+    #[test]
+    fn a_wall_cut_golden_run_classifies_no_fault() {
+        let g = add_once();
+        let mut proto = proto_job(&g);
+        proto.spec.wall_budget = Some(std::time::Duration::ZERO);
+        let report = run_campaign(&proto, &CampaignConfig::default(), &Fleet::new(2)).unwrap();
+        assert!(!report.classified());
+        assert!(report.outcomes.is_empty());
+        assert_eq!(report.fleet.jobs, 0);
+        let summary = report.summary(&g);
+        assert!(summary.contains("no fault classified"), "{summary}");
+        assert!(!summary.contains("masked"), "{summary}");
+    }
+
+    /// A golden run its step budget cut still classifies: every faulty run
+    /// shares its design, policy and step budget, so both are cut at the
+    /// same step.
+    #[test]
+    fn a_step_limited_golden_run_still_classifies() {
+        let g = add_once();
+        let mut proto = proto_job(&g);
+        proto.spec.max_steps = 1;
+        let report = run_campaign(&proto, &CampaignConfig::default(), &Fleet::new(2)).unwrap();
+        assert!(report.classified());
+        assert_eq!(report.golden_steps, 1);
+        assert_eq!(report.outcomes.len(), g.dp.ports().len() * 3);
+        assert!(report.is_total_partition(), "{}", report.summary(&g));
+        assert!(report.golden_unchanged);
+        assert!(report.count(FaultClass::Masked) > 0);
+        assert!(report.count(FaultClass::SilentCorruption) > 0);
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl CacheStats {
 }
 
 /// Summary of one [`Fleet::run_batch`] call.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FleetStats {
     /// Number of jobs executed.
     pub jobs: usize,

@@ -36,6 +36,18 @@ impl Termination {
             Termination::Deadlock | Termination::StepLimit | Termination::Budget
         )
     }
+
+    /// How reports spell the termination: `terminated`, `quiescent`,
+    /// `deadlock`, `step-limit` or `budget`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Termination::Terminated => "terminated",
+            Termination::Quiescent => "quiescent",
+            Termination::Deadlock => "deadlock",
+            Termination::StepLimit => "step-limit",
+            Termination::Budget => "budget",
+        }
+    }
 }
 
 /// Exact work counts of one simulator, kept in plain fields while it runs

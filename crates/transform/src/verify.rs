@@ -16,9 +16,7 @@
 use crate::error::TransformResult;
 use etpn_analysis::DataDependence;
 use etpn_core::{ControlRelations, Etpn, PlaceId, Value};
-use etpn_sim::{
-    battery, BatteryGroup, Fleet, RunSpec, ScriptedEnv, SimError, SimJob, Termination, Witness,
-};
+use etpn_sim::{battery, BatteryGroup, Fleet, RunSpec, ScriptedEnv, SimError, SimJob, Witness};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,9 +123,10 @@ pub enum OracleVerdict {
     NoCounterexample {
         /// Total runs compared.
         runs: u64,
-        /// Environments skipped because the reference run hit the step
-        /// limit (a truncated run observes an arbitrary prefix). When
-        /// every environment is skipped, `runs` is 0 and the pass is
+        /// Environments where nothing could be compared: a budget cut
+        /// the reference or every compared run, and a truncated run
+        /// observes an arbitrary prefix (see [`etpn_sim::battery::comparable`]).
+        /// When every environment is skipped, `runs` is 0 and the pass is
         /// vacuous.
         skipped: u32,
     },
@@ -205,19 +204,17 @@ pub fn semantic_oracle(g1: &Etpn, g2: &Etpn, cfg: OracleConfig) -> OracleVerdict
     let (mut runs, mut skipped) = (0u64, 0u32);
     for (env_seed, v) in env_seeds.into_iter().zip(run.verdicts) {
         let failure = |error| OracleVerdict::SimFailure { env_seed, error };
-        match v.reference {
-            Err(error) => return failure(error),
-            Ok(t) if t.termination == Termination::StepLimit => {
-                skipped += 1;
-                continue;
-            }
-            Ok(_) => {}
+        if let Err(error) = v.reference {
+            return failure(error);
         }
         if let Some((_, error)) = v.first_error {
             return failure(error);
         }
         if let Some(witness) = v.witness {
             return OracleVerdict::Counterexample { env_seed, witness };
+        }
+        if v.compared == 0 {
+            skipped += 1;
         }
         runs += v.compared as u64;
     }

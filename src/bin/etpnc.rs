@@ -865,13 +865,17 @@ fn run_fleet_battery(
             reference.values_on_named_output(&d.etpn, name)
         );
     }
-    if reference.termination == Termination::Budget {
-        println!("no policy compared: the deterministic reference was cut by --wall-ms");
+    if v.compared == 0 && v.cut > 0 {
+        println!(
+            "no policy compared: {} runs are not comparable with the deterministic reference ({})",
+            v.cut,
+            reference.termination.name()
+        );
         return Ok(code);
     }
     let (all, cut) = match v.cut {
         0 => ("all ", String::new()),
-        n => ("", format!(" ({n} cut by --wall-ms)")),
+        n => ("", format!(" ({n} not compared: cut by a budget)")),
     };
     match v.witness {
         None => {
@@ -929,6 +933,12 @@ fn cmd_fault(args: &[String]) -> Result<ExitCode, String> {
     let report = run_campaign(&proto, &cfg, &fleet).map_err(|e| e.describe(&d.etpn))?;
     print!("{}", report.summary(&d.etpn));
     print_coverage(&d.etpn, report.coverage.as_ref());
+    if !report.classified() {
+        eprintln!(
+            "etpnc: the golden run was cut by the wall-clock budget (exit {EXIT_BUDGET}); raise --wall-ms if unintended"
+        );
+        return Ok(ExitCode::from(EXIT_BUDGET));
+    }
     if let Some(path) = flag_value(args, "--dot") {
         std::fs::write(path, report.vulnerability_dot(&d.etpn))
             .map_err(|e| format!("writing {path}: {e}"))?;

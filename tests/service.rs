@@ -152,7 +152,9 @@ fn malformed_http_is_rejected_not_crashed() {
 }
 
 /// A request whose wall-clock deadline expires mid-simulation answers 408
-/// with the budget termination, and does not trip the design's breaker.
+/// with the budget termination, and does not trip the design's breaker. A
+/// fault campaign whose golden run the deadline cut answers the same 408:
+/// no faulty run can be compared with that golden run.
 #[test]
 fn deadline_expiry_is_408_not_a_design_fault() {
     let handle = start(ServerConfig::default()).unwrap();
@@ -168,6 +170,24 @@ fn deadline_expiry_is_408_not_a_design_fault() {
         assert_eq!(r.status, 408, "{}", r.body);
         assert!(r.body.contains("budget"), "{}", r.body);
     }
+    let r = post(
+        &addr,
+        "/v1/fault",
+        r#"{"design":"gcd","inputs":{"a":[1],"b":[0]},"steps":999999999,"deadline_ms":200}"#,
+    );
+    assert_eq!(r.status, 408, "{}", r.body);
+    let doc = etpn::core::json::parse(&r.body).expect("the 408 body is JSON");
+    let field = |k| {
+        doc.get(k)
+            .unwrap_or_else(|| panic!("no `{k}` in {}", r.body))
+    };
+    assert_eq!(
+        field("error").as_str().unwrap(),
+        "deadline exceeded mid-run"
+    );
+    assert_eq!(field("status").as_i64().unwrap(), 408);
+    assert_eq!(field("termination").as_str().unwrap(), "budget");
+    assert!(field("steps").as_i64().unwrap() > 0, "{}", r.body);
     // Three expiries in a row must NOT have opened the breaker: a fast
     // request still succeeds.
     let ok = post(
