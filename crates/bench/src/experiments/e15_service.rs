@@ -1,6 +1,6 @@
 //! **E15 — request-scoped tracing overhead in the service plane.**
 //!
-//! PR 10's observability plane is meant to be *always on*: every request
+//! etpnd's observability plane is meant to be *always on*: every request
 //! gets a trace id, a span tree spanning admission → queue → engine work,
 //! an SLO histogram sample, a debug-ring entry, and (for slow/errored
 //! requests) a persisted Chrome-trace file. The acceptance bound is ≤ 5%
@@ -17,6 +17,13 @@
 //!   (parse, dispatch, trace bookkeeping) is a large slice of the total;
 //! * `diffeq` — the HAL differential-equation solver, a longer
 //!   datapath-heavy run where engine time dilutes fixed per-request cost.
+//!
+//! What the rates measure: the acceptor polls a non-blocking listener and
+//! sleeps 2 ms whenever no connection waits. A batch is sequential, so
+//! each request connects while the acceptor sleeps after admitting the
+//! one before, and both servers answer one request per poll, a little
+//! over 2 ms. A worker handles a request, spans included, inside that
+//! sleep, so the table cannot see a tracing cost below ~2 ms per request.
 
 use crate::measure::measure;
 use crate::table::Table;
@@ -113,13 +120,10 @@ pub fn run(scale: Scale) -> Table {
     }
 
     table.interpret(
-        "always-on request tracing stays within the 5% budget: a traced \
-         request adds a handful of span records (fixed-size pushes into a \
-         per-request Vec), one lock-free ring entry, and a p99 comparison \
-         at completion — no allocation on the hot path beyond the span \
-         vector, no I/O unless the request is slow or errored; SLO \
-         histograms and trace-id issuance are charged to both columns \
-         since they are not behind the tracing knob",
+        "both servers answer one sequential request per acceptor poll, so \
+         the acceptor's 2 ms sleep sets both rates; a worker handles a \
+         request, span records included, inside that sleep, so requests/s \
+         shows only a tracing cost above ~2 ms per request",
     );
     table
 }

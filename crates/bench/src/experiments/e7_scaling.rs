@@ -3,21 +3,18 @@
 //! Random structured nets of growing size: wall time of the order-relation
 //! closure, the acyclic closure, the data-dependence relation, P-invariant
 //! extraction, and bounded reachability (with its explored state count).
+//! The five analyses of one size are the arms of one measurement; a
+//! column is the arm's median time per call.
 //! Shape: the dense closures scale ~cubically in |S| (word-parallel
 //! Warshall), reachability stays linear for these structured nets.
 
+use crate::measure::measure;
 use crate::table::Table;
 use crate::Scale;
 use etpn_analysis::{p_invariants, DataDependence, ReachGraph};
 use etpn_core::ControlRelations;
 use etpn_workloads::random_net;
 use std::time::Instant;
-
-fn ms(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1e3
-}
 
 /// Run E7.
 pub fn run(scale: Scale) -> Table {
@@ -40,32 +37,22 @@ pub fn run(scale: Scale) -> Table {
     );
     for &n in sizes {
         let g = random_net(11, n);
-        let t_closure = ms(|| {
-            let _ = ControlRelations::compute(&g.ctl);
-        });
-        let t_acyclic = ms(|| {
-            let _ = ControlRelations::compute_acyclic(&g.ctl);
-        });
-        let t_dd = ms(|| {
-            let _ = DataDependence::compute(&g);
-        });
-        let t_inv = ms(|| {
-            let _ = p_invariants(&g.ctl);
-        });
         let mut states = 0usize;
-        let t_reach = ms(|| {
-            let rg = ReachGraph::explore(&g.ctl, 1 << 18);
-            states = rg.state_count();
+        let m = measure(5, scale.n(3, 5), |arm| {
+            let t0 = Instant::now();
+            match arm {
+                0 => drop(ControlRelations::compute(&g.ctl)),
+                1 => drop(ControlRelations::compute_acyclic(&g.ctl)),
+                2 => drop(DataDependence::compute(&g)),
+                3 => drop(p_invariants(&g.ctl)),
+                _ => states = ReachGraph::explore(&g.ctl, 1 << 18).state_count(),
+            }
+            (1, t0.elapsed())
         });
-        table.row([
-            n.to_string(),
-            format!("{t_closure:.2}"),
-            format!("{t_acyclic:.2}"),
-            format!("{t_dd:.2}"),
-            format!("{t_inv:.2}"),
-            format!("{t_reach:.2}"),
-            states.to_string(),
-        ]);
+        let mut row = vec![n.to_string()];
+        row.extend((0..5).map(|arm| format!("{:.2}", 1e3 / m.rate(arm))));
+        row.push(states.to_string());
+        table.row(row);
     }
     table.interpret(
         "dense closures grow ~cubically with |S|; reachability of structured \

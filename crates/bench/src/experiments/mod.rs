@@ -1,7 +1,7 @@
 //! The experiment suite: one module per EXPERIMENTS.md table.
 //!
 //! Every experiment is a pure function `run(scale) -> Table`, shared by the
-//! `experiments` binary, the Criterion benches, and the harness tests.
+//! `experiments` binary and the harness tests.
 
 pub mod e10_determinism;
 pub mod e11_obs;

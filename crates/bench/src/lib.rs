@@ -16,9 +16,8 @@
 //! ```
 //!
 //! Every timed row goes through [`measure::measure`]: a warm-up, then
-//! rounds that rotate which arm runs first, reported as medians.
-//! Criterion micro-benchmarks for the computational kernels live in
-//! `benches/`.
+//! rounds that rotate which arm runs first, reported as medians. The one
+//! exception is E5's `ms` column, a single call's magnitude.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

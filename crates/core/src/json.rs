@@ -43,7 +43,7 @@ impl Json {
     /// Fetch a required key or fail with a path-tagged error.
     pub fn req(&self, key: &str) -> CoreResult<&Json> {
         self.get(key)
-            .ok_or_else(|| CoreError::Invalid(format!("design JSON: missing key `{key}`")))
+            .ok_or_else(|| CoreError::Invalid(format!("JSON: missing key `{key}`")))
     }
 
     /// The array items, if this is an array.
@@ -65,7 +65,7 @@ impl Json {
     /// The integer value as a `usize` index.
     pub fn as_index(&self) -> CoreResult<usize> {
         let n = self.as_i64()?;
-        usize::try_from(n).map_err(|_| CoreError::Invalid(format!("design JSON: bad index {n}")))
+        usize::try_from(n).map_err(|_| CoreError::Invalid(format!("JSON: bad index {n}")))
     }
 
     /// The string value, if this is a string.
@@ -82,11 +82,6 @@ impl Json {
             Json::Bool(b) => Ok(*b),
             other => Err(type_err("bool", other)),
         }
-    }
-
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Render with 2-space indentation.
@@ -192,7 +187,7 @@ fn type_err(wanted: &str, got: &Json) -> CoreError {
         Json::Arr(_) => "array",
         Json::Obj(_) => "object",
     };
-    CoreError::Invalid(format!("design JSON: expected {wanted}, found {kind}"))
+    CoreError::Invalid(format!("JSON: expected {wanted}, found {kind}"))
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -239,7 +234,7 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn err(&self, msg: &str) -> CoreError {
-        CoreError::Invalid(format!("design JSON: {msg} at byte {}", self.pos))
+        CoreError::Invalid(format!("JSON: {msg} at byte {}", self.pos))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -292,7 +287,7 @@ impl Parser<'_> {
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("floating-point numbers are not part of the design schema"));
+            return Err(self.err("floating-point numbers are not supported"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;

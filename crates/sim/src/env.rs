@@ -18,7 +18,7 @@ pub trait Environment {
     fn value_at(&self, input: VertexId, name: &str, k: u64) -> Value;
 
     /// A process-independent 64-bit fingerprint of the whole environment,
-    /// or `None` when one cannot be computed (e.g. [`FnEnv`] closures).
+    /// or `None` when one cannot be computed.
     ///
     /// Two environments with equal fingerprints must answer every
     /// `value_at` query identically. The flight recorder stamps it into a
@@ -171,27 +171,6 @@ impl Environment for ScriptedEnv {
     }
 }
 
-/// An environment computing each value on demand from `(name, k)`.
-///
-/// Handy for long or pseudo-random input streams in benches:
-/// `FnEnv::new(|name, k| Value::Def(hash(name, k)))`.
-pub struct FnEnv<F: Fn(&str, u64) -> Value> {
-    f: F,
-}
-
-impl<F: Fn(&str, u64) -> Value> FnEnv<F> {
-    /// Wrap a closure as an environment.
-    pub fn new(f: F) -> Self {
-        Self { f }
-    }
-}
-
-impl<F: Fn(&str, u64) -> Value> Environment for FnEnv<F> {
-    fn value_at(&self, _input: VertexId, name: &str, k: u64) -> Value {
-        (self.f)(name, k)
-    }
-}
-
 /// Per-run cursor state tracking how far each input vertex has consumed its
 /// stream. Owned by the simulation engine.
 #[derive(Clone, Debug)]
@@ -281,19 +260,5 @@ mod tests {
         let env = ScriptedEnv::new().with_stream("x", [7]).repeat_last();
         let v = VertexId::new(0);
         assert_eq!(env.value_at(v, "x", 100), Value::Def(7));
-    }
-
-    #[test]
-    fn fn_env_computes() {
-        let env = FnEnv::new(|name, k| {
-            if name == "x" {
-                Value::Def(k as i64 * 2)
-            } else {
-                Value::Undef
-            }
-        });
-        let v = VertexId::new(0);
-        assert_eq!(env.value_at(v, "x", 5), Value::Def(10));
-        assert_eq!(env.value_at(v, "z", 5), Value::Undef);
     }
 }

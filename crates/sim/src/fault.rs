@@ -397,16 +397,20 @@ impl CampaignReport {
         if !self.classified() {
             let _ = writeln!(
                 s,
-                "fault campaign: golden {:?} after {} steps with {} events is not comparable \
+                "fault campaign: golden {} after {} steps with {} events is not comparable \
                  with itself: no fault classified",
-                self.golden_termination, self.golden_steps, self.golden_events
+                self.golden_termination.name(),
+                self.golden_steps,
+                self.golden_events
             );
             return s;
         }
         let _ = writeln!(
             s,
-            "fault campaign: {} faults, golden {:?} with {} events",
-            self.planned, self.golden_termination, self.golden_events
+            "fault campaign: {} faults, golden {} with {} events",
+            self.planned,
+            self.golden_termination.name(),
+            self.golden_events
         );
         for class in FaultClass::ALL {
             let _ = writeln!(s, "  {class:<8} {}", self.count(class));
@@ -481,7 +485,7 @@ fn classify(
         {
             (
                 FaultClass::Hang,
-                format!("{:?} after {} steps", t.termination, t.steps),
+                format!("{} after {} steps", t.termination.name(), t.steps),
             )
         }
         Ok(t) => match golden.first_difference(&event_structure(g, t)) {

@@ -1,4 +1,4 @@
-//! Seeded random workload generators for the scaling experiments (E7, E9).
+//! Seeded random workload generators for the scaling experiments (E7, E9c).
 //!
 //! * [`random_program`] — layered straight-line programs: each layer writes
 //!   fresh registers from values of earlier layers; optional `par` blocks

@@ -477,8 +477,8 @@ fn report_termination(trace: &etpn::sim::Trace, steps: u64) -> ExitCode {
         Termination::Budget => "wall-clock budget exhausted".to_string(),
     };
     println!(
-        "termination: {:?} — {reason}\n{} steps, {} firings, {} external events",
-        trace.termination,
+        "termination: {} — {reason}\n{} steps, {} firings, {} external events",
+        trace.termination.name(),
         trace.steps,
         trace.firings,
         trace.event_count()

@@ -1,5 +1,6 @@
 //! Every simulating `etpnc` subcommand reads its run flags through one
-//! parser, so they all accept, reject and position those flags alike.
+//! parser, so they all accept, reject and position those flags alike, and
+//! every report spells a run's ending by `Termination::name()`.
 
 use std::process::{Command, Output};
 
@@ -50,4 +51,27 @@ fn run_flags_are_parsed_alike_by_every_subcommand() {
     let out = etpnc(&[&["run", "--steps", "2000", GCD], &INPUTS]);
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("g = [4]"));
+}
+
+#[test]
+fn every_report_spells_a_termination_alike() {
+    // gcd(1, 0) never terminates, so the step budget cuts the deterministic
+    // run and every run of the battery; both report lines name it alike.
+    let out = etpnc(&[
+        &["run", GCD, "--set", "a=1", "--set", "b=0"],
+        &["--steps", "50", "--jobs", "2"],
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(stdout.contains("termination: step-limit — "), "{stdout}");
+    assert!(stdout.contains("(step-limit)"), "{stdout}");
+    assert!(!stdout.contains("StepLimit"), "{stdout}");
+
+    let out = etpnc(&[&["fault", GCD], &INPUTS]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        stdout.contains("golden terminated with 3 events"),
+        "{stdout}"
+    );
 }

@@ -115,6 +115,14 @@ fn wrongly_typed_run_fields_are_400() {
         assert_eq!(r.status, 400, "{path} {body}: {}", r.body);
         assert!(r.body.contains(&format!("`{name}`")), "{path}: {}", r.body);
     }
+    // A body that is not JSON at all is blamed on its JSON, not on a
+    // design.
+    let r = post(&addr, "/v1/run", "{");
+    assert_eq!(r.status, 400, "{}", r.body);
+    let doc = etpn::core::json::parse(&r.body).expect("error body is JSON");
+    let error = doc.req("error").and_then(|e| e.as_str()).unwrap();
+    assert!(error.starts_with("JSON: "), "{error}");
+    assert!(!error.contains("design"), "{error}");
     let cov = post(&addr, "/v1/cov", r#"{"design":"gcd"}"#);
     assert!(cov.body.contains("\"runs\": 0"), "{}", cov.body);
     handle.shutdown();
