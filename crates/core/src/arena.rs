@@ -57,6 +57,11 @@ impl<I: Id, T> TypedVec<I, T> {
         }
     }
 
+    /// Reserve room for at least `additional` more entries.
+    pub fn reserve(&mut self, additional: usize) {
+        self.items.reserve(additional);
+    }
+
     /// Append a value and return its id.
     pub fn push(&mut self, value: T) -> I {
         let id = I::from_usize(self.items.len());

@@ -10,6 +10,8 @@ use crate::datapath::DataPath;
 use crate::error::CoreResult;
 use crate::etpn::Etpn;
 use crate::ids::{ArcId, PlaceId, PortId, TransId, VertexId};
+use crate::name;
+use crate::name::Name;
 use crate::op::Op;
 
 /// Incremental constructor for a data/control flow system.
@@ -25,39 +27,59 @@ impl EtpnBuilder {
         Self::default()
     }
 
+    /// Reserve room for at least this many more vertices, ports, arcs,
+    /// places and transitions, so a builder that knows its design's size
+    /// grows each arena once.
+    pub fn reserve(
+        &mut self,
+        vertices: usize,
+        ports: usize,
+        arcs: usize,
+        places: usize,
+        transitions: usize,
+    ) {
+        self.dp.reserve(vertices, ports, arcs);
+        self.ctl.reserve(places, transitions);
+    }
+
     // ---------------- data path ----------------
 
     /// Add an external input vertex.
-    pub fn input(&mut self, name: &str) -> VertexId {
+    pub fn input(&mut self, name: impl Into<Name>) -> VertexId {
         self.dp.add_input(name)
     }
 
     /// Add an external output vertex.
-    pub fn output(&mut self, name: &str) -> VertexId {
+    pub fn output(&mut self, name: impl Into<Name>) -> VertexId {
         self.dp.add_output(name)
     }
 
     /// Add a single-output operator vertex.
-    pub fn operator(&mut self, op: Op, n_inputs: usize, name: &str) -> VertexId {
+    pub fn operator(&mut self, op: Op, n_inputs: usize, name: impl Into<Name>) -> VertexId {
         self.dp
             .add_unit(name, n_inputs, &[op])
             .unwrap_or_else(|e| panic!("builder: {e}"))
     }
 
     /// Add a multi-output operator vertex (one op per output port).
-    pub fn operator_multi(&mut self, ops: &[Op], n_inputs: usize, name: &str) -> VertexId {
+    pub fn operator_multi(
+        &mut self,
+        ops: &[Op],
+        n_inputs: usize,
+        name: impl Into<Name>,
+    ) -> VertexId {
         self.dp
             .add_unit(name, n_inputs, ops)
             .unwrap_or_else(|e| panic!("builder: {e}"))
     }
 
     /// Add a register.
-    pub fn register(&mut self, name: &str) -> VertexId {
+    pub fn register(&mut self, name: impl Into<Name>) -> VertexId {
         self.dp.add_register(name)
     }
 
     /// Add a constant source.
-    pub fn constant(&mut self, value: i64, name: &str) -> VertexId {
+    pub fn constant(&mut self, value: i64, name: impl Into<Name>) -> VertexId {
         self.dp.add_const(name, value)
     }
 
@@ -81,12 +103,12 @@ impl EtpnBuilder {
     // ---------------- control ----------------
 
     /// Add a control state.
-    pub fn place(&mut self, name: &str) -> PlaceId {
+    pub fn place(&mut self, name: impl Into<Name>) -> PlaceId {
         self.ctl.add_place(name)
     }
 
     /// Add a transition.
-    pub fn transition(&mut self, name: &str) -> TransId {
+    pub fn transition(&mut self, name: impl Into<Name>) -> TransId {
         self.ctl.add_transition(name)
     }
 
@@ -124,7 +146,7 @@ impl EtpnBuilder {
     /// Insert an unguarded transition taking `from` to `to`, returning it.
     ///
     /// Convenience for the ubiquitous serial chain `S_i → t → S_{i+1}`.
-    pub fn seq(&mut self, from: PlaceId, to: PlaceId, name: &str) -> TransId {
+    pub fn seq(&mut self, from: PlaceId, to: PlaceId, name: impl Into<Name>) -> TransId {
         let t = self.transition(name);
         self.flow_st(from, t);
         self.flow_ts(t, to);
@@ -134,11 +156,10 @@ impl EtpnBuilder {
     /// Build a serial chain of fresh places `s0 → s1 → … → s{n-1}`, marking
     /// the first, and return the places. Transitions are named `t0, t1, …`.
     pub fn serial_chain(&mut self, n: usize, prefix: &str) -> Vec<PlaceId> {
-        let places: Vec<PlaceId> = (0..n)
-            .map(|i| self.place(&format!("{prefix}{i}")))
-            .collect();
+        let places: Vec<PlaceId> = (0..n).map(|i| self.place(name!("{prefix}{i}"))).collect();
         for i in 0..n.saturating_sub(1) {
-            self.seq(places[i], places[i + 1], &format!("{prefix}_t{i}"));
+            let t = name!("{prefix}_t{i}");
+            self.seq(places[i], places[i + 1], t);
         }
         if let Some(&first) = places.first() {
             self.mark(first);

@@ -12,12 +12,13 @@ use crate::arena::TypedVec;
 use crate::error::{CoreError, CoreResult};
 use crate::idlist::IdList;
 use crate::ids::{ArcId, PlaceId, PortId, TransId};
+use crate::name::Name;
 
 /// An `S`-element: a control state (place).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Place {
     /// Human-readable name.
-    pub name: String,
+    pub name: Name,
     /// The control set `C(S)`: data-path arcs opened while this place is
     /// marked.
     pub ctrl: IdList<ArcId>,
@@ -33,7 +34,7 @@ pub struct Place {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Transition {
     /// Human-readable name.
-    pub name: String,
+    pub name: Name,
     /// Input places: `{S | (S, T) ∈ F}`.
     pub pre: IdList<PlaceId>,
     /// Output places: `{S | (T, S) ∈ F}`.
@@ -61,7 +62,7 @@ impl Control {
     // ------------------------------------------------------------------
 
     /// Add a control state.
-    pub fn add_place(&mut self, name: impl Into<String>) -> PlaceId {
+    pub fn add_place(&mut self, name: impl Into<Name>) -> PlaceId {
         self.places.push(Place {
             name: name.into(),
             ctrl: IdList::new(),
@@ -72,13 +73,19 @@ impl Control {
     }
 
     /// Add a transition.
-    pub fn add_transition(&mut self, name: impl Into<String>) -> TransId {
+    pub fn add_transition(&mut self, name: impl Into<Name>) -> TransId {
         self.transitions.push(Transition {
             name: name.into(),
             pre: IdList::new(),
             post: IdList::new(),
             guards: IdList::new(),
         })
+    }
+
+    /// Reserve room for at least this many more places and transitions.
+    pub fn reserve(&mut self, places: usize, transitions: usize) {
+        self.places.reserve(places);
+        self.transitions.reserve(transitions);
     }
 
     /// Add `(S, T)` to the flow relation.

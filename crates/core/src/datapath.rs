@@ -10,6 +10,7 @@ use crate::arena::TypedVec;
 use crate::error::{CoreError, CoreResult};
 use crate::idlist::IdList;
 use crate::ids::{ArcId, PortId, VertexId};
+use crate::name::Name;
 use crate::op::Op;
 use crate::port::{Dir, Port};
 use crate::vertex::{Vertex, VertexKind};
@@ -49,7 +50,7 @@ impl DataPath {
     /// port per operation in `out_ops`.
     pub fn add_unit(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         n_inputs: usize,
         out_ops: &[Op],
     ) -> CoreResult<VertexId> {
@@ -57,32 +58,42 @@ impl DataPath {
     }
 
     /// Add an external input vertex (one `Op::Input` output port, Def. 3.3).
-    pub fn add_input(&mut self, name: impl Into<String>) -> VertexId {
+    pub fn add_input(&mut self, name: impl Into<Name>) -> VertexId {
         self.add_vertex(name.into(), VertexKind::Input, 0, &[Op::Input])
             .expect("input vertex construction is infallible")
     }
 
     /// Add an external output vertex (one input port, Def. 3.3).
-    pub fn add_output(&mut self, name: impl Into<String>) -> VertexId {
+    pub fn add_output(&mut self, name: impl Into<Name>) -> VertexId {
         self.add_vertex(name.into(), VertexKind::Output, 1, &[])
             .expect("output vertex construction is infallible")
     }
 
     /// Add a register: one input, one `Op::Reg` output.
-    pub fn add_register(&mut self, name: impl Into<String>) -> VertexId {
+    pub fn add_register(&mut self, name: impl Into<Name>) -> VertexId {
         self.add_vertex(name.into(), VertexKind::Unit, 1, &[Op::Reg])
             .expect("register construction is infallible")
     }
 
     /// Add a constant source: no inputs, one `Op::Const` output.
-    pub fn add_const(&mut self, name: impl Into<String>, value: i64) -> VertexId {
+    pub fn add_const(&mut self, name: impl Into<Name>, value: i64) -> VertexId {
         self.add_vertex(name.into(), VertexKind::Unit, 0, &[Op::Const(value)])
             .expect("constant construction is infallible")
     }
 
+    /// Reserve room for at least this many more vertices, ports and arcs,
+    /// and for the per-port arc rows of the new ports.
+    pub fn reserve(&mut self, vertices: usize, ports: usize, arcs: usize) {
+        self.vertices.reserve(vertices);
+        self.ports.reserve(ports);
+        self.arcs.reserve(arcs);
+        self.incoming.reserve(ports);
+        self.outgoing.reserve(ports);
+    }
+
     fn add_vertex(
         &mut self,
-        name: String,
+        name: Name,
         kind: VertexKind,
         n_inputs: usize,
         out_ops: &[Op],

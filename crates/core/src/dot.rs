@@ -54,7 +54,7 @@ fn datapath_dot_with(g: &Etpn, heat: Option<&DataHeat<'_>>) -> String {
             .map(|&p| g.dp.port(p).operation().to_string())
             .collect();
         let mut label = if ops.is_empty() {
-            vx.name.clone()
+            vx.name.to_string()
         } else {
             format!("{}\\n[{}]", vx.name, ops.join(","))
         };
@@ -74,11 +74,11 @@ fn datapath_dot_with(g: &Etpn, heat: Option<&DataHeat<'_>>) -> String {
     for (a, arc) in g.dp.arcs().iter() {
         let from_v = g.dp.port(arc.from).vertex;
         let to_v = g.dp.port(arc.to).vertex;
-        let ctrl: Vec<String> = g
+        let ctrl: Vec<&str> = g
             .ctl
             .controllers_of(a)
             .iter()
-            .map(|p| g.ctl.place(*p).name.clone())
+            .map(|p| g.ctl.place(*p).name.as_str())
             .collect();
         let label = if ctrl.is_empty() {
             String::new()

@@ -39,7 +39,7 @@ impl Etpn {
             match slot {
                 None => h.write_u64(u64::MAX),
                 Some(v) => {
-                    h.write_str(&v.name);
+                    h.write_bytes(v.name.as_bytes());
                     h.write_u32(match v.kind {
                         crate::vertex::VertexKind::Unit => 0,
                         crate::vertex::VertexKind::Input => 1,
@@ -87,7 +87,7 @@ impl Etpn {
             match slot {
                 None => h.write_u64(u64::MAX),
                 Some(s) => {
-                    h.write_str(&s.name);
+                    h.write_bytes(s.name.as_bytes());
                     h.write_bool(s.marked0);
                     h.write_usize(s.ctrl.len());
                     for a in &s.ctrl {
@@ -108,7 +108,7 @@ impl Etpn {
             match slot {
                 None => h.write_u64(u64::MAX),
                 Some(t) => {
-                    h.write_str(&t.name);
+                    h.write_bytes(t.name.as_bytes());
                     h.write_usize(t.pre.len());
                     for s in &t.pre {
                         h.write_u32(s.0);

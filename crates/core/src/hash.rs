@@ -64,8 +64,14 @@ impl StableHasher {
 
     /// Absorb a string (length-prefixed, byte-exact).
     pub fn write_str(&mut self, s: &str) {
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Absorb a byte string, exactly as [`StableHasher::write_str`]
+    /// absorbs a string with these bytes.
+    pub(crate) fn write_bytes(&mut self, s: &[u8]) {
         self.write_u64(s.len() as u64);
-        let mut chunks = s.as_bytes().chunks_exact(8);
+        let mut chunks = s.chunks_exact(8);
         for c in chunks.by_ref() {
             self.write_u64(u64::from_le_bytes(c.try_into().unwrap()));
         }

@@ -45,6 +45,7 @@ pub mod idlist;
 pub mod ids;
 pub mod json;
 pub mod marking;
+pub mod name;
 pub mod op;
 pub mod port;
 pub mod relations;
@@ -61,6 +62,7 @@ pub use hash::StableHasher;
 pub use idlist::IdList;
 pub use ids::{ArcId, PlaceId, PortId, TransId, VertexId};
 pub use marking::Marking;
+pub use name::Name;
 pub use op::Op;
 pub use relations::ControlRelations;
 pub use value::Value;

@@ -7,6 +7,7 @@
 
 use crate::idlist::IdList;
 use crate::ids::PortId;
+use crate::name::Name;
 
 /// Classification of a vertex with respect to the environment boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -25,7 +26,7 @@ pub enum VertexKind {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Vertex {
     /// Human-readable name (unique names are recommended but not enforced).
-    pub name: String,
+    pub name: Name,
     /// Environment-boundary classification.
     pub kind: VertexKind,
     /// Input ports `I(V)` in declaration order.

@@ -111,8 +111,20 @@ impl std::error::Error for MergeMismatch {}
 impl CovDb {
     /// An empty DB sized for `g` (raw-id capacities, dead slots included).
     pub fn new(g: &Etpn) -> Self {
+        Self::sized(g, g.fingerprint())
+    }
+
+    /// [`Self::new`] for a design whose fingerprint the caller already
+    /// holds (a compilation's key, a registry's), so `g` is not hashed
+    /// again: one hash is a full pass over the design.
+    pub fn for_fingerprint(g: &Etpn, fingerprint: u64) -> Self {
+        debug_assert_eq!(fingerprint, g.fingerprint(), "not the design's fingerprint");
+        Self::sized(g, fingerprint)
+    }
+
+    fn sized(g: &Etpn, fingerprint: u64) -> Self {
         Self {
-            fingerprint: g.fingerprint(),
+            fingerprint,
             runs: 0,
             steps: 0,
             place_marked: BitSet::new(g.ctl.places().capacity_bound()),

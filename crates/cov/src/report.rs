@@ -212,7 +212,7 @@ fn port_name(g: &Etpn, idx: usize) -> String {
     if vx.outputs.len() > 1 {
         format!("{}_o{}", vx.name, p.index)
     } else {
-        vx.name.clone()
+        vx.name.to_string()
     }
 }
 
@@ -236,7 +236,7 @@ pub fn report(g: &Etpn, db: &CovDb, dead: &StaticDead) -> CovReport {
             if db.place_marked.contains(s.idx()) {
                 places.covered += 1;
             } else {
-                places.holes.push(place.name.clone());
+                places.holes.push(place.name.to_string());
             }
         }
     }
@@ -264,7 +264,7 @@ pub fn report(g: &Etpn, db: &CovDb, dead: &StaticDead) -> CovReport {
             if db.trans_fired.get(t.idx()).copied().unwrap_or(0) > 0 {
                 transitions.covered += 1;
             } else {
-                transitions.holes.push(tr.name.clone());
+                transitions.holes.push(tr.name.to_string());
             }
         }
         if !tr.guards.is_empty() {

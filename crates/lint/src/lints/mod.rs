@@ -65,15 +65,15 @@ pub const PASSES: &[LintPass] = &[
 // ----------------------------------------------------------------------
 
 pub(crate) fn place_name(cx: &LintContext, s: PlaceId) -> String {
-    cx.g.ctl.place(s).name.clone()
+    cx.g.ctl.place(s).name.to_string()
 }
 
 pub(crate) fn trans_name(cx: &LintContext, t: TransId) -> String {
-    cx.g.ctl.transition(t).name.clone()
+    cx.g.ctl.transition(t).name.to_string()
 }
 
 pub(crate) fn vertex_name(cx: &LintContext, v: VertexId) -> String {
-    cx.g.dp.vertex(v).name.clone()
+    cx.g.dp.vertex(v).name.to_string()
 }
 
 pub(crate) fn place_span(cx: &LintContext, s: PlaceId) -> Span {

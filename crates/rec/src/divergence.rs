@@ -473,7 +473,7 @@ impl DivergenceReport {
                             self.slice
                                 .transitions
                                 .iter()
-                                .map(|&t| g.ctl.transition(t).name.clone())
+                                .map(|&t| g.ctl.transition(t).name.to_string())
                                 .collect(),
                         ),
                     ),
@@ -483,7 +483,7 @@ impl DivergenceReport {
                             self.slice
                                 .places
                                 .iter()
-                                .map(|&s| g.ctl.place(s).name.clone())
+                                .map(|&s| g.ctl.place(s).name.to_string())
                                 .collect(),
                         ),
                     ),
@@ -493,7 +493,7 @@ impl DivergenceReport {
                             self.slice
                                 .vertices
                                 .iter()
-                                .map(|&v| g.dp.vertex(v).name.clone())
+                                .map(|&v| g.dp.vertex(v).name.to_string())
                                 .collect(),
                         ),
                     ),

@@ -120,7 +120,7 @@ impl Fault {
                     let owner =
                         g.dp.vertices()
                             .get(port.vertex)
-                            .map_or_else(|| port.vertex.to_string(), |vx| vx.name.clone());
+                            .map_or_else(|| port.vertex.to_string(), |vx| vx.name.to_string());
                     format!("{p} of `{owner}`")
                 }
                 None => format!("{p} (unresolved)"),

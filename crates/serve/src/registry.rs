@@ -107,7 +107,7 @@ impl Registry {
             fingerprint,
             source: source.to_string(),
             breaker: CircuitBreaker::new(self.breaker_cfg),
-            cov: Mutex::new(CovDb::new(&design.etpn)),
+            cov: Mutex::new(CovDb::for_fingerprint(&design.etpn, fingerprint)),
             design,
         });
         let mut designs = self.designs.write().unwrap_or_else(|e| e.into_inner());

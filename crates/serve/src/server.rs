@@ -975,6 +975,12 @@ fn run_spec(
     let mut env = ScriptedEnv::new();
     if let Some(Json::Obj(pairs)) = body.get("inputs") {
         for (name, values) in pairs {
+            if let Some(why) = etpn_sim::unknown_input(&entry.design.etpn, name) {
+                return Err(Response::error(
+                    400,
+                    &format!("field `inputs.{name}`: {why}"),
+                ));
+            }
             let vals = values
                 .as_arr()
                 .and_then(|arr| arr.iter().map(Json::as_i64).collect::<Result<Vec<_>, _>>())
@@ -1081,7 +1087,7 @@ fn run_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqMet
         .output_vertices()
         .into_iter()
         .map(|v| {
-            let name = entry.design.etpn.dp.vertex(v).name.clone();
+            let name = entry.design.etpn.dp.vertex(v).name.to_string();
             let values = trace.values_on_named_output(&entry.design.etpn, &name);
             (name, Json::Arr(values.into_iter().map(Json::Num).collect()))
         })
@@ -1182,7 +1188,7 @@ fn check_json(g: &etpn_core::Etpn, v: &BatteryVerdict) -> Json {
 fn witness_json(g: &etpn_core::Etpn, w: &Witness) -> Json {
     let event = |key: EventKey| {
         let vertex = g.dp.external_port(key.arc).map_or(Json::Null, |p| {
-            Json::Str(g.dp.vertex(g.dp.port(p).vertex).name.clone())
+            Json::Str(g.dp.vertex(g.dp.port(p).vertex).name.to_string())
         });
         [
             ("arc", Json::Str(key.arc.to_string())),

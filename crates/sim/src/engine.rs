@@ -307,8 +307,17 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self.toggle_pending = ports;
         self.toggle_seen = seen;
         self.guard_seen = vec![0; self.g.ctl.transitions().capacity_bound()];
-        self.cov = Some(CovDb::new(self.g));
+        self.cov = Some(CovDb::for_fingerprint(self.g, self.design_fingerprint()));
         self
+    }
+
+    /// The design's fingerprint. The compiled engine's shared compilation
+    /// already hashed the design; only the interpreter hashes it here, one
+    /// full pass over the design.
+    fn design_fingerprint(&self) -> u64 {
+        self.compiled
+            .as_ref()
+            .map_or_else(|| self.g.fingerprint(), |cs| cs.cd.fingerprint())
     }
 
     /// Select the firing policy.
@@ -641,13 +650,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
             self.rec = Some(Recorder::new(
                 cfg,
                 RecMeta {
-                    // The compiled engine's shared compilation already
-                    // hashed the design; only the interpreter hashes it
-                    // here, one full pass over the design.
-                    design_fp: self
-                        .compiled
-                        .as_ref()
-                        .map_or_else(|| self.g.fingerprint(), |cs| cs.cd.fingerprint()),
+                    design_fp: self.design_fingerprint(),
                     env_fp: self.env.fingerprint(),
                     policy_tag,
                     policy_seed,
@@ -991,7 +994,7 @@ impl<'g, E: Environment> Simulator<'g, E> {
             if self.strict && self.env.ran_dry(v, &g.dp.vertex(v).name, position) {
                 return Err(SimError::InputExhausted {
                     vertex: v,
-                    name: g.dp.vertex(v).name.clone(),
+                    name: g.dp.vertex(v).name.to_string(),
                     position,
                     step: self.step,
                 });
@@ -1383,9 +1386,9 @@ mod tests {
         let a2 = b.connect(b.out_port(add, 0), b.in_port(laps, 0));
         let places: Vec<PlaceId> = (0..n)
             .map(|i| {
-                let r = b.register(&format!("r{i}"));
+                let r = b.register(format!("r{i}"));
                 let a = b.connect(b.out_port(k, 0), b.in_port(r, 0));
-                let s = b.place(&format!("s{i}"));
+                let s = b.place(format!("s{i}"));
                 if i == 0 {
                     b.control(s, [a, a0, a1, a2]);
                 } else {
@@ -1395,7 +1398,7 @@ mod tests {
             })
             .collect();
         for i in 0..n {
-            b.seq(places[i], places[(i + 1) % n], &format!("t{i}"));
+            b.seq(places[i], places[(i + 1) % n], format!("t{i}"));
         }
         b.mark(places[0]);
         b.finish().unwrap()

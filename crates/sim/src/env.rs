@@ -113,6 +113,25 @@ impl ScriptedEnv {
     }
 }
 
+/// Why a stream called `name` cannot feed `g`: `None` when `g` has an
+/// input vertex of that name, else a message listing `g`'s inputs. A
+/// misspelt stream would otherwise leave the input it meant undefined.
+pub fn unknown_input(g: &Etpn, name: &str) -> Option<String> {
+    let inputs = g.dp.input_vertices();
+    if inputs.iter().any(|&v| g.dp.vertex(v).name == name) {
+        return None;
+    }
+    let names: Vec<&str> = inputs
+        .iter()
+        .map(|&v| g.dp.vertex(v).name.as_str())
+        .collect();
+    Some(if names.is_empty() {
+        "not an input of the design, which has none".to_string()
+    } else {
+        format!("not an input of the design (inputs: {})", names.join(", "))
+    })
+}
+
 impl Environment for ScriptedEnv {
     fn value_at(&self, _input: VertexId, name: &str, k: u64) -> Value {
         match self.streams.get(name) {
@@ -215,6 +234,25 @@ impl InputCursors {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_input_vertices_take_a_stream() {
+        let mut b = etpn_core::EtpnBuilder::new();
+        b.input("a");
+        b.input("b");
+        b.register("r");
+        let g = b.finish().unwrap();
+        assert_eq!(unknown_input(&g, "a"), None);
+        assert_eq!(
+            unknown_input(&g, "r").as_deref(),
+            Some("not an input of the design (inputs: a, b)")
+        );
+        let none = etpn_core::EtpnBuilder::new().finish().unwrap();
+        assert_eq!(
+            unknown_input(&none, "A").as_deref(),
+            Some("not an input of the design, which has none")
+        );
+    }
 
     #[test]
     fn scripted_streams_in_order() {

@@ -124,7 +124,7 @@ impl SimError {
             g.dp.ports()
                 .get(p)
                 .and_then(|port| g.dp.vertices().get(port.vertex))
-                .map_or_else(|| format!("<unknown {p}>"), |vx| vx.name.clone())
+                .map_or_else(|| format!("<unknown {p}>"), |vx| vx.name.to_string())
         };
         match self {
             SimError::InputConflict { port, arcs, step } => {
@@ -157,7 +157,7 @@ impl SimError {
                     .ctl
                     .places()
                     .get(*place)
-                    .map_or_else(|| format!("<unknown {place}>"), |p| p.name.clone());
+                    .map_or_else(|| format!("<unknown {place}>"), |p| p.name.to_string());
                 format!("place {place} (`{name}`) holds {tokens} tokens at step {step}")
             }
             SimError::InputExhausted {

@@ -61,7 +61,7 @@ pub use battery::{battery, BatteryGroup, BatteryRun, BatteryVerdict, Equivalence
 pub use compiled::{get_or_compile, Backend, CompiledDesign};
 pub use determinism::{check_determinism, check_determinism_with, DeterminismReport};
 pub use engine::Simulator;
-pub use env::{Environment, ScriptedEnv};
+pub use env::{unknown_input, Environment, ScriptedEnv};
 pub use error::SimError;
 pub use extract::event_structure;
 pub use fault::{

@@ -54,7 +54,7 @@ pub fn render(g: &Etpn, trace: &Trace) -> Option<String> {
         let name = if vx.outputs.len() > 1 {
             format!("{}_o{}", vx.name, port.index)
         } else {
-            vx.name.clone()
+            vx.name.to_string()
         };
         let _ = writeln!(out, "$var wire 64 {} {} $end", code(i), name);
     }
@@ -75,7 +75,7 @@ pub fn render(g: &Etpn, trace: &Trace) -> Option<String> {
                 .places()
                 .ids()
                 .find(|s| s.idx() == idx)
-                .map(|s| g.ctl.place(s).name.clone())
+                .map(|s| g.ctl.place(s).name.to_string())
                 .unwrap_or_else(|| format!("p{idx}"));
             let _ = writeln!(out, "$var wire 1 {} S_{} $end", code(base + k), name);
         }
@@ -85,7 +85,7 @@ pub fn render(g: &Etpn, trace: &Trace) -> Option<String> {
             let name = if vx.outputs.len() > 1 {
                 format!("{}_o{}", vx.name, port.index)
             } else {
-                vx.name.clone()
+                vx.name.to_string()
             };
             let _ = writeln!(
                 out,

@@ -90,11 +90,11 @@ pub fn binding_report(g: &Etpn, lib: &ModuleLibrary) -> BindingReport {
         }
         let bound_states = etpn_transform::legality::use_states(g, v)
             .into_iter()
-            .map(|s| g.ctl.place(s).name.clone())
+            .map(|s| g.ctl.place(s).name.to_string())
             .collect();
         units.push(UnitBinding {
             vertex: v,
-            name: vx.name.clone(),
+            name: vx.name.to_string(),
             ops,
             area,
             bound_states,

@@ -14,7 +14,7 @@
 //!   that `n_places`/`n_regs` bound the design directly, so a failing case
 //!   replays from three integers.
 
-use etpn_core::{ArcId, Etpn, EtpnBuilder, Op, PlaceId, VertexId};
+use etpn_core::{name, ArcId, Etpn, EtpnBuilder, Op, PlaceId, VertexId};
 use etpn_lang::Program;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -104,12 +104,16 @@ pub fn random_program(seed: u64, shape: ProgramShape) -> Program {
 pub fn random_net(seed: u64, n_places: usize) -> Etpn {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = EtpnBuilder::new();
+    // The constant and a register per state (two ports each, one arc);
+    // at most one transition per state, `t_end` included.
+    let n = n_places.max(1);
+    b.reserve(n + 1, 2 * n + 1, n, n, n);
     let k = b.constant(1, "k1");
     // One register per state keeps associated sets disjoint.
     let mk_state = |b: &mut EtpnBuilder, i: usize| -> (PlaceId, ArcId) {
-        let r = b.register(&format!("r{i}"));
+        let r = b.register(name!("r{i}"));
         let a = b.connect(b.out_port(k, 0), b.in_port(r, 0));
-        let s = b.place(&format!("s{i}"));
+        let s = b.place(name!("s{i}"));
         b.control(s, [a]);
         (s, a)
     };
@@ -126,12 +130,12 @@ pub fn random_net(seed: u64, n_places: usize) -> Etpn {
             let (sb, _) = mk_state(&mut b, made + 1);
             let (sj, _) = mk_state(&mut b, made + 2);
             made += 3;
-            let tf = b.transition(&format!("t{tcount}"));
+            let tf = b.transition(name!("t{tcount}"));
             tcount += 1;
             b.flow_st(current, tf);
             b.flow_ts(tf, sa);
             b.flow_ts(tf, sb);
-            let tj = b.transition(&format!("t{tcount}"));
+            let tj = b.transition(name!("t{tcount}"));
             tcount += 1;
             b.flow_st(sa, tj);
             b.flow_st(sb, tj);
@@ -140,7 +144,7 @@ pub fn random_net(seed: u64, n_places: usize) -> Etpn {
         } else {
             let (s, _) = mk_state(&mut b, made);
             made += 1;
-            let t = b.transition(&format!("t{tcount}"));
+            let t = b.transition(name!("t{tcount}"));
             tcount += 1;
             b.flow_st(current, t);
             b.flow_ts(t, s);
@@ -188,7 +192,7 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
     let k1 = b.constant(rng.gen_range(2..10), "k1");
     let x = b.input("x");
     let y = b.output("y");
-    let regs: Vec<VertexId> = (0..n_regs).map(|i| b.register(&format!("r{i}"))).collect();
+    let regs: Vec<VertexId> = (0..n_regs).map(|i| b.register(name!("r{i}"))).collect();
     let comb_ops = [
         Op::Add,
         Op::Sub,
@@ -213,14 +217,14 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
             _ => b.out_port(regs[rng.gen_range(0..n_regs)], 0),
         };
         let op = comb_ops[rng.gen_range(0..comb_ops.len())];
-        let v1 = b.operator(op, 2, &format!("e{vcount}"));
+        let v1 = b.operator(op, 2, name!("e{vcount}"));
         vcount += 1;
         let (l0, l1) = (leaf(b, rng), leaf(b, rng));
         arcs.push(b.connect(l0, b.in_port(v1, 0)));
         arcs.push(b.connect(l1, b.in_port(v1, 1)));
         let top = if rng.gen_bool(0.4) {
             let op2 = comb_ops[rng.gen_range(0..comb_ops.len())];
-            let v2 = b.operator(op2, 2, &format!("e{vcount}"));
+            let v2 = b.operator(op2, 2, name!("e{vcount}"));
             vcount += 1;
             arcs.push(b.connect(b.out_port(v1, 0), b.in_port(v2, 0)));
             let l2 = leaf(b, rng);
@@ -230,7 +234,7 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
             v1
         };
         arcs.push(b.connect(b.out_port(top, 0), b.in_port(regs[tgt], 0)));
-        let s = b.place(&format!("s{idx}"));
+        let s = b.place(name!("s{idx}"));
         b.control(s, arcs);
         s
     };
@@ -257,12 +261,12 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
             let sb = mk_state(&mut b, &mut rng, made + 1, rb);
             let sj = mk_state(&mut b, &mut rng, made + 2, (made + 2) % n_regs);
             made += 3;
-            let tf = b.transition(&format!("t{tcount}"));
+            let tf = b.transition(name!("t{tcount}"));
             tcount += 1;
             b.flow_st(current, tf);
             b.flow_ts(tf, sa);
             b.flow_ts(tf, sb);
-            let tj = b.transition(&format!("t{tcount}"));
+            let tj = b.transition(name!("t{tcount}"));
             tcount += 1;
             b.flow_st(sa, tj);
             b.flow_st(sb, tj);
@@ -271,7 +275,7 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
         } else {
             let s = mk_state(&mut b, &mut rng, made, made % n_regs);
             made += 1;
-            let t = b.transition(&format!("t{tcount}"));
+            let t = b.transition(name!("t{tcount}"));
             tcount += 1;
             b.flow_st(current, t);
             b.flow_ts(t, s);
@@ -285,7 +289,7 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
                 let cmp = b.operator(
                     if rng.gen_bool(0.5) { Op::Ge } else { Op::Ne },
                     2,
-                    &format!("g{tcount}"),
+                    name!("g{tcount}"),
                 );
                 let a0 = b.connect(b.out_port(x, 0), b.in_port(cmp, 0));
                 let a1 = b.connect(b.out_port(k0, 0), b.in_port(cmp, 1));
@@ -297,9 +301,9 @@ pub fn random_design(seed: u64, n_places: usize, n_regs: usize) -> Etpn {
     }
     // Final state: emit a register to the external output.
     let emit = b.connect(b.out_port(regs[0], 0), b.in_port(y, 0));
-    let s_out = b.place(&format!("s{made}"));
+    let s_out = b.place(name!("s{made}"));
     b.control(s_out, [emit]);
-    let t = b.transition(&format!("t{tcount}"));
+    let t = b.transition(name!("t{tcount}"));
     b.flow_st(current, t);
     b.flow_ts(t, s_out);
     let t_end = b.transition("t_end");

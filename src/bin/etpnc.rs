@@ -30,7 +30,8 @@
 //!   -o DIR                                    (output directory, default .)
 //! run options (every simulating subcommand: run, record, fault, cov,
 //!              dot --heat):
-//!   --set NAME=v1,v2,…                        (input stream, repeatable)
+//!   --set NAME=v1,v2,…                        (input stream, repeatable;
+//!                                              NAME must be an input)
 //!   --steps N                                 (step budget per run,
 //!                                              default 100000)
 //!   --backend compiled|interp                 (step engine, default
@@ -443,6 +444,9 @@ fn run_spec(
 ) -> Result<(RunSpec, ScriptedEnv), String> {
     let mut env = ScriptedEnv::new();
     for (name, values) in parse_streams(args)? {
+        if let Some(why) = etpn::sim::unknown_input(&d.etpn, &name) {
+            return Err(format!("--set {name}: {why}"));
+        }
         env = env.with_stream(&name, values);
     }
     let backend = match flag_values(args, "--backend").last() {

@@ -75,3 +75,37 @@ fn every_report_spells_a_termination_alike() {
         "{stdout}"
     );
 }
+
+#[test]
+fn a_stream_the_design_does_not_read_is_refused_by_every_subcommand() {
+    let dir = std::env::temp_dir().join(format!("etpn-cli-inputs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tempdir");
+    let rec = dir.join("out.etpnrec");
+    let rec = rec.to_str().unwrap();
+    // An extra stream and a misspelt one (`A` for `a`, which would leave
+    // `a` undefined) are both usage errors that name the design's inputs.
+    for stray in ["q=5", "A=12"] {
+        let name = &stray[..1];
+        for cmd in [
+            &["run"][..],
+            &["run", "--jobs", "2"],
+            &["record", "-o", rec],
+            &["fault"],
+            &["cov"],
+            &["dot", "--heat"],
+        ] {
+            let out = etpnc(&[cmd, &[GCD], &INPUTS, &["--set", stray]]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} {stray}: {err}");
+            assert!(
+                err.contains(&format!(
+                    "--set {name}: not an input of the design (inputs: a, b)"
+                )),
+                "{cmd:?} {stray}: {err}"
+            );
+            assert!(out.stdout.is_empty(), "{cmd:?} {stray}: ran anyway");
+        }
+    }
+    assert!(!std::path::Path::new(rec).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

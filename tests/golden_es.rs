@@ -84,3 +84,30 @@ fn gcd_event_structure_matches_golden() {
 fn diffeq_event_structure_matches_golden() {
     check_golden("diffeq");
 }
+
+/// Fingerprints persist in recordings, `cov.journal` and the files above,
+/// and they hash every object's name. These are the values from before
+/// names moved inline, pinned with no regeneration switch, so a change to
+/// how a generator or the compiler spells a name fails here.
+#[test]
+fn generated_and_example_fingerprints_are_pinned() {
+    let gcd = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/gcd.hdl"))
+        .expect("example source");
+    let gcd = etpn_synth::compile_source(&gcd).expect("gcd compiles");
+    let pinned = [
+        (
+            "random_net(1, 1024)",
+            etpn_workloads::random_net(1, 1024),
+            0x9cf7_18a0_1dc1_9f08,
+        ),
+        (
+            "random_design(11, 20, 4)",
+            etpn_workloads::random_design(11, 20, 4),
+            0xc77e_631a_cfc9_8141,
+        ),
+        ("examples/gcd.hdl", gcd.etpn, 0x3a37_64f5_beaa_7776),
+    ];
+    for (what, g, fp) in pinned {
+        assert_eq!(g.fingerprint(), fp, "{what}: {:#018x}", g.fingerprint());
+    }
+}

@@ -128,6 +128,42 @@ fn wrongly_typed_run_fields_are_400() {
     handle.shutdown();
 }
 
+/// An input stream the design has no input vertex for is a 400 naming
+/// the stream and the design's inputs, on every verb that runs it:
+/// nothing runs and no coverage merges.
+#[test]
+fn a_stream_the_design_does_not_read_is_400() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let addr = handle.addr;
+    assert_eq!(post(&addr, "/v1/designs", &src_body(GCD)).status, 201);
+    for path in ["/v1/run", "/v1/check", "/v1/fault"] {
+        for (stray, inputs) in [
+            ("q", r#"{"a":[12],"b":[8],"q":[5]}"#),
+            ("A", r#"{"A":[12],"b":[8]}"#),
+        ] {
+            let body = format!(r#"{{"design":"gcd","inputs":{inputs}}}"#);
+            let r = post(&addr, path, &body);
+            assert_eq!(r.status, 400, "{path} {body}: {}", r.body);
+            let doc = etpn::core::json::parse(&r.body).expect("error body is JSON");
+            let error = doc.req("error").and_then(|e| e.as_str()).unwrap();
+            assert_eq!(
+                error,
+                format!("field `inputs.{stray}`: not an input of the design (inputs: a, b)"),
+                "{path}"
+            );
+        }
+    }
+    let cov = post(&addr, "/v1/cov", r#"{"design":"gcd"}"#);
+    assert!(cov.body.contains("\"runs\": 0"), "{}", cov.body);
+    let run = post(
+        &addr,
+        "/v1/run",
+        r#"{"design":"gcd","inputs":{"a":[12],"b":[8]}}"#,
+    );
+    assert_eq!(run.status, 200, "{}", run.body);
+    handle.shutdown();
+}
+
 /// Raw malformed HTTP (not even a request line) answers 400, and an
 /// absurd Content-Length answers 413 — without tying up the worker.
 #[test]

@@ -21,16 +21,16 @@ fn ring(pad: usize) -> Etpn {
     let k = b.constant(1, "k1");
     let mut live = Vec::with_capacity(LIVE);
     for i in 0..LIVE * (pad + 1) {
-        let r = b.register(&format!("r{i}"));
+        let r = b.register(format!("r{i}"));
         let a = b.connect(b.out_port(k, 0), b.in_port(r, 0));
-        let s = b.place(&format!("s{i}"));
+        let s = b.place(format!("s{i}"));
         b.control(s, [a]);
         if i % (pad + 1) == 0 {
             live.push(s);
         }
     }
     for i in 0..LIVE {
-        b.seq(live[i], live[(i + 1) % LIVE], &format!("t{i}"));
+        b.seq(live[i], live[(i + 1) % LIVE], format!("t{i}"));
     }
     b.mark(live[0]);
     b.finish().expect("the ring is a valid net")
